@@ -6,7 +6,7 @@ sequences of rows and are returned as tuples of tuples.  The ambient
 dimensions in this package are tiny (at most eight or so), so the classical
 cubic algorithms with exact arithmetic are more than fast enough.
 
-The three workhorses are
+The four workhorses are
 
 * ``hnf_with_transform`` -- row-style Hermite normal form with a unimodular
   row transform, used to canonicalize integer lattices;
@@ -14,7 +14,11 @@ The three workhorses are
   constraint matrix ``A``, which is how group closures are computed;
 * ``solve_congruences`` -- the full solution set of ``A t = b (mod 1)`` on a
   torus, described as particular + torsion + connected part, via the Smith
-  normal form.
+  normal form;
+* ``lattice_box_points`` -- the points of an affine lattice
+  ``offset + span_Z(basis)`` inside the sup-norm box, enumerated from the
+  HNF basis by back-substitution (Fincke-Pohst style bounds), which is how
+  flow-annihilated Fourier modes are listed.
 """
 
 from __future__ import annotations
@@ -170,6 +174,66 @@ def integer_kernel(constraints, n=None):
     H, U = hnf_with_transform(transpose(rows), ncols=len(rows))
     kernel = [U[i] for i in range(n) if not any(H[i])]
     return hnf(kernel, ncols=n) if kernel else ()
+
+
+def lattice_box_points(basis, offset, cutoff):
+    """Sorted points of ``offset + span_Z(basis)`` with sup-norm at most
+    ``cutoff``.
+
+    ``basis`` is an HNF basis (as returned by ``hnf`` or ``integer_kernel``)
+    and ``offset`` an integer vector.  One coefficient is fixed per basis row,
+    in pivot order: row ``i`` is the last to touch its pivot column, so the
+    box bound on that coordinate gives the coefficient's range exactly, and
+    the columns before the next pivot are final once it is chosen and are
+    pruned there.  Each pivot coordinate grows with its coefficient and every
+    other coordinate is settled by earlier choices, so the points come out in
+    lexicographic order.
+    """
+    n = len(offset)
+    pivots = [next(j for j, a in enumerate(row) if a) for row in basis]
+    settled = [range(p + 1, q) for p, q in zip(pivots, pivots[1:] + [n])]
+    if any(abs(offset[j]) > cutoff for j in range(pivots[0] if pivots else n)):
+        return ()
+    out = []
+
+    def descend(i, x):
+        if i == len(basis):
+            out.append(tuple(x))
+            return
+        row, p = basis[i], pivots[i]
+        piv = row[p]
+        for k in range(-((cutoff + x[p]) // piv), (cutoff - x[p]) // piv + 1):
+            y = x[:p] + [a + k * b for a, b in zip(x[p:], row[p:])]
+            if all(-cutoff <= y[j] <= cutoff for j in settled[i]):
+                descend(i + 1, y)
+
+    descend(0, list(offset))
+    return tuple(out)
+
+
+def integer_solution(C, b):
+    """One integer solution of ``C x = b`` for rational ``C`` and ``b``, or
+    ``None`` when there is none.
+
+    Each equation is cleared of denominators together with its right-hand
+    side; then ``D = S C T`` (Smith normal form) turns the system into
+    ``D y = S b`` with ``x = T y``, and free coordinates of ``y`` are zero.
+    """
+    rows = scale_rows_to_int([list(r) + [bi] for r, bi in zip(C, b)])
+    n = len(rows[0]) - 1
+    D, S, T = snf_with_transforms([r[:n] for r in rows])
+    c = mat_vec(S, [r[n] for r in rows])
+    y = [0] * n
+    for i, ci in enumerate(c):
+        d = D[i][i] if i < n else 0
+        if d == 0:
+            if ci != 0:
+                return None
+        elif ci % d:
+            return None
+        else:
+            y[i] = ci // d
+    return mat_vec(T, y)
 
 
 def saturate(rows, n=None):

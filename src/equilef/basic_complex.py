@@ -14,6 +14,10 @@ block-diagonal over modes:
 
 Whether a mode is annihilated by the flow derivative (``m . v = 0``) is
 decided exactly at the symbolic level; the frame itself is floating point.
+The annihilated modes within a cutoff are not found by testing the
+``(2c+1)^n`` modes of the box: they form the integer kernel of the flow's
+constraint rows (an affine translate of it for twisted sections), and
+``lattice_modes`` lists that lattice's points in the box directly.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _ratlin as rl
-from .errors import DegreeOverflow
+from .errors import DegreeOverflow, GeneratorMismatch
 from .geometry_models import FlatTorusModel
 
 TWO_PI = 2.0 * math.pi
@@ -78,15 +82,34 @@ def is_basic_mode(model: FlatTorusModel, m) -> bool:
     return all(sum(a * mi for a, mi in zip(row, m)) == 0 for row in rows)
 
 
+def lattice_modes(model: FlatTorusModel, cutoff: int, weight=None, extra=()):
+    """Modes with sup-norm at most ``cutoff`` whose ``m . v`` equals the
+    symbolic ``weight`` (zero when ``None``) and which satisfy ``R m = 0``
+    for the integer rows ``extra``, in lexicographic order.
+
+    They form an affine lattice: the integer kernel of the flow's constraint
+    rows stacked with ``extra``, translated by one integer solution of the
+    weighted system.  Its points in the box are enumerated from the kernel's
+    HNF basis; the box itself is never scanned.  Empty when no integer mode
+    carries the weight."""
+    if weight is not None and weight.generator_labels != model.v.generator_labels:
+        raise GeneratorMismatch("the weight must use the model's generators")
+    rows = model.v.constraint_rows() + tuple(extra)
+    kernel = rl.integer_kernel(rows, n=model.n)
+    if weight is None:
+        offset = (0,) * model.n
+    else:
+        offset = rl.integer_solution(rows, weight.coeffs[0] + (0,) * len(extra))
+        if offset is None:
+            return ()
+    return rl.lattice_box_points(kernel, offset, cutoff)
+
+
 @lru_cache(maxsize=None)
 def basic_modes(model: FlatTorusModel, cutoff: int):
-    """All modes with sup-norm at most ``cutoff`` annihilated by the flow."""
-    rows = _basic_constraints_int(model.v)
-    out = []
-    for m in itertools.product(range(-cutoff, cutoff + 1), repeat=model.n):
-        if all(sum(a * mi for a, mi in zip(row, m)) == 0 for row in rows):
-            out.append(m)
-    return tuple(sorted(out))
+    """All modes with sup-norm at most ``cutoff`` annihilated by the flow, in
+    lexicographic order: the relation lattice's points in the box."""
+    return lattice_modes(model, cutoff)
 
 
 def mode_eigenvalue(m) -> float:

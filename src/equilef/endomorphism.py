@@ -265,15 +265,22 @@ def _parallel_mode_for(model, p, sigma):
 def twisted_invariant_modes(model: FlatTorusModel, cutoff: int,
                             twist: BundleTwist | None = None):
     """Modes of twisted sections annihilated by the flow derivative:
-    ``m . v`` equals the twist weight, exactly."""
+    ``m . v`` equals the twist weight, exactly.  Empty when no integer mode
+    carries the weight."""
     if twist is None:
         return bc.basic_modes(model, cutoff)
-    sigma = twist.weight_components()
-    out = []
-    for m in itertools.product(range(-cutoff, cutoff + 1), repeat=model.n):
-        if model.v.symbolic_dot(m) == sigma:
-            out.append(m)
-    return tuple(sorted(out))
+    return bc.lattice_modes(model, cutoff, twist.weight)
+
+
+def _fixed_modes(model: FlatTorusModel, f: TorusMap, cutoff: int,
+                 twist: BundleTwist | None = None):
+    """The modes a heat trace sums over: flow-annihilated (twisted) modes
+    within ``cutoff`` that ``A^T`` fixes, i.e. that ``A^T - I`` kills."""
+    n = model.n
+    fixed_rows = tuple(
+        tuple(f.matrix[j][i] - (i == j) for j in range(n)) for i in range(n))
+    weight = twist.weight if twist is not None else None
+    return bc.lattice_modes(model, cutoff, weight, fixed_rows)
 
 
 @dataclass(frozen=True)
@@ -367,7 +374,9 @@ def heat_damped_traces(model: FlatTorusModel, f: TorusMap, s: float,
 
     Only modes fixed by ``A^T`` contribute; their alternating sum over the
     degree telescopes mode by mode, so the result is independent of ``s``
-    up to the truncation."""
+    up to the truncation.  Those modes are enumerated directly, as the
+    lattice cut out by the flow constraints stacked with ``A^T - I`` (its
+    translate by the twist weight for twisted sections)."""
     if s <= 0:
         raise ValueError("the damping parameter must be positive")
     validate_equivariance(model, f)
@@ -378,9 +387,7 @@ def heat_damped_traces(model: FlatTorusModel, f: TorusMap, s: float,
     v = np.array(model.v.float_values())
     vhat = v / np.linalg.norm(v)
     out = [0.0 + 0.0j] * n
-    for m in twisted_invariant_modes(model, cutoff, twist):
-        if rl.vec_mat(m, f.matrix) != tuple(m):
-            continue
+    for m in _fixed_modes(model, f, cutoff, twist):
         phase = cmath.exp(2j * math.pi * float(
             sum(Fraction(mi) * t for mi, t in zip(m, f.translation))))
         t_along = float(np.dot(m, vhat))

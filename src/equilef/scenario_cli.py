@@ -251,12 +251,27 @@ def parse_scenario(data: dict) -> Scenario:
         )
 
     cutoffs = data.get("cutoffs", {})
-    cutoff = int(cutoffs.get("modes", DEFAULT_CUTOFF)) if isinstance(cutoffs, dict) \
-        else DEFAULT_CUTOFF
+    if not isinstance(cutoffs, dict):
+        raise SchemaError("cutoffs must be an object", path="$.cutoffs")
+    cutoff = DEFAULT_CUTOFF
+    if "modes" in cutoffs:
+        cutoff = cutoffs["modes"]
+        if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
+            raise SchemaError("mode cutoff must be a non-negative integer",
+                              path="$.cutoffs.modes")
     tolerances = data.get("tolerances", {}) or {}
     tolerance = float(tolerances.get("verify", DEFAULT_TOLERANCE))
     heat_tolerance = float(tolerances.get("heat", 1e-8))
-    heat_s = tuple(float(s) for s in data.get("heat_s", DEFAULT_HEAT_S))
+    heat_s = data.get("heat_s", DEFAULT_HEAT_S)
+    if not isinstance(heat_s, (list, tuple)):
+        raise SchemaError("heat_s must be a list of damping parameters",
+                          path="$.heat_s")
+    for i, s in enumerate(heat_s):
+        if (not isinstance(s, (int, float)) or isinstance(s, bool)
+                or not 0 < s < math.inf):
+            raise SchemaError("damping parameters must be positive finite "
+                              "numbers", path=f"$.heat_s[{i}]")
+    heat_s = tuple(float(s) for s in heat_s)
     moll = data.get("mollifier", {}) or {}
     k_list = tuple(int(k) for k in moll.get("k_list", (8, 16, 32, 64)))
     radius = float(_parse_fraction(moll.get("radius", "3/10"), "$.mollifier.radius"))
@@ -416,6 +431,12 @@ def _equivariance_section(scenario):
     }
 
 
+def _cutoff(scenario, options):
+    """The ``--cutoff`` option when given (zero included), else the
+    scenario's mode cutoff."""
+    return scenario.cutoff if options.cutoff is None else options.cutoff
+
+
 def cmd_validate(scenario: Scenario, options) -> tuple[dict, int]:
     report = _base_report(scenario, "validate")
     report["equivariance"] = _equivariance_section(scenario)
@@ -449,7 +470,7 @@ def cmd_lhs(scenario: Scenario, options) -> tuple[dict, int]:
         raise _UsageError("the lhs command requires a flat torus scenario")
     report = _base_report(scenario, "lhs")
     report["equivariance"] = _equivariance_section(scenario)
-    _, sections = _lhs_sections(scenario, options.cutoff or scenario.cutoff)
+    _, sections = _lhs_sections(scenario, _cutoff(scenario, options))
     report["lhs"] = sections
     report["verdict"] = {"pass": True}
     return report, EXIT_PASS
@@ -514,7 +535,7 @@ def cmd_verify(scenario: Scenario, options) -> tuple[dict, int]:
     if not isinstance(scenario.model, FlatTorusModel):
         raise _UsageError("the verify command requires a flat torus scenario "
                           "(sphere scenarios support rhs only)")
-    cutoff = options.cutoff or scenario.cutoff
+    cutoff = _cutoff(scenario, options)
     tolerance = options.tolerance if options.tolerance is not None \
         else scenario.tolerance
     report = _base_report(scenario, "verify")
@@ -562,7 +583,7 @@ def cmd_verify(scenario: Scenario, options) -> tuple[dict, int]:
 def cmd_spectrum(scenario: Scenario, options) -> tuple[dict, int]:
     if not isinstance(scenario.model, FlatTorusModel):
         raise _UsageError("the spectrum command requires a flat torus scenario")
-    cutoff = options.cutoff or scenario.cutoff
+    cutoff = _cutoff(scenario, options)
     report = _base_report(scenario, "spectrum")
     tables = {}
     for q in range(scenario.model.n):
@@ -578,7 +599,7 @@ def cmd_spectrum(scenario: Scenario, options) -> tuple[dict, int]:
 def cmd_avcheck(scenario: Scenario, options) -> tuple[dict, int]:
     if not isinstance(scenario.model, FlatTorusModel):
         raise _UsageError("the avcheck command requires a flat torus scenario")
-    cutoff = options.cutoff or scenario.cutoff
+    cutoff = _cutoff(scenario, options)
     rng = np.random.default_rng(20240801)
     residuals = av.averaging_report(scenario.model, min(cutoff, 4), rng)
     report = _base_report(scenario, "avcheck")
@@ -656,6 +677,8 @@ def run(command: str, scenario_file: str, argv_options=None,
         stream.write(f"error: unknown command {command!r}\n")
         return EXIT_USAGE
     try:
+        if options.cutoff is not None and options.cutoff < 0:
+            raise _UsageError("--cutoff must be a non-negative integer")
         scenario = load_scenario(scenario_file)
         report, code = COMMANDS[command](scenario, options)
         _emit(report, options, stream)

@@ -1,0 +1,208 @@
+"""Lattice enumeration of flow-annihilated modes against the box-scan oracle.
+
+The oracle tests every mode of the ``(2c+1)^n`` box exactly; the library
+lists the points of the (affine) mode lattice from its HNF basis.  The two
+must agree as sorted tuples on random rational, irrational and mixed flows,
+on twists with and without integer solutions, and on the ``A^T``-fixed
+modes a heat trace sums over.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from equilef import _ratlin as rl
+from equilef import basic_complex as bc
+from equilef import endomorphism as em
+from equilef import geometry_models as gm
+from equilef import torus_group as tg
+from equilef.errors import GeneratorMismatch
+
+LABELS = ("alpha", "beta")
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def box_scan(model, cutoff, sigma=None, matrix=None):
+    """Oracle: every mode of the box with ``m . v == sigma`` (and ``m A == m``
+    when ``matrix`` is given), sorted."""
+    n = model.n
+    rows = model.v.constraint_rows()
+    sigma = [Fraction(0)] * len(rows) if sigma is None else sigma
+    # clear each equation's denominators so the scan runs on integers
+    dens = [math.lcm(*(Fraction(a).denominator for a in row),
+                     Fraction(s).denominator) for row, s in zip(rows, sigma)]
+    int_rows = [[int(a * d) for a in row] for row, d in zip(rows, dens)]
+    targets = [Fraction(s) * d for s, d in zip(sigma, dens)]
+    out = []
+    for m in itertools.product(range(-cutoff, cutoff + 1), repeat=n):
+        if any(sum(a * mi for a, mi in zip(row, m)) != t
+               for row, t in zip(int_rows, targets)):
+            continue
+        if matrix is not None and any(
+                sum(m[j] * matrix[j][i] for j in range(n)) != m[i]
+                for i in range(n)):
+            continue
+        out.append(m)
+    return tuple(sorted(out))
+
+
+small_rational = st.builds(
+    Fraction,
+    st.integers(-3, 3),
+    st.sampled_from([1, 1, 1, 2, 3]),
+)
+
+
+@st.composite
+def flows(draw):
+    """A flat torus model: n = 1-5 with 0-2 generators.  Each coordinate is
+    zero, rational, irrational or mixed, so rational, irrational and mixed
+    flows all occur."""
+    n = draw(st.integers(1, 5))
+    g = draw(st.integers(0, 2))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "rational", "irrational", "mixed"]))
+        row = [Fraction(0)] * (1 + g)
+        if kind in ("rational", "mixed") or g == 0:
+            row[0] = draw(small_rational)
+        if kind in ("irrational", "mixed") and g:
+            row[1 + draw(st.integers(0, g - 1))] = draw(small_rational)
+        rows.append(tuple(row))
+    assume(any(c for row in rows for c in row))
+    return gm.FlatTorusModel(tg.SymbolicFrequency(tuple(rows), LABELS[:g]))
+
+
+def cutoff_for(draw, n):
+    """Cutoffs 0-4, kept small enough in T^5 that the oracle stays quick."""
+    return draw(st.integers(0, 4 if n <= 4 else 3))
+
+
+@st.composite
+def twisted_flows(draw):
+    """A flow with a twist weight: either ``C m0`` for a random mode ``m0``
+    (an integer solution exists) or arbitrary small rationals (often none)."""
+    model = draw(flows())
+    rows = model.v.constraint_rows()
+    if draw(st.booleans()):
+        m0 = draw(st.lists(st.integers(-3, 3), min_size=model.n,
+                           max_size=model.n))
+        sigma = tuple(sum(a * x for a, x in zip(row, m0)) for row in rows)
+    else:
+        sigma = tuple(draw(small_rational) for _ in rows)
+    weight = tg.SymbolicFrequency((sigma,), model.v.generator_labels)
+    return model, em.BundleTwist(weight), sigma
+
+
+@st.composite
+def integer_maps(draw, n):
+    kind = draw(st.sampled_from(["identity", "signs", "permutation", "random"]))
+    if kind == "identity":
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    if kind == "signs":
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        return tuple(tuple(signs[i] * (i == j) for j in range(n))
+                     for i in range(n))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        return tuple(tuple(int(perm[i] == j) for j in range(n))
+                     for i in range(n))
+    return tuple(tuple(draw(st.integers(-2, 2)) for _ in range(n))
+                 for _ in range(n))
+
+
+class TestAgainstBoxScan:
+    @SETTINGS
+    @given(st.data())
+    def test_basic_modes(self, data):
+        model = data.draw(flows())
+        cutoff = cutoff_for(data.draw, model.n)
+        assert bc.basic_modes(model, cutoff) == box_scan(model, cutoff)
+
+    @SETTINGS
+    @given(st.data())
+    def test_twisted_invariant_modes(self, data):
+        model, twist, sigma = data.draw(twisted_flows())
+        cutoff = cutoff_for(data.draw, model.n)
+        got = em.twisted_invariant_modes(model, cutoff, twist)
+        assert got == box_scan(model, cutoff, sigma)
+
+    @SETTINGS
+    @given(st.data())
+    def test_heat_fixed_modes(self, data):
+        if data.draw(st.booleans()):
+            model, twist, sigma = data.draw(twisted_flows())
+        else:
+            model, twist, sigma = data.draw(flows()), None, None
+        cutoff = cutoff_for(data.draw, model.n)
+        matrix = data.draw(integer_maps(model.n))
+        f = em.TorusMap(matrix, (0,) * model.n)
+        got = em._fixed_modes(model, f, cutoff, twist)
+        assert got == box_scan(model, cutoff, sigma, matrix)
+
+
+class TestLatticeBoxPoints:
+    def test_full_lattice_is_the_box(self):
+        basis = rl.freeze(rl.identity_rows(3))
+        box = tuple(itertools.product(range(-2, 3), repeat=3))
+        assert rl.lattice_box_points(basis, (0, 0, 0), 2) == box
+
+    def test_rank_zero_is_the_offset_or_nothing(self):
+        assert rl.lattice_box_points((), (1, -2), 2) == ((1, -2),)
+        assert rl.lattice_box_points((), (1, -3), 2) == ()
+
+    def test_affine_translate(self):
+        # x + y = 3 inside the box of radius 2
+        basis = rl.integer_kernel([[1, 1]])
+        offset = rl.integer_solution([[1, 1]], [3])
+        assert rl.lattice_box_points(basis, offset, 2) == ((1, 2), (2, 1))
+
+    def test_cutoff_zero(self):
+        basis = rl.integer_kernel([[1, -1, 0]])
+        assert rl.lattice_box_points(basis, (0, 0, 0), 0) == ((0, 0, 0),)
+
+
+class TestIntegerSolution:
+    def test_solution_satisfies_system(self):
+        C = [[2, 4, 6], [0, 3, 9]]
+        b = [10, 12]
+        x = rl.integer_solution(C, b)
+        assert rl.mat_vec(C, x) == tuple(b)
+
+    def test_rational_rows(self):
+        x = rl.integer_solution([[Fraction(1, 2), Fraction(1, 3)]],
+                                [Fraction(5, 6)])
+        assert x is not None
+        assert Fraction(x[0], 2) + Fraction(x[1], 3) == Fraction(5, 6)
+
+    @pytest.mark.parametrize("C,b", [
+        ([[2, 4]], [1]),                 # gcd obstruction
+        ([[1, 0], [1, 0]], [0, 1]),      # inconsistent
+        ([[2]], [Fraction(1, 3)]),       # fractional right-hand side
+    ])
+    def test_no_solution(self, C, b):
+        assert rl.integer_solution(C, b) is None
+
+
+class TestGeneratorMismatch:
+    def test_twist_with_other_generators_raises(self):
+        model = gm.FlatTorusModel(tg.SymbolicFrequency(
+            ((0, 0), (1, 0), (0, 1)), ("alpha",)))
+        twist = em.BundleTwist(tg.SymbolicFrequency(((1, 0),), ("beta",)))
+        with pytest.raises(GeneratorMismatch):
+            em.twisted_invariant_modes(model, 2, twist)
+        f = em.TorusMap(rl.identity_rows(3), (0, 0, 0))
+        with pytest.raises(GeneratorMismatch):
+            em.heat_damped_traces(model, f, 1.0, 2, twist)
+
+    def test_twist_with_fewer_generators_raises(self):
+        model = gm.FlatTorusModel(tg.SymbolicFrequency(
+            ((0, 0), (1, 0), (0, 1)), ("alpha",)))
+        twist = em.BundleTwist(tg.SymbolicFrequency.rational((1,)))
+        with pytest.raises(GeneratorMismatch):
+            em.twisted_invariant_modes(model, 2, twist)

@@ -203,3 +203,86 @@ class TestSchemaValidation:
                 "map": {"matrix": [[1]], "translation": ["0"]},
             })
         assert "beta" in str(err.value)
+
+
+def run_doc(tmp_path, command, doc, **opts):
+    path = tmp_path / "case.scenario"
+    path.write_text(json.dumps(doc))
+    stream = io.StringIO()
+    options = cli.argparse.Namespace(cutoff=opts.get("cutoff"), tolerance=None,
+                                     grid=None, json_path=None)
+    code = cli.run(command, str(path), options, stream)
+    return code, stream.getvalue()
+
+
+class TestCutoffAndHeatSchema:
+    @pytest.mark.parametrize("value", ["abc", "3", 2.5, True, -1, None, [2]])
+    def test_mode_cutoff_must_be_non_negative_integer(self, tmp_path, value):
+        doc = json.loads((SCENARIOS / "doubling_t3.scenario").read_text())
+        doc["cutoffs"] = {"modes": value}
+        code, text = run_doc(tmp_path, "verify", doc)
+        assert code == cli.EXIT_USAGE
+        assert "schema error at $.cutoffs.modes" in text
+
+    def test_cutoffs_must_be_an_object(self, tmp_path):
+        doc = json.loads((SCENARIOS / "doubling_t3.scenario").read_text())
+        doc["cutoffs"] = [3]
+        code, text = run_doc(tmp_path, "spectrum", doc)
+        assert code == cli.EXIT_USAGE
+        assert "schema error at $.cutoffs" in text
+
+    def test_mode_cutoff_zero_accepted(self, tmp_path):
+        doc = json.loads((SCENARIOS / "doubling_t3.scenario").read_text())
+        doc["cutoffs"] = {"modes": 0}
+        code, text = run_doc(tmp_path, "spectrum", doc)
+        assert code == cli.EXIT_PASS
+        assert "cutoff : 0" in text
+
+    @pytest.mark.parametrize("heat_s,index", [
+        ([0], 0), ([-0.5], 0), ([1.0, 0.0], 1), ([1, "2"], 1),
+        ([True], 0), ([None], 0), ([[1]], 0),
+    ])
+    def test_heat_s_entries_must_be_positive(self, tmp_path, heat_s, index):
+        doc = json.loads((SCENARIOS / "doubling_t3.scenario").read_text())
+        doc["heat_s"] = heat_s
+        code, text = run_doc(tmp_path, "verify", doc)
+        assert code == cli.EXIT_USAGE
+        assert f"schema error at $.heat_s[{index}]" in text
+
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+    def test_heat_s_entries_must_be_finite(self, tmp_path, literal):
+        doc = json.loads((SCENARIOS / "doubling_t3.scenario").read_text())
+        doc["heat_s"] = [0.5, "SLOT"]
+        path = tmp_path / "case.scenario"
+        # json.dumps cannot write these literals, json.loads accepts them
+        path.write_text(json.dumps(doc).replace('"SLOT"', literal))
+        stream = io.StringIO()
+        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
+                                         grid=None, json_path=None)
+        code = cli.run("verify", str(path), options, stream)
+        assert code == cli.EXIT_USAGE
+        assert "schema error at $.heat_s[1]" in stream.getvalue()
+
+    def test_heat_s_must_be_a_list(self, tmp_path):
+        doc = json.loads((SCENARIOS / "doubling_t3.scenario").read_text())
+        doc["heat_s"] = 1.0
+        code, text = run_doc(tmp_path, "verify", doc)
+        assert code == cli.EXIT_USAGE
+        assert "schema error at $.heat_s" in text
+
+    def test_cutoff_option_zero_is_honoured(self):
+        code, text = run("spectrum", "doubling_t3", cutoff=0)
+        assert code == cli.EXIT_PASS
+        assert "cutoff : 0" in text
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "validate"])
+    def test_negative_cutoff_option_is_usage_error(self, command):
+        code, text = run(command, "doubling_t3", cutoff=-2)
+        assert code == cli.EXIT_USAGE
+        assert "--cutoff" in text
+
+    def test_negative_cutoff_through_main(self, capsys):
+        code = cli.main(["spectrum", str(SCENARIOS / "doubling_t3.scenario"),
+                         "--cutoff", "-2"])
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().out
