@@ -13,13 +13,13 @@ from .basic_complex import (
     apply_P,
     basic_spectrum,
     harmonic_basis,
-    harmonic_dimension,
 )
 from .endomorphism import (
     BundleTwist,
     SpherePhaseMap,
     TorusMap,
     cohomology_action,
+    harmonic_dimensions,
     heat_damped_traces,
     pullback_on_forms,
     validate_equivariance,

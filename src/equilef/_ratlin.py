@@ -6,19 +6,25 @@ sequences of rows and are returned as tuples of tuples.  The ambient
 dimensions in this package are tiny (at most eight or so), so the classical
 cubic algorithms with exact arithmetic are more than fast enough.
 
-The four workhorses are
+The workhorses are
 
 * ``hnf_with_transform`` -- row-style Hermite normal form with a unimodular
   row transform, used to canonicalize integer lattices;
+* ``snf_with_transforms`` -- Smith normal form with both unimodular
+  transforms, which the two solvers below diagonalize through;
 * ``integer_kernel`` -- a basis of ``{x in Z^n : A x = 0}`` for a rational
   constraint matrix ``A``, which is how group closures are computed;
+* ``integer_solution`` -- one integer solution of a rational system, or
+  none, which is how twisted mode lattices are offset;
 * ``solve_congruences`` -- the full solution set of ``A t = b (mod 1)`` on a
-  torus, described as particular + torsion + connected part, via the Smith
-  normal form;
+  torus, described as particular + torsion + connected part (the whole
+  torus for an empty system);
 * ``lattice_box_points`` -- the points of an affine lattice
   ``offset + span_Z(basis)`` inside the sup-norm box, enumerated from the
   HNF basis by back-substitution (Fincke-Pohst style bounds), which is how
-  flow-annihilated Fourier modes are listed.
+  flow-annihilated Fourier modes are listed;
+* ``det_int`` and ``char_poly`` -- exact determinants (Bareiss) and
+  characteristic polynomials (Faddeev-LeVerrier) of integer matrices.
 """
 
 from __future__ import annotations
@@ -141,10 +147,6 @@ def hnf(M, ncols=None):
     """Canonical HNF basis of the row lattice of ``M`` (zero rows dropped)."""
     H, _ = hnf_with_transform(M, ncols=ncols)
     return tuple(row for row in H if any(row))
-
-
-def lattice_rank(M):
-    return len(hnf(M))
 
 
 def scale_rows_to_int(rows):
@@ -326,11 +328,6 @@ def snf_with_transforms(M):
     return freeze(A), freeze(S), freeze(T)
 
 
-def snf_diagonal(M):
-    D, _, _ = snf_with_transforms(M)
-    return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)))
-
-
 class CongruenceSolution:
     """Solution set of ``A t = b (mod 1)`` on the d-torus.
 
@@ -363,19 +360,23 @@ class CongruenceSolution:
         ]
 
 
-def solve_congruences(A, b, torsion_limit=10**6):
+def solve_congruences(A, b, d=None, torsion_limit=10**6):
     """Solve ``A t = b (mod 1)`` for ``t`` in the d-torus.
 
-    ``A``: integer k x d matrix (rows); ``b``: rationals of length k.
+    ``A``: integer k x d matrix (rows); ``b``: rationals of length k.  The
+    width ``d`` is read from ``A``; an empty system (``k = 0``) needs it
+    passed and is solved by the whole torus.
     Returns a :class:`CongruenceSolution`, or ``None`` when unsolvable.
     """
     k = len(A)
-    d = len(A[0]) if k else None
-    if d is None:
-        raise ValueError("pass A with explicit width, or use solve_congruences_free")
+    if k:
+        d = len(A[0])
+    elif d is None:
+        raise ValueError("an empty system needs the torus dimension d")
+    else:
+        zero = tuple(Fraction(0) for _ in range(d))
+        return CongruenceSolution(zero, [zero], freeze(identity_rows(d)))
     b = [Fraction(x) for x in b]
-    if k == 0:
-        raise ValueError("use solve_congruences_free for empty systems")
     D, S, T = snf_with_transforms(A)
     c = mat_vec(S, b)
     particular_u = [Fraction(0)] * d
@@ -408,15 +409,6 @@ def solve_congruences(A, b, torsion_limit=10**6):
     particular = vec_mod1(mat_vec(T, particular_u))
     free = freeze([tuple(T[r][i] for r in range(d)) for i in free_idx])
     return CongruenceSolution(particular, reps, free)
-
-
-def solve_congruences_free(d):
-    """Solution object for an empty constraint system on the d-torus."""
-    return CongruenceSolution(
-        tuple(Fraction(0) for _ in range(d)),
-        [tuple(Fraction(0) for _ in range(d))],
-        freeze(identity_rows(d)),
-    )
 
 
 def det_int(M):

@@ -264,8 +264,7 @@ def apply_lie(form: BasicForm) -> BasicForm:
     ``2 pi i (m . v) / |v|``.  Exactly zero on basic forms."""
     if form.basic_flag:
         return zero_form(form.model, form.degree)
-    v = np.array(form.model.v.float_values())
-    vhat = v / np.linalg.norm(v)
+    vhat = frame_for(form.model).theta
     out = {}
     for (m, I), c in form.coeffs.items():
         t = float(np.dot(m, vhat))
@@ -298,9 +297,10 @@ def apply_P_composed(form: BasicForm) -> BasicForm:
 
 
 def harmonic_basis(model: FlatTorusModel, q: int, cutoff: int):
-    """Orthonormal basis of the harmonic space in degree ``q`` within the
-    truncation: the constant frame forms.  Its dimension is binom(n-1, q)
-    independent of the cutoff."""
+    """Orthonormal basis of the untwisted harmonic space in degree ``q``
+    within the truncation: the constant frame forms, as sections that can be
+    pulled back and paired.  Dimensions come from
+    ``endomorphism.harmonic_dimensions``."""
     n = model.n
     if q < 0 or q > n - 1:
         return []
@@ -309,10 +309,6 @@ def harmonic_basis(model: FlatTorusModel, q: int, cutoff: int):
         BasicForm(model, q, {(zero, I): 1.0}, cutoff=cutoff, basic_flag=True)
         for I in itertools.combinations(range(n - 1), q)
     ]
-
-
-def harmonic_dimension(model: FlatTorusModel, q: int, cutoff: int) -> int:
-    return len(harmonic_basis(model, q, cutoff))
 
 
 def mode_complex_matrices(model: FlatTorusModel, m):

@@ -52,6 +52,11 @@ class TorusMap:
     def n(self):
         return len(self.matrix)
 
+    def character(self, m):
+        """Turns ``m . c`` by which the translation rotates mode ``m``
+        (exact, not reduced modulo one)."""
+        return sum(Fraction(mi) * t for mi, t in zip(m, self.translation))
+
     def apply(self, p):
         return rl.vec_mod1(tuple(
             sum(Fraction(a) * Fraction(x) for a, x in zip(row, p)) + t
@@ -198,8 +203,7 @@ def pullback_on_forms(f: TorusMap, u: bc.BasicForm) -> bc.BasicForm:
     out = {}
     for (m, I), c in u.coeffs.items():
         mT = rl.vec_mat(m, f.matrix)
-        phase = cmath.exp(2j * math.pi * float(
-            sum(Fraction(mi) * t for mi, t in zip(m, f.translation))))
+        phase = cmath.exp(2j * math.pi * float(f.character(m)))
         col = index[I]
         for row, J in enumerate(subsets):
             w = W[row, col]
@@ -330,8 +334,7 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
             lefschetz=0.0,
             lefschetz_exact=Fraction(0),
         )
-    phase_turns = rl.frac_mod1(sum(
-        Fraction(mi) * t for mi, t in zip(m0, f.translation)))
+    phase_turns = rl.frac_mod1(f.character(m0))
     phase = cmath.exp(2j * math.pi * float(phase_turns))
     factor = scalar * phase
     matrices = []
@@ -360,6 +363,10 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
 
 
 def harmonic_dimensions(model: FlatTorusModel, twist: BundleTwist | None = None):
+    """Dimension of the harmonic space in each degree: ``binom(n-1, q)``
+    when a mode carries it (the frame forms on that mode), zero in every
+    degree when the twist leaves no mode.  The truncation cutoff plays no
+    part: the carrying mode is fixed by the flow and the twist."""
     m0 = harmonic_mode(model, twist)
     if m0 is None:
         return tuple(0 for _ in range(model.n))
@@ -384,12 +391,10 @@ def heat_damped_traces(model: FlatTorusModel, f: TorusMap, s: float,
     Mf = _frame_pullback_matrix(model, f.matrix)
     fiber_traces = [float(np.trace(_wedge_minors(Mf, q)[1])) for q in range(n)]
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
-    v = np.array(model.v.float_values())
-    vhat = v / np.linalg.norm(v)
+    vhat = bc.frame_for(model).theta
     out = [0.0 + 0.0j] * n
     for m in _fixed_modes(model, f, cutoff, twist):
-        phase = cmath.exp(2j * math.pi * float(
-            sum(Fraction(mi) * t for mi, t in zip(m, f.translation))))
+        phase = cmath.exp(2j * math.pi * float(f.character(m)))
         t_along = float(np.dot(m, vhat))
         lam = 4.0 * math.pi**2 * (float(sum(x * x for x in m)) - t_along**2)
         lam = max(lam, 0.0)

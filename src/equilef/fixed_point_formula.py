@@ -103,13 +103,20 @@ def find_fixed_orbits(model, f):
     return _sphere_fixed_orbits(model, f)
 
 
-def _torus_fixed_orbits(model: FlatTorusModel, f: TorusMap):
+def _base_minus_identity(model: FlatTorusModel, f: TorusMap):
+    """``(A_bar - I, c_bar)`` for the map induced on the base torus: the
+    fixed-orbit congruences and the conormal determinant both come from
+    this matrix."""
     A_bar, c_bar = induced_base_map(model, f)
     c = len(A_bar)
-    if c == 0:
+    return [[A_bar[i][j] - (i == j) for j in range(c)] for i in range(c)], c_bar
+
+
+def _torus_fixed_orbits(model: FlatTorusModel, f: TorusMap):
+    M, c_bar = _base_minus_identity(model, f)
+    if not M:
         # the base is a point: the unique orbit is the whole manifold
         return [orbit_through(model, tuple(Fraction(0) for _ in range(model.n)))]
-    M = [[A_bar[i][j] - (i == j) for j in range(c)] for i in range(c)]
     sol = rl.solve_congruences(M, [-x for x in c_bar])
     if sol is None:
         return []
@@ -166,14 +173,10 @@ def _torus_g0(model: FlatTorusModel, f: TorusMap, orbit: ClosedOrbit):
 
 def _sphere_g0(model: WeightedSphereModel, f: SpherePhaseMap, orbit: ClosedOrbit):
     support = orbit.base_point.support
-    C = model.group.complement_basis()
-    d = model.group.dim
-    A = [[C[i][j] for i in range(d)] for j in support]
-    b = [-f.phases[j] for j in support]
-    sol = rl.solve_congruences(A, b) if A else rl.solve_congruences_free(d)
-    if sol is None:
+    g0 = model.group.element_with(support, [-f.phases[j] for j in support])
+    if g0 is None:
         raise NonTransverse("orbit is not actually fixed by the map", orbit=orbit)
-    return rl.vec_mod1(rl.vec_mat(sol.particular, C))
+    return g0
 
 
 def group_correction(model, f, orbit):
@@ -188,12 +191,24 @@ def group_correction(model, f, orbit):
 # transversality
 
 
-def _sphere_rotation_turns(model, f, orbit, g0, h_rep):
-    """Per-coordinate rotation turns of ``a_{g0 - h} o f`` at the orbit."""
+def _sphere_rotation_turns(model, f, g0, h_rep):
+    """Per-coordinate rotation turns of ``a_{g0 - h} o f``."""
     return tuple(
         rl.frac_mod1(f.phases[l] + g0[l] - Fraction(h_rep[l]))
         for l in range(model.k)
     )
+
+
+def _sphere_conormal_det(orbit, turns):
+    """Conormal determinant of the corrected phase map at a sphere orbit: one
+    plane rotation minus the identity, ``2 - 2 cos(2 pi theta_l)``, per
+    coordinate off the support."""
+    support = orbit.base_point.support
+    det = 1.0
+    for l, theta in enumerate(turns):
+        if l not in support:
+            det *= 2.0 - 2.0 * math.cos(2 * math.pi * float(theta))
+    return det
 
 
 def _sphere_numeric_det(model, orbit, turns):
@@ -214,7 +229,7 @@ def _sphere_numeric_det(model, orbit, turns):
     return float(np.linalg.det(M - np.eye(Q.shape[1])))
 
 
-def check_transversality(orbit: ClosedOrbit, f, model=None, g0=None) -> TransversalityCertificate:
+def check_transversality(orbit: ClosedOrbit, f, g0=None) -> TransversalityCertificate:
     """Certify that the correction-composed map minus the identity is
     invertible on the conormal space, for every admissible correction.
 
@@ -222,13 +237,11 @@ def check_transversality(orbit: ClosedOrbit, f, model=None, g0=None) -> Transver
     determinant must be nonzero along every isotropy component; on
     positive-dimensional components the rotation angles sweep whole circles,
     which is an exact linear condition."""
-    model = model if model is not None else orbit.model
+    model = orbit.model
     if g0 is None:
         g0 = group_correction(model, f, orbit)
     if isinstance(model, FlatTorusModel):
-        A_bar, _ = induced_base_map(model, f)
-        c = len(A_bar)
-        det = rl.det_int([[A_bar[i][j] - (i == j) for j in range(c)] for i in range(c)])
+        det = rl.det_int(_base_minus_identity(model, f)[0])
         if det == 0:
             raise NonTransverse(
                 "base map minus identity vanishes on the conormal space",
@@ -259,8 +272,7 @@ def check_transversality(orbit: ClosedOrbit, f, model=None, g0=None) -> Transver
                         orbit=orbit,
                         component=comp_index,
                     )
-        turns = _sphere_rotation_turns(model, f, orbit, g0, h_rep)
-        det_val = 1.0
+        turns = _sphere_rotation_turns(model, f, g0, h_rep)
         for l in normal_coords:
             if turns[l] == 0:
                 raise NonTransverse(
@@ -268,7 +280,7 @@ def check_transversality(orbit: ClosedOrbit, f, model=None, g0=None) -> Transver
                     orbit=orbit,
                     component=comp_index,
                 )
-            det_val *= 2.0 - 2.0 * math.cos(2 * math.pi * float(turns[l]))
+        det_val = _sphere_conormal_det(orbit, turns)
         numeric = _sphere_numeric_det(model, orbit, turns)
         if abs(abs(numeric) - abs(det_val)) > 1e-6 * max(1.0, abs(det_val)):
             raise AssertionError("conormal determinant routes disagree")
@@ -291,7 +303,7 @@ def _hat_context(model, twist: BundleTwist | None):
     return hat, hom
 
 
-def _fiber_traces(model, f, fibers, twist):
+def _fiber_traces(model, f, fibers):
     """Exact fiber traces per degree (twist scalar and phases applied
     separately)."""
     if fibers == "scalar":
@@ -315,7 +327,7 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
     quadrature along the components instead of the exact per-component sum;
     the two must agree on transverse scenarios."""
     model = orbit.model
-    cert = check_transversality(orbit, f, model=model, g0=g0)
+    cert = check_transversality(orbit, f, g0=g0)
     g0 = cert.g0
     hat, hom = _hat_context(model, twist)
     n = hom.base_dim
@@ -329,36 +341,40 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
     )
     mass = tg.haar_factor(pre, rows_param)
     sheets = tg.sheet_count_rows(rows_ambient, orbit.isotropy, n)
-    ghat0 = _lift_correction(hat, n, g0)
-    traces, degrees = _fiber_traces(model, f, fibers, twist)
+    traces, degrees = _fiber_traces(model, f, fibers)
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     fiber_idx = range(n, hat.ambient_dim)
     char_zero = False
-    if twist is not None and pre.dim > 0:
+    if twist is not None:
+        ghat0 = hat.element_with(range(n), g0)
+        if ghat0 is None:
+            raise AssertionError("group correction fails to lift")
         # the twist character must be constant along the identity component,
         # otherwise each component integrates to zero exactly
-        char_zero = any(
+        char_zero = pre.dim > 0 and any(
             any(row[j] != 0 for j in fiber_idx)
             for row in pre.ambient_tangent_rows()
         )
-    comps = []
-    for rep in pre.component_reps:
-        h_amb = rl.vec_mod1(rl.vec_mat(rep, pre.param_basis))
+
+    def element_term(t):
+        """Twist phase and conormal determinant (exact where available) at
+        the preimage element with parameters ``t``."""
+        h_amb = rl.vec_mod1(rl.vec_mat(t, pre.param_basis))
         phase = rl.frac_mod1(sum(
             (Fraction(h_amb[j]) - Fraction(ghat0[j])) for j in fiber_idx
         )) if twist is not None else Fraction(0)
         if isinstance(model, FlatTorusModel):
-            det_val = cert.dets[0]
-            det_exact = cert.dets_exact[0]
-        else:
-            turns = _sphere_rotation_turns(model, f, orbit, g0, hom.project(h_amb))
-            det_val = 1.0
-            for l in range(model.k):
-                if l not in orbit.base_point.support:
-                    det_val *= 2.0 - 2.0 * math.cos(2 * math.pi * float(turns[l]))
-            det_exact = None
-        comps.append((phase, det_val, det_exact))
+            return phase, cert.dets[0], cert.dets_exact[0]
+        turns = _sphere_rotation_turns(model, f, g0, hom.project(h_amb))
+        return phase, _sphere_conormal_det(orbit, turns), None
+
+    def term(phase, det_val, q):
+        return (scalar * cmath.exp(2j * math.pi * float(phase))
+                * traces[q] / abs(det_val))
+
+    comps = [element_term(rep) for rep in pre.component_reps]
     kappa = pre.kappa
+    weight = mass / sheets
     per_degree = []
     total = 0.0 + 0.0j
     total_exact = Fraction(0)
@@ -369,14 +385,11 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
         for phase, det_val, det_exact in comps:
             if char_zero:
                 continue
-            term = (scalar * cmath.exp(2j * math.pi * float(phase))
-                    * traces[q] / abs(det_val))
-            integral += term
+            integral += term(phase, det_val, q)
             if exact_ok:
                 integral_exact += Fraction(traces[q]) / abs(det_exact)
         integral /= kappa
         integral_exact /= kappa
-        weight = mass / sheets
         contrib = (-1) ** q * float(weight) * integral
         total += contrib
         if exact_ok:
@@ -390,10 +403,20 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
             isotropy_integral=integral,
         ))
     if isotropy_resolution is not None:
-        quad = _isotropy_quadrature_total(
-            orbit, f, fibers, twist, pre, mass, sheets, ghat0, g0,
-            isotropy_resolution, scalar, traces, hom,
-        )
+        # independent route: Haar quadrature along each component
+        grid = list(itertools.product(range(isotropy_resolution), repeat=pre.dim))
+        count = kappa * max(len(grid), 1)
+        quad = 0.0 + 0.0j
+        for rep in pre.component_reps:
+            for combo in grid or [()]:
+                t = tuple(
+                    rl.frac_mod1(r + sum(Fraction(c, isotropy_resolution) * row[i]
+                                         for c, row in zip(combo, pre.tangent_rows)))
+                    for i, r in enumerate(rep)
+                )
+                phase, det_val, _ = element_term(t)
+                for q in range(degrees):
+                    quad += (-1) ** q * float(weight) * term(phase, det_val, q) / count
         if abs(quad - total) > 1e-6 * max(1.0, abs(total)):
             raise AssertionError(
                 f"isotropy quadrature disagrees with the exact sum: {quad} vs {total}"
@@ -406,64 +429,6 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
         total=total,
         total_exact=total_exact if exact_ok else None,
     )
-
-
-def _lift_correction(hat: tg.SubtorusGroup, n: int, g0):
-    """Any element of the lifted group projecting to ``g0``."""
-    C = hat.complement_basis()
-    D = hat.dim
-    if D == 0:
-        return tuple(Fraction(0) for _ in range(hat.ambient_dim))
-    A = [[C[i][j] for i in range(D)] for j in range(n)]
-    sol = rl.solve_congruences(A, list(g0))
-    if sol is None:
-        raise AssertionError("group correction fails to lift")
-    return rl.vec_mod1(rl.vec_mat(sol.particular, C))
-
-
-def _isotropy_quadrature_total(orbit, f, fibers, twist, pre, mass, sheets,
-                               ghat0, g0, resolution, scalar, traces, hom):
-    """Independent evaluation of the contribution with the isotropy average
-    done by quadrature along each component."""
-    model = orbit.model
-    n = hom.base_dim
-    fiber_idx = range(n, pre.hat_group.ambient_dim)
-    d = pre.dim
-    grid = list(itertools.product(range(resolution), repeat=d))
-    total = 0.0 + 0.0j
-    count = len(pre.component_reps) * max(len(grid), 1)
-    for rep in pre.component_reps:
-        for combo in grid or [()]:
-            t = tuple(
-                rl.frac_mod1(r + sum(Fraction(c, resolution) * row[i]
-                                     for c, row in zip(combo, pre.tangent_rows)))
-                for i, r in enumerate(rep)
-            )
-            h_amb = rl.vec_mod1(rl.vec_mat(t, pre.param_basis))
-            phase = rl.frac_mod1(sum(
-                Fraction(h_amb[j]) - Fraction(ghat0[j]) for j in fiber_idx
-            )) if twist is not None else Fraction(0)
-            if isinstance(model, FlatTorusModel):
-                det_val = abs_base_det(orbit, f)
-            else:
-                turns = _sphere_rotation_turns(model, f, orbit, g0, hom.project(h_amb))
-                det_val = 1.0
-                for l in range(model.k):
-                    if l not in orbit.base_point.support:
-                        det_val *= 2.0 - 2.0 * math.cos(2 * math.pi * float(turns[l]))
-                det_val = abs(det_val)
-            for q in range(len(traces)):
-                term = (scalar * cmath.exp(2j * math.pi * float(phase))
-                        * traces[q] / abs(det_val))
-                total += (-1) ** q * float(mass / sheets) * term / count
-    return total
-
-
-def abs_base_det(orbit, f):
-    model = orbit.model
-    A_bar, _ = induced_base_map(model, f)
-    c = len(A_bar)
-    return abs(rl.det_int([[A_bar[i][j] - (i == j) for j in range(c)] for i in range(c)]))
 
 
 def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,

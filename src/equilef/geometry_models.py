@@ -224,8 +224,7 @@ def _sphere_isotropy(model: WeightedSphereModel, support) -> tg.IsotropyDescript
     C = G.complement_basis()
     d = G.dim
     A = [[C[i][j] for i in range(d)] for j in support]
-    sol = (rl.solve_congruences(A, [Fraction(0)] * len(support))
-           if A else rl.solve_congruences_free(d))
+    sol = rl.solve_congruences(A, [Fraction(0)] * len(support), d)
     assert sol is not None
     ambient_tangent = [rl.vec_mat(row, C) for row in sol.free]
     ident_lattice = rl.integer_kernel(ambient_tangent, n=model.k)
@@ -261,16 +260,9 @@ def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
         Fraction(0) for _ in support
     ]
     # gauge: rotate the first supported phase to zero with a group shift
-    CS = GS.complement_basis()
-    if CS:
-        A = [[CS[i][0] for i in range(len(CS))]]
-        shift = rl.solve_congruences(A, [-theta_canon[0]])
-        if shift is not None:
-            t0 = shift.particular
-            theta_canon = [
-                rl.frac_mod1(th + sum(t0[i] * CS[i][j] for i in range(len(CS))))
-                for j, th in enumerate(theta_canon)
-            ]
+    shift = GS.element_with([0], [-theta_canon[0]])
+    if shift is not None:
+        theta_canon = [rl.frac_mod1(th + g) for th, g in zip(theta_canon, shift)]
     phases = [Fraction(0)] * model.k
     for idx, j in enumerate(support):
         phases[j] = theta_canon[idx]

@@ -14,15 +14,12 @@ fixed-point module supplies as the oracle; non-transverse scenarios are
 refused before any quadrature is attempted.
 
 Everything here is plain tensor quadrature with a fixed summation order, so
-results are deterministic; the ``EQUILEF_THREADS`` environment variable only
-caps how many grid chunks are evaluated concurrently.
+results are deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
@@ -42,13 +39,6 @@ def _bump(u):
     w = u[inside]
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - w * w))
     return out
-
-
-def _max_workers():
-    cap = os.environ.get("EQUILEF_THREADS")
-    if cap is None:
-        return 1
-    return max(1, int(cap))
 
 
 @dataclass(frozen=True)
@@ -142,14 +132,11 @@ def _pairing_sum(model, f, k, radius, c_norm, grid):
         dist = np.sqrt(np.sum(gamma * gamma, axis=-1))
         return float(np.sum(_bump(dist / support)))
 
-    workers = _max_workers()
-    step = max(1, math.ceil(len(base) / max(workers * 4, 1)))
-    bounds = [(lo, min(lo + step, len(base))) for lo in range(0, len(base), step)]
-    if workers == 1:
-        partials = [chunk_sum(lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda b: chunk_sum(*b), bounds))
+    # four chunks bound the temporary arrays; the fixed split and the exact
+    # sum fix the value bit for bit
+    step = max(1, math.ceil(len(base) / 4))
+    partials = [chunk_sum(lo, min(lo + step, len(base)))
+                for lo in range(0, len(base), step)]
     return scale * math.fsum(partials)
 
 
@@ -220,9 +207,9 @@ def convergence_study(model: FlatTorusModel, f: TorusMap, k_list,
     value.
 
     Transversality is checked first; non-transverse scenarios raise before
-    any quadrature runs.  The study is flagged converged when the error
-    envelope is non-increasing, the final sharpness attains it, and the final
-    error is within tolerance."""
+    any quadrature runs.  The study is flagged converged when the final
+    sharpness attains the smallest error of the sweep and that error is
+    within tolerance; the raw errors need not decrease monotonically."""
     oracle = fpf.theorem_c_scalar_value(model, f)
     rows = []
     for k in sorted(k_list):
@@ -235,16 +222,10 @@ def convergence_study(model: FlatTorusModel, f: TorusMap, k_list,
             grid=result.grid,
         ))
     errors = [r.abs_error for r in rows]
-    envelope = []
-    best = math.inf
-    for e in errors:
-        best = min(best, e)
-        envelope.append(best)
     converged = (
         len(rows) > 0
         and errors[-1] <= tolerance
-        and errors[-1] <= envelope[-1] + 1e-15
-        and all(b <= a + 1e-15 for a, b in zip(envelope, envelope[1:]))
+        and errors[-1] <= min(errors) + 1e-15
     )
     return ConvergenceStudy(
         oracle=oracle,

@@ -55,7 +55,7 @@ from .errors import (
     SchemaError,
 )
 from .geometry_models import FlatTorusModel, WeightedSphereModel
-from .torus_group import SymbolicFrequency, closure_group
+from .torus_group import DEFAULT_GENERATOR_VALUES, SymbolicFrequency, closure_group
 
 SCHEMA_VERSION = 1
 DEFAULT_CUTOFF = 8
@@ -101,6 +101,29 @@ def _parse_fraction(node, path):
     raise SchemaError("expected an exact rational (string or integer)", path=path)
 
 
+def _parse_real(node, path, what, positive=False):
+    """A finite JSON number (not a boolean, not a string), as a float;
+    ``positive`` also rules out zero and negatives."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        try:
+            value = float(node)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value) and (value > 0 or not positive):
+            return value
+    qualifier = "positive finite" if positive else "finite"
+    raise SchemaError(f"{what} must be a {qualifier} number", path=path)
+
+
+def _parse_object(node, path):
+    """An optional JSON object: absent or null reads as empty."""
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise SchemaError("expected an object", path=path)
+    return node
+
+
 def _parse_symbolic_entry(node, labels, path):
     row = [Fraction(0)] * (1 + len(labels))
     if isinstance(node, (str, int)):
@@ -124,18 +147,22 @@ def _parse_generators(node, path):
     if not isinstance(node, list):
         raise SchemaError("generators must be a list", path=path)
     labels, values = [], []
-    defaults = (math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7),
-                math.sqrt(11), math.sqrt(13))
     for i, item in enumerate(node):
         if isinstance(item, str):
-            labels.append(item)
-            values.append(defaults[i % len(defaults)])
-            continue
+            item = {"name": item}
         if not isinstance(item, dict) or "name" not in item:
             raise SchemaError("generator entries are names or {name, value}",
                               path=f"{path}[{i}]")
         labels.append(str(item["name"]))
-        values.append(float(item.get("value", defaults[i % len(defaults)])))
+        if "value" in item:
+            values.append(_parse_real(item["value"], f"{path}[{i}].value",
+                                      "a generator value"))
+        elif i < len(DEFAULT_GENERATOR_VALUES):
+            values.append(DEFAULT_GENERATOR_VALUES[i])
+        else:
+            raise SchemaError(
+                f"generators past the first {len(DEFAULT_GENERATOR_VALUES)} "
+                "must give a value", path=f"{path}[{i}]")
     if len(set(labels)) != len(labels):
         raise SchemaError("generator names must be distinct", path=path)
     return tuple(labels), tuple(values)
@@ -160,7 +187,8 @@ class Scenario:
 def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise SchemaError("scenario must be a JSON object", path="$")
-    if data.get("schema") != SCHEMA_VERSION:
+    schema = data.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise SchemaError(f"schema version must be {SCHEMA_VERSION}", path="$.schema")
     name = data.get("name")
     if not isinstance(name, str) or not name:
@@ -175,7 +203,7 @@ def parse_scenario(data: dict) -> Scenario:
     if mtype == "flat_torus":
         n = model_node.get("n")
         entries = model_node.get("v")
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise SchemaError("flat torus needs integer dimension n >= 1",
                               path="$.model.n")
         if not isinstance(entries, list) or len(entries) != n:
@@ -184,11 +212,13 @@ def parse_scenario(data: dict) -> Scenario:
             _parse_symbolic_entry(e, labels, f"$.model.v[{i}]")
             for i, e in enumerate(entries)
         )
+        if all(c == 0 for row in rows for c in row):
+            raise SchemaError("flow direction must be nonzero", path="$.model.v")
         model = FlatTorusModel(SymbolicFrequency(rows, labels, values))
     elif mtype == "weighted_sphere":
         k = model_node.get("k")
         entries = model_node.get("weights")
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise SchemaError("weighted sphere needs integer k >= 1",
                               path="$.model.k")
         if not isinstance(entries, list) or len(entries) != k:
@@ -197,7 +227,12 @@ def parse_scenario(data: dict) -> Scenario:
             _parse_symbolic_entry(e, labels, f"$.model.weights[{i}]")
             for i, e in enumerate(entries)
         )
-        model = WeightedSphereModel(SymbolicFrequency(rows, labels, values))
+        weights = SymbolicFrequency(rows, labels, values)
+        for i, w in enumerate(weights.float_values()):
+            if w <= 0:
+                raise SchemaError("weights must be positive",
+                                  path=f"$.model.weights[{i}]")
+        model = WeightedSphereModel(weights)
     else:
         raise SchemaError("model type must be flat_torus or weighted_sphere",
                           path="$.model.type")
@@ -245,10 +280,14 @@ def parse_scenario(data: dict) -> Scenario:
         if (not isinstance(scalar_node, list) or len(scalar_node) != 2):
             raise SchemaError("phi_scalar is a [re, im] pair",
                               path="$.twist.phi_scalar")
-        twist = BundleTwist(
-            SymbolicFrequency((weight_row,), labels, values),
-            complex(float(scalar_node[0]), float(scalar_node[1])),
-        )
+        scalar = complex(*(
+            _parse_real(x, f"$.twist.phi_scalar[{i}]", "a phi_scalar part")
+            for i, x in enumerate(scalar_node)))
+        if not math.isfinite(abs(scalar)):
+            raise SchemaError("phi_scalar must have a finite modulus",
+                              path="$.twist.phi_scalar")
+        twist = BundleTwist(SymbolicFrequency((weight_row,), labels, values),
+                            scalar)
 
     cutoffs = data.get("cutoffs", {})
     if not isinstance(cutoffs, dict):
@@ -259,23 +298,35 @@ def parse_scenario(data: dict) -> Scenario:
         if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
             raise SchemaError("mode cutoff must be a non-negative integer",
                               path="$.cutoffs.modes")
-    tolerances = data.get("tolerances", {}) or {}
-    tolerance = float(tolerances.get("verify", DEFAULT_TOLERANCE))
-    heat_tolerance = float(tolerances.get("heat", 1e-8))
+    tolerances = _parse_object(data.get("tolerances"), "$.tolerances")
+    tolerance, heat_tolerance = (
+        _parse_real(tolerances.get(key, default), f"$.tolerances.{key}",
+                    "a tolerance")
+        for key, default in (("verify", DEFAULT_TOLERANCE), ("heat", 1e-8)))
     heat_s = data.get("heat_s", DEFAULT_HEAT_S)
     if not isinstance(heat_s, (list, tuple)):
         raise SchemaError("heat_s must be a list of damping parameters",
                           path="$.heat_s")
-    for i, s in enumerate(heat_s):
-        if (not isinstance(s, (int, float)) or isinstance(s, bool)
-                or not 0 < s < math.inf):
-            raise SchemaError("damping parameters must be positive finite "
-                              "numbers", path=f"$.heat_s[{i}]")
-    heat_s = tuple(float(s) for s in heat_s)
-    moll = data.get("mollifier", {}) or {}
-    k_list = tuple(int(k) for k in moll.get("k_list", (8, 16, 32, 64)))
-    radius = float(_parse_fraction(moll.get("radius", "3/10"), "$.mollifier.radius"))
+    heat_s = tuple(
+        _parse_real(s, f"$.heat_s[{i}]", "a damping parameter", positive=True)
+        for i, s in enumerate(heat_s))
+    moll = _parse_object(data.get("mollifier"), "$.mollifier")
+    k_list = moll.get("k_list", [8, 16, 32, 64])
+    if not isinstance(k_list, list) or not k_list:
+        raise SchemaError("k_list must be a nonempty list of sharpness values",
+                          path="$.mollifier.k_list")
+    for i, k in enumerate(k_list):
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise SchemaError("sharpness values must be positive integers",
+                              path=f"$.mollifier.k_list[{i}]")
+    radius = _parse_fraction(moll.get("radius", "3/10"), "$.mollifier.radius")
+    if not 0 < radius < Fraction(1, 2):
+        raise SchemaError("bump radius must lie in (0, 1/2)",
+                          path="$.mollifier.radius")
     grid = moll.get("grid")
+    if grid is not None and (not isinstance(grid, int) or isinstance(grid, bool)
+                             or grid < 1):
+        raise SchemaError("grid must be a positive integer", path="$.mollifier.grid")
     return Scenario(
         name=name,
         model=model,
@@ -285,9 +336,9 @@ def parse_scenario(data: dict) -> Scenario:
         tolerance=tolerance,
         heat_tolerance=heat_tolerance,
         heat_s=heat_s,
-        mollifier_k=k_list,
-        mollifier_radius=radius,
-        mollifier_grid=int(grid) if grid is not None else None,
+        mollifier_k=tuple(k_list),
+        mollifier_radius=float(radius),
+        mollifier_grid=grid,
         raw=data,
     )
 
@@ -444,14 +495,9 @@ def cmd_validate(scenario: Scenario, options) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
-def _lhs_sections(scenario, cutoff):
+def _lhs_sections(scenario):
     act = cohomology_action(scenario.model, scenario.map, scenario.twist)
     dims = harmonic_dimensions(scenario.model, scenario.twist)
-    plateau = {
-        c: [bc.harmonic_dimension(scenario.model, q, c)
-            for q in range(scenario.model.n)]
-        for c in (4, 8, 16)
-    } if scenario.twist is None else None
     sections = {
         "harmonic_dimensions": list(dims),
         "per_degree_traces": [_complex(t) for t in act.traces],
@@ -460,8 +506,6 @@ def _lhs_sections(scenario, cutoff):
         "value_text": _complex_str(act.lefschetz),
         "exact": _frac_str(act.lefschetz_exact),
     }
-    if plateau is not None:
-        sections["dimension_plateau"] = {str(c): v for c, v in plateau.items()}
     return act, sections
 
 
@@ -470,7 +514,7 @@ def cmd_lhs(scenario: Scenario, options) -> tuple[dict, int]:
         raise _UsageError("the lhs command requires a flat torus scenario")
     report = _base_report(scenario, "lhs")
     report["equivariance"] = _equivariance_section(scenario)
-    _, sections = _lhs_sections(scenario, _cutoff(scenario, options))
+    _, sections = _lhs_sections(scenario)
     report["lhs"] = sections
     report["verdict"] = {"pass": True}
     return report, EXIT_PASS
@@ -540,7 +584,7 @@ def cmd_verify(scenario: Scenario, options) -> tuple[dict, int]:
         else scenario.tolerance
     report = _base_report(scenario, "verify")
     report["equivariance"] = _equivariance_section(scenario)
-    act, lhs_sections = _lhs_sections(scenario, cutoff)
+    act, lhs_sections = _lhs_sections(scenario)
     report["lhs"] = lhs_sections
     rhs, rhs_sections = _rhs_sections(scenario)
     report["rhs"] = rhs_sections

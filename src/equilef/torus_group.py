@@ -26,9 +26,10 @@ from functools import lru_cache
 from . import _ratlin as rl
 from .errors import GeneratorMismatch, NotTransversal
 
-#: numeric fallbacks for declared generators, used only by the floating-point
-#: layer (frames, spectra); all group-theoretic decisions are symbolic.
-_DEFAULT_GENERATOR_VALUES = (
+#: numeric values of declared generators that pin none, by position, used
+#: only by the floating-point layer (frames, spectra); all group-theoretic
+#: decisions are symbolic.  A generator beyond the table must pin its value.
+DEFAULT_GENERATOR_VALUES = (
     math.sqrt(2),
     math.sqrt(3),
     math.sqrt(5),
@@ -63,7 +64,7 @@ class SymbolicFrequency:
             raise ValueError("coefficient rows must have 1 + generator_count columns")
         values = tuple(float(x) for x in self.generator_values)
         if not values:
-            values = _DEFAULT_GENERATOR_VALUES[: len(self.generator_labels)]
+            values = DEFAULT_GENERATOR_VALUES[: len(self.generator_labels)]
         if len(values) != len(self.generator_labels):
             raise ValueError("one numeric value per generator required")
         object.__setattr__(self, "generator_values", values)
@@ -169,6 +170,19 @@ class SubtorusGroup:
         """Integer rows parametrizing the group: ``t -> t @ B (mod 1)`` is an
         isomorphism from the dim-torus onto the group."""
         return _complement_basis(self.relation_lattice, self.ambient_dim)
+
+    def element_with(self, coords, values):
+        """An element of the group whose coordinates ``coords`` equal
+        ``values`` modulo one, or ``None`` when the group has none."""
+        C = self.complement_basis()
+        A = [[row[j] for row in C] for j in coords]
+        sol = rl.solve_congruences(A, values, self.dim)
+        if sol is None:
+            return None
+        return rl.vec_mod1(tuple(
+            sum(t * row[j] for t, row in zip(sol.particular, C))
+            for j in range(self.ambient_dim)
+        ))
 
     def contains(self, point):
         return all(
@@ -366,7 +380,7 @@ def isotropy_preimage(hat_group: SubtorusGroup, base_dim: int,
     tangent = None
     for crep in isotropy.component_reps:
         b = [sum(Fraction(l) * Fraction(x) for l, x in zip(lrow, crep)) for lrow in lat]
-        sol = (rl.solve_congruences(A, b) if A else rl.solve_congruences_free(D))
+        sol = rl.solve_congruences(A, b, D)
         if sol is None:
             # the component rep is not in the image of the projection; for
             # closure lifts this cannot happen (the projection is onto)
@@ -427,7 +441,7 @@ def sheet_count_rows(rows, isotropy: IsotropyDescriptor, base_dim):
     total = 0
     for crep in isotropy.component_reps:
         b = [sum(Fraction(l) * Fraction(x) for l, x in zip(lrow, crep)) for lrow in lat]
-        sol = rl.solve_congruences(A, b) if A else rl.solve_congruences_free(d0)
+        sol = rl.solve_congruences(A, b, d0)
         if sol is None:
             continue
         if not sol.is_finite:

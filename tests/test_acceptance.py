@@ -25,6 +25,7 @@ from equilef.endomorphism import (
     TorusMap,
     alternating_heat_trace,
     cohomology_action,
+    harmonic_dimensions,
 )
 from equilef.errors import InfiniteFixedSet, NonTransverse
 
@@ -120,17 +121,37 @@ def test_criterion_2_classical_reduction():
             assert count == N
 
 
+def truncated_kernel_dimension(model, q, cutoff):
+    """Null space of the elliptic operator on flow-annihilated degree-q
+    sections within the cutoff, assembled column by column from its factors
+    (``apply_P_composed``) and counted by singular values."""
+    keys = [(m, I) for m in bc.basic_modes(model, cutoff)
+            for I in itertools.combinations(range(model.n - 1), q)]
+    index = {key: i for i, key in enumerate(keys)}
+    P = np.zeros((len(keys), len(keys)), dtype=complex)
+    for key, j in index.items():
+        u = bc.BasicForm(model, q, {key: 1.0}, basic_flag=True)
+        for key2, c in bc.apply_P_composed(u).coeffs.items():
+            P[index[key2], j] = c
+    return int(sum(1 for s in np.linalg.svd(P, compute_uv=False) if s < 1e-8))
+
+
 def test_criterion_3_finite_dimensional_cohomology():
-    with criterion(3, "harmonic dimensions are binomial and cutoff-stable"):
+    with criterion(3, "harmonic dimensions equal the kernel dimensions of the "
+                      "truncated operator at cutoffs 1 and 2"):
         models = [
             torus_model([(1, 0), (0, 1)], ("alpha",)),
             torus_model([(1, 0, 0), (0, 1, 0), (0, 0, 1)], ("alpha", "beta")),
+            torus_model([(0, 0), (1, 0), (0, 1)], ("alpha",)),
+            torus_model([(0,), (1,), (2,)]),
         ]
         for model in models:
-            n = model.n
-            for q in range(n):
-                dims = [bc.harmonic_dimension(model, q, c) for c in (4, 8, 16)]
-                assert dims == [math.comb(n - 1, q)] * 3, (n, q, dims)
+            dims = harmonic_dimensions(model)
+            assert dims == tuple(math.comb(model.n - 1, q) for q in range(model.n))
+            for cutoff in (1, 2):
+                kernel = tuple(truncated_kernel_dimension(model, q, cutoff)
+                               for q in range(model.n))
+                assert kernel == dims, (model.n, cutoff, kernel)
 
 
 def test_criterion_4_heat_trace_stability():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from equilef import basic_complex as bc
+from equilef import endomorphism as em
 from equilef import geometry_models as gm
 from equilef import torus_group as tg
 from equilef.errors import DegreeOverflow
@@ -135,16 +136,12 @@ class TestEllipticOperator:
 
 class TestHarmonicSpaces:
     def test_dimensions_binomial(self):
-        assert bc.harmonic_dimension(T3, 0, 8) == 1
-        assert bc.harmonic_dimension(T3, 1, 8) == 2
-        assert bc.harmonic_dimension(T3, 2, 8) == 1
-        assert bc.harmonic_dimension(T2_IRR, 0, 8) == 1
-
-    def test_dimension_plateau_across_cutoffs(self):
+        assert em.harmonic_dimensions(T3) == (1, 2, 1)
+        assert em.harmonic_dimensions(T2_IRR) == (1, 1)
+        assert em.harmonic_dimensions(T3_PROD) == (1, 2, 1)
         for model in (T3, T2_IRR, T3_PROD):
-            for q in range(model.n):
-                dims = {bc.harmonic_dimension(model, q, c) for c in (4, 8, 16)}
-                assert len(dims) == 1
+            sizes = tuple(len(bc.harmonic_basis(model, q, 4)) for q in range(model.n))
+            assert sizes == em.harmonic_dimensions(model)
 
     def test_brute_force_null_space_oracle(self):
         # assemble the elliptic operator on all basic modes by explicit

@@ -1,9 +1,11 @@
-"""Golden digests of the ``spectrum`` and ``verify`` reports.
+"""Golden digests of the ``rhs``, ``spectrum`` and ``verify`` reports.
 
-Every committed flat-torus scenario is run through both commands; the exit
-code and the SHA-256 of the text report and of the ``--json`` file are
-pinned.  Reports are deterministic byte for byte, so any change to a mode
-set, a spectrum table or a heat trace shows up here.  A digest may only be
+Every committed scenario is run through ``rhs``, and every committed
+flat-torus scenario through ``spectrum`` and ``verify``; the exit code and
+the SHA-256 of the text report and of the ``--json`` file are pinned.
+Reports are deterministic byte for byte, so any change to a mode set, a
+spectrum table, a heat trace or a fixed-orbit contribution (sphere conormal
+determinants included) shows up here.  A digest may only be
 refreshed together with a note in CHANGES.md saying why the report changed.
 """
 
@@ -21,6 +23,23 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 # (command, scenario) -> (exit code, text sha256, json sha256 or None)
 GOLDEN = {
+    ("rhs", "bad_float"): (64, "7fdbdabce88f3fd363149f259bd81a3ac58cc69e3ce73807849691e7d394d274", None),
+    ("rhs", "bad_matrix"): (1, "4ea01ed8b3bd2d6468a02215d4b8f22414a05f8553a04298add00cff04da534d", None),
+    ("rhs", "classical_t3"): (0, "449f2a0693e139447d1815507d880e0832e2811766bd02568572e7d44dcbe437", "8ab2255d42126a339a43554c3b28d8113dffd840bc7830241ef1f5fa56537927"),
+    ("rhs", "diag23_t3"): (0, "2858093005df9927eaf66d1327baec0466f2ae4d7bd83199f298e8bda0313379", "c1387e4cfc7a67feb4b1021aa24309f383bfc921d7b56fb4b0988160878e733a"),
+    ("rhs", "doubling_t3"): (0, "fbfcf62fc79fc45e938b4981e49750f20d714ddb66865e849668fb543ae8e3d4", "cd55ea9e253ea3aa34e263e9773b7f9828f5e4cb29650da1c627d0de41669762"),
+    ("rhs", "identity_irrational_t2"): (0, "d11cdfab851121ff36c991f9bfd20592eb0b7b4edaa74d6a94ee1881f46263ba", "b5c0318d07b6266a1ccf61ddc6ae3d07d06d48fdd84864884c9d643218fe0041"),
+    ("rhs", "mollifier_doubling_t2"): (0, "a40a9478e85597d758e0d19d8d429d76f1d18d32106dcea6abab6389bd00c3b1", "02e9e035f392996f9911f9b0c6ba039bd061de46e754c5f9126c69eb4f366119"),
+    ("rhs", "mollifier_tripling_t2"): (0, "e659218317d2c255ba964f66a8ff30ca38c704c59cc426445113eae165997086", "ef1d7072d7249ef7da918ffdc966d9042b58ed58465110d191fb1df53b62600f"),
+    ("rhs", "negation_t4"): (0, "8a4afe3ac3c22795820f95d4ed3dfb0680d3c131664c36cc95e1637e2a493dc8", "5376a57a0a33f045fdae533aacfa4a9c6a7dfa2506b840bcf9a850efe988eca1"),
+    ("rhs", "nofix_translation_t3"): (0, "e4c617a5410bf9278d75aab874efa1d5e8d1927b4821900ee2c3befef0279b4a", "231634bdc381e4884bb7d1bf29035d566b8813c42f855d695f89fcfcf73d55ef"),
+    ("rhs", "s3_rational"): (0, "afbe4c68905bb4cfd38b5b9eb834a965fd760491ea2c2619948acb34e282b9ab", "ecb830d151307a70a675aaaa251582c777f43c40fcb4c38ff53322b67217062b"),
+    ("rhs", "s3_twisted"): (0, "48decb2a08b8638271b308956c34dc0d88270fd0e41d8906235ce76b13324813", "ccc171bae236c2db1db8da3ee65f342062e67539cc2898593682357ade35ba5a"),
+    ("rhs", "s5_irrational"): (2, "466728363f712d752e733b0d78b0f4e549cf095ada26cfe55d42667b4f78f167", None),
+    ("rhs", "shifted_classical_t3"): (0, "4960ab620aa540be26f285e1d3c59ed368013766c965a425ac9bfb34add1e418", "92a7d5205962ad3eb212f6582fb24023fb91650d7fad12700cab3ff1c47c93dc"),
+    ("rhs", "translation_only_t3"): (2, "ad8ffc24fcfb3a13343a43abde2b4518f67acdd78b1fab9c0fff802e75006bdc", None),
+    ("rhs", "twisted_halfweight_t2"): (0, "3fb27d5942bdf71331fa6ba36fccd1cf5340985c5f29fe778ae6917c7999d6e5", "468b1091e53c6f7c97a0b3b7741044754e91646a74b4cdacf9f4a61eddc3eb90"),
+    ("rhs", "twisted_unit_t3"): (0, "a35475a6cdf70cc78c17cb96ba599749f7ca16364770d5e77abda5959796f525", "f9dffa9da150daa9bacee20ba896d560a9f1c7f278d769c79b455c7dad5568ff"),
     ("spectrum", "bad_float"): (64, "7fdbdabce88f3fd363149f259bd81a3ac58cc69e3ce73807849691e7d394d274", None),
     ("spectrum", "bad_matrix"): (0, "462991136f83fdfeb0863846973e9b98fe542d937e3dd9b8929ba5df1cd3c647", "e6ca70d63275d5a669bac99ec0c3be9dcedcc43991de5d64e06e10692e65d058"),
     ("spectrum", "classical_t3"): (0, "347dea043453d5096b15b6eadd95af88d299fb192edf04193c42a9e989637a63", "e0b9d855330a5469704733bdf1405038673c0ef9e6684b5c8e24dac60acbd59c"),
@@ -37,15 +56,15 @@ GOLDEN = {
     ("spectrum", "twisted_unit_t3"): (0, "46b5701f8b721d0211dfde8083ddc24c0e4ebd72bb85ead0f36aac2dcdbc435b", "7db87ccaf87fc66a95668f12c3e93be8b936806d7343b5fa5bb20fea8a54b5d4"),
     ("verify", "bad_float"): (64, "7fdbdabce88f3fd363149f259bd81a3ac58cc69e3ce73807849691e7d394d274", None),
     ("verify", "bad_matrix"): (1, "4ea01ed8b3bd2d6468a02215d4b8f22414a05f8553a04298add00cff04da534d", None),
-    ("verify", "classical_t3"): (0, "b43540798e831d923623bea13dfc412e77d8b375638a49072ba8a82370ea911a", "ce63d1d9760bb50d89be83e16d91b2ce1e20e88148bb643e1a68888b59439eee"),
-    ("verify", "diag23_t3"): (0, "57bf4dd55a7dc89a411576b5e3a7f572545c81cc1f630bfcd23df97551d49a5c", "efa48f03c0cca1c474713db1042a70e046a20e2cd1e6774a8968d045275260e4"),
-    ("verify", "doubling_t3"): (0, "103622e7905c3b3a0c5183b04b3a8fb9cf7add46e1b3b3f83e17ea0fbcf76746", "74e6ff70a2a3331d74d50f484bd80665237678bbc5678f35b63a3dbb52194435"),
-    ("verify", "identity_irrational_t2"): (0, "9ef756ca3bca6d832a2a908cfde214dbee9476c935698923ba5c816e45b61684", "5a7c59973672eab682d3ee6efd262f0d7b1cc873f6eb2c58ff0924ea39f6a7b8"),
-    ("verify", "mollifier_doubling_t2"): (0, "3917483a3cb4151c82361e38f5d524b5db427227cee644686e6269d7cbea0cbb", "bc18e2e9535203fd982c9319dd28749659f31d7aaaa47c5a82561f19bf567ff1"),
-    ("verify", "mollifier_tripling_t2"): (0, "1c73aa730c2cf8f3c31cf3582bc556db5bd7082fcdc7681d8b43e5f06db8b4a2", "4cfe76a0e9a943fb17b2c45d40941b19782998efafb4b1f72af1323778074f74"),
-    ("verify", "negation_t4"): (0, "cc284346deae8f525a5b7457b016157657d573d3d514a0a270cbdff5188522b5", "4bbb8374699621f7f3276eed9d5c904b30cb4c05e9f802721e5df33319bfdae3"),
-    ("verify", "nofix_translation_t3"): (0, "2fb9ebe5192040aaea36dc03d6fbad17ebab29231c25ae24a2b39cc1940a80aa", "e1d714a61690316a231f1e3cd5a3be1dde62d42208d52a6360aeff7e11afd4e1"),
-    ("verify", "shifted_classical_t3"): (0, "a4f994871bc13c36b95eaa61426e7df73ce8f05c7d724611db7fdaaf91b415ec", "b36a603bc02210e8a9c4d66c8784036812c1b0d701423a408bfecf9a0935acc8"),
+    ("verify", "classical_t3"): (0, "ed5443764d91ec4fa60ce079a33e09ad415173bc73f858de269995b02ce10a55", "7212ac69ab8ebe0349bc61439bb17b6822bc70e105c9abfcf7e7d77873cc74ae"),
+    ("verify", "diag23_t3"): (0, "ed8ab529bbd85431e56e7a745540afcdd9f4dd564c231326724ceab956cae09c", "1488a2b5ba1354c7bd254bc51e42796fc881b5f00ff1dd39c5de9850b14619f9"),
+    ("verify", "doubling_t3"): (0, "774c01aa1400a2286f94e189e55fe8b99cfb2a5fa62e478bc25ee367a13d5270", "e5b31802b0938f04c46d85e732e1fc76eb07dc7265cc83cf5ee8f9e5486c9142"),
+    ("verify", "identity_irrational_t2"): (0, "0878bc807814e34d85b951670761d2e2bd3aab3324b8a4838202596b85d246d1", "2ce504767e523fb45aed0ddb06f4375f86c0485ae8cd5902ac42d008631e9538"),
+    ("verify", "mollifier_doubling_t2"): (0, "bc1421202e821ae62009761f50d2d540d2069d5b173146c2832a3ef0b8e10023", "00ad2599fa045a62c2910e0e126a1930e4e3ff857fcd369124230bad5d89060b"),
+    ("verify", "mollifier_tripling_t2"): (0, "c1c902167dc50b3471c53ab7c89c3eb4068cc4975f510685886344ac05e444cf", "d9f29aa9d5681aa683ed6af0810d03c639492a4d331f362644ac8d33042bec6a"),
+    ("verify", "negation_t4"): (0, "7bd7f42e1d0ad608e993d2e227078cf85927955997a513ce9de8bcfab3e23f23", "a3c4dcea919f9ac259ea6b60bf44e2e8794b0a9db349ff9b65d0f5f543507942"),
+    ("verify", "nofix_translation_t3"): (0, "de2b864cc93b5fbec2d51dd0b5eaa09f1b1487a522ed4c5400c7b0e1776a1998", "fd96a60d8ee6fd7f707827d4286ffaaf7bd83b8cd60dc2f283cdc754c35ac97e"),
+    ("verify", "shifted_classical_t3"): (0, "42a8ead7ec9cc8c1423d2793b58601a1dce6598ce56499c9004184c2d7b58886", "9912353a038e52ee4e78d0d25ba79f5209f47c0013034c0e99e1d9f17975d9f7"),
     ("verify", "translation_only_t3"): (2, "ad8ffc24fcfb3a13343a43abde2b4518f67acdd78b1fab9c0fff802e75006bdc", None),
     ("verify", "twisted_halfweight_t2"): (0, "34637f7042bddc87c2a2363d45689bd96e928f86bdd83cc47e204e9b78af4a30", "fa8093b24adb552b78e56b93de9e5db606545595e6714f87d651703c14a8b2e6"),
     ("verify", "twisted_unit_t3"): (0, "e7340567fd2bc509af2ac098074a653a060c3224958807e973e5847bc6a8f94c", "b319302dc0378660d84a5f99de3355d993b48a091eca9d89758958795dd15d82"),
@@ -61,6 +80,10 @@ def flat_torus_scenarios():
     return names
 
 
+def all_scenarios():
+    return [path.stem for path in sorted(SCENARIOS.glob("*.scenario"))]
+
+
 def report_digests(command, name, json_path):
     stream = io.StringIO()
     options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
@@ -74,8 +97,14 @@ def report_digests(command, name, json_path):
 
 
 def test_every_flat_torus_scenario_is_pinned():
-    pinned = {name for _, name in GOLDEN}
-    assert pinned == set(flat_torus_scenarios())
+    for command in ("spectrum", "verify"):
+        pinned = {name for cmd, name in GOLDEN if cmd == command}
+        assert pinned == set(flat_torus_scenarios())
+
+
+def test_every_scenario_is_pinned_for_rhs():
+    pinned = {name for cmd, name in GOLDEN if cmd == "rhs"}
+    assert pinned == set(all_scenarios())
 
 
 @pytest.mark.parametrize("command,name", sorted(GOLDEN))

@@ -77,14 +77,6 @@ class TestInvariance:
         assert abs(base.value - shifted.value) <= 1e-8
 
 
-class TestThreading:
-    def test_thread_cap_preserves_determinism(self, monkeypatch):
-        base = ml.kernel_pairing(T2, DOUBLING, ml.MollifierConfig(k=8))
-        monkeypatch.setenv("EQUILEF_THREADS", "4")
-        threaded = ml.kernel_pairing(T2, DOUBLING, ml.MollifierConfig(k=8))
-        assert threaded.value == base.value
-
-
 class TestConvergenceStudy:
     def test_doubling_envelope(self):
         study = ml.convergence_study(T2, DOUBLING, (8, 16, 32, 64))

@@ -163,6 +163,22 @@ def test_solve_congruences_free_directions():
     assert len(sol.free) == 1
 
 
+def test_solve_congruences_empty_system_is_the_whole_torus():
+    sol = rl.solve_congruences([], [], 3)
+    zero = (Fraction(0),) * 3
+    assert sol.particular == zero
+    assert sol.torsion_reps == [zero]
+    assert sol.free == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert sol.count == math.inf
+    # an empty system on the point torus has the single solution ()
+    assert rl.solve_congruences([], [], 0).points() == [()]
+
+
+def test_solve_congruences_empty_system_needs_dimension():
+    with pytest.raises(ValueError):
+        rl.solve_congruences([], [])
+
+
 def test_solve_congruences_brute_force_oracle():
     rng = random.Random(97)
     denom = 12

@@ -286,3 +286,55 @@ class TestCutoffAndHeatSchema:
                          "--cutoff", "-2"])
         assert code == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().out
+
+
+def _mutated(name, keys, value):
+    doc = json.loads((SCENARIOS / f"{name}.scenario").read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+SEVEN_GENERATORS = [{"name": "alpha"}] + [f"g{i}" for i in range(1, 7)]
+
+
+class TestSchemaHardening:
+    @pytest.mark.parametrize("name,keys,value,path", [
+        ("doubling_t3", ("schema",), True, "$.schema"),
+        ("doubling_t3", ("tolerances",), [1], "$.tolerances"),
+        ("doubling_t3", ("tolerances",), {"verify": "abc"}, "$.tolerances.verify"),
+        ("doubling_t3", ("generators", 0, "value"), "abc", "$.generators[0].value"),
+        ("doubling_t3", ("generators", 0, "value"), "nan", "$.generators[0].value"),
+        ("doubling_t3", ("generators", 0, "value"), True, "$.generators[0].value"),
+        ("doubling_t3", ("generators",), SEVEN_GENERATORS, "$.generators[6]"),
+        ("twisted_unit_t3", ("twist", "phi_scalar"), ["a", 0],
+         "$.twist.phi_scalar[0]"),
+        ("twisted_unit_t3", ("twist", "phi_scalar"), ["inf", 0],
+         "$.twist.phi_scalar[0]"),
+        ("doubling_t3", ("model", "v"), ["0", "0", "0"], "$.model.v"),
+        ("s3_rational", ("model", "weights", 0), "0", "$.model.weights[0]"),
+        ("mollifier_doubling_t2", ("mollifier",), [1], "$.mollifier"),
+        ("mollifier_doubling_t2", ("mollifier", "k_list"), ["x"],
+         "$.mollifier.k_list[0]"),
+        ("mollifier_doubling_t2", ("mollifier", "k_list"), [0],
+         "$.mollifier.k_list[0]"),
+        ("mollifier_doubling_t2", ("mollifier", "k_list"), [8.7],
+         "$.mollifier.k_list[0]"),
+        ("mollifier_doubling_t2", ("mollifier", "radius"), "7/10",
+         "$.mollifier.radius"),
+        ("mollifier_doubling_t2", ("mollifier", "grid"), "x", "$.mollifier.grid"),
+    ])
+    def test_malformed_input_is_a_schema_error(self, tmp_path, name, keys,
+                                               value, path):
+        code, text = run_doc(tmp_path, "validate", _mutated(name, keys, value))
+        assert code == cli.EXIT_USAGE
+        assert text.startswith(f"schema error at {path}:")
+
+    def test_seventh_generator_with_value_accepted(self, tmp_path):
+        gens = SEVEN_GENERATORS[:6] + [{"name": "g6", "value": 4.25}]
+        doc = _mutated("doubling_t3", ("generators",), gens)
+        scn = cli.parse_scenario(doc)
+        assert scn.model.v.generator_values[6] == 4.25
+        assert run_doc(tmp_path, "verify", doc)[0] == cli.EXIT_PASS

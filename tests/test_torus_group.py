@@ -122,6 +122,40 @@ def test_closure_group_rational_weight():
     assert Ghat.relation_lattice == ((1, 0, 0), (0, 1, -1))
 
 
+def test_element_with_found():
+    # the closure of t -> (t, 2t): the second coordinate 1/2 is reached
+    G = tg.SubtorusGroup(2, ((2, -1),))
+    g = G.element_with([1], [Fraction(1, 2)])
+    assert g is not None and g[1] == Fraction(1, 2)
+    assert G.contains(g)
+    # no conditions: the identity
+    assert G.element_with([], []) == (Fraction(0), Fraction(0))
+
+
+def test_element_with_none():
+    # first coordinate 0 forces the second to 0 on t -> (t, 2t)
+    G = tg.SubtorusGroup(2, ((2, -1),))
+    assert G.element_with([0, 1], [Fraction(0), Fraction(1, 2)]) is None
+
+
+def test_element_with_against_solve_congruences():
+    # the weight-(tau, 1, 2) closure on the 3-torus, every pair of
+    # coordinates and values on a sixths grid
+    G, _ = tg.closure_group(sym([(0, 1), (1, 0), (2, 0)], ("tau",)))
+    C = G.complement_basis()
+    grid = [Fraction(i, 6) for i in range(6)]
+    for coords in itertools.combinations(range(3), 2):
+        for values in itertools.product(grid, repeat=2):
+            A = [[row[j] for row in C] for j in coords]
+            sol = rl.solve_congruences(A, values)
+            g = G.element_with(coords, values)
+            assert (g is None) == (sol is None), (coords, values)
+            if g is not None:
+                assert g == rl.vec_mod1(rl.vec_mat(sol.particular, C))
+                assert G.contains(g)
+                assert [g[j] for j in coords] == list(values)
+
+
 def test_closure_group_generator_mismatch():
     v = sym([(1, 0), (0, 1)], ("alpha",))
     w = sym([(0, 1)], ("beta",))
