@@ -29,6 +29,7 @@ from .errors import (
     EquilefError,
     GeneratorMismatch,
     GridTooCoarse,
+    GridTooFine,
     InfiniteFixedSet,
     NonTransverse,
     NotBasic,

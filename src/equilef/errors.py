@@ -46,6 +46,10 @@ class GridTooCoarse(EquilefError):
     """The mollifier bump is not resolved by the sample grid."""
 
 
+class GridTooFine(EquilefError):
+    """The sample grid needs more quadrature cells than the lab allows."""
+
+
 class ParseError(EquilefError):
     """A scenario file is not syntactically valid."""
 

@@ -31,8 +31,15 @@ class FlatTorusModel:
     v: tg.SymbolicFrequency
 
     def __post_init__(self):
-        if self.v.is_zero():
-            raise ValueError("flow direction must be nonzero")
+        # the floating-point layer divides by the numeric length of the flow,
+        # so that length, not only the exact coefficients, must be nonzero
+        try:
+            with np.errstate(over="ignore"):
+                length = np.linalg.norm(self.v.float_values())
+        except OverflowError:
+            length = math.inf
+        if not 0 < length < math.inf:
+            raise ValueError("flow direction must have a nonzero finite length")
 
     @property
     def n(self):
@@ -123,7 +130,7 @@ class WeightedSphereModel:
     weights: tg.SymbolicFrequency
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.weights.float_values()):
+        if self.weights.first_nonpositive() is not None:
             raise ValueError("weights must be positive")
 
     @property

@@ -25,10 +25,15 @@ import numpy as np
 
 from . import fixed_point_formula as fpf
 from .endomorphism import TorusMap, validate_equivariance
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, GridTooFine
 from .geometry_models import FlatTorusModel
 
 MIN_CELLS_PER_BUMP = 4
+# a pairing that runs has at least grid^2 cells; sharpness 64 resolves to
+# grid 4096, whose 4096^2 cells take a few hundred MB of temporaries
+MAX_SHARPNESS = 64
+MAX_GRID = 4096
+MAX_CELLS = MAX_GRID**2
 
 
 def _bump(u):
@@ -93,21 +98,24 @@ class PairingResult:
 def _pairing_sum(model, f, k, radius, c_norm, grid):
     """Tensor-quadrature value of the diagonal pairing at one resolution."""
     n = model.n
-    A = np.array(f.matrix, dtype=float)
-    M = np.eye(n) - A
+    M = np.eye(n) - np.array(f.matrix, dtype=float)
+    # torus directions the kernel actually depends on
+    active = [j for j in range(n) if np.any(M[:, j] != 0.0)]
+    d = model.group.dim
+    cells = grid ** (d + len(active))
+    if cells > MAX_CELLS:
+        raise GridTooFine(f"grid {grid} needs {cells} quadrature cells, "
+                          f"more than the budget of {MAX_CELLS}")
     c_vec = np.array([float(x) for x in f.translation])
     B = np.array(
         [[float(x) for x in row] for row in model.group.complement_basis()]
     )
-    d = B.shape[0] if B.size else 0
     support = radius / k
     if 2.0 * support * grid < MIN_CELLS_PER_BUMP:
         raise GridTooCoarse(
             f"bump support {2 * support:.3e} spans fewer than "
             f"{MIN_CELLS_PER_BUMP} cells at grid {grid}"
         )
-    # torus directions the kernel actually depends on
-    active = [j for j in range(n) if np.any(M[:, j] != 0.0)]
     axis = np.arange(grid) / grid
 
     if d == 0:
@@ -123,7 +131,6 @@ def _pairing_sum(model, f, k, radius, c_norm, grid):
         np.meshgrid(*([axis] * len(active)), indexing="ij"), axis=-1
     ).reshape(-1, len(active)) @ M[:, active].T
 
-    cells = len(p_cols) * len(base)
     scale = (k**n) * c_norm / cells
 
     def chunk_sum(lo, hi):

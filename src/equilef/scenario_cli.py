@@ -115,6 +115,16 @@ def _parse_real(node, path, what, positive=False):
     raise SchemaError(f"{what} must be a {qualifier} number", path=path)
 
 
+def _parse_int(node, path, what, minimum, maximum=math.inf):
+    """A JSON integer (not a boolean) in ``[minimum, maximum]``."""
+    if (isinstance(node, int) and not isinstance(node, bool)
+            and minimum <= node <= maximum):
+        return node
+    bound = (f"at least {minimum}" if maximum == math.inf
+             else f"in [{minimum}, {maximum}]")
+    raise SchemaError(f"{what} must be an integer {bound}", path=path)
+
+
 def _parse_object(node, path):
     """An optional JSON object: absent or null reads as empty."""
     if node is None:
@@ -201,26 +211,23 @@ def parse_scenario(data: dict) -> Scenario:
     _reject_floats(model_node, "$.model")
     mtype = model_node.get("type")
     if mtype == "flat_torus":
-        n = model_node.get("n")
+        n = _parse_int(model_node.get("n"), "$.model.n",
+                       "the flat torus dimension n", 1)
         entries = model_node.get("v")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise SchemaError("flat torus needs integer dimension n >= 1",
-                              path="$.model.n")
         if not isinstance(entries, list) or len(entries) != n:
             raise SchemaError("v must list n entries", path="$.model.v")
-        rows = tuple(
+        flow = SymbolicFrequency(tuple(
             _parse_symbolic_entry(e, labels, f"$.model.v[{i}]")
             for i, e in enumerate(entries)
-        )
-        if all(c == 0 for row in rows for c in row):
-            raise SchemaError("flow direction must be nonzero", path="$.model.v")
-        model = FlatTorusModel(SymbolicFrequency(rows, labels, values))
+        ), labels, values)
+        try:
+            model = FlatTorusModel(flow)
+        except ValueError as exc:
+            raise SchemaError(str(exc), path="$.model.v")
     elif mtype == "weighted_sphere":
-        k = model_node.get("k")
+        k = _parse_int(model_node.get("k"), "$.model.k",
+                       "the weighted sphere dimension k", 1)
         entries = model_node.get("weights")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise SchemaError("weighted sphere needs integer k >= 1",
-                              path="$.model.k")
         if not isinstance(entries, list) or len(entries) != k:
             raise SchemaError("weights must list k entries", path="$.model.weights")
         rows = tuple(
@@ -228,10 +235,10 @@ def parse_scenario(data: dict) -> Scenario:
             for i, e in enumerate(entries)
         )
         weights = SymbolicFrequency(rows, labels, values)
-        for i, w in enumerate(weights.float_values()):
-            if w <= 0:
-                raise SchemaError("weights must be positive",
-                                  path=f"$.model.weights[{i}]")
+        bad = weights.first_nonpositive()
+        if bad is not None:
+            raise SchemaError("weights must be positive",
+                              path=f"$.model.weights[{bad}]")
         model = WeightedSphereModel(weights)
     else:
         raise SchemaError("model type must be flat_torus or weighted_sphere",
@@ -289,15 +296,9 @@ def parse_scenario(data: dict) -> Scenario:
         twist = BundleTwist(SymbolicFrequency((weight_row,), labels, values),
                             scalar)
 
-    cutoffs = data.get("cutoffs", {})
-    if not isinstance(cutoffs, dict):
-        raise SchemaError("cutoffs must be an object", path="$.cutoffs")
-    cutoff = DEFAULT_CUTOFF
-    if "modes" in cutoffs:
-        cutoff = cutoffs["modes"]
-        if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
-            raise SchemaError("mode cutoff must be a non-negative integer",
-                              path="$.cutoffs.modes")
+    cutoffs = _parse_object(data.get("cutoffs"), "$.cutoffs")
+    cutoff = _parse_int(cutoffs.get("modes", DEFAULT_CUTOFF), "$.cutoffs.modes",
+                        "the mode cutoff", 0)
     tolerances = _parse_object(data.get("tolerances"), "$.tolerances")
     tolerance, heat_tolerance = (
         _parse_real(tolerances.get(key, default), f"$.tolerances.{key}",
@@ -315,18 +316,17 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(k_list, list) or not k_list:
         raise SchemaError("k_list must be a nonempty list of sharpness values",
                           path="$.mollifier.k_list")
-    for i, k in enumerate(k_list):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise SchemaError("sharpness values must be positive integers",
-                              path=f"$.mollifier.k_list[{i}]")
+    k_list = tuple(
+        _parse_int(k, f"$.mollifier.k_list[{i}]", "a sharpness value", 1,
+                   ml.MAX_SHARPNESS)
+        for i, k in enumerate(k_list))
     radius = _parse_fraction(moll.get("radius", "3/10"), "$.mollifier.radius")
     if not 0 < radius < Fraction(1, 2):
         raise SchemaError("bump radius must lie in (0, 1/2)",
                           path="$.mollifier.radius")
     grid = moll.get("grid")
-    if grid is not None and (not isinstance(grid, int) or isinstance(grid, bool)
-                             or grid < 1):
-        raise SchemaError("grid must be a positive integer", path="$.mollifier.grid")
+    if grid is not None:
+        grid = _parse_int(grid, "$.mollifier.grid", "the grid", 1, ml.MAX_GRID)
     return Scenario(
         name=name,
         model=model,
@@ -336,7 +336,7 @@ def parse_scenario(data: dict) -> Scenario:
         tolerance=tolerance,
         heat_tolerance=heat_tolerance,
         heat_s=heat_s,
-        mollifier_k=tuple(k_list),
+        mollifier_k=k_list,
         mollifier_radius=float(radius),
         mollifier_grid=grid,
         raw=data,

@@ -93,15 +93,18 @@ class SymbolicFrequency:
     def is_orthogonal(self, m):
         return all(c == 0 for c in self.symbolic_dot(m))
 
-    def is_zero(self):
-        return all(c == 0 for row in self.coeffs for c in row)
-
     def float_values(self):
         """Numeric embedding of the vector, for the floating-point layer."""
         return tuple(
             float(row[0]) + sum(float(c) * g for c, g in zip(row[1:], self.generator_values))
             for row in self.coeffs
         )
+
+    def first_nonpositive(self):
+        """Index of the first coordinate whose numeric value is not positive,
+        or ``None``."""
+        return next((i for i, x in enumerate(self.float_values()) if not x > 0),
+                    None)
 
     def constraint_rows(self):
         """Rational rows whose common integer kernel is the relation lattice."""

@@ -8,7 +8,7 @@ from equilef import geometry_models as gm
 from equilef import mollifier_lab as ml
 from equilef import torus_group as tg
 from equilef.endomorphism import TorusMap
-from equilef.errors import GridTooCoarse, InfiniteFixedSet
+from equilef.errors import GridTooCoarse, GridTooFine, InfiniteFixedSet
 
 
 def torus_model(entries, labels=()):
@@ -47,6 +47,24 @@ class TestKernelPairing:
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             ml.kernel_pairing(T2, DOUBLING, ml.MollifierConfig(k=64, grid=128))
+
+    def test_grid_past_the_cell_budget_refused(self):
+        # a circle closure and one active direction: grid^2 cells
+        ml.kernel_pairing(T2, DOUBLING, ml.MollifierConfig(k=1, grid=64))
+        with pytest.raises(GridTooFine):
+            ml.kernel_pairing(T2, DOUBLING,
+                              ml.MollifierConfig(k=8, grid=ml.MAX_GRID + 1))
+        # a circle closure and two active directions: grid^3 cells, so
+        # sharpness 16 (grid 512) is already past the budget
+        diagonal = torus_model([(1,), (1,)])
+        f = TorusMap(((2, -1), (1, 0)), (0, 0))
+        ml.kernel_pairing(diagonal, f, ml.MollifierConfig(k=8))
+        with pytest.raises(GridTooFine):
+            ml.kernel_pairing(diagonal, f, ml.MollifierConfig(k=16))
+
+    def test_max_sharpness_resolves_within_max_grid(self):
+        assert ml.MollifierConfig(k=ml.MAX_SHARPNESS).resolved_grid() <= ml.MAX_GRID
+        assert ml.MollifierConfig(k=ml.MAX_SHARPNESS + 1).resolved_grid() > ml.MAX_GRID
 
     def test_normalization_residual_recorded(self):
         c, resid = ml.MollifierConfig(k=8).normalization()

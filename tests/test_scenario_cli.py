@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from equilef import mollifier_lab as ml
 from equilef import scenario_cli as cli
 from equilef.errors import SchemaError
 
@@ -325,12 +326,50 @@ class TestSchemaHardening:
         ("mollifier_doubling_t2", ("mollifier", "radius"), "7/10",
          "$.mollifier.radius"),
         ("mollifier_doubling_t2", ("mollifier", "grid"), "x", "$.mollifier.grid"),
+        ("mollifier_doubling_t2", ("mollifier", "k_list"),
+         [8, ml.MAX_SHARPNESS + 1], "$.mollifier.k_list[1]"),
+        ("mollifier_doubling_t2", ("mollifier", "k_list"), [10**400],
+         "$.mollifier.k_list[0]"),
+        ("mollifier_doubling_t2", ("mollifier", "grid"), ml.MAX_GRID + 1,
+         "$.mollifier.grid"),
+        ("doubling_t3", ("cutoffs",), [1], "$.cutoffs"),
+        ("doubling_t3", ("model", "v", 1), "1" + "0" * 400, "$.model.v"),
     ])
     def test_malformed_input_is_a_schema_error(self, tmp_path, name, keys,
                                                value, path):
         code, text = run_doc(tmp_path, "validate", _mutated(name, keys, value))
         assert code == cli.EXIT_USAGE
         assert text.startswith(f"schema error at {path}:")
+
+    @pytest.mark.parametrize("value", [0, 1e-200, 1e200])
+    def test_flow_without_numeric_length_is_a_schema_error(self, tmp_path,
+                                                           value):
+        # exactly nonzero, but the float embedding the frame divides by has
+        # no finite nonzero length
+        doc = _mutated("doubling_t3", ("model", "v"), ["0", "0", {"alpha": "1"}])
+        doc["generators"] = [{"name": "alpha", "value": value}]
+        for command in ("validate", "lhs", "spectrum", "verify"):
+            code, text = run_doc(tmp_path, command, doc)
+            assert code == cli.EXIT_USAGE
+            assert text.startswith("schema error at $.model.v:")
+
+    def test_null_sections_read_as_defaults(self):
+        doc = _mutated("doubling_t3", ("cutoffs",), None)
+        doc["tolerances"] = doc["mollifier"] = None
+        scn = cli.parse_scenario(doc)
+        assert scn.cutoff == cli.DEFAULT_CUTOFF
+        assert scn.tolerance == cli.DEFAULT_TOLERANCE
+
+    def test_cli_grid_past_the_cell_budget_exits_1(self, tmp_path):
+        doc = _mutated("mollifier_doubling_t2", ("mollifier", "k_list"), [8])
+        path = tmp_path / "fine.scenario"
+        path.write_text(json.dumps(doc))
+        stream = io.StringIO()
+        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
+                                         grid=10**6, json_path=None)
+        code = cli.run("mollifier", str(path), options, stream)
+        assert code == cli.EXIT_DISCREPANCY
+        assert "quadrature cells" in stream.getvalue()
 
     def test_seventh_generator_with_value_accepted(self, tmp_path):
         gens = SEVEN_GENERATORS[:6] + [{"name": "g6", "value": 4.25}]

@@ -25,10 +25,9 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=pathlib.Path)
-    parser.add_argument("--scenarios", type=pathlib.Path, default=SCENARIOS)
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for path in sorted(args.scenarios.glob("*.scenario")):
+    for path in sorted(SCENARIOS.glob("*.scenario")):
         for command in sorted(cli.COMMANDS):
             stem = args.outdir / f"{command}__{path.stem}"
             json_path = stem.with_suffix(".json")
