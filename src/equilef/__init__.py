@@ -27,6 +27,7 @@ from .endomorphism import (
 from .errors import (
     DegreeOverflow,
     EquilefError,
+    FixedSetTooLarge,
     GeneratorMismatch,
     GridTooCoarse,
     GridTooFine,

@@ -18,7 +18,8 @@ The workhorses are
   none, which is how twisted mode lattices are offset;
 * ``solve_congruences`` -- the full solution set of ``A t = b (mod 1)`` on a
   torus, described as particular + torsion + connected part (the whole
-  torus for an empty system);
+  torus for an empty system), counted from the Smith diagonal before any
+  torsion translate is listed;
 * ``lattice_box_points`` -- the points of an affine lattice
   ``offset + span_Z(basis)`` inside the sup-norm box, enumerated from the
   HNF basis by back-substitution (Fincke-Pohst style bounds), which is how
@@ -69,8 +70,9 @@ def vec_mat(x, A):
 
 
 def frac_mod1(q):
-    q = Fraction(q)
-    return q - Fraction(math.floor(q))
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q - math.floor(q)
 
 
 def vec_mod1(x):
@@ -328,28 +330,57 @@ def snf_with_transforms(M):
     return freeze(A), freeze(S), freeze(T)
 
 
+#: the most torsion translates a congruence solution set will list
+TORSION_LIMIT = 10**6
+
+
 class CongruenceSolution:
     """Solution set of ``A t = b (mod 1)`` on the d-torus.
 
     The set is ``{particular + r + u @ free : r in torsion_reps, u in T^f}``
     where ``free`` has ``f`` integer rows spanning the tangent lattice of the
     connected part.  ``torsion_reps`` always contains the zero vector, so the
-    solutions form ``len(torsion_reps)`` parallel translates of a
-    ``f``-dimensional subtorus coset.
+    solutions form ``torsion_count`` parallel translates of a
+    ``f``-dimensional subtorus coset.  The count is the product of the
+    nontrivial Smith diagonal entries and is known without listing anything;
+    ``torsion_reps`` lists the translates on first use and refuses more than
+    ``TORSION_LIMIT`` of them.
     """
 
-    def __init__(self, particular, torsion_reps, free):
+    def __init__(self, particular, torsion_axes, T, free):
         self.particular = particular
-        self.torsion_reps = torsion_reps
         self.free = free
+        self._axes = torsion_axes      # (index, Smith entry > 1) pairs
+        self._T = T
+        self._reps = None
 
     @property
     def is_finite(self):
         return len(self.free) == 0
 
     @property
+    def torsion_count(self):
+        return math.prod(di for _, di in self._axes)
+
+    @property
     def count(self):
-        return len(self.torsion_reps) if self.is_finite else math.inf
+        return self.torsion_count if self.is_finite else math.inf
+
+    @property
+    def torsion_reps(self):
+        if self._reps is None:
+            total = self.torsion_count
+            if total > TORSION_LIMIT:
+                raise ValueError(f"torsion group too large to enumerate ({total})")
+            d = len(self.particular)
+            reps = []
+            for combo in itertools.product(*(range(di) for _, di in self._axes)):
+                u = [Fraction(0)] * d
+                for (i, di), j in zip(self._axes, combo):
+                    u[i] = Fraction(j, di)
+                reps.append(vec_mod1(mat_vec(self._T, u)))
+            self._reps = reps
+        return self._reps
 
     def points(self):
         if not self.is_finite:
@@ -360,7 +391,7 @@ class CongruenceSolution:
         ]
 
 
-def solve_congruences(A, b, d=None, torsion_limit=10**6):
+def solve_congruences(A, b, d=None):
     """Solve ``A t = b (mod 1)`` for ``t`` in the d-torus.
 
     ``A``: integer k x d matrix (rows); ``b``: rationals of length k.  The
@@ -374,8 +405,8 @@ def solve_congruences(A, b, d=None, torsion_limit=10**6):
     elif d is None:
         raise ValueError("an empty system needs the torus dimension d")
     else:
-        zero = tuple(Fraction(0) for _ in range(d))
-        return CongruenceSolution(zero, [zero], freeze(identity_rows(d)))
+        return CongruenceSolution(tuple(Fraction(0) for _ in range(d)), [],
+                                  identity_rows(d), freeze(identity_rows(d)))
     b = [Fraction(x) for x in b]
     D, S, T = snf_with_transforms(A)
     c = mat_vec(S, b)
@@ -395,20 +426,9 @@ def solve_congruences(A, b, d=None, torsion_limit=10**6):
             free_idx.append(i)
         elif di > 1:
             torsion_axes.append((i, di))
-    total = 1
-    for _, di in torsion_axes:
-        total *= di
-    if total > torsion_limit:
-        raise ValueError(f"torsion group too large to enumerate ({total})")
-    reps = []
-    for combo in itertools.product(*(range(di) for _, di in torsion_axes)):
-        u = [Fraction(0)] * d
-        for (i, di), j in zip(torsion_axes, combo):
-            u[i] = Fraction(j, di)
-        reps.append(vec_mod1(mat_vec(T, u)))
     particular = vec_mod1(mat_vec(T, particular_u))
     free = freeze([tuple(T[r][i] for r in range(d)) for i in free_idx])
-    return CongruenceSolution(particular, reps, free)
+    return CongruenceSolution(particular, torsion_axes, T, free)
 
 
 def det_int(M):

@@ -58,8 +58,9 @@ class TorusMap:
         return sum(Fraction(mi) * t for mi, t in zip(m, self.translation))
 
     def apply(self, p):
+        p = [Fraction(x) for x in p]
         return rl.vec_mod1(tuple(
-            sum(Fraction(a) * Fraction(x) for a, x in zip(row, p)) + t
+            sum(a * x for a, x in zip(row, p)) + t
             for row, t in zip(self.matrix, self.translation)
         ))
 
@@ -384,26 +385,47 @@ def heat_damped_traces(model: FlatTorusModel, f: TorusMap, s: float,
     up to the truncation.  Those modes are enumerated directly, as the
     lattice cut out by the flow constraints stacked with ``A^T - I`` (its
     translate by the twist weight for twisted sections)."""
-    if s <= 0:
+    return _heat_sweep(model, f, (s,), cutoff, twist)[0]
+
+
+def _heat_sweep(model, f, s_values, cutoff, twist):
+    """:func:`heat_damped_traces` for each ``s`` in turn.  The equivariance
+    check, the fiber traces, the fixed modes and their phases and
+    eigenvalues do not depend on ``s`` and are computed once; each ``s``
+    only applies its damping."""
+    if any(s <= 0 for s in s_values):
         raise ValueError("the damping parameter must be positive")
+    if not s_values:
+        return []
     validate_equivariance(model, f)
     n = model.n
     Mf = _frame_pullback_matrix(model, f.matrix)
     fiber_traces = [float(np.trace(_wedge_minors(Mf, q)[1])) for q in range(n)]
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     vhat = bc.frame_for(model).theta
-    out = [0.0 + 0.0j] * n
+    modes = []
     for m in _fixed_modes(model, f, cutoff, twist):
         phase = cmath.exp(2j * math.pi * float(f.character(m)))
         t_along = float(np.dot(m, vhat))
         lam = 4.0 * math.pi**2 * (float(sum(x * x for x in m)) - t_along**2)
-        lam = max(lam, 0.0)
-        damp = math.exp(-s * lam)
-        for q in range(n):
-            out[q] += scalar * phase * fiber_traces[q] * damp
-    return tuple(out)
+        modes.append((phase, max(lam, 0.0)))
+    sweep = []
+    for s in s_values:
+        out = [0.0 + 0.0j] * n
+        for phase, lam in modes:
+            damp = math.exp(-s * lam)
+            for q in range(n):
+                out[q] += scalar * phase * fiber_traces[q] * damp
+        sweep.append(tuple(out))
+    return sweep
+
+
+def alternating_heat_traces(model, f, s_values, cutoff, twist=None) -> list:
+    """Alternating sums of :func:`heat_damped_traces`, one per ``s``, with
+    the ``s``-independent mode data computed once for the whole list."""
+    return [sum((-1) ** q * t for q, t in enumerate(traces))
+            for traces in _heat_sweep(model, f, tuple(s_values), cutoff, twist)]
 
 
 def alternating_heat_trace(model, f, s, cutoff, twist=None) -> complex:
-    traces = heat_damped_traces(model, f, s, cutoff, twist)
-    return sum((-1) ** q * t for q, t in enumerate(traces))
+    return alternating_heat_traces(model, f, (s,), cutoff, twist)[0]

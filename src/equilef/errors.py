@@ -42,6 +42,16 @@ class InfiniteFixedSet(EquilefError):
     """The fixed-orbit set is not finite; no trace formula applies."""
 
 
+class FixedSetTooLarge(EquilefError):
+    """The fixed-orbit set is finite but has more orbits than can be listed."""
+
+    def __init__(self, count, limit):
+        super().__init__(
+            f"the map has {count} fixed orbits, more than the {limit} "
+            "that can be enumerated")
+        self.count = count
+
+
 class GridTooCoarse(EquilefError):
     """The mollifier bump is not resolved by the sample grid."""
 

@@ -34,10 +34,9 @@ from .endomorphism import (
     BundleTwist,
     SpherePhaseMap,
     TorusMap,
-    exact_exterior_traces,
     validate_equivariance,
 )
-from .errors import InfiniteFixedSet, NonTransverse
+from .errors import FixedSetTooLarge, InfiniteFixedSet, NonTransverse
 from .geometry_models import (
     ClosedOrbit,
     FlatTorusModel,
@@ -45,6 +44,7 @@ from .geometry_models import (
     WeightedSphereModel,
     induced_base_map,
     orbit_through,
+    torus_orbits,
 )
 
 @dataclass(frozen=True)
@@ -113,11 +113,11 @@ def _base_minus_identity(model: FlatTorusModel, f: TorusMap):
 
 
 def _torus_fixed_orbits(model: FlatTorusModel, f: TorusMap):
+    """Fixed orbits from the congruences ``(A_bar - I) x_bar = -c_bar``; a
+    point base (no congruences) has the whole manifold as its one orbit.
+    The count is read from the Smith diagonal before any orbit is listed."""
     M, c_bar = _base_minus_identity(model, f)
-    if not M:
-        # the base is a point: the unique orbit is the whole manifold
-        return [orbit_through(model, tuple(Fraction(0) for _ in range(model.n)))]
-    sol = rl.solve_congruences(M, [-x for x in c_bar])
+    sol = rl.solve_congruences(M, [-x for x in c_bar], len(M))
     if sol is None:
         return []
     if not sol.is_finite:
@@ -125,14 +125,9 @@ def _torus_fixed_orbits(model: FlatTorusModel, f: TorusMap):
             "the induced base map fixes a positive-dimensional set "
             f"(det of base map minus identity is {rl.det_int(M)})"
         )
-    L = model.base_lattice
-    orbits = []
-    for x_bar in sol.points():
-        p = rl.solve_rational(L, x_bar)
-        assert p is not None
-        orbits.append(orbit_through(model, rl.vec_mod1(p)))
-    orbits.sort(key=lambda o: o.key)
-    return orbits
+    if sol.count > rl.TORSION_LIMIT:
+        raise FixedSetTooLarge(sol.count, rl.TORSION_LIMIT)
+    return sorted(torus_orbits(model, sol.points()), key=lambda o: o.key)
 
 
 def _sphere_fixed_orbits(model: WeightedSphereModel, f: SpherePhaseMap):
@@ -229,6 +224,12 @@ def _sphere_numeric_det(model, orbit, turns):
     return float(np.linalg.det(M - np.eye(Q.shape[1])))
 
 
+def _torus_conormal_det(model: FlatTorusModel, f: TorusMap):
+    """``det(A_bar - I)``: the conormal determinant at every orbit of a
+    flat torus."""
+    return rl.det_int(_base_minus_identity(model, f)[0])
+
+
 def check_transversality(orbit: ClosedOrbit, f, g0=None) -> TransversalityCertificate:
     """Certify that the correction-composed map minus the identity is
     invertible on the conormal space, for every admissible correction.
@@ -238,16 +239,24 @@ def check_transversality(orbit: ClosedOrbit, f, g0=None) -> TransversalityCertif
     positive-dimensional components the rotation angles sweep whole circles,
     which is an exact linear condition."""
     model = orbit.model
+    torus_det = _torus_conormal_det(model, f) if isinstance(model, FlatTorusModel) else None
+    return _certify(orbit, f, g0, torus_det)
+
+
+def _certify(orbit: ClosedOrbit, f, g0, torus_det) -> TransversalityCertificate:
+    """:func:`check_transversality` with the torus conormal determinant
+    (the same at every orbit of a map) passed in."""
+    model = orbit.model
     if g0 is None:
         g0 = group_correction(model, f, orbit)
     if isinstance(model, FlatTorusModel):
-        det = rl.det_int(_base_minus_identity(model, f)[0])
-        if det == 0:
+        if torus_det == 0:
             raise NonTransverse(
                 "base map minus identity vanishes on the conormal space",
                 orbit=orbit,
             )
-        return TransversalityCertificate(orbit, g0, (float(det),), (Fraction(det),))
+        return TransversalityCertificate(
+            orbit, g0, (float(torus_det),), (Fraction(torus_det),))
     # weighted sphere
     support = set(orbit.base_point.support)
     iso = orbit.isotropy
@@ -303,15 +312,91 @@ def _hat_context(model, twist: BundleTwist | None):
     return hat, hom
 
 
+def _principal_minor_traces(matrix):
+    """Per-degree fiber traces ``e_q(h)``, ``h`` the spectrum of ``A`` with
+    one eigenvalue 1 removed.  With ``e_j(A)`` the sum of the principal
+    j-minors, dividing ``prod(1 + x lambda)`` by ``1 + x`` gives
+    ``e_q(h) = sum_{j <= q} (-1)^(q - j) e_j(A)``.  This route shares nothing
+    with the characteristic polynomial of the harmonic side, so a fault in
+    either cannot cancel in the comparison."""
+    n = len(matrix)
+    e = [
+        sum(rl.det_int([[matrix[i][j] for j in subset] for i in subset])
+            for subset in itertools.combinations(range(n), size))
+        for size in range(n)
+    ]
+    return tuple(sum((-1) ** (q - j) * e[j] for j in range(q + 1)) for q in range(n))
+
+
 def _fiber_traces(model, f, fibers):
     """Exact fiber traces per degree (twist scalar and phases applied
     separately)."""
     if fibers == "scalar":
-        return (1,), 1
+        return (1,)
     if not isinstance(model, FlatTorusModel):
         raise ValueError("the form complex is only modelled on flat tori")
-    ext = exact_exterior_traces(f.matrix)
-    return ext, len(ext)
+    return _principal_minor_traces(f.matrix)
+
+
+@dataclass(frozen=True)
+class _IsotropyType:
+    """The part of an orbit's term fixed by its isotropy type: the lifted
+    closure, the isotropy preimage, the Haar mass and sheet count of the
+    complementary subgroup, and whether the twist character integrates to
+    zero along the preimage's identity component."""
+
+    hat: tg.SubtorusGroup
+    hom: tg.GroupHomomorphism
+    pre: tg.IsotropyPreimage
+    mass: Fraction
+    sheets: int
+    char_zero: bool
+
+
+class _MapContext:
+    """What an orbit's term shares with the other orbits of the map: the
+    fiber traces, the torus conormal determinant, and one
+    :class:`_IsotropyType` per isotropy type met (one on a torus, one per
+    support stratum on a sphere).  Lives for one ``lefschetz_rhs`` call or
+    one lone ``orbit_contribution`` call."""
+
+    def __init__(self, model, f, fibers, twist, subgroup_rows):
+        self.model = model
+        self.f = f
+        self.twist = twist
+        self.subgroup_rows = subgroup_rows
+        self.traces = _fiber_traces(model, f, fibers)
+        self.scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
+        self.torus_det = (_torus_conormal_det(model, f)
+                          if isinstance(model, FlatTorusModel) else None)
+        self._types = {}
+
+    def isotropy_type(self, isotropy) -> _IsotropyType:
+        found = self._types.get(isotropy)
+        if found is None:
+            found = self._types[isotropy] = self._build_type(isotropy)
+        return found
+
+    def _build_type(self, isotropy) -> _IsotropyType:
+        hat, hom = _hat_context(self.model, self.twist)
+        n = hom.base_dim
+        pre = tg.isotropy_preimage(hat, n, isotropy)
+        if self.subgroup_rows is None:
+            rows_param = tg.complementary_subgroup(pre)
+        else:
+            rows_param = tg.subgroup_in_param_coords(pre, self.subgroup_rows)
+        rows_ambient = rl.freeze(
+            rl.vec_mat(r, pre.param_basis) for r in rows_param
+        )
+        mass = tg.haar_factor(pre, rows_param)
+        sheets = tg.sheet_count_rows(rows_ambient, isotropy, n)
+        # the twist character must be constant along the identity component,
+        # otherwise each component integrates to zero exactly
+        char_zero = self.twist is not None and pre.dim > 0 and any(
+            any(row[j] != 0 for j in range(n, hat.ambient_dim))
+            for row in pre.ambient_tangent_rows()
+        )
+        return _IsotropyType(hat, hom, pre, mass, sheets, char_zero)
 
 
 def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
@@ -326,35 +411,31 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
     elements).  ``isotropy_resolution`` switches the isotropy average to Haar
     quadrature along the components instead of the exact per-component sum;
     the two must agree on transverse scenarios."""
+    context = _MapContext(orbit.model, f, fibers, twist, subgroup_rows)
+    return _contribution(orbit, g0, isotropy_resolution, context)
+
+
+def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
+                  context: _MapContext) -> OrbitContribution:
+    """One orbit's term against the map-level data in ``context``: the
+    certificate and group correction, the per-component phase and
+    determinant, the per-degree assembly and the optional quadrature
+    cross-check."""
     model = orbit.model
-    cert = check_transversality(orbit, f, g0=g0)
+    f = context.f
+    twist = context.twist
+    cert = _certify(orbit, f, g0, context.torus_det)
     g0 = cert.g0
-    hat, hom = _hat_context(model, twist)
+    typ = context.isotropy_type(orbit.isotropy)
+    hat, hom, pre = typ.hat, typ.hom, typ.pre
     n = hom.base_dim
-    pre = tg.isotropy_preimage(hat, n, orbit.isotropy)
-    if subgroup_rows is None:
-        rows_param = tg.complementary_subgroup(pre)
-    else:
-        rows_param = tg.subgroup_in_param_coords(pre, subgroup_rows)
-    rows_ambient = rl.freeze(
-        rl.vec_mat(r, pre.param_basis) for r in rows_param
-    )
-    mass = tg.haar_factor(pre, rows_param)
-    sheets = tg.sheet_count_rows(rows_ambient, orbit.isotropy, n)
-    traces, degrees = _fiber_traces(model, f, fibers)
-    scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
+    traces = context.traces
+    scalar = context.scalar
     fiber_idx = range(n, hat.ambient_dim)
-    char_zero = False
     if twist is not None:
         ghat0 = hat.element_with(range(n), g0)
         if ghat0 is None:
             raise AssertionError("group correction fails to lift")
-        # the twist character must be constant along the identity component,
-        # otherwise each component integrates to zero exactly
-        char_zero = pre.dim > 0 and any(
-            any(row[j] != 0 for j in fiber_idx)
-            for row in pre.ambient_tangent_rows()
-        )
 
     def element_term(t):
         """Twist phase and conormal determinant (exact where available) at
@@ -374,16 +455,18 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
 
     comps = [element_term(rep) for rep in pre.component_reps]
     kappa = pre.kappa
+    mass = typ.mass
+    sheets = typ.sheets
     weight = mass / sheets
     per_degree = []
     total = 0.0 + 0.0j
     total_exact = Fraction(0)
     exact_ok = twist is None and all(de is not None for _, _, de in comps)
-    for q in range(degrees):
+    for q in range(len(traces)):
         integral = 0.0 + 0.0j
         integral_exact = Fraction(0)
         for phase, det_val, det_exact in comps:
-            if char_zero:
+            if typ.char_zero:
                 continue
             integral += term(phase, det_val, q)
             if exact_ok:
@@ -415,7 +498,7 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
                     for i, r in enumerate(rep)
                 )
                 phase, det_val, _ = element_term(t)
-                for q in range(degrees):
+                for q in range(len(traces)):
                     quad += (-1) ** q * float(weight) * term(phase, det_val, q) / count
         if abs(quad - total) > 1e-6 * max(1.0, abs(total)):
             raise AssertionError(
@@ -435,16 +518,16 @@ def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
                   subgroup_rows=None, isotropy_resolution=None) -> RhsResult:
     """Sum of per-orbit contributions over the fixed set, with certificates.
 
-    Raises :class:`InfiniteFixedSet` or :class:`NonTransverse` before any
-    value is produced when the hypotheses fail."""
+    The map-level data (fiber traces, conormal determinant, and per isotropy
+    type the lifted closure, preimage, mass and sheet count) is computed once
+    and shared; each orbit adds only its certificate, group correction and
+    per-component phases.  Raises :class:`InfiniteFixedSet`,
+    :class:`FixedSetTooLarge` or :class:`NonTransverse` before any value is
+    produced when the hypotheses fail."""
     orbits = find_fixed_orbits(model, f)
-    contributions = []
-    for orbit in orbits:
-        contributions.append(orbit_contribution(
-            orbit, f, fibers=fibers, twist=twist,
-            subgroup_rows=subgroup_rows,
-            isotropy_resolution=isotropy_resolution,
-        ))
+    context = _MapContext(model, f, fibers, twist, subgroup_rows)
+    contributions = [_contribution(orbit, None, isotropy_resolution, context)
+                     for orbit in orbits]
     total = sum(c.total for c in contributions)
     exact = Fraction(0)
     for c in contributions:

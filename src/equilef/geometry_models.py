@@ -130,8 +130,8 @@ class WeightedSphereModel:
     weights: tg.SymbolicFrequency
 
     def __post_init__(self):
-        if self.weights.first_nonpositive() is not None:
-            raise ValueError("weights must be positive")
+        if self.weights.first_not_positive_finite() is not None:
+            raise ValueError("weights must be positive finite numbers")
 
     @property
     def k(self):
@@ -183,10 +183,9 @@ def _exact_vector(p, n):
     return tuple(out)
 
 
-def _solve_from_level(lattice, level):
-    """Canonical exact solution of ``lattice @ x = level`` using the HNF pivot
-    structure (non-pivot coordinates are zero)."""
-    n = len(lattice[0]) if lattice else 0
+def _solve_from_level(lattice, level, n):
+    """Canonical exact solution in ``[0, 1)^n`` of ``lattice @ x = level``
+    using the HNF pivot structure (non-pivot coordinates are zero)."""
     if not lattice:
         return tuple(Fraction(0) for _ in range(n))
     x = rl.solve_rational(lattice, level)
@@ -207,21 +206,31 @@ def orbit_through(model, p) -> ClosedOrbit:
 
 def _torus_orbit(model: FlatTorusModel, p) -> ClosedOrbit:
     point = _exact_vector(p, model.n)
+    return torus_orbits(model, [rl.vec_mod1(rl.mat_vec(model.base_lattice, point))])[0]
+
+
+def torus_orbits(model: FlatTorusModel, levels) -> list:
+    """The orbit closures whose base coordinates ``L x (mod 1)`` are the
+    given levels, in order.  One exact solve per orbit gives its canonical
+    base point; the dimension, the (trivial) isotropy and the conormal frame
+    of the lattice covectors are the same for every orbit and built once."""
     L = model.base_lattice
-    base_coords = rl.vec_mod1(rl.mat_vec(L, point)) if L else ()
-    canonical = _solve_from_level(L, base_coords) if L else tuple(
-        Fraction(0) for _ in range(model.n)
-    )
+    dim = model.group.dim
+    isotropy = tg.trivial_isotropy(model.n)
     conormal = np.array([[float(m) for m in row] for row in L], dtype=float).T \
         if L else np.zeros((model.n, 0))
-    return ClosedOrbit(
-        model=model,
-        base_point=canonical,
-        dim=model.group.dim,
-        isotropy=tg.trivial_isotropy(model.n),
-        conormal_basis=conormal,
-        key=("torus", base_coords),
-    )
+    conormal.flags.writeable = False    # one frame, shared by every orbit
+    return [
+        ClosedOrbit(
+            model=model,
+            base_point=_solve_from_level(L, level, model.n),
+            dim=dim,
+            isotropy=isotropy,
+            conormal_basis=conormal,
+            key=("torus", tuple(level)),
+        )
+        for level in levels
+    ]
 
 
 def _sphere_isotropy(model: WeightedSphereModel, support) -> tg.IsotropyDescriptor:
@@ -262,10 +271,8 @@ def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
     GS = model.restricted_group(support)
     LS = GS.relation_lattice
     theta_S = tuple(p.phases[j] for j in support)
-    phase_coords = rl.vec_mod1(rl.mat_vec(LS, theta_S)) if LS else ()
-    theta_canon = list(_solve_from_level(LS, phase_coords)) if LS else [
-        Fraction(0) for _ in support
-    ]
+    phase_coords = rl.vec_mod1(rl.mat_vec(LS, theta_S))
+    theta_canon = list(_solve_from_level(LS, phase_coords, len(support)))
     # gauge: rotate the first supported phase to zero with a group shift
     shift = GS.element_with([0], [-theta_canon[0]])
     if shift is not None:

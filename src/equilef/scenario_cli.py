@@ -41,7 +41,7 @@ from .endomorphism import (
     BundleTwist,
     SpherePhaseMap,
     TorusMap,
-    alternating_heat_trace,
+    alternating_heat_traces,
     cohomology_action,
     harmonic_dimensions,
     validate_equivariance,
@@ -235,9 +235,9 @@ def parse_scenario(data: dict) -> Scenario:
             for i, e in enumerate(entries)
         )
         weights = SymbolicFrequency(rows, labels, values)
-        bad = weights.first_nonpositive()
+        bad = weights.first_not_positive_finite()
         if bad is not None:
-            raise SchemaError("weights must be positive",
+            raise SchemaError("weights must be positive finite numbers",
                               path=f"$.model.weights[{bad}]")
         model = WeightedSphereModel(weights)
     else:
@@ -605,9 +605,8 @@ def cmd_verify(scenario: Scenario, options) -> tuple[dict, int]:
         "tolerance": _f(scenario.heat_tolerance),
     }
     drift = 0.0
-    for s in scenario.heat_s:
-        alt = alternating_heat_trace(scenario.model, scenario.map, s, cutoff,
-                                     scenario.twist)
+    for alt in alternating_heat_traces(scenario.model, scenario.map,
+                                       scenario.heat_s, cutoff, scenario.twist):
         heat["alternating"].append(_complex(alt))
         drift = max(drift, abs(alt - act.lefschetz))
     heat["max_drift"] = _f(drift)
@@ -707,8 +706,7 @@ def _emit(report, options, stream):
     stream.write(_render_text(report))
     if options.json_path:
         with open(options.json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2) + "\n")
 
 
 def run(command: str, scenario_file: str, argv_options=None,

@@ -95,16 +95,24 @@ class SymbolicFrequency:
 
     def float_values(self):
         """Numeric embedding of the vector, for the floating-point layer."""
-        return tuple(
-            float(row[0]) + sum(float(c) * g for c, g in zip(row[1:], self.generator_values))
-            for row in self.coeffs
-        )
+        return tuple(self._float_value(row) for row in self.coeffs)
 
-    def first_nonpositive(self):
-        """Index of the first coordinate whose numeric value is not positive,
+    def _float_value(self, row):
+        return float(row[0]) + sum(
+            float(c) * g for c, g in zip(row[1:], self.generator_values))
+
+    def first_not_positive_finite(self):
+        """Index of the first coordinate whose numeric value is not a
+        positive finite float (a coefficient past the float range counts),
         or ``None``."""
-        return next((i for i, x in enumerate(self.float_values()) if not x > 0),
-                    None)
+        for i, row in enumerate(self.coeffs):
+            try:
+                value = self._float_value(row)
+            except OverflowError:
+                return i
+            if not 0 < value < math.inf:
+                return i
+        return None
 
     def constraint_rows(self):
         """Rational rows whose common integer kernel is the relation lattice."""
@@ -188,8 +196,9 @@ class SubtorusGroup:
         ))
 
     def contains(self, point):
+        point = [Fraction(x) for x in point]
         return all(
-            rl.frac_mod1(sum(Fraction(m) * Fraction(x) for m, x in zip(row, point))) == 0
+            rl.frac_mod1(sum(m * x for m, x in zip(row, point))) == 0
             for row in self.relation_lattice
         )
 
@@ -368,22 +377,9 @@ def isotropy_preimage(hat_group: SubtorusGroup, base_dim: int,
     conditions become integer congruences, one system per isotropy component.
     """
     C = hat_group.complement_basis()
-    D = hat_group.dim
-    lat = isotropy.identity_component.relation_lattice
-    if not lat:
-        # isotropy is the whole base torus: preimage is the whole lift
-        free = rl.freeze(rl.identity_rows(D))
-        reps = [tuple(Fraction(0) for _ in range(D))]
-        return IsotropyPreimage(hat_group, C, base_dim, tuple(reps), free)
-    A = [
-        [sum(lrow[j] * C[i][j] for j in range(base_dim)) for i in range(D)]
-        for lrow in lat
-    ]
     reps = []
     tangent = None
-    for crep in isotropy.component_reps:
-        b = [sum(Fraction(l) * Fraction(x) for l, x in zip(lrow, crep)) for lrow in lat]
-        sol = rl.solve_congruences(A, b, D)
+    for sol in _isotropy_congruences(C, isotropy, base_dim):
         if sol is None:
             # the component rep is not in the image of the projection; for
             # closure lifts this cannot happen (the projection is onto)
@@ -393,6 +389,25 @@ def isotropy_preimage(hat_group: SubtorusGroup, base_dim: int,
         for torsion in sol.torsion_reps:
             reps.append(rl.vec_mod1(tuple(p + r for p, r in zip(sol.particular, torsion))))
     return IsotropyPreimage(hat_group, C, base_dim, tuple(reps), tangent)
+
+
+def _isotropy_congruences(rows, isotropy: IsotropyDescriptor, base_dim):
+    """For each isotropy component in order, the parameters ``t`` (one per
+    row) whose element ``t @ rows`` projects into that component: the
+    congruences ``(l . rows) t = l . rep (mod 1)`` over the rows ``l`` of the
+    identity component's relation lattice.  ``None`` marks a component that
+    no parameter reaches."""
+    lat = isotropy.identity_component.relation_lattice
+    A = [
+        [sum(lrow[j] * row[j] for j in range(base_dim)) for row in rows]
+        for lrow in lat
+    ]
+    return [
+        rl.solve_congruences(
+            A, [sum(Fraction(l) * Fraction(x) for l, x in zip(lrow, crep))
+                for lrow in lat], len(rows))
+        for crep in isotropy.component_reps
+    ]
 
 
 def _subgroup_param_rows(G0, hat_group: SubtorusGroup):
@@ -433,18 +448,10 @@ def sheet_count(G0, orbit, hom: GroupHomomorphism | None = None):
 
 
 def sheet_count_rows(rows, isotropy: IsotropyDescriptor, base_dim):
-    d0 = len(rows)
-    lat = isotropy.identity_component.relation_lattice
-    if not lat:
+    if not isotropy.identity_component.relation_lattice:
         raise NotTransversal("isotropy is the whole group; no finite covering")
-    A = [
-        [sum(lrow[j] * row[j] for j in range(base_dim)) for row in rows]
-        for lrow in lat
-    ]
     total = 0
-    for crep in isotropy.component_reps:
-        b = [sum(Fraction(l) * Fraction(x) for l, x in zip(lrow, crep)) for lrow in lat]
-        sol = rl.solve_congruences(A, b, d0)
+    for sol in _isotropy_congruences(rows, isotropy, base_dim):
         if sol is None:
             continue
         if not sol.is_finite:

@@ -235,6 +235,18 @@ class TestHeatTraces:
         for s in (0.05, 0.5, 5.0):
             assert abs(em.alternating_heat_trace(T2_IRR, f, s, 8)) < 1e-12
 
+    def test_sweep_shares_mode_data_and_matches_single_s(self, monkeypatch):
+        s_values = (0.1, 1.0, 10.0)
+        one_by_one = [em.alternating_heat_trace(T3_MIX, DOUBLING, s, 4)
+                      for s in s_values]
+        calls = []
+        validate = em.validate_equivariance
+        monkeypatch.setattr(em, "validate_equivariance",
+                            lambda *args: calls.append(args) or validate(*args))
+        swept = em.alternating_heat_traces(T3_MIX, DOUBLING, s_values, 4)
+        assert swept == one_by_one          # bit for bit
+        assert len(calls) == 1
+
 
 class TestHeatTraceMatrixOracle:
     def test_per_degree_traces_match_explicit_matrix_trace(self):

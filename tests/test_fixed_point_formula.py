@@ -17,7 +17,7 @@ from equilef.endomorphism import (
     TorusMap,
     cohomology_action,
 )
-from equilef.errors import InfiniteFixedSet, NonTransverse
+from equilef.errors import FixedSetTooLarge, InfiniteFixedSet, NonTransverse
 
 
 def torus_model(entries, labels=()):
@@ -80,6 +80,15 @@ class TestFindFixedOrbits:
         assert len(orbits) == len(brute) == 2
         keys = sorted(o.key[1] for o in orbits)
         assert keys == sorted(brute)
+
+    def test_count_is_read_before_enumerating(self):
+        # 1001^2 orbits: past the cap, refused from the Smith diagonal alone
+        big = TorusMap(((1002, 0, 0), (0, 1002, 0), (0, 0, 1)), (0, 0, 0))
+        with pytest.raises(FixedSetTooLarge) as err:
+            fpf.find_fixed_orbits(T3_PROD, big)
+        assert err.value.count == 1001 ** 2 > rl.TORSION_LIMIT
+        small = TorusMap(((11, 0, 0), (0, 11, 0), (0, 0, 1)), (0, 0, 0))
+        assert len(fpf.find_fixed_orbits(T3_PROD, small)) == 100
 
     def test_group_translation_infinite(self):
         f = TorusMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)),

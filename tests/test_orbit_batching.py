@@ -1,0 +1,190 @@
+"""The localized side computes map-level data once per map.
+
+Every ingredient of a fixed orbit's term except the orbit itself (fiber
+traces, the conormal determinant, the lifted closure, the isotropy preimage,
+its complement, the Haar mass and the sheet count) depends only on the map
+and the isotropy type, so ``lefschetz_rhs`` computes it once and evaluates
+each orbit against it.  These tests pin the reports of three multi-orbit
+maps, count the map-level calls, and check that every batched contribution
+equals ``orbit_contribution`` called on its own.
+"""
+
+import argparse
+import hashlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from equilef import fixed_point_formula as fpf
+from equilef import geometry_models as gm
+from equilef import scenario_cli as cli
+from equilef import torus_group as tg
+from equilef.endomorphism import BundleTwist, TorusMap, exact_exterior_traces
+
+
+def torus_doc(name, matrix, translation, twist_weight=None):
+    n = len(matrix)
+    doc = {
+        "schema": 1,
+        "name": name,
+        "model": {"type": "flat_torus", "n": n,
+                  "v": ["0"] * (n - 1) + ["1"]},
+        "map": {"matrix": matrix, "translation": translation},
+        "cutoffs": {"modes": 3},
+    }
+    if twist_weight is not None:
+        doc["twist"] = {"weight": twist_weight}
+    return doc
+
+
+CASES = {
+    # 16 orbits: det(diag(4, 4)) on the base
+    "diag55_t3": torus_doc(
+        "diag55_t3", [[5, 0, 0], [0, 5, 0], [0, 0, 1]], ["0", "0", "0"]),
+    # 6 orbits with a twist; the twist phase differs from orbit to orbit
+    "twisted_shear_t3": torus_doc(
+        "twisted_shear_t3", [[3, 1, 0], [0, 4, 0], [0, 0, 1]],
+        ["1/3", "0", "1/5"], twist_weight="1"),
+    # 8 orbits: the base block minus the identity has Smith form (1, 2, 4)
+    "two_factors_t4": torus_doc(
+        "two_factors_t4",
+        [[2, 1, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [1, 0, 2, 1]],
+        ["1/2", "0", "1/3", "1/7"]),
+}
+
+# (command, case) -> (exit code, text sha256, json sha256), captured before
+# the map-level data was shared between orbits
+GOLDEN = {
+    ("rhs", "diag55_t3"): (0, "cf40a76dd9ac04c3c93e3a34bcdefdff4e1946d95e4739c02b4fcce2e303e44f", "104b7341c36bdf387662d4a931630f47d5d7d8b9c1f0cb18f83107331d62bcf8"),
+    ("verify", "diag55_t3"): (0, "63ceb6aa5a3556c6e20f649563c9559c7735bab6f0904751fb9c28dad0e62194", "cb0de94751af764a3e278fa13c451acbc1f2e23c5bd3bc13f762c2e113c9b7c0"),
+    ("rhs", "twisted_shear_t3"): (0, "4e9da651876826af350b7c0f8937080c65f07c8e30f8741f623c95251404cf5f", "eb7f0b2ca1205d7c4890c69d2556f37292e6ca51aaa35fd4e6dc228963ecd955"),
+    ("verify", "twisted_shear_t3"): (0, "1cdbc381448455493d8d282c35197916c6525770676b08b81206577eed1807fe", "080c2d92bd8621d04809688a8df3a9f2557e46ed787d59618972a1a9a95ea7df"),
+    ("rhs", "two_factors_t4"): (0, "2cd04f011ad642ac71b8037492e69d82c0b55ea9bf18344e4924c68e147b3fbe", "1bb1631a9ccc0261e6bf6d4f6fa059fd2ddd225fba4bcf13eeeacabc2819d171"),
+    ("verify", "two_factors_t4"): (0, "1b9f4e6c2123706ce6f3a2a4ca25eb07308583c2d07dfd82d419c02b45abb9aa", "185427a182fc67d3092d659dea53a787f233fb4b17b90921c84406992dabab22"),
+}
+
+
+def report_digests(command, doc, tmp_path):
+    scenario = tmp_path / f"{doc['name']}.scenario"
+    scenario.write_text(json.dumps(doc, indent=2))
+    json_path = tmp_path / f"{command}.json"
+    stream = io.StringIO()
+    options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
+                                 json_path=str(json_path))
+    code = cli.run(command, str(scenario), options, stream)
+    return (code, hashlib.sha256(stream.getvalue().encode()).hexdigest(),
+            hashlib.sha256(json_path.read_bytes()).hexdigest())
+
+
+@pytest.mark.parametrize("command,name", sorted(GOLDEN))
+def test_multi_orbit_report_digest(command, name, tmp_path):
+    assert report_digests(command, CASES[name], tmp_path) == GOLDEN[(command, name)]
+
+
+def test_map_level_data_is_built_once_per_map(monkeypatch):
+    model = cli.parse_scenario(CASES["diag55_t3"]).model
+    f = TorusMap(((5, 0, 0), (0, 5, 0), (0, 0, 1)), (0, 0, 0))
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("isotropy_preimage", "complementary_subgroup", "haar_factor",
+                 "sheet_count_rows"):
+        counting(tg, name)
+    counting(fpf, "orbit_through")
+    counting(fpf.rl, "char_poly")
+    rhs = fpf.lefschetz_rhs(model, f)
+    assert len(rhs.contributions) == 16
+    assert rhs.value_exact == 16
+    assert calls == {"isotropy_preimage": 1, "complementary_subgroup": 1,
+                     "haar_factor": 1, "sheet_count_rows": 1}
+    # no orbit goes through ``orbit_through``, and the fixed-point side never
+    # touches the characteristic polynomial the harmonic side uses
+
+
+def unimodular(draw, n):
+    """A random unimodular integer matrix and its inverse, as a product of
+    elementary row operations."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    U_inv = [row[:] for row in U]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from([-1, 1, 2]))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for row in U_inv:
+            row[j] -= c * row[i]
+    return U, U_inv
+
+
+def matmul(A, B):
+    return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(len(B[0]))]
+            for row in A]
+
+
+@st.composite
+def equivariant_maps(draw, dims=(3, 4)):
+    """``(model, f)``: a flow conjugated from ``(0, ..., 0, 1)`` (or, on T^4,
+    from ``(0, 0, 1, alpha)``) by a random unimodular ``U``, and the
+    conjugated map ``[[B, 0], [W, I]]`` with ``det(B - I) != 0``."""
+    n = draw(st.sampled_from(dims))
+    fiber = draw(st.sampled_from([1, 2] if n == 4 else [1]))
+    c = n - fiber
+    B = [[draw(st.integers(-2, 3)) for _ in range(c)] for _ in range(c)]
+    W = [[draw(st.integers(-1, 1)) for _ in range(c)] for _ in range(fiber)]
+    A = [B[i] + [0] * fiber for i in range(c)]
+    A += [W[i] + [int(i == j) for j in range(fiber)] for i in range(fiber)]
+    minus_identity = [[B[i][j] - (i == j) for j in range(c)] for i in range(c)]
+    assume(0 < abs(fpf.rl.det_int(minus_identity)) <= 24)
+    U, U_inv = unimodular(draw, n)
+    A = matmul(matmul(U, A), U_inv)
+    labels = ("alpha",) if fiber == 2 else ()
+    axis = [[Fraction(0)] * (1 + len(labels)) for _ in range(n)]
+    axis[c][0] = Fraction(1)
+    if fiber == 2:
+        axis[c + 1][1] = Fraction(1)
+    v = [[sum(U[i][k] * axis[k][col] for k in range(n)) for col in range(1 + len(labels))]
+         for i in range(n)]
+    model = gm.FlatTorusModel(tg.SymbolicFrequency(v, labels))
+    translation = [Fraction(draw(st.integers(0, 5)), draw(st.sampled_from([1, 2, 3, 5])))
+                   for _ in range(n)]
+    return model, TorusMap(A, translation)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=equivariant_maps(), weight=st.sampled_from([None, "1", "1/2", "2"]))
+def test_batched_contributions_equal_lone_ones(data, weight):
+    model, f = data
+    twist = None
+    if weight is not None:
+        labels = model.v.generator_labels
+        row = (Fraction(weight),) + (Fraction(0),) * len(labels)
+        twist = BundleTwist(tg.SymbolicFrequency((row,), labels))
+    rhs = fpf.lefschetz_rhs(model, f, twist=twist)
+    for contrib in rhs.contributions:
+        # field by field: g0, certificate, per_degree, total and total_exact
+        assert fpf.orbit_contribution(contrib.orbit, f, twist=twist) == contrib
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_principal_minor_traces_agree_with_the_characteristic_polynomial(data):
+    # the fixed-orbit side's fiber traces (principal minors) and the harmonic
+    # side's (characteristic polynomial deflated at 1) are independent routes
+    n = data.draw(st.integers(2, 5))
+    B = [[data.draw(st.integers(-3, 3)) for _ in range(n - 1)] for _ in range(n - 1)]
+    w = [data.draw(st.integers(-2, 2)) for _ in range(n - 1)]
+    A = [row + [0] for row in B] + [w + [1]]
+    U, U_inv = unimodular(data.draw, n)
+    A = matmul(matmul(U, A), U_inv)
+    assert fpf._principal_minor_traces(A) == exact_exterior_traces(A)

@@ -334,6 +334,8 @@ class TestSchemaHardening:
          "$.mollifier.grid"),
         ("doubling_t3", ("cutoffs",), [1], "$.cutoffs"),
         ("doubling_t3", ("model", "v", 1), "1" + "0" * 400, "$.model.v"),
+        ("s3_rational", ("model", "weights", 1), "1" + "0" * 400,
+         "$.model.weights[1]"),
     ])
     def test_malformed_input_is_a_schema_error(self, tmp_path, name, keys,
                                                value, path):
@@ -377,3 +379,24 @@ class TestSchemaHardening:
         scn = cli.parse_scenario(doc)
         assert scn.model.v.generator_values[6] == 4.25
         assert run_doc(tmp_path, "verify", doc)[0] == cli.EXIT_PASS
+
+    @pytest.mark.parametrize("command", ["validate", "rhs"])
+    def test_sphere_weight_past_the_float_range_is_a_schema_error(
+            self, tmp_path, command):
+        doc = _mutated("s3_rational", ("model", "weights", 0), "1" + "0" * 400)
+        code, text = run_doc(tmp_path, command, doc)
+        assert code == cli.EXIT_USAGE
+        assert text.startswith("schema error at $.model.weights[0]:")
+
+
+class TestFixedOrbitCap:
+    @pytest.mark.parametrize("command", ["rhs", "verify"])
+    def test_count_past_the_cap_is_a_typed_error(self, tmp_path, command):
+        # diag(2001, 2001, 1) fixes 2000^2 = 4 000 000 orbits
+        doc = {"schema": 1, "name": "big_diagonal_t3",
+               "model": {"type": "flat_torus", "n": 3, "v": ["0", "0", "1"]},
+               "map": {"matrix": [[2001, 0, 0], [0, 2001, 0], [0, 0, 1]]}}
+        code, text = run_doc(tmp_path, command, doc)
+        assert code == cli.EXIT_DISCREPANCY
+        assert text == ("error: the map has 4000000 fixed orbits, more than "
+                        "the 1000000 that can be enumerated\n")
