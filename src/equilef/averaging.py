@@ -22,20 +22,21 @@ import numpy as np
 from . import basic_complex as bc
 from . import torus_group as tg
 
+#: random sections per ``averaging_report`` and the residual each may reach
+REPORT_SECTIONS = 50
+REPORT_TOLERANCE = 1e-10
 
-def average_modes(u: bc.BasicForm, group: tg.SubtorusGroup | None = None) -> bc.BasicForm:
+
+def average_modes(u: bc.BasicForm, group: tg.SubtorusGroup) -> bc.BasicForm:
     """Spectral form of the averaging operator: retain exactly the modes
-    annihilated by the flow, zero the rest.  Idempotent by construction."""
-    model = u.model
-    if group is not None:
-        tangent = group.complement_basis()
-        keep = lambda m: all(
-            sum(b * mi for b, mi in zip(row, m)) == 0 for row in tangent
-        )
-    else:
-        keep = lambda m: bc.is_basic_mode(model, m)
-    coeffs = {key: c for key, c in u.coeffs.items() if keep(key[0])}
-    return bc.BasicForm(model, u.degree, coeffs, cutoff=u.cutoff, basic_flag=True)
+    annihilated by the flow (those orthogonal to the group's tangent rows),
+    zero the rest.  Idempotent by construction."""
+    tangent = group.complement_basis()
+    coeffs = {
+        (m, I): c for (m, I), c in u.coeffs.items()
+        if all(sum(b * mi for b, mi in zip(row, m)) == 0 for row in tangent)
+    }
+    return bc.BasicForm(u.model, u.degree, coeffs, cutoff=u.cutoff, basic_flag=True)
 
 
 def average_quadrature(u: bc.BasicForm, group: tg.SubtorusGroup, resolution: int,
@@ -72,13 +73,16 @@ def translate_form(u: bc.BasicForm, g) -> bc.BasicForm:
                         basic_flag=u.basic_flag)
 
 
-def averaging_report(model, cutoff, rng, n_sections=50, tol=1e-10):
+def averaging_report(model, cutoff, rng, n_sections=REPORT_SECTIONS,
+                     tol=REPORT_TOLERANCE):
     """Projector suite: idempotence, self-adjointness and flow-annihilation of
     the spectral filter on random truncated sections.  Returns the worst
     residuals (used by the command-line ``avcheck``)."""
     import itertools
 
     group = model.group
+    quad = tg.haar_quadrature(group, 3)
+    g = quad[min(1, len(quad) - 1)][0]  # a nonzero element when dim > 0
     worst = {"idempotent": 0.0, "self_adjoint": 0.0, "invariance": 0.0}
     n = model.n
     for _ in range(n_sections):
@@ -105,8 +109,6 @@ def averaging_report(model, cutoff, rng, n_sections=50, tol=1e-10):
         worst["self_adjoint"] = max(worst["self_adjoint"], abs(lhs - rhs))
         # all surviving modes are annihilated by the flow, exactly
         assert au.basic_flag
-        quad = tg.haar_quadrature(group, 3)
-        g = quad[min(1, len(quad) - 1)][0]  # a nonzero element when dim > 0
         diff = average_modes(translate_form(u, g), group).plus(
             translate_form(au, g), factor=-1.0)
         worst["invariance"] = max(worst["invariance"], diff.norm())

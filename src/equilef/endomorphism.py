@@ -136,10 +136,22 @@ def validate_equivariance(model, f) -> EquivarianceCertificate:
     On success the certificate also records that the pull-back is a cochain
     map on flow-annihilated forms, which holds identically in this model
     (pulled-back horizontal covectors are horizontal since the flow direction
-    is preserved)."""
+    is preserved).  The type checks run on every call; the checks past them
+    run once per (model, map)."""
     if isinstance(model, FlatTorusModel):
         if not isinstance(f, TorusMap):
             raise NotEquivariant("flat torus models take affine integer maps")
+    elif isinstance(model, WeightedSphereModel):
+        if not isinstance(f, SpherePhaseMap):
+            raise NotEquivariant("weighted sphere models take diagonal phase maps")
+    else:
+        raise NotEquivariant(f"unsupported model {type(model).__name__}")
+    return _certify_equivariance(model, f)
+
+
+@lru_cache(maxsize=None)
+def _certify_equivariance(model, f) -> EquivarianceCertificate:
+    if isinstance(model, FlatTorusModel):
         if f.n != model.n or any(len(row) != model.n for row in f.matrix):
             raise NotEquivariant("matrix shape does not match the model")
         if len(f.translation) != model.n:
@@ -160,16 +172,12 @@ def validate_equivariance(model, f) -> EquivarianceCertificate:
             cochain_on_all=transpose_fixes_v,
             detail="A v = v verified symbolically",
         )
-    if isinstance(model, WeightedSphereModel):
-        if not isinstance(f, SpherePhaseMap):
-            raise NotEquivariant("weighted sphere models take diagonal phase maps")
-        if f.k != model.k:
-            raise NotEquivariant("phase vector length does not match the model")
-        return EquivarianceCertificate(
-            "sphere_phase",
-            detail="diagonal phases commute with the weighted rotation",
-        )
-    raise NotEquivariant(f"unsupported model {type(model).__name__}")
+    if f.k != model.k:
+        raise NotEquivariant("phase vector length does not match the model")
+    return EquivarianceCertificate(
+        "sphere_phase",
+        detail="diagonal phases commute with the weighted rotation",
+    )
 
 
 @lru_cache(maxsize=None)
@@ -384,7 +392,8 @@ def heat_damped_traces(model: FlatTorusModel, f: TorusMap, s: float,
     degree telescopes mode by mode, so the result is independent of ``s``
     up to the truncation.  Those modes are enumerated directly, as the
     lattice cut out by the flow constraints stacked with ``A^T - I`` (its
-    translate by the twist weight for twisted sections)."""
+    translate by the twist weight for twisted sections).  The fiber traces
+    are the exact integers of :func:`exact_exterior_traces`."""
     return _heat_sweep(model, f, (s,), cutoff, twist)[0]
 
 
@@ -399,8 +408,7 @@ def _heat_sweep(model, f, s_values, cutoff, twist):
         return []
     validate_equivariance(model, f)
     n = model.n
-    Mf = _frame_pullback_matrix(model, f.matrix)
-    fiber_traces = [float(np.trace(_wedge_minors(Mf, q)[1])) for q in range(n)]
+    fiber_traces = exact_exterior_traces(f.matrix)
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     vhat = bc.frame_for(model).theta
     modes = []
@@ -425,7 +433,3 @@ def alternating_heat_traces(model, f, s_values, cutoff, twist=None) -> list:
     the ``s``-independent mode data computed once for the whole list."""
     return [sum((-1) ** q * t for q, t in enumerate(traces))
             for traces in _heat_sweep(model, f, tuple(s_values), cutoff, twist)]
-
-
-def alternating_heat_trace(model, f, s, cutoff, twist=None) -> complex:
-    return alternating_heat_traces(model, f, (s,), cutoff, twist)[0]

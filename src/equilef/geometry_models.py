@@ -238,9 +238,7 @@ def _sphere_isotropy(model: WeightedSphereModel, support) -> tg.IsotropyDescript
     support: congruences on the group's parametrizing torus."""
     G = model.group
     C = G.complement_basis()
-    d = G.dim
-    A = [[C[i][j] for i in range(d)] for j in support]
-    sol = rl.solve_congruences(A, [Fraction(0)] * len(support), d)
+    sol = G.parameters_with(support, [Fraction(0)] * len(support))
     assert sol is not None
     ambient_tangent = [rl.vec_mat(row, C) for row in sol.free]
     ident_lattice = rl.integer_kernel(ambient_tangent, n=model.k)

@@ -90,9 +90,7 @@ def _normalization(radius, points):
 @dataclass(frozen=True)
 class PairingResult:
     value: float
-    error_estimate: float
     grid: int
-    normalization_residual: float
 
 
 def _pairing_sum(model, f, k, radius, c_norm, grid):
@@ -150,22 +148,15 @@ def _pairing_sum(model, f, k, radius, c_norm, grid):
 def kernel_pairing(model: FlatTorusModel, f: TorusMap,
                    config: MollifierConfig) -> PairingResult:
     """Evaluate the diagonal trace pairing of the smoothed averaged pull-back
-    kernel against the identity section, by tensor quadrature.
-
-    The error estimate is the difference against a half-resolution pass."""
+    kernel against the identity section, by tensor quadrature at the
+    configured grid."""
     if model.n != 2:
         raise ValueError("the lab runs scalar experiments on two-tori only")
     validate_equivariance(model, f)
-    c_norm, resid = config.normalization()
+    c_norm, _ = config.normalization()
     grid = config.resolved_grid()
     value = _pairing_sum(model, f, config.k, config.radius, c_norm, grid)
-    half = _pairing_sum(model, f, config.k, config.radius, c_norm, max(grid // 2, 2))
-    return PairingResult(
-        value=value,
-        error_estimate=abs(value - half),
-        grid=grid,
-        normalization_residual=resid,
-    )
+    return PairingResult(value=value, grid=grid)
 
 
 def mollifier_mass_check(config: MollifierConfig, grid=256) -> float:

@@ -182,14 +182,22 @@ class SubtorusGroup:
         isomorphism from the dim-torus onto the group."""
         return _complement_basis(self.relation_lattice, self.ambient_dim)
 
+    def parameters_with(self, coords, values):
+        """The parameters ``t`` whose element ``t @ complement_basis()`` has
+        coordinates ``coords`` equal to ``values`` modulo one, as a
+        :class:`~equilef._ratlin.CongruenceSolution`, or ``None`` when no
+        element of the group has them."""
+        C = self.complement_basis()
+        A = [[row[j] for row in C] for j in coords]
+        return rl.solve_congruences(A, values, self.dim)
+
     def element_with(self, coords, values):
         """An element of the group whose coordinates ``coords`` equal
         ``values`` modulo one, or ``None`` when the group has none."""
-        C = self.complement_basis()
-        A = [[row[j] for row in C] for j in coords]
-        sol = rl.solve_congruences(A, values, self.dim)
+        sol = self.parameters_with(coords, values)
         if sol is None:
             return None
+        C = self.complement_basis()
         return rl.vec_mod1(tuple(
             sum(t * row[j] for t, row in zip(sol.particular, C))
             for j in range(self.ambient_dim)
@@ -201,9 +209,6 @@ class SubtorusGroup:
             rl.frac_mod1(sum(m * x for m, x in zip(row, point))) == 0
             for row in self.relation_lattice
         )
-
-    def is_full(self):
-        return self.rank == 0
 
 
 @lru_cache(maxsize=None)
@@ -221,10 +226,6 @@ class GroupHomomorphism:
     @property
     def base_dim(self):
         return self.target.ambient_dim
-
-    @property
-    def fiber_dim(self):
-        return self.source.ambient_dim - self.target.ambient_dim
 
     def project(self, point):
         return tuple(point[: self.base_dim])
@@ -410,14 +411,6 @@ def _isotropy_congruences(rows, isotropy: IsotropyDescriptor, base_dim):
     ]
 
 
-def _subgroup_param_rows(G0, hat_group: SubtorusGroup):
-    if isinstance(G0, SubtorusGroup):
-        if G0.ambient_dim != hat_group.ambient_dim:
-            raise ValueError("subgroup must live in the ambient of the lifted group")
-        return G0.complement_basis()
-    return rl.freeze(G0)
-
-
 def sheet_count(G0, orbit, hom: GroupHomomorphism | None = None):
     """Number of sheets of the parametrized covering of an orbit by a
     subgroup ``G0`` of the (lifted) closure group.
@@ -433,18 +426,17 @@ def sheet_count(G0, orbit, hom: GroupHomomorphism | None = None):
     preimage in positive dimension.
     """
     isotropy = orbit.isotropy
-    if hom is None:
-        hat = SubtorusGroup(isotropy.identity_component.ambient_dim, ())
-        if isinstance(G0, SubtorusGroup):
-            hat = SubtorusGroup(G0.ambient_dim, ())
-        hom_base_dim = isotropy.identity_component.ambient_dim
+    if isinstance(G0, SubtorusGroup):
+        if hom is not None and G0.ambient_dim != hom.source.ambient_dim:
+            raise ValueError("subgroup must live in the ambient of the lifted group")
+        rows = G0.complement_basis()
     else:
-        hat = hom.source
-        hom_base_dim = hom.base_dim
-    rows = _subgroup_param_rows(G0, hat)
+        rows = rl.freeze(G0)
     if len(rows) != orbit.dim:
         raise ValueError("subgroup dimension must equal the orbit dimension")
-    return sheet_count_rows(rows, isotropy, hom_base_dim)
+    base_dim = (isotropy.identity_component.ambient_dim if hom is None
+                else hom.base_dim)
+    return sheet_count_rows(rows, isotropy, base_dim)
 
 
 def sheet_count_rows(rows, isotropy: IsotropyDescriptor, base_dim):
@@ -502,18 +494,13 @@ def complementary_subgroup(preimage: IsotropyPreimage):
     """A canonical compact connected subgroup of minimal dimension transverse
     to the isotropy preimage, as rows in parameter space.
 
-    Chosen by completing the preimage's tangent lattice to a basis of Z^D via
-    the Hermite transform; any other valid choice changes the per-orbit data
+    Chosen as the integer kernel of the preimage's tangent rows, the lattice
+    orthogonal to them; any other valid choice changes the per-orbit data
     (mass, sheet count) but not their ratio.
     """
     D = len(preimage.param_basis)
     tangent = preimage.tangent_rows
-    if not tangent:
-        return rl.freeze(rl.identity_rows(D))
-    H, U = rl.hnf_with_transform(rl.transpose(tangent), ncols=len(tangent))
-    # rows of U with zero H-row span a complement of the saturation
-    comp = [U[i] for i in range(D) if not any(H[i])]
-    rows = rl.hnf(comp, ncols=D)
+    rows = rl.integer_kernel(tangent, n=D)
     if len(rows) + len(tangent) != D:
         raise NotTransversal("isotropy preimage tangent is not saturated")
     return rows

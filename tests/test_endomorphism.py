@@ -1,7 +1,9 @@
 """Equivariant maps: validation, pull-back, harmonic action, heat traces."""
 
+import io
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from equilef import basic_complex as bc
 from equilef import endomorphism as em
 from equilef import geometry_models as gm
+from equilef import scenario_cli as cli
 from equilef import torus_group as tg
 from equilef.errors import NotBasic, NotEquivariant
 
@@ -47,6 +50,23 @@ class TestValidation:
         for gamma in (0, Fraction(1, 4), Fraction(2, 3)):
             f = em.SpherePhaseMap((0, 0, gamma))
             assert em.validate_equivariance(S5, f).map_kind == "sphere_phase"
+
+    def test_map_given_as_lists_is_not_equivariant(self):
+        # the type check runs before the cached symbolic check, so an
+        # unhashable map is refused as a map, not as a cache key
+        T2 = torus_model([(0,), (1,)])
+        with pytest.raises(NotEquivariant, match="affine integer maps"):
+            em.validate_equivariance(T2, [[1, 0], [0, 1]])
+
+    def test_verify_runs_the_symbolic_check_once(self):
+        scenario = (pathlib.Path(__file__).resolve().parent.parent
+                    / "scenarios" / "classical_t3.scenario")
+        em._certify_equivariance.cache_clear()
+        code = cli.run("verify", str(scenario), stream=io.StringIO())
+        assert code == cli.EXIT_PASS
+        info = em._certify_equivariance.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 3     # the report, both sides and the heat sweep
 
     def test_noninvertible_map_allowed(self):
         f = em.TorusMap(((2, 0, 0), (0, 3, 0), (0, 0, 1)), (0, 0, 0))
@@ -220,8 +240,9 @@ class TestHeatTraces:
             (T3_MIX, DOUBLING, 0.0),
             (T2_IRR, em.TorusMap(((1, 0), (0, 1)), (0, 0)), 0.0),
         ):
-            for s in (0.1, 1.0, 10.0):
-                alt = em.alternating_heat_trace(model, f, s, cutoff=8)
+            s_values = (0.1, 1.0, 10.0)
+            alts = em.alternating_heat_traces(model, f, s_values, cutoff=8)
+            for s, alt in zip(s_values, alts):
                 assert abs(alt - L) < 1e-8, (model, s, alt)
 
     def test_large_s_limit_is_harmonic_trace(self):
@@ -232,12 +253,12 @@ class TestHeatTraces:
 
     def test_identity_alternating_zero_all_s(self):
         f = em.TorusMap(((1, 0), (0, 1)), (0, 0))
-        for s in (0.05, 0.5, 5.0):
-            assert abs(em.alternating_heat_trace(T2_IRR, f, s, 8)) < 1e-12
+        for alt in em.alternating_heat_traces(T2_IRR, f, (0.05, 0.5, 5.0), 8):
+            assert abs(alt) < 1e-12
 
     def test_sweep_shares_mode_data_and_matches_single_s(self, monkeypatch):
         s_values = (0.1, 1.0, 10.0)
-        one_by_one = [em.alternating_heat_trace(T3_MIX, DOUBLING, s, 4)
+        one_by_one = [em.alternating_heat_traces(T3_MIX, DOUBLING, (s,), 4)[0]
                       for s in s_values]
         calls = []
         validate = em.validate_equivariance

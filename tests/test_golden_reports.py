@@ -1,8 +1,10 @@
-"""Golden digests of the ``rhs``, ``spectrum`` and ``verify`` reports.
+"""Golden digests of the ``rhs``, ``avcheck``, ``spectrum`` and ``verify``
+reports.
 
 Every committed scenario is run through ``rhs``, and every committed
-flat-torus scenario through ``spectrum`` and ``verify``; the exit code and
-the SHA-256 of the text report and of the ``--json`` file are pinned.
+flat-torus scenario through ``avcheck``, ``spectrum`` and ``verify``; the
+exit code and the SHA-256 of the text report and of the ``--json`` file are
+pinned.
 Reports are deterministic byte for byte, so any change to a mode set, a
 spectrum table, a heat trace or a fixed-orbit contribution (sphere conormal
 determinants included) shows up here.  A digest may only be
@@ -23,6 +25,20 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 # (command, scenario) -> (exit code, text sha256, json sha256 or None)
 GOLDEN = {
+    ("avcheck", "bad_float"): (64, "7fdbdabce88f3fd363149f259bd81a3ac58cc69e3ce73807849691e7d394d274", None),
+    ("avcheck", "bad_matrix"): (0, "c0b7ab58e42a623592f1db70d2dbe598b4182b8953f59d9129c4737c8e6bf500", "319f6e6051af61ab955b974ab5a40170ce8bdddb85532d91047bdb66abed7ec9"),
+    ("avcheck", "classical_t3"): (0, "220eef15f87bce71c36f8da0b685ee756d37b78fe8da34f6cb9e6cc3a03a50a1", "cc56dc40b153ac07e2bd314a1f84bd498940c0b8d3239bd02bc5f0e150c05173"),
+    ("avcheck", "diag23_t3"): (0, "c657d31113a2b28d9ffb2547a9b57949dd0cdf660c19c0f11df28d7df8c5b358", "9a1ef38eb66a9c0de431310ef0914ed0fbc2fd6458c3fca11c6894a1ad1da2cd"),
+    ("avcheck", "doubling_t3"): (0, "abcaaae9591255ae250e854e732e41d574bb65deeaf55eee7a6c7320ab91e143", "0b50207c8f46e15e608348ff050e9d60c74c17ccf9ce02e101bb0496d3256033"),
+    ("avcheck", "identity_irrational_t2"): (0, "7c534d7ab3ec52268e1d453ba416f1f6e4c147430c2063d3c7d493fa3568c73c", "95f5a8169a083f7979aa0f1911c3ba5cfb17649fca6a5cd957acc83369b98e0e"),
+    ("avcheck", "mollifier_doubling_t2"): (0, "e91e08d25ed87bdcb92b34869b58bb5bced44eb339cb261eaa93fdf803e07f38", "fb70f0487ebb7256313f0637e3c48769c3f9520e487c73050d4d55016f80d58f"),
+    ("avcheck", "mollifier_tripling_t2"): (0, "336feeed3a567e9488b6b2197235522d7cb7960e3e0ccce65fdc9e52cc2b9e9a", "221fc34517481ed71ee4eae861962cbf3a22aa945b0520c60f637813ff2eaab4"),
+    ("avcheck", "negation_t4"): (0, "0e41f001e8b6a3ff985b534fd6837b211e77a32debbf02c7bdb65f7353066659", "a350093a425f2d6a79b9e031856d0fb2b7d40d86c9e4cb1d1d5c58ec57df5b7e"),
+    ("avcheck", "nofix_translation_t3"): (0, "c6e709814d0007f59eaa48f3b5adfe9bbe13aeac0c1c7c885df804c2048fd948", "36550033e32754b89610aaf2e90e6683c815b6e4dfb3dbc4b5612bfa9a6bb2e2"),
+    ("avcheck", "shifted_classical_t3"): (0, "32eeda44e9fa6d0d5abb2e05130a6832d58ee45a3c5b64b6dbcd650d51f2bde7", "2db2d051f75a4e5c1333f8e48b11f6bc31840093880940ffbef13779c0470543"),
+    ("avcheck", "translation_only_t3"): (0, "c3b4e03666b9dc6d48c696eefae661546420f886e0082a5eb78a3af68e9e5d81", "2b2473300f011e1cc1e34b47313a59f0346ba48dba81d517628aa4911c710419"),
+    ("avcheck", "twisted_halfweight_t2"): (0, "42a2e45cacbe6fb89c5ca74ca77705d4940d85a424eb6801842cedc6534014c6", "4a8642d881f8e1d707b11263ffc144c9e4e33676db0869f88a744fb844d8ebb4"),
+    ("avcheck", "twisted_unit_t3"): (0, "95954c978dbb869a170d47d1d8e7042a182b5d7f0c2be8f4a88b2e65ca7dd760", "7758f822777d2507ba662f13601c6686d117daf6a7ff188dae634e24e414f7b1"),
     ("rhs", "bad_float"): (64, "7fdbdabce88f3fd363149f259bd81a3ac58cc69e3ce73807849691e7d394d274", None),
     ("rhs", "bad_matrix"): (1, "4ea01ed8b3bd2d6468a02215d4b8f22414a05f8553a04298add00cff04da534d", None),
     ("rhs", "classical_t3"): (0, "449f2a0693e139447d1815507d880e0832e2811766bd02568572e7d44dcbe437", "8ab2255d42126a339a43554c3b28d8113dffd840bc7830241ef1f5fa56537927"),
@@ -61,7 +77,7 @@ GOLDEN = {
     ("verify", "doubling_t3"): (0, "774c01aa1400a2286f94e189e55fe8b99cfb2a5fa62e478bc25ee367a13d5270", "e5b31802b0938f04c46d85e732e1fc76eb07dc7265cc83cf5ee8f9e5486c9142"),
     ("verify", "identity_irrational_t2"): (0, "0878bc807814e34d85b951670761d2e2bd3aab3324b8a4838202596b85d246d1", "2ce504767e523fb45aed0ddb06f4375f86c0485ae8cd5902ac42d008631e9538"),
     ("verify", "mollifier_doubling_t2"): (0, "bc1421202e821ae62009761f50d2d540d2069d5b173146c2832a3ef0b8e10023", "00ad2599fa045a62c2910e0e126a1930e4e3ff857fcd369124230bad5d89060b"),
-    ("verify", "mollifier_tripling_t2"): (0, "c1c902167dc50b3471c53ab7c89c3eb4068cc4975f510685886344ac05e444cf", "d9f29aa9d5681aa683ed6af0810d03c639492a4d331f362644ac8d33042bec6a"),
+    ("verify", "mollifier_tripling_t2"): (0, "a3a4a822b758aca13e7c0be038f0f5fcd4ce40899ac81556045fe514b8add430", "8158c8e5c31e7d51c8c7197d1ed865fcac94b8536545a3497cda9a6e52f43a4d"),
     ("verify", "negation_t4"): (0, "7bd7f42e1d0ad608e993d2e227078cf85927955997a513ce9de8bcfab3e23f23", "a3c4dcea919f9ac259ea6b60bf44e2e8794b0a9db349ff9b65d0f5f543507942"),
     ("verify", "nofix_translation_t3"): (0, "de2b864cc93b5fbec2d51dd0b5eaa09f1b1487a522ed4c5400c7b0e1776a1998", "fd96a60d8ee6fd7f707827d4286ffaaf7bd83b8cd60dc2f283cdc754c35ac97e"),
     ("verify", "shifted_classical_t3"): (0, "42a8ead7ec9cc8c1423d2793b58601a1dce6598ce56499c9004184c2d7b58886", "9912353a038e52ee4e78d0d25ba79f5209f47c0013034c0e99e1d9f17975d9f7"),
@@ -97,7 +113,7 @@ def report_digests(command, name, json_path):
 
 
 def test_every_flat_torus_scenario_is_pinned():
-    for command in ("spectrum", "verify"):
+    for command in ("avcheck", "spectrum", "verify"):
         pinned = {name for cmd, name in GOLDEN if cmd == command}
         assert pinned == set(flat_torus_scenarios())
 

@@ -16,7 +16,7 @@ from equilef import torus_group as tg
 from equilef.endomorphism import (
     SpherePhaseMap,
     TorusMap,
-    alternating_heat_trace,
+    alternating_heat_traces,
     cohomology_action,
 )
 from equilef.errors import InfiniteFixedSet
@@ -68,8 +68,8 @@ class TestFiveTorus:
              (1, 0, 2, 1, 0), (0, 0, 0, 0, 1))
         f = TorusMap(A, (0, 0, 0, 0, 0))
         L = cohomology_action(T5, f).lefschetz
-        for s in (0.1, 1.0, 10.0):
-            assert abs(alternating_heat_trace(T5, f, s, 4) - L) < 1e-8
+        for alt in alternating_heat_traces(T5, f, (0.1, 1.0, 10.0), 4):
+            assert abs(alt - L) < 1e-8
 
 
 class TestDegenerateShear:
@@ -93,8 +93,8 @@ class TestDegenerateShear:
             if rl.vec_mat(m, self.F.matrix) == m and any(m)
         ]
         assert fixed_modes
-        for s in (0.05, 0.5, 5.0):
-            assert abs(alternating_heat_trace(T4, self.F, s, 6)) < 1e-10
+        for alt in alternating_heat_traces(T4, self.F, (0.05, 0.5, 5.0), 6):
+            assert abs(alt) < 1e-10
 
 
 class TestHigherDegreeForms:

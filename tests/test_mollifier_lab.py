@@ -45,7 +45,7 @@ class TestKernelPairing:
             assert abs(result.value - 1.0) <= 0.05
 
     def test_grid_too_coarse(self):
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(GridTooCoarse, match=r"at grid 128$"):
             ml.kernel_pairing(T2, DOUBLING, ml.MollifierConfig(k=64, grid=128))
 
     def test_grid_past_the_cell_budget_refused(self):

@@ -57,14 +57,16 @@ CASES = {
 }
 
 # (command, case) -> (exit code, text sha256, json sha256), captured before
-# the map-level data was shared between orbits
+# the map-level data was shared between orbits; the two ``verify`` digests
+# were refreshed when the heat sweep took the exact integer fiber traces
+# (``heat_traces.max_drift`` went to 0.0, nothing else moved)
 GOLDEN = {
     ("rhs", "diag55_t3"): (0, "cf40a76dd9ac04c3c93e3a34bcdefdff4e1946d95e4739c02b4fcce2e303e44f", "104b7341c36bdf387662d4a931630f47d5d7d8b9c1f0cb18f83107331d62bcf8"),
-    ("verify", "diag55_t3"): (0, "63ceb6aa5a3556c6e20f649563c9559c7735bab6f0904751fb9c28dad0e62194", "cb0de94751af764a3e278fa13c451acbc1f2e23c5bd3bc13f762c2e113c9b7c0"),
+    ("verify", "diag55_t3"): (0, "78d68404445916e2057b2d182385798a9e0d0b545b04447cc50abacb9dbcccbc", "e1aa3897f0511611e34282f25daef992f83266928649aa35f099a87f1730647e"),
     ("rhs", "twisted_shear_t3"): (0, "4e9da651876826af350b7c0f8937080c65f07c8e30f8741f623c95251404cf5f", "eb7f0b2ca1205d7c4890c69d2556f37292e6ca51aaa35fd4e6dc228963ecd955"),
     ("verify", "twisted_shear_t3"): (0, "1cdbc381448455493d8d282c35197916c6525770676b08b81206577eed1807fe", "080c2d92bd8621d04809688a8df3a9f2557e46ed787d59618972a1a9a95ea7df"),
     ("rhs", "two_factors_t4"): (0, "2cd04f011ad642ac71b8037492e69d82c0b55ea9bf18344e4924c68e147b3fbe", "1bb1631a9ccc0261e6bf6d4f6fa059fd2ddd225fba4bcf13eeeacabc2819d171"),
-    ("verify", "two_factors_t4"): (0, "1b9f4e6c2123706ce6f3a2a4ca25eb07308583c2d07dfd82d419c02b45abb9aa", "185427a182fc67d3092d659dea53a787f233fb4b17b90921c84406992dabab22"),
+    ("verify", "two_factors_t4"): (0, "99f790daa91e5675e708251798628cf735095f7c3e0f6e665083e86ae0916dc2", "5cbd9577e35cf69fed600cf8c413eba48d376ebb0067c9bdf9944ba9fcded01d"),
 }
 
 

@@ -133,6 +133,21 @@ class TestOtherCommands:
         assert code == cli.EXIT_DISCREPANCY
         assert "GridTooCoarse" in stream.getvalue() or "bump" in stream.getvalue()
 
+    @pytest.mark.parametrize("k_list,grid", [([1], None), ([2], None),
+                                              ([8], 64)])
+    def test_mollifier_resolved_grids_pass(self, tmp_path, k_list, grid):
+        # each grid resolves the bump; half of it (8 -> 4, 24 -> 12,
+        # 64 -> 32) would not, and no half-resolution pass runs
+        src = json.loads((SCENARIOS / "mollifier_doubling_t2.scenario").read_text())
+        src["mollifier"]["k_list"] = k_list
+        small = tmp_path / "moll.scenario"
+        small.write_text(json.dumps(src))
+        stream = io.StringIO()
+        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
+                                         grid=grid, json_path=None)
+        code = cli.run("mollifier", str(small), options, stream)
+        assert code == cli.EXIT_PASS, stream.getvalue()
+
     def test_mollifier_small(self, tmp_path):
         # shrink the sweep through the CLI grid option for speed
         src = json.loads((SCENARIOS / "mollifier_doubling_t2.scenario").read_text())
@@ -270,6 +285,20 @@ class TestCutoffAndHeatSchema:
         code, text = run_doc(tmp_path, "verify", doc)
         assert code == cli.EXIT_USAGE
         assert "schema error at $.heat_s" in text
+
+    def test_verify_does_not_gate_on_heat_stability(self, tmp_path):
+        # at cutoff 0 the twisted scenario's harmonic mode lies outside the
+        # truncation: every heat trace is 0 and drifts by 1 from the
+        # harmonic value, yet the two sides agree to rounding and verify
+        # passes
+        json_path = tmp_path / "verify.json"
+        code, _ = run("verify", "twisted_unit_t3", cutoff=0,
+                      json_path=str(json_path))
+        report = json.loads(json_path.read_text())
+        assert code == cli.EXIT_PASS
+        assert report["heat_traces"]["max_drift"] == 1.0
+        assert report["heat_traces"]["stable"] is False
+        assert report["comparison"]["discrepancy"] <= 1e-15
 
     def test_cutoff_option_zero_is_honoured(self):
         code, text = run("spectrum", "doubling_t3", cutoff=0)
