@@ -41,8 +41,12 @@ print(f"Haar quadrature at resolution 3: {len(pts)} points, "
 # --- the weighted five-sphere: isotropy and the covering count ---------------
 sphere = WeightedSphereModel(w)
 pole = orbit_through(sphere, SpherePoint((0, 0, 1), (0, 0, 0)))
+iso = pole.isotropy    # the closure elements whose third coordinate vanishes
 print(f"orbit through (0,0,z3): dimension {pole.dim}, "
-      f"isotropy components {pole.isotropy.component_count}")
+      f"isotropy pins coordinates {iso.coords}: "
+      f"{iso.component_count} components of dimension {iso.dim}")
+print("  component representatives:",
+      ", ".join("(" + ", ".join(str(x) for x in h) + ")" for h in iso.component_reps))
 Ghat, hom = closure_group(w)
 print("sheets of the covering by the subgroup (0,1,2):",
       sheet_count(((0, 1, 2),), pole, hom))

@@ -34,6 +34,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from .errors import TorsionTooLarge
+
 
 def freeze(rows):
     return tuple(tuple(r) for r in rows)
@@ -240,13 +242,6 @@ def integer_solution(C, b):
     return mat_vec(T, y)
 
 
-def saturate(rows, n=None):
-    """Saturation of the row lattice: ``span_Q(rows) ∩ Z^n``."""
-    if rows:
-        n = len(rows[0])
-    return integer_kernel(integer_kernel(rows, n=n), n=n)
-
-
 def snf_with_transforms(M):
     """Smith normal form ``D = S M T`` with unimodular ``S`` and ``T``.
 
@@ -371,7 +366,9 @@ class CongruenceSolution:
         if self._reps is None:
             total = self.torsion_count
             if total > TORSION_LIMIT:
-                raise ValueError(f"torsion group too large to enumerate ({total})")
+                raise TorsionTooLarge(
+                    f"a congruence system has {total} solution components, "
+                    f"more than the {TORSION_LIMIT} that can be listed")
             d = len(self.particular)
             reps = []
             for combo in itertools.product(*(range(di) for _, di in self._axes)):

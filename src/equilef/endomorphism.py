@@ -310,10 +310,6 @@ class CohomologyAction:
     lefschetz: complex
     lefschetz_exact: Fraction | None
 
-    @property
-    def degrees(self):
-        return len(self.traces)
-
 
 def cohomology_action(model: FlatTorusModel, f: TorusMap,
                       twist: BundleTwist | None = None) -> CohomologyAction:

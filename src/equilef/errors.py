@@ -52,6 +52,10 @@ class FixedSetTooLarge(EquilefError):
         self.count = count
 
 
+class TorsionTooLarge(EquilefError):
+    """A congruence solution set has more components than can be listed."""
+
+
 class GridTooCoarse(EquilefError):
     """The mollifier bump is not resolved by the sample grid."""
 

@@ -260,8 +260,6 @@ def _certify(orbit: ClosedOrbit, f, g0, torus_det) -> TransversalityCertificate:
     # weighted sphere
     support = set(orbit.base_point.support)
     iso = orbit.isotropy
-    tangent_ambient = list(iso.identity_component.complement_basis()) \
-        if iso.identity_component.dim else []
     normal_coords = [l for l in range(model.k) if l not in support]
     if len(support) > 1:
         # moduli directions inside the stratum are fixed by any phase map
@@ -269,18 +267,18 @@ def _certify(orbit: ClosedOrbit, f, g0, torus_det) -> TransversalityCertificate:
             "stratum moduli directions are fixed (determinant vanishes)",
             orbit=orbit,
         )
+    # the identity component's tangent is shared by every component
+    for row in iso.tangent_rows:
+        for l in normal_coords:
+            if row[l] != 0:
+                raise NonTransverse(
+                    "rotation angle sweeps through zero along an isotropy "
+                    f"component (coordinate {l})",
+                    orbit=orbit,
+                )
     dets = []
     dets_exact = []
     for comp_index, h_rep in enumerate(iso.component_reps):
-        for row in tangent_ambient:
-            for l in normal_coords:
-                if row[l] != 0:
-                    raise NonTransverse(
-                        "rotation angle sweeps through zero along an isotropy "
-                        f"component (coordinate {l})",
-                        orbit=orbit,
-                        component=comp_index,
-                    )
         turns = _sphere_rotation_turns(model, f, g0, h_rep)
         for l in normal_coords:
             if turns[l] == 0:
@@ -347,7 +345,7 @@ class _IsotropyType:
 
     hat: tg.SubtorusGroup
     hom: tg.GroupHomomorphism
-    pre: tg.IsotropyPreimage
+    pre: tg.IsotropyDescriptor
     mass: Fraction
     sheets: int
     char_zero: bool
@@ -386,15 +384,15 @@ class _MapContext:
         else:
             rows_param = tg.subgroup_in_param_coords(pre, self.subgroup_rows)
         rows_ambient = rl.freeze(
-            rl.vec_mat(r, pre.param_basis) for r in rows_param
+            rl.vec_mat(r, hat.complement_basis()) for r in rows_param
         )
         mass = tg.haar_factor(pre, rows_param)
-        sheets = tg.sheet_count_rows(rows_ambient, isotropy, n)
+        sheets = tg.sheet_count_rows(rows_ambient, isotropy)
         # the twist character must be constant along the identity component,
         # otherwise each component integrates to zero exactly
-        char_zero = self.twist is not None and pre.dim > 0 and any(
+        char_zero = self.twist is not None and any(
             any(row[j] != 0 for j in range(n, hat.ambient_dim))
-            for row in pre.ambient_tangent_rows()
+            for row in pre.tangent_rows
         )
         return _IsotropyType(hat, hom, pre, mass, sheets, char_zero)
 
@@ -440,7 +438,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
     def element_term(t):
         """Twist phase and conormal determinant (exact where available) at
         the preimage element with parameters ``t``."""
-        h_amb = rl.vec_mod1(rl.vec_mat(t, pre.param_basis))
+        h_amb = pre.element(t)
         phase = rl.frac_mod1(sum(
             (Fraction(h_amb[j]) - Fraction(ghat0[j])) for j in fiber_idx
         )) if twist is not None else Fraction(0)
@@ -453,8 +451,8 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         return (scalar * cmath.exp(2j * math.pi * float(phase))
                 * traces[q] / abs(det_val))
 
-    comps = [element_term(rep) for rep in pre.component_reps]
-    kappa = pre.kappa
+    comps = [element_term(rep) for rep in pre.param_reps]
+    kappa = pre.component_count
     mass = typ.mass
     sheets = typ.sheets
     weight = mass / sheets
@@ -490,11 +488,11 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         grid = list(itertools.product(range(isotropy_resolution), repeat=pre.dim))
         count = kappa * max(len(grid), 1)
         quad = 0.0 + 0.0j
-        for rep in pre.component_reps:
+        for rep in pre.param_reps:
             for combo in grid or [()]:
                 t = tuple(
                     rl.frac_mod1(r + sum(Fraction(c, isotropy_resolution) * row[i]
-                                         for c, row in zip(combo, pre.tangent_rows)))
+                                         for c, row in zip(combo, pre.param_tangent_rows)))
                     for i, r in enumerate(rep)
                 )
                 phase, det_val, _ = element_term(t)

@@ -216,7 +216,7 @@ def torus_orbits(model: FlatTorusModel, levels) -> list:
     of the lattice covectors are the same for every orbit and built once."""
     L = model.base_lattice
     dim = model.group.dim
-    isotropy = tg.trivial_isotropy(model.n)
+    isotropy = tg.IsotropyDescriptor(model.group, range(model.n))
     conormal = np.array([[float(m) for m in row] for row in L], dtype=float).T \
         if L else np.zeros((model.n, 0))
     conormal.flags.writeable = False    # one frame, shared by every orbit
@@ -231,27 +231,6 @@ def torus_orbits(model: FlatTorusModel, levels) -> list:
         )
         for level in levels
     ]
-
-
-def _sphere_isotropy(model: WeightedSphereModel, support) -> tg.IsotropyDescriptor:
-    """Elements of the closure group that fix every coordinate in the
-    support: congruences on the group's parametrizing torus."""
-    G = model.group
-    C = G.complement_basis()
-    sol = G.parameters_with(support, [Fraction(0)] * len(support))
-    assert sol is not None
-    ambient_tangent = [rl.vec_mat(row, C) for row in sol.free]
-    ident_lattice = rl.integer_kernel(ambient_tangent, n=model.k)
-    ident = tg.SubtorusGroup(model.k, ident_lattice)
-    param_reps = [
-        rl.vec_mod1(tuple(a + b for a, b in zip(sol.particular, rep)))
-        for rep in sol.torsion_reps
-    ]
-    reps = [rl.vec_mod1(rl.vec_mat(t, C)) for t in param_reps]
-    # put the identity first
-    zero = tuple(Fraction(0) for _ in range(model.k))
-    reps = sorted(set(reps), key=lambda r: (r != zero, r))
-    return tg.IsotropyDescriptor(ident, tuple(reps))
 
 
 def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
@@ -279,7 +258,7 @@ def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
     for idx, j in enumerate(support):
         phases[j] = theta_canon[idx]
     base_point = SpherePoint(p.moduli_sq, tuple(phases))
-    isotropy = _sphere_isotropy(model, support)
+    isotropy = tg.IsotropyDescriptor(model.group, support)
     conormal = _sphere_conormal(model, base_point)
     return ClosedOrbit(
         model=model,
@@ -321,13 +300,12 @@ def _sphere_conormal(model: WeightedSphereModel, p: SpherePoint):
 
 
 def isotropy_group(model, orbit: ClosedOrbit) -> tg.IsotropyDescriptor:
-    """Stabilizer of the orbit's points inside the closure group (trivial on
-    flat tori; phase congruences on weighted spheres)."""
-    if isinstance(model, FlatTorusModel):
-        return tg.trivial_isotropy(model.n)
-    if isinstance(model, WeightedSphereModel):
-        return _sphere_isotropy(model, orbit.base_point.support)
-    raise TypeError(f"unsupported model {type(model).__name__}")
+    """Stabilizer of the orbit's points inside the closure group, the
+    descriptor the orbit carries: every coordinate pinned on a flat torus
+    (trivial), the supported coordinates pinned on a weighted sphere."""
+    if orbit.model != model:
+        raise ValueError("the orbit belongs to another model")
+    return orbit.isotropy
 
 
 def induced_base_map(model: FlatTorusModel, f):

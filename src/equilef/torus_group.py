@@ -13,6 +13,15 @@ Groups are represented canonically by the Hermite normal form of that
 (saturated) lattice, so equal groups compare equal.  Haar measure, lifted
 groups acting on flat line bundles, isotropy preimages and covering sheet
 counts are all computed from the same lattice data.
+
+Stabilizers have one type, :class:`IsotropyDescriptor`: the elements of a
+closure group whose coordinates ``coords`` vanish modulo one.  The isotropy
+group of an orbit (the supported coordinates of a sphere point, every
+coordinate on a flat torus) and its preimage in a lifted closure (the same
+coordinates, read in the lift) are both of this form.  On the group's
+parametrizing torus the condition is one congruence system; its Smith
+diagonal counts the connected components and its free part spans the
+identity component, so nothing is checked or solved per component.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import _ratlin as rl
 from .errors import GeneratorMismatch, NotTransversal
@@ -89,9 +98,6 @@ class SymbolicFrequency:
             sum(Fraction(mi) * row[j] for mi, row in zip(m, self.coeffs))
             for j in range(width)
         )
-
-    def is_orthogonal(self, m):
-        return all(c == 0 for c in self.symbolic_dot(m))
 
     def float_values(self):
         """Numeric embedding of the vector, for the floating-point layer."""
@@ -191,17 +197,20 @@ class SubtorusGroup:
         A = [[row[j] for row in C] for j in coords]
         return rl.solve_congruences(A, values, self.dim)
 
+    def element(self, t):
+        """The group element ``t @ complement_basis() (mod 1)`` with
+        parameters ``t``."""
+        C = self.complement_basis()
+        return rl.vec_mod1(tuple(
+            sum(x * row[j] for x, row in zip(t, C))
+            for j in range(self.ambient_dim)
+        ))
+
     def element_with(self, coords, values):
         """An element of the group whose coordinates ``coords`` equal
         ``values`` modulo one, or ``None`` when the group has none."""
         sol = self.parameters_with(coords, values)
-        if sol is None:
-            return None
-        C = self.complement_basis()
-        return rl.vec_mod1(tuple(
-            sum(t * row[j] for t, row in zip(sol.particular, C))
-            for j in range(self.ambient_dim)
-        ))
+        return None if sol is None else self.element(sol.particular)
 
     def contains(self, point):
         point = [Fraction(x) for x in point]
@@ -233,44 +242,61 @@ class GroupHomomorphism:
 
 @dataclass(frozen=True)
 class IsotropyDescriptor:
-    """A closed (possibly disconnected) subgroup: identity component plus one
-    rational representative per connected component.  The identity is always
-    the first representative."""
+    """The closed (possibly disconnected) subgroup of ``group`` whose
+    coordinates ``coords`` vanish modulo one.
 
-    identity_component: SubtorusGroup
-    component_reps: tuple = ((),)
+    The congruence system on the group's parametrizing torus is solved once,
+    on first use.  Representatives, one per connected component with the
+    identity first, and the tangent rows of the identity component are
+    listed on demand, in parameter coordinates (``param_reps``,
+    ``param_tangent_rows``) and in ambient coordinates (``component_reps``,
+    ``tangent_rows``)."""
+
+    group: SubtorusGroup
+    coords: tuple
 
     def __post_init__(self):
-        reps = tuple(rl.vec_mod1(tuple(Fraction(x) for x in rep)) for rep in self.component_reps)
-        if not reps:
-            reps = (tuple(Fraction(0) for _ in range(self.identity_component.ambient_dim)),)
-        object.__setattr__(self, "component_reps", reps)
-        zero = tuple(Fraction(0) for _ in range(self.identity_component.ambient_dim))
-        if zero not in self.component_reps:
-            raise ValueError("component representatives must include the identity")
-        for i, a in enumerate(self.component_reps):
-            for b in self.component_reps[i + 1:]:
-                diff = tuple(x - y for x, y in zip(a, b))
-                if self.identity_component.contains(diff):
-                    raise ValueError(
-                        "component representatives must lie in distinct cosets"
-                    )
+        object.__setattr__(self, "coords", tuple(self.coords))
+
+    @cached_property
+    def solution(self):
+        return self.group.parameters_with(self.coords, [0] * len(self.coords))
 
     @property
     def component_count(self):
-        return len(self.component_reps)
+        return self.solution.torsion_count
 
     @property
     def dim(self):
-        return self.identity_component.dim
+        return len(self.solution.free)
 
-    def is_trivial(self):
-        return self.dim == 0 and self.component_count == 1
+    def element(self, t):
+        """The group element with parameters ``t``."""
+        return self.group.element(t)
+
+    @property
+    def param_reps(self):
+        # the system is homogeneous, so its particular solution is zero and
+        # the torsion translates, zero first, are the components
+        return self.solution.torsion_reps
+
+    @cached_property
+    def component_reps(self):
+        return tuple(self.element(t) for t in self.param_reps)
+
+    @property
+    def param_tangent_rows(self):
+        return self.solution.free
+
+    @cached_property
+    def tangent_rows(self):
+        return tuple(rl.vec_mat(row, self.group.complement_basis())
+                     for row in self.solution.free)
 
 
 def trivial_isotropy(ambient_dim):
-    ident = SubtorusGroup(ambient_dim, rl.identity_rows(ambient_dim))
-    return IsotropyDescriptor(ident, (tuple(Fraction(0) for _ in range(ambient_dim)),))
+    """The trivial subgroup: every coordinate of the whole torus pinned."""
+    return IsotropyDescriptor(SubtorusGroup(ambient_dim), range(ambient_dim))
 
 
 def relation_lattice(v: SymbolicFrequency):
@@ -328,87 +354,22 @@ def haar_quadrature(group: SubtorusGroup, resolution: int):
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    basis = group.complement_basis()
     d = group.dim
     weight = group.haar_normalization / Fraction(resolution**d)
     points = []
     for combo in itertools.product(range(resolution), repeat=d):
         t = tuple(Fraction(c, resolution) for c in combo)
-        points.append((rl.vec_mod1(rl.vec_mat(t, basis)) if d else
-                       tuple(Fraction(0) for _ in range(group.ambient_dim)), weight))
+        points.append((group.element(t), weight))
     return points
 
 
-@dataclass(frozen=True)
-class IsotropyPreimage:
-    """The preimage inside a lifted group of an isotropy subgroup of the base,
-    described on the lifted group's parametrizing torus.
-
-    ``component_reps`` are parameter-space representatives, one per connected
-    component (``kappa`` of them); ``tangent_rows`` span the tangent lattice
-    of the identity component in parameter space.
-    """
-
-    hat_group: SubtorusGroup
-    param_basis: tuple          # D x (n+r) integer rows parametrizing the lift
-    base_dim: int
-    component_reps: tuple       # kappa rational vectors in T^D
-    tangent_rows: tuple         # rows in Z^D
-
-    @property
-    def kappa(self):
-        return len(self.component_reps)
-
-    @property
-    def dim(self):
-        return len(self.tangent_rows)
-
-    def ambient_points(self):
-        return [rl.vec_mod1(rl.vec_mat(rep, self.param_basis)) for rep in self.component_reps]
-
-    def ambient_tangent_rows(self):
-        return tuple(rl.vec_mat(row, self.param_basis) for row in self.tangent_rows)
-
-
 def isotropy_preimage(hat_group: SubtorusGroup, base_dim: int,
-                      isotropy: IsotropyDescriptor) -> IsotropyPreimage:
-    """Compute ``{g in hat_group : projection(g) in isotropy}``.
-
-    Works on the parametrizing torus of the lifted group: the membership
-    conditions become integer congruences, one system per isotropy component.
-    """
-    C = hat_group.complement_basis()
-    reps = []
-    tangent = None
-    for sol in _isotropy_congruences(C, isotropy, base_dim):
-        if sol is None:
-            # the component rep is not in the image of the projection; for
-            # closure lifts this cannot happen (the projection is onto)
-            raise AssertionError("isotropy component missed by the projection")
-        if tangent is None:
-            tangent = sol.free
-        for torsion in sol.torsion_reps:
-            reps.append(rl.vec_mod1(tuple(p + r for p, r in zip(sol.particular, torsion))))
-    return IsotropyPreimage(hat_group, C, base_dim, tuple(reps), tangent)
-
-
-def _isotropy_congruences(rows, isotropy: IsotropyDescriptor, base_dim):
-    """For each isotropy component in order, the parameters ``t`` (one per
-    row) whose element ``t @ rows`` projects into that component: the
-    congruences ``(l . rows) t = l . rep (mod 1)`` over the rows ``l`` of the
-    identity component's relation lattice.  ``None`` marks a component that
-    no parameter reaches."""
-    lat = isotropy.identity_component.relation_lattice
-    A = [
-        [sum(lrow[j] * row[j] for j in range(base_dim)) for row in rows]
-        for lrow in lat
-    ]
-    return [
-        rl.solve_congruences(
-            A, [sum(Fraction(l) * Fraction(x) for l, x in zip(lrow, crep))
-                for lrow in lat], len(rows))
-        for crep in isotropy.component_reps
-    ]
+                      isotropy: IsotropyDescriptor) -> IsotropyDescriptor:
+    """Compute ``{g in hat_group : projection(g) in isotropy}``: the elements
+    of the lifted group whose base coordinates ``isotropy.coords`` vanish."""
+    if isotropy.group.ambient_dim != base_dim:
+        raise ValueError("isotropy must live in the base torus of the lift")
+    return IsotropyDescriptor(hat_group, isotropy.coords)
 
 
 def sheet_count(G0, orbit, hom: GroupHomomorphism | None = None):
@@ -425,7 +386,6 @@ def sheet_count(G0, orbit, hom: GroupHomomorphism | None = None):
     Raises :class:`NotTransversal` when the subgroup meets the isotropy
     preimage in positive dimension.
     """
-    isotropy = orbit.isotropy
     if isinstance(G0, SubtorusGroup):
         if hom is not None and G0.ambient_dim != hom.source.ambient_dim:
             raise ValueError("subgroup must live in the ambient of the lifted group")
@@ -434,29 +394,22 @@ def sheet_count(G0, orbit, hom: GroupHomomorphism | None = None):
         rows = rl.freeze(G0)
     if len(rows) != orbit.dim:
         raise ValueError("subgroup dimension must equal the orbit dimension")
-    base_dim = (isotropy.identity_component.ambient_dim if hom is None
-                else hom.base_dim)
-    return sheet_count_rows(rows, isotropy, base_dim)
+    return sheet_count_rows(rows, orbit.isotropy)
 
 
-def sheet_count_rows(rows, isotropy: IsotropyDescriptor, base_dim):
-    if not isotropy.identity_component.relation_lattice:
-        raise NotTransversal("isotropy is the whole group; no finite covering")
-    total = 0
-    for sol in _isotropy_congruences(rows, isotropy, base_dim):
-        if sol is None:
-            continue
-        if not sol.is_finite:
-            raise NotTransversal(
-                "subgroup meets the isotropy preimage in positive dimension",
-            )
-        total += sol.count
-    if total < 1:
-        raise AssertionError("covering kernel cannot be empty")
-    return total
+def sheet_count_rows(rows, isotropy: IsotropyDescriptor):
+    """The parameters ``t`` whose element ``t @ rows`` lies in the isotropy
+    group, counted from the Smith diagonal of one congruence system."""
+    A = [[row[j] for row in rows] for j in isotropy.coords]
+    sol = rl.solve_congruences(A, [0] * len(A), len(rows))
+    if not sol.is_finite:
+        raise NotTransversal(
+            "subgroup meets the isotropy preimage in positive dimension",
+        )
+    return sol.count
 
 
-def haar_factor(preimage: IsotropyPreimage, subgroup_rows):
+def haar_factor(preimage: IsotropyDescriptor, subgroup_rows):
     """Total Haar mass of a complementary subgroup, normalized so that the
     product of the (normalized) measures on the isotropy preimage and the
     subgroup matches the normalized measure of the lifted group near the
@@ -466,31 +419,31 @@ def haar_factor(preimage: IsotropyPreimage, subgroup_rows):
     parameter space.  The mass is ``kappa * |det [tangent; subgroup]|``, a
     positive integer-valued rational.
     """
-    D = len(preimage.param_basis)
-    rows = list(preimage.tangent_rows) + [list(r) for r in subgroup_rows]
-    if len(rows) != D:
+    rows = list(preimage.param_tangent_rows) + [list(r) for r in subgroup_rows]
+    if len(rows) != preimage.group.dim:
         raise NotTransversal(
             "subgroup is not complementary to the isotropy preimage"
         )
     det = rl.det_int(rows)
     if det == 0:
         raise NotTransversal("subgroup is not transverse to the isotropy preimage")
-    return Fraction(preimage.kappa * abs(det))
+    return Fraction(preimage.component_count * abs(det))
 
 
-def subgroup_in_param_coords(preimage: IsotropyPreimage, ambient_rows):
+def subgroup_in_param_coords(preimage: IsotropyDescriptor, ambient_rows):
     """Express subgroup basis rows given in ambient coordinates inside the
     parameter space of the lifted group."""
+    basis = preimage.group.complement_basis()
     out = []
     for row in ambient_rows:
-        coords = rl.lattice_coordinates(preimage.param_basis, row)
+        coords = rl.lattice_coordinates(basis, row)
         if coords is None:
             raise ValueError("row does not lie in the lifted group's tangent lattice")
         out.append(coords)
     return rl.freeze(out)
 
 
-def complementary_subgroup(preimage: IsotropyPreimage):
+def complementary_subgroup(preimage: IsotropyDescriptor):
     """A canonical compact connected subgroup of minimal dimension transverse
     to the isotropy preimage, as rows in parameter space.
 
@@ -498,8 +451,8 @@ def complementary_subgroup(preimage: IsotropyPreimage):
     orthogonal to them; any other valid choice changes the per-orbit data
     (mass, sheet count) but not their ratio.
     """
-    D = len(preimage.param_basis)
-    tangent = preimage.tangent_rows
+    D = preimage.group.dim
+    tangent = preimage.param_tangent_rows
     rows = rl.integer_kernel(tangent, n=D)
     if len(rows) + len(tangent) != D:
         raise NotTransversal("isotropy preimage tangent is not saturated")

@@ -23,7 +23,8 @@ from equilef import fixed_point_formula as fpf
 from equilef import geometry_models as gm
 from equilef import scenario_cli as cli
 from equilef import torus_group as tg
-from equilef.endomorphism import BundleTwist, TorusMap, exact_exterior_traces
+from equilef.endomorphism import (BundleTwist, SpherePhaseMap, TorusMap,
+                                  exact_exterior_traces)
 
 
 def torus_doc(name, matrix, translation, twist_weight=None):
@@ -112,6 +113,29 @@ def test_map_level_data_is_built_once_per_map(monkeypatch):
                      "haar_factor": 1, "sheet_count_rows": 1}
     # no orbit goes through ``orbit_through``, and the fixed-point side never
     # touches the characteristic polynomial the harmonic side uses
+
+
+def test_sphere_congruence_solves_do_not_grow_with_isotropy_components(
+        monkeypatch):
+    # the pole of weight w has w isotropy components; each isotropy type and
+    # its preimage is one congruence system whatever that count is
+    calls = []
+    original = fpf.rl.solve_congruences
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(fpf.rl, "solve_congruences", counting)
+
+    def solves(w):
+        calls.clear()
+        model = gm.WeightedSphereModel(tg.SymbolicFrequency.rational((1, w)))
+        rhs = fpf.lefschetz_rhs(model, SpherePhaseMap((Fraction(1, 4), 0)),
+                                fibers="scalar")
+        assert abs(rhs.value - (w + 1) / 2) < 1e-6
+        return len(calls)
+
+    assert solves(401) == solves(7)
 
 
 def unimodular(draw, n):

@@ -65,7 +65,6 @@ def test_integer_kernel_membership_and_rank():
 
 def test_integer_kernel_is_saturated():
     K = rl.integer_kernel([[1, 2, 3]])
-    assert rl.saturate(K) == K
     # brute-force oracle: every small integer solution lies in the lattice
     for x1 in range(-4, 5):
         for x2 in range(-4, 5):

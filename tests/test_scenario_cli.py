@@ -429,3 +429,11 @@ class TestFixedOrbitCap:
         assert code == cli.EXIT_DISCREPANCY
         assert text == ("error: the map has 4000000 fixed orbits, more than "
                         "the 1000000 that can be enumerated\n")
+
+    def test_isotropy_past_the_cap_is_a_typed_error(self, tmp_path):
+        # the pole of weight 2000003 has 2 000 003 isotropy components
+        doc = _mutated("s3_rational", ("model", "weights"), ["1", "2000003"])
+        code, text = run_doc(tmp_path, "rhs", doc)
+        assert code == cli.EXIT_DISCREPANCY
+        assert text == ("error: a congruence system has 2000003 solution "
+                        "components, more than the 1000000 that can be listed\n")

@@ -5,11 +5,18 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from equilef import _ratlin as rl
+from equilef import fixed_point_formula as fpf
+from equilef import geometry_models as gm
 from equilef import torus_group as tg
-from equilef.errors import GeneratorMismatch, NotTransversal
+from equilef.endomorphism import BundleTwist, SpherePhaseMap
+from equilef.errors import (GeneratorMismatch, InfiniteFixedSet, NonTransverse,
+                            NotTransversal)
 
 
 def sym(entries, labels=()):
@@ -23,7 +30,7 @@ def brute_force_kernel(v, bound=3):
     n = v.ambient_dim
     hits = []
     for m in itertools.product(range(-bound, bound + 1), repeat=n):
-        if any(m) and v.is_orthogonal(m):
+        if any(m) and not any(v.symbolic_dot(m)):
             hits.append(m)
     return hits
 
@@ -83,15 +90,6 @@ def test_relation_lattice_rows_primitive():
     for v in cases:
         for row in tg.relation_lattice(v):
             assert math.gcd(*(abs(x) for x in row)) == 1
-
-
-def test_isotropy_descriptor_rejects_coincident_cosets():
-    # identity component is the first circle; (1/2, 0) lies on it
-    ident = tg.SubtorusGroup(2, ((0, 1),))
-    with pytest.raises(ValueError):
-        tg.IsotropyDescriptor(ident, ((0, 0), (Fraction(1, 2), 0)))
-    # distinct cosets are accepted
-    tg.IsotropyDescriptor(ident, ((0, 0), (0, Fraction(1, 2))))
 
 
 def test_closure_group_trivial_lift():
@@ -217,21 +215,35 @@ def test_haar_quadrature_kills_nontrivial_characters():
 def _s5_isotropy_at_pole():
     """Isotropy of the weight-(tau,1,2) closure at a point supported on the
     third coordinate: two components inside the 2-torus closure."""
-    ident = tg.SubtorusGroup(3, ((0, 1, 0), (0, 0, 1)))
-    reps = (
-        (Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1, 2), Fraction(0)),
-    )
-    return tg.IsotropyDescriptor(ident, reps)
+    G, _ = tg.closure_group(sym([(0, 1), (1, 0), (2, 0)], ("tau",)))
+    return tg.IsotropyDescriptor(G, (2,))
+
+
+def test_isotropy_descriptor_components():
+    iso = _s5_isotropy_at_pole()
+    assert iso.component_count == 2 and iso.dim == 1
+    zero, half = Fraction(0), Fraction(1, 2)
+    assert iso.component_reps[0] == (zero, zero, zero)
+    assert set(iso.component_reps) == {(zero, zero, zero), (zero, half, zero)}
+    assert set(iso.tangent_rows) <= {(1, 0, 0), (-1, 0, 0)}
+    for t, h in zip(iso.param_reps, iso.component_reps):
+        assert iso.element(t) == h
+
+
+def test_trivial_isotropy():
+    iso = tg.trivial_isotropy(3)
+    assert iso.component_count == 1 and iso.dim == 0
+    assert iso.component_reps == ((0, 0, 0),)
 
 
 def test_isotropy_preimage_components():
     v = sym([(0, 1), (1, 0), (2, 0)], ("tau",))
     Ghat, hom = tg.closure_group(v)
     pre = tg.isotropy_preimage(Ghat, hom.base_dim, _s5_isotropy_at_pole())
-    assert pre.kappa == 2
+    assert pre == tg.IsotropyDescriptor(Ghat, (2,))
+    assert pre.component_count == 2
     assert pre.dim == 1
-    for pt in pre.ambient_points():
+    for pt in pre.component_reps:
         assert Ghat.contains(pt)
 
 
@@ -303,3 +315,95 @@ def test_complementary_subgroup_is_valid():
     rows = tg.complementary_subgroup(pre)
     assert len(rows) + pre.dim == Ghat.dim
     assert tg.haar_factor(pre, rows) > 0
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer type against brute force on random weighted spheres
+
+
+def _grid_hits(group, coords, N):
+    """Points of the resolution-``N`` grid of the group's parametrizing torus
+    whose element has coordinates ``coords`` equal to zero modulo one."""
+    C = np.array(group.complement_basis(), dtype=np.int64)[:, list(coords)]
+    d = len(C)
+    grid = np.stack(np.meshgrid(*[np.arange(N)] * d, indexing="ij"), -1).reshape(-1, d)
+    return int(np.all((grid @ C) % N == 0, axis=1).sum())
+
+
+def brute_force_components(group, coords, N):
+    """(component count, dimension) of ``{g in group : g_coords = 0}`` from
+    grid counts alone: a subgroup with ``kappa`` components of dimension
+    ``e`` meets the resolution-``N`` grid in ``kappa * N**e`` points once
+    ``N`` is a multiple of every component order, so doubling ``N`` reads
+    off ``e``."""
+    h1, h2 = _grid_hits(group, coords, N), _grid_hits(group, coords, 2 * N)
+    e = round(math.log2(h2 / h1))
+    assert h2 == h1 * 2 ** e
+    assert h1 % N ** e == 0
+    return h1 // N ** e, e
+
+
+def _weight(draw):
+    """A weight ``a`` or ``a * tau`` with ``a`` in 1..8."""
+    a = draw(st.integers(1, 8))
+    return (Fraction(0), Fraction(a)) if draw(st.booleans()) else (Fraction(a), Fraction(0))
+
+
+@st.composite
+def weighted_spheres(draw):
+    k = draw(st.integers(2, 3))
+    weights = tg.SymbolicFrequency(tuple(_weight(draw) for _ in range(k)), ("tau",))
+    twist = _weight(draw) if draw(st.booleans()) else None
+    return weights, twist and tg.SymbolicFrequency((twist,), ("tau",))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_spheres())
+def test_isotropy_descriptor_matches_grid_count(case):
+    weights, twist = case
+    k = weights.ambient_dim
+    G, _ = tg.closure_group(weights)
+    hat, hom = tg.closure_group(weights, twist)
+    coeffs = [int(c) for row in weights.coeffs + (twist.coeffs if twist else ())
+              for c in row if c]
+    N = math.lcm(*coeffs)
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            iso = tg.IsotropyDescriptor(G, support)
+            pre = tg.isotropy_preimage(hat, hom.base_dim, iso)
+            for desc in (iso, pre):
+                assert (desc.component_count, desc.dim) == \
+                    brute_force_components(desc.group, support, N)
+                assert len(desc.component_reps) == desc.component_count
+                assert not any(desc.component_reps[0])
+                for h in desc.component_reps:
+                    assert desc.group.contains(h)
+                    assert all(h[j] == 0 for j in support)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_isotropy_quadrature_matches_exact_sum_on_random_spheres(data):
+    # rational weights: an irrational one makes every pole non-transverse
+    k = data.draw(st.integers(2, 3))
+    weights = tg.SymbolicFrequency(tuple(
+        (Fraction(w), Fraction(0))
+        for w in data.draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))),
+        ("tau",))
+    twist_weight = data.draw(st.one_of(
+        st.none(), st.integers(1, 8).map(lambda a: ((Fraction(a), Fraction(0)),)),
+        st.integers(1, 8).map(lambda a: ((Fraction(0), Fraction(a)),))))
+    twist = twist_weight and BundleTwist(tg.SymbolicFrequency(twist_weight, ("tau",)))
+    phases = data.draw(st.lists(
+        st.builds(Fraction, st.integers(0, 11), st.integers(1, 12)),
+        min_size=k, max_size=k))
+    model = gm.WeightedSphereModel(weights)
+    f = SpherePhaseMap(phases)
+    try:
+        exact = fpf.lefschetz_rhs(model, f, fibers="scalar", twist=twist)
+    except (InfiniteFixedSet, NonTransverse):
+        assume(False)
+    quad = fpf.lefschetz_rhs(model, f, fibers="scalar", twist=twist,
+                             isotropy_resolution=5)
+    assert abs(quad.value - exact.value) <= 1e-9
