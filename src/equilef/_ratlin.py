@@ -30,7 +30,6 @@ The workhorses are
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -79,6 +78,22 @@ def frac_mod1(q):
 
 def vec_mod1(x):
     return tuple(frac_mod1(q) for q in x)
+
+
+def numerators(x):
+    """Integer numerators of the rationals ``x`` over their least common
+    denominator ``D``: ``x[i] == Fraction(ints[i], D)``."""
+    D = math.lcm(*(q.denominator for q in x))
+    return tuple(q.numerator * (D // q.denominator) for q in x), D
+
+
+def affine_mod1(A, x, c):
+    """``A x + c (mod 1)`` for an integer matrix ``A`` and rational vectors
+    ``x`` and ``c``, as one integer affine step over a common denominator."""
+    nums, D = numerators((*x, *c))
+    x, c = nums[:len(x)], nums[len(x):]
+    return tuple(Fraction((sum(a * xi for a, xi in zip(row, x)) + ci) % D, D)
+                 for row, ci in zip(A, c))
 
 
 def is_integral_vector(x):
@@ -338,7 +353,9 @@ class CongruenceSolution:
     solutions form ``torsion_count`` parallel translates of a
     ``f``-dimensional subtorus coset.  The count is the product of the
     nontrivial Smith diagonal entries and is known without listing anything;
-    ``torsion_reps`` lists the translates on first use and refuses more than
+    ``torsion_reps`` and ``points()`` list the translates (a torsor over
+    the Smith group) in integer numerators over the lcm of the Smith entries
+    and the particular solution's denominators, and refuse more than
     ``TORSION_LIMIT`` of them.
     """
 
@@ -364,28 +381,33 @@ class CongruenceSolution:
     @property
     def torsion_reps(self):
         if self._reps is None:
-            total = self.torsion_count
-            if total > TORSION_LIMIT:
-                raise TorsionTooLarge(
-                    f"a congruence system has {total} solution components, "
-                    f"more than the {TORSION_LIMIT} that can be listed")
-            d = len(self.particular)
-            reps = []
-            for combo in itertools.product(*(range(di) for _, di in self._axes)):
-                u = [Fraction(0)] * d
-                for (i, di), j in zip(self._axes, combo):
-                    u[i] = Fraction(j, di)
-                reps.append(vec_mod1(mat_vec(self._T, u)))
-            self._reps = reps
+            reps, D = self._translates((0,) * len(self.particular))
+            self._reps = [tuple(Fraction(a, D) for a in r) for r in reps]
         return self._reps
 
     def points(self):
+        """The solutions of a finite set, in lexicographic order."""
         if not self.is_finite:
             raise ValueError("solution set is infinite")
-        return [
-            vec_mod1(tuple(p + r for p, r in zip(self.particular, rep)))
-            for rep in self.torsion_reps
-        ]
+        reps, D = self._translates(self.particular)
+        return [tuple(Fraction(a, D) for a in r) for r in sorted(reps)]
+
+    def _translates(self, shift):
+        """``shift + T u (mod 1)`` for every torsion vector ``u``, the last
+        Smith axis varying fastest, as numerators over one denominator."""
+        total = self.torsion_count
+        if total > TORSION_LIMIT:
+            raise TorsionTooLarge(
+                f"a congruence system has {total} solution components, "
+                f"more than the {TORSION_LIMIT} that can be listed")
+        nums, E = numerators(shift)
+        D = math.lcm(E, *(di for _, di in self._axes))
+        reps = [tuple(a * (D // E) for a in nums)]
+        for i, di in self._axes:
+            step = [row[i] * (D // di) for row in self._T]
+            reps = [tuple(a + j * s for a, s in zip(r, step))
+                    for r in reps for j in range(di)]
+        return [tuple(a % D for a in r) for r in reps], D
 
 
 def solve_congruences(A, b, d=None):

@@ -58,11 +58,7 @@ class TorusMap:
         return sum(Fraction(mi) * t for mi, t in zip(m, self.translation))
 
     def apply(self, p):
-        p = [Fraction(x) for x in p]
-        return rl.vec_mod1(tuple(
-            sum(a * x for a, x in zip(row, p)) + t
-            for row, t in zip(self.matrix, self.translation)
-        ))
+        return rl.affine_mod1(self.matrix, [Fraction(x) for x in p], self.translation)
 
 
 @dataclass(frozen=True)

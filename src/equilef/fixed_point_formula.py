@@ -115,7 +115,8 @@ def _base_minus_identity(model: FlatTorusModel, f: TorusMap):
 def _torus_fixed_orbits(model: FlatTorusModel, f: TorusMap):
     """Fixed orbits from the congruences ``(A_bar - I) x_bar = -c_bar``; a
     point base (no congruences) has the whole manifold as its one orbit.
-    The count is read from the Smith diagonal before any orbit is listed."""
+    The count is read from the Smith diagonal before any orbit is listed,
+    and the levels come sorted, so the orbits are in key order."""
     M, c_bar = _base_minus_identity(model, f)
     sol = rl.solve_congruences(M, [-x for x in c_bar], len(M))
     if sol is None:
@@ -127,7 +128,7 @@ def _torus_fixed_orbits(model: FlatTorusModel, f: TorusMap):
         )
     if sol.count > rl.TORSION_LIMIT:
         raise FixedSetTooLarge(sol.count, rl.TORSION_LIMIT)
-    return sorted(torus_orbits(model, sol.points()), key=lambda o: o.key)
+    return torus_orbits(model, sol.points())
 
 
 def _sphere_fixed_orbits(model: WeightedSphereModel, f: SpherePhaseMap):
@@ -159,8 +160,9 @@ def _sphere_fixed_orbits(model: WeightedSphereModel, f: SpherePhaseMap):
 
 
 def _torus_g0(model: FlatTorusModel, f: TorusMap, orbit: ClosedOrbit):
-    p0 = orbit.base_point
-    g0 = rl.vec_mod1(tuple(p - fp for p, fp in zip(p0, f.apply(p0))))
+    # g0 = (I - A) p0 - c (mod 1), one integer affine step
+    I_minus_A = [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(f.matrix)]
+    g0 = rl.affine_mod1(I_minus_A, orbit.base_point, [-t for t in f.translation])
     if not model.group.contains(g0):
         raise NonTransverse("orbit is not actually fixed by the map", orbit=orbit)
     return g0
@@ -336,7 +338,7 @@ def _fiber_traces(model, f, fibers):
     return _principal_minor_traces(f.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _IsotropyType:
     """The part of an orbit's term fixed by its isotropy type: the lifted
     closure, the isotropy preimage, the Haar mass and sheet count of the
@@ -353,10 +355,11 @@ class _IsotropyType:
 
 class _MapContext:
     """What an orbit's term shares with the other orbits of the map: the
-    fiber traces, the torus conormal determinant, and one
+    fiber traces, the torus conormal determinant, one
     :class:`_IsotropyType` per isotropy type met (one on a torus, one per
-    support stratum on a sphere).  Lives for one ``lefschetz_rhs`` call or
-    one lone ``orbit_contribution`` call."""
+    support stratum on a sphere), and the per-degree assembly of each
+    distinct (isotropy type, component data) pair.  Lives for one
+    ``lefschetz_rhs`` call or one lone ``orbit_contribution`` call."""
 
     def __init__(self, model, f, fibers, twist, subgroup_rows):
         self.model = model
@@ -368,12 +371,61 @@ class _MapContext:
         self.torus_det = (_torus_conormal_det(model, f)
                           if isinstance(model, FlatTorusModel) else None)
         self._types = {}
+        self._terms = {}
 
     def isotropy_type(self, isotropy) -> _IsotropyType:
         found = self._types.get(isotropy)
         if found is None:
             found = self._types[isotropy] = self._build_type(isotropy)
         return found
+
+    def term(self, phase, det_val, q):
+        return (self.scalar * cmath.exp(2j * math.pi * float(phase))
+                * self.traces[q] / abs(det_val))
+
+    def assembled(self, typ: _IsotropyType, comps):
+        """``(per_degree, total, total_exact)`` of an orbit's term: a pure
+        function of the isotropy type and the per-component ``(phase,
+        det, exact det)`` data, so assembled once per distinct pair (once
+        per untwisted torus map, once per phase when twisted, once per
+        stratum on a sphere)."""
+        key = (typ, comps)
+        found = self._terms.get(key)
+        if found is None:
+            found = self._terms[key] = self._assemble(typ, comps)
+        return found
+
+    def _assemble(self, typ: _IsotropyType, comps):
+        traces = self.traces
+        kappa = typ.pre.component_count
+        weight = typ.mass / typ.sheets
+        per_degree = []
+        total = 0.0 + 0.0j
+        total_exact = Fraction(0)
+        exact_ok = self.twist is None and all(de is not None for _, _, de in comps)
+        for q in range(len(traces)):
+            integral = 0.0 + 0.0j
+            integral_exact = Fraction(0)
+            for phase, det_val, det_exact in comps:
+                if typ.char_zero:
+                    continue
+                integral += self.term(phase, det_val, q)
+                if exact_ok:
+                    integral_exact += Fraction(traces[q]) / abs(det_exact)
+            integral /= kappa
+            integral_exact /= kappa
+            total += (-1) ** q * float(weight) * integral
+            if exact_ok:
+                total_exact += (-1) ** q * weight * integral_exact
+            per_degree.append(PerDegreeData(
+                degree=q,
+                trace_value=self.scalar * traces[q],
+                det_value=comps[0][1],
+                haar_factor=typ.mass,
+                sheets=typ.sheets,
+                isotropy_integral=integral,
+            ))
+        return tuple(per_degree), total, total_exact if exact_ok else None
 
     def _build_type(self, isotropy) -> _IsotropyType:
         hat, hom = _hat_context(self.model, self.twist)
@@ -427,8 +479,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
     typ = context.isotropy_type(orbit.isotropy)
     hat, hom, pre = typ.hat, typ.hom, typ.pre
     n = hom.base_dim
-    traces = context.traces
-    scalar = context.scalar
+    torus = isinstance(model, FlatTorusModel)
     fiber_idx = range(n, hat.ambient_dim)
     if twist is not None:
         ghat0 = hat.element_with(range(n), g0)
@@ -437,56 +488,24 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
 
     def element_term(t):
         """Twist phase and conormal determinant (exact where available) at
-        the preimage element with parameters ``t``."""
-        h_amb = pre.element(t)
+        the preimage element with parameters ``t``; an untwisted torus
+        orbit reads nothing at ``t``."""
+        h_amb = None if torus and twist is None else pre.element(t)
         phase = rl.frac_mod1(sum(
             (Fraction(h_amb[j]) - Fraction(ghat0[j])) for j in fiber_idx
         )) if twist is not None else Fraction(0)
-        if isinstance(model, FlatTorusModel):
+        if torus:
             return phase, cert.dets[0], cert.dets_exact[0]
         turns = _sphere_rotation_turns(model, f, g0, hom.project(h_amb))
         return phase, _sphere_conormal_det(orbit, turns), None
 
-    def term(phase, det_val, q):
-        return (scalar * cmath.exp(2j * math.pi * float(phase))
-                * traces[q] / abs(det_val))
-
-    comps = [element_term(rep) for rep in pre.param_reps]
-    kappa = pre.component_count
-    mass = typ.mass
-    sheets = typ.sheets
-    weight = mass / sheets
-    per_degree = []
-    total = 0.0 + 0.0j
-    total_exact = Fraction(0)
-    exact_ok = twist is None and all(de is not None for _, _, de in comps)
-    for q in range(len(traces)):
-        integral = 0.0 + 0.0j
-        integral_exact = Fraction(0)
-        for phase, det_val, det_exact in comps:
-            if typ.char_zero:
-                continue
-            integral += term(phase, det_val, q)
-            if exact_ok:
-                integral_exact += Fraction(traces[q]) / abs(det_exact)
-        integral /= kappa
-        integral_exact /= kappa
-        contrib = (-1) ** q * float(weight) * integral
-        total += contrib
-        if exact_ok:
-            total_exact += (-1) ** q * weight * integral_exact
-        per_degree.append(PerDegreeData(
-            degree=q,
-            trace_value=scalar * traces[q],
-            det_value=comps[0][1],
-            haar_factor=mass,
-            sheets=sheets,
-            isotropy_integral=integral,
-        ))
+    per_degree, total, total_exact = context.assembled(
+        typ, tuple(element_term(rep) for rep in pre.param_reps))
     if isotropy_resolution is not None:
         # independent route: Haar quadrature along each component
         grid = list(itertools.product(range(isotropy_resolution), repeat=pre.dim))
-        count = kappa * max(len(grid), 1)
+        count = pre.component_count * max(len(grid), 1)
+        weight = float(typ.mass / typ.sheets)
         quad = 0.0 + 0.0j
         for rep in pre.param_reps:
             for combo in grid or [()]:
@@ -496,8 +515,8 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
                     for i, r in enumerate(rep)
                 )
                 phase, det_val, _ = element_term(t)
-                for q in range(len(traces)):
-                    quad += (-1) ** q * float(weight) * term(phase, det_val, q) / count
+                for q in range(len(context.traces)):
+                    quad += (-1) ** q * weight * context.term(phase, det_val, q) / count
         if abs(quad - total) > 1e-6 * max(1.0, abs(total)):
             raise AssertionError(
                 f"isotropy quadrature disagrees with the exact sum: {quad} vs {total}"
@@ -506,9 +525,9 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         orbit=orbit,
         g0=g0,
         certificate=cert,
-        per_degree=tuple(per_degree),
+        per_degree=per_degree,
         total=total,
-        total_exact=total_exact if exact_ok else None,
+        total_exact=total_exact,
     )
 
 
@@ -518,10 +537,12 @@ def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
 
     The map-level data (fiber traces, conormal determinant, and per isotropy
     type the lifted closure, preimage, mass and sheet count) is computed once
-    and shared; each orbit adds only its certificate, group correction and
-    per-component phases.  Raises :class:`InfiniteFixedSet`,
-    :class:`FixedSetTooLarge` or :class:`NonTransverse` before any value is
-    produced when the hypotheses fail."""
+    and shared; each orbit adds only its certificate, its group correction
+    (in integers over one common denominator) and its per-component phases,
+    and the per-degree assembly is built once per distinct component data.
+    Raises :class:`InfiniteFixedSet`, :class:`FixedSetTooLarge` or
+    :class:`NonTransverse` before any value is produced when the hypotheses
+    fail."""
     orbits = find_fixed_orbits(model, f)
     context = _MapContext(model, f, fibers, twist, subgroup_rows)
     contributions = [_contribution(orbit, None, isotropy_resolution, context)

@@ -211,19 +211,31 @@ def _torus_orbit(model: FlatTorusModel, p) -> ClosedOrbit:
 
 def torus_orbits(model: FlatTorusModel, levels) -> list:
     """The orbit closures whose base coordinates ``L x (mod 1)`` are the
-    given levels, in order.  One exact solve per orbit gives its canonical
-    base point; the dimension, the (trivial) isotropy and the conormal frame
-    of the lattice covectors are the same for every orbit and built once."""
+    given levels, in order.  The canonical base point of ``_solve_from_level``
+    is linear in the level (its free coordinates are zero), so its solve
+    operator is built once from the unit levels and each level is mapped
+    through it in integers over one common denominator.  The dimension, the
+    (trivial) isotropy and the conormal frame of the lattice covectors are
+    the same for every orbit and built once."""
     L = model.base_lattice
     dim = model.group.dim
     isotropy = tg.IsotropyDescriptor(model.group, range(model.n))
     conormal = np.array([[float(m) for m in row] for row in L], dtype=float).T \
         if L else np.zeros((model.n, 0))
     conormal.flags.writeable = False    # one frame, shared by every orbit
+    columns = [rl.solve_rational(L, unit) for unit in rl.identity_rows(len(L))]
+    flat, E = rl.numerators([x for column in columns for x in column])
+    solve = [flat[i::model.n] for i in range(model.n)]     # over E
+
+    def base_point(level):
+        nums, D = rl.numerators(level)
+        D *= E
+        return tuple(Fraction(a % D, D) for a in rl.mat_vec(solve, nums))
+
     return [
         ClosedOrbit(
             model=model,
-            base_point=_solve_from_level(L, level, model.n),
+            base_point=base_point(level),
             dim=dim,
             isotropy=isotropy,
             conormal_basis=conormal,

@@ -213,11 +213,12 @@ class SubtorusGroup:
         return None if sol is None else self.element(sol.particular)
 
     def contains(self, point):
-        point = [Fraction(x) for x in point]
-        return all(
-            rl.frac_mod1(sum(m * x for m, x in zip(row, point))) == 0
-            for row in self.relation_lattice
-        )
+        """Whether the rational ``point`` satisfies ``L x = 0 (mod 1)``,
+        tested as ``L x_num = 0 (mod D)`` on its numerators over their
+        common denominator ``D``."""
+        nums, D = rl.numerators(point)
+        return all(sum(m * x for m, x in zip(row, nums)) % D == 0
+                   for row in self.relation_lattice)
 
 
 @lru_cache(maxsize=None)

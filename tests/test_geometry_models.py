@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equilef import _ratlin as rl
 from equilef import geometry_models as gm
 from equilef import torus_group as tg
+from equilef.endomorphism import TorusMap
 from equilef.errors import OffManifold
 
 
@@ -193,3 +196,46 @@ class _AffineStub:
     def __init__(self, matrix, translation):
         self.matrix = matrix
         self.translation = translation
+
+
+def rationals(lo=-12, hi=12, denominators=(1, 2, 3, 4, 5, 6, 7, 12)):
+    return st.builds(Fraction, st.integers(lo, hi), st.sampled_from(denominators))
+
+
+@st.composite
+def torus_models(draw):
+    """A flat n-torus (n = 1..4) with a random flow: rational entries plus a
+    multiple of one irrational generator, so the base lattice has rank
+    n - 1, n - 2 or less."""
+    n = draw(st.integers(1, 4))
+    entries = [(draw(st.integers(-3, 3)), draw(st.integers(-1, 1))) for _ in range(n)]
+    if not any(a or b for a, b in entries):
+        entries[-1] = (1, 0)
+    return torus_model(entries, ("alpha",))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), model=torus_models())
+def test_torus_orbit_base_points_match_the_fraction_solve(data, model):
+    # the integer solve operator against one Fraction elimination per level
+    L = model.base_lattice
+    levels = data.draw(st.lists(st.tuples(*[rationals()] * len(L)), min_size=1, max_size=5))
+    orbits = gm.torus_orbits(model, levels)
+    for level, orbit in zip(levels, orbits):
+        expected = (rl.vec_mod1(rl.solve_rational(L, level)) if L
+                    else (Fraction(0),) * model.n)
+        assert orbit.base_point == expected
+        assert orbit.key == ("torus", level)
+        assert rl.vec_mod1(rl.mat_vec(L, orbit.base_point)) == rl.vec_mod1(level)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_torus_map_apply_matches_fraction_arithmetic(data):
+    n = data.draw(st.integers(1, 4))
+    A = [[data.draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)]
+    f = TorusMap(A, [data.draw(rationals()) for _ in range(n)])
+    p = [data.draw(rationals()) for _ in range(n)]
+    assert f.apply(p) == rl.vec_mod1(tuple(
+        sum(a * x for a, x in zip(row, p)) + t
+        for row, t in zip(f.matrix, f.translation)))

@@ -25,6 +25,7 @@ from equilef import scenario_cli as cli
 from equilef import torus_group as tg
 from equilef.endomorphism import (BundleTwist, SpherePhaseMap, TorusMap,
                                   exact_exterior_traces)
+from equilef.errors import InfiniteFixedSet, NonTransverse
 
 
 def torus_doc(name, matrix, translation, twist_weight=None):
@@ -136,6 +137,65 @@ def test_sphere_congruence_solves_do_not_grow_with_isotropy_components(
         return len(calls)
 
     assert solves(401) == solves(7)
+
+
+def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):
+    # the base points come from one solve operator per map, the term is
+    # assembled once per distinct component data, and an untwisted torus
+    # orbit never evaluates a preimage element
+    calls = {"solve_rational": 0, "PerDegreeData": 0, "element": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(fpf.rl, "solve_rational")
+    counting(fpf, "PerDegreeData")
+    counting(tg.SubtorusGroup, "element")
+
+    def rhs(k):
+        model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 1)))
+        f = TorusMap(((k, 0, 0), (0, k, 0), (0, 0, 1)), (0, 0, 0))
+        for name in calls:
+            calls[name] = 0
+        result = fpf.lefschetz_rhs(model, f)
+        assert result.value_exact == (k - 1) ** 2
+        return len(result.contributions), dict(calls)
+
+    one, one_calls = rhs(2)
+    sixteen, sixteen_calls = rhs(5)
+    assert (one, sixteen) == (1, 16)
+    assert sixteen_calls["solve_rational"] == one_calls["solve_rational"]
+    assert sixteen_calls["PerDegreeData"] == 3       # once per degree of T^3
+    assert sixteen_calls["element"] == 0
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.data())
+def test_batched_sphere_contributions_equal_lone_ones(data):
+    # the memo key of a sphere term carries float determinants; a batched
+    # term must still equal the one a lone call assembles, field by field
+    k = data.draw(st.integers(2, 3))
+    weights = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    phases = data.draw(st.lists(st.builds(Fraction, st.integers(0, 10), st.just(11)),
+                                min_size=k, max_size=k))
+    twist_weight = data.draw(st.sampled_from([None, 1, 2, 3]))
+    model = gm.WeightedSphereModel(tg.SymbolicFrequency.rational(weights))
+    f = SpherePhaseMap(phases)
+    twist = (None if twist_weight is None
+             else BundleTwist(tg.SymbolicFrequency.rational((twist_weight,))))
+    try:
+        rhs = fpf.lefschetz_rhs(model, f, fibers="scalar", twist=twist)
+    except (InfiniteFixedSet, NonTransverse):
+        assume(False)
+    for contrib in rhs.contributions:
+        assert fpf.orbit_contribution(contrib.orbit, f, fibers="scalar",
+                                      twist=twist) == contrib
 
 
 def unimodular(draw, n):

@@ -1,10 +1,13 @@
 """Exact linear algebra: normal forms, kernels, congruence solving."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from equilef import _ratlin as rl
 
@@ -216,9 +219,60 @@ def test_solve_congruences_brute_force_oracle():
 
 
 def _product(rng_range, d):
-    import itertools
-
     return itertools.product(rng_range, repeat=d)
+
+
+def fraction_torsion_reps(A, d):
+    """The torsion translates ``T u (mod 1)``, ``u`` on the Smith grid with
+    the last axis fastest, one ``Fraction`` matrix-vector product each: the
+    reference for the integer listing of ``CongruenceSolution``."""
+    if not A:
+        return [(Fraction(0),) * d]
+    D, _, T = rl.snf_with_transforms(A)
+    axes = [(i, D[i][i]) for i in range(min(len(A), d)) if D[i][i] > 1]
+    reps = []
+    for combo in itertools.product(*(range(di) for _, di in axes)):
+        u = [Fraction(0)] * d
+        for (i, di), j in zip(axes, combo):
+            u[i] = Fraction(j, di)
+        reps.append(rl.vec_mod1(rl.mat_vec(T, u)))
+    return reps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_congruence_listing_matches_fraction_oracle(data):
+    # k < d, k = d, k > d and the empty system (k = 0), rational right-hand
+    # sides with numerators outside [0, 1) so every reduction modulo one acts
+    k = data.draw(st.integers(0, 4), label="k")
+    d = data.draw(st.integers(0 if k == 0 else 1, 4), label="d")
+    A = [[data.draw(st.integers(-4, 4)) for _ in range(d)] for _ in range(k)]
+    b = [Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 6)))
+         for _ in range(k)]
+    sol = rl.solve_congruences(A, b, d)
+    assume(sol is not None and sol.torsion_count <= 300)
+    reps = fraction_torsion_reps(A, d)
+    assert sol.torsion_reps == reps
+    if not sol.is_finite:
+        with pytest.raises(ValueError):
+            sol.points()
+        return
+    points = sol.points()
+    assert points == sorted(
+        rl.vec_mod1(tuple(p + r for p, r in zip(sol.particular, rep))) for rep in reps)
+    assert len(set(points)) == sol.count
+    for t in points:
+        assert all(rl.frac_mod1(sum(a * x for a, x in zip(row, t)) - bi) == 0
+                   for row, bi in zip(A, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 40)), max_size=6))
+def test_numerators_over_the_least_common_denominator(pairs):
+    x = [Fraction(a, q) for a, q in pairs]
+    nums, D = rl.numerators(x)
+    assert [Fraction(a, D) for a in nums] == x
+    assert D == math.lcm(*(q.denominator for q in x))
 
 
 def test_solve_rational_and_lattice_coordinates():

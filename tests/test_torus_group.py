@@ -317,6 +317,37 @@ def test_complementary_subgroup_is_valid():
     assert tg.haar_factor(pre, rows) > 0
 
 
+def fraction_contains(group, point):
+    """Membership by ``Fraction`` arithmetic: every relation row's pairing
+    with the point vanishes modulo one."""
+    return all(rl.frac_mod1(sum(m * Fraction(x) for m, x in zip(row, point))) == 0
+               for row in group.relation_lattice)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_contains_matches_fraction_oracle_on_members_and_non_members(data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=n - 1))
+    G = tg.SubtorusGroup(n, rows)
+    frac = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+    # a member, moved off [0, 1) by integer shifts
+    t = data.draw(st.lists(frac, min_size=G.dim, max_size=G.dim))
+    member = tuple(x + data.draw(st.integers(-2, 2)) for x in G.element(t))
+    assert G.contains(member) and fraction_contains(G, member)
+    # a random point, a member or not
+    point = tuple(data.draw(st.lists(frac, min_size=n, max_size=n)))
+    assert G.contains(point) == fraction_contains(G, point)
+    if G.relation_lattice:
+        # moving coordinate j by 1/q with |m_j| < q breaks the first relation m
+        m = G.relation_lattice[0]
+        j = next(i for i, a in enumerate(m) if a)
+        off = list(member)
+        off[j] += Fraction(1, abs(m[j]) + data.draw(st.integers(1, 3)))
+        assert not G.contains(off) and not fraction_contains(G, off)
+
+
 # ---------------------------------------------------------------------------
 # the stabilizer type against brute force on random weighted spheres
 
