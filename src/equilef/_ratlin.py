@@ -477,24 +477,26 @@ def char_poly(M):
     """Monic characteristic polynomial of an integer matrix.
 
     Returns coefficients ``(1, c1, ..., cn)`` of ``t^n + c1 t^(n-1) + ... + cn``
-    (Faddeev-LeVerrier; the rational intermediates are asserted integral).
+    (Faddeev-LeVerrier in integers: every intermediate matrix is integral, so
+    each trace division is exact, which is asserted).
     """
     n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    coeffs = [Fraction(1)]
+    A = [list(map(int, row)) for row in M]
+    coeffs = [1]
     Mk = [row[:] for row in A]
     for k in range(1, n + 1):
-        ck = -sum(Mk[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(Mk[i][i] for i in range(n)), k)
+        assert rem == 0
         coeffs.append(ck)
         if k == n:
             break
-        Nk = [[Mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            Mk[i][i] += ck
         Mk = [
-            [sum(A[i][l] * Nk[l][j] for l in range(n)) for j in range(n)]
+            [sum(A[i][l] * Mk[l][j] for l in range(n)) for j in range(n)]
             for i in range(n)
         ]
-    assert all(c.denominator == 1 for c in coeffs)
-    return tuple(int(c) for c in coeffs)
+    return tuple(coeffs)
 
 
 def deflate_root_one(coeffs):

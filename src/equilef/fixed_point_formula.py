@@ -49,13 +49,14 @@ from .geometry_models import (
 
 @dataclass(frozen=True)
 class TransversalityCertificate:
-    """Nonvanishing of the conormal determinants, one value per isotropy
-    component sweep.  ``dets_exact`` holds exact values where available
-    (always on tori; ``None`` entries on spheres carry only floats)."""
+    """Nonvanishing of the conormal determinants, from the pass that builds
+    the orbit's term: ``det(A_bar - I)`` on a torus, one value per isotropy-
+    preimage component on a sphere.  ``dets_exact`` holds exact values where
+    available (always on tori; ``None`` entries on spheres carry only floats)."""
 
     orbit: ClosedOrbit
     g0: tuple
-    dets: tuple            # floats, one per base isotropy component
+    dets: tuple            # floats, one per preimage component on a sphere
     dets_exact: tuple      # Fractions or None, parallel to dets
 
 
@@ -156,35 +157,6 @@ def _sphere_fixed_orbits(model: WeightedSphereModel, f: SpherePhaseMap):
 
 
 # ---------------------------------------------------------------------------
-# group corrections
-
-
-def _torus_g0(model: FlatTorusModel, f: TorusMap, orbit: ClosedOrbit):
-    # g0 = (I - A) p0 - c (mod 1), one integer affine step
-    I_minus_A = [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(f.matrix)]
-    g0 = rl.affine_mod1(I_minus_A, orbit.base_point, [-t for t in f.translation])
-    if not model.group.contains(g0):
-        raise NonTransverse("orbit is not actually fixed by the map", orbit=orbit)
-    return g0
-
-
-def _sphere_g0(model: WeightedSphereModel, f: SpherePhaseMap, orbit: ClosedOrbit):
-    support = orbit.base_point.support
-    g0 = model.group.element_with(support, [-f.phases[j] for j in support])
-    if g0 is None:
-        raise NonTransverse("orbit is not actually fixed by the map", orbit=orbit)
-    return g0
-
-
-def group_correction(model, f, orbit):
-    """An element ``g0`` of the closure group making ``a_{g0} o f`` the
-    identity on the orbit (determined modulo the isotropy group)."""
-    if isinstance(model, FlatTorusModel):
-        return _torus_g0(model, f, orbit)
-    return _sphere_g0(model, f, orbit)
-
-
-# ---------------------------------------------------------------------------
 # transversality
 
 
@@ -194,18 +166,6 @@ def _sphere_rotation_turns(model, f, g0, h_rep):
         rl.frac_mod1(f.phases[l] + g0[l] - Fraction(h_rep[l]))
         for l in range(model.k)
     )
-
-
-def _sphere_conormal_det(orbit, turns):
-    """Conormal determinant of the corrected phase map at a sphere orbit: one
-    plane rotation minus the identity, ``2 - 2 cos(2 pi theta_l)``, per
-    coordinate off the support."""
-    support = orbit.base_point.support
-    det = 1.0
-    for l, theta in enumerate(turns):
-        if l not in support:
-            det *= 2.0 - 2.0 * math.cos(2 * math.pi * float(theta))
-    return det
 
 
 def _sphere_numeric_det(model, orbit, turns):
@@ -226,10 +186,49 @@ def _sphere_numeric_det(model, orbit, turns):
     return float(np.linalg.det(M - np.eye(Q.shape[1])))
 
 
-def _torus_conormal_det(model: FlatTorusModel, f: TorusMap):
-    """``det(A_bar - I)``: the conormal determinant at every orbit of a
-    flat torus."""
-    return rl.det_int(_base_minus_identity(model, f)[0])
+def _sphere_normal_coords(orbit: ClosedOrbit):
+    """The coordinates off a sphere orbit's support, after the checks every
+    isotropy component shares: the stratum has no moduli, and the identity
+    component sweeps no rotation angle through zero."""
+    support = orbit.base_point.support
+    if len(support) > 1:
+        # moduli directions inside the stratum are fixed by any phase map
+        raise NonTransverse(
+            "stratum moduli directions are fixed (determinant vanishes)",
+            orbit=orbit,
+        )
+    normal = [l for l in range(orbit.model.k) if l not in support]
+    for row in orbit.isotropy.tangent_rows:
+        for l in normal:
+            if row[l] != 0:
+                raise NonTransverse(
+                    "rotation angle sweeps through zero along an isotropy "
+                    f"component (coordinate {l})",
+                    orbit=orbit,
+                )
+    return normal
+
+
+def _sphere_component_det(orbit: ClosedOrbit, normal, turns, component):
+    """Conormal determinant of the corrected phase map on one isotropy
+    component with rotation ``turns``: after the exact zero test on each
+    coordinate off the support, one plane rotation minus the identity,
+    ``2 - 2 cos(2 pi theta_l)``, per such coordinate, and its cross-check in
+    the numeric conormal frame (the value the certificate records)."""
+    for l in normal:
+        if turns[l] == 0:
+            raise NonTransverse(
+                f"coordinate {l} is fixed by the corrected map",
+                orbit=orbit,
+                component=component,
+            )
+    det_val = math.prod(
+        (2.0 - 2.0 * math.cos(2 * math.pi * float(turns[l])) for l in normal),
+        start=1.0)
+    numeric = _sphere_numeric_det(orbit.model, orbit, turns)
+    if abs(abs(numeric) - abs(det_val)) > 1e-6 * max(1.0, abs(det_val)):
+        raise AssertionError("conormal determinant routes disagree")
+    return det_val, numeric
 
 
 def check_transversality(orbit: ClosedOrbit, f, g0=None) -> TransversalityCertificate:
@@ -239,77 +238,13 @@ def check_transversality(orbit: ClosedOrbit, f, g0=None) -> TransversalityCertif
     The correction is only determined modulo the isotropy group, so the
     determinant must be nonzero along every isotropy component; on
     positive-dimensional components the rotation angles sweep whole circles,
-    which is an exact linear condition."""
-    model = orbit.model
-    torus_det = _torus_conormal_det(model, f) if isinstance(model, FlatTorusModel) else None
-    return _certify(orbit, f, g0, torus_det)
-
-
-def _certify(orbit: ClosedOrbit, f, g0, torus_det) -> TransversalityCertificate:
-    """:func:`check_transversality` with the torus conormal determinant
-    (the same at every orbit of a map) passed in."""
-    model = orbit.model
-    if g0 is None:
-        g0 = group_correction(model, f, orbit)
-    if isinstance(model, FlatTorusModel):
-        if torus_det == 0:
-            raise NonTransverse(
-                "base map minus identity vanishes on the conormal space",
-                orbit=orbit,
-            )
-        return TransversalityCertificate(
-            orbit, g0, (float(torus_det),), (Fraction(torus_det),))
-    # weighted sphere
-    support = set(orbit.base_point.support)
-    iso = orbit.isotropy
-    normal_coords = [l for l in range(model.k) if l not in support]
-    if len(support) > 1:
-        # moduli directions inside the stratum are fixed by any phase map
-        raise NonTransverse(
-            "stratum moduli directions are fixed (determinant vanishes)",
-            orbit=orbit,
-        )
-    # the identity component's tangent is shared by every component
-    for row in iso.tangent_rows:
-        for l in normal_coords:
-            if row[l] != 0:
-                raise NonTransverse(
-                    "rotation angle sweeps through zero along an isotropy "
-                    f"component (coordinate {l})",
-                    orbit=orbit,
-                )
-    dets = []
-    dets_exact = []
-    for comp_index, h_rep in enumerate(iso.component_reps):
-        turns = _sphere_rotation_turns(model, f, g0, h_rep)
-        for l in normal_coords:
-            if turns[l] == 0:
-                raise NonTransverse(
-                    f"coordinate {l} is fixed by the corrected map",
-                    orbit=orbit,
-                    component=comp_index,
-                )
-        det_val = _sphere_conormal_det(orbit, turns)
-        numeric = _sphere_numeric_det(model, orbit, turns)
-        if abs(abs(numeric) - abs(det_val)) > 1e-6 * max(1.0, abs(det_val)):
-            raise AssertionError("conormal determinant routes disagree")
-        dets.append(numeric)
-        dets_exact.append(None)
-    return TransversalityCertificate(orbit, g0, tuple(dets), tuple(dets_exact))
+    which is an exact linear condition.  It is the certificate the orbit's
+    untwisted scalar term is built with, from the same per-component pass."""
+    return orbit_contribution(orbit, f, fibers="scalar", g0=g0).certificate
 
 
 # ---------------------------------------------------------------------------
 # contributions
-
-
-def _hat_context(model, twist: BundleTwist | None):
-    if isinstance(model, FlatTorusModel):
-        direction = model.v
-    else:
-        direction = model.weights
-    weights = twist.weight if twist is not None else None
-    hat, hom = tg.closure_group(direction, weights)
-    return hat, hom
 
 
 def _principal_minor_traces(matrix):
@@ -340,13 +275,11 @@ def _fiber_traces(model, f, fibers):
 
 @dataclass(frozen=True, eq=False)
 class _IsotropyType:
-    """The part of an orbit's term fixed by its isotropy type: the lifted
-    closure, the isotropy preimage, the Haar mass and sheet count of the
+    """The part of an orbit's term fixed by its isotropy type: the isotropy
+    preimage in the lifted closure, the Haar mass and sheet count of the
     complementary subgroup, and whether the twist character integrates to
     zero along the preimage's identity component."""
 
-    hat: tg.SubtorusGroup
-    hom: tg.GroupHomomorphism
     pre: tg.IsotropyDescriptor
     mass: Fraction
     sheets: int
@@ -354,12 +287,12 @@ class _IsotropyType:
 
 
 class _MapContext:
-    """What an orbit's term shares with the other orbits of the map: the
-    fiber traces, the torus conormal determinant, one
-    :class:`_IsotropyType` per isotropy type met (one on a torus, one per
-    support stratum on a sphere), and the per-degree assembly of each
-    distinct (isotropy type, component data) pair.  Lives for one
-    ``lefschetz_rhs`` call or one lone ``orbit_contribution`` call."""
+    """The one owner of the map-level objects, each built once: the fiber
+    traces, the lifted closure, on a torus ``I - A`` and ``det(A_bar - I)``,
+    one :class:`_IsotropyType` per isotropy type met, and the per-degree
+    assembly of each distinct (isotropy type, component data) pair.  Lives
+    for one ``lefschetz_rhs`` or lone ``orbit_contribution`` call; nothing in
+    it reaches the harmonic side."""
 
     def __init__(self, model, f, fibers, twist, subgroup_rows):
         self.model = model
@@ -368,10 +301,33 @@ class _MapContext:
         self.subgroup_rows = subgroup_rows
         self.traces = _fiber_traces(model, f, fibers)
         self.scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
-        self.torus_det = (_torus_conormal_det(model, f)
-                          if isinstance(model, FlatTorusModel) else None)
+        self.torus = isinstance(model, FlatTorusModel)
+        direction = model.v if self.torus else model.weights
+        # untwisted, the same cache entry as ``model.group``
+        self.hat, self.hom = (tg.closure_group(direction) if twist is None
+                              else tg.closure_group(direction, twist.weight))
+        if self.torus:
+            self.torus_det = rl.det_int(_base_minus_identity(model, f)[0])
+            self.I_minus_A = [[(i == j) - a for j, a in enumerate(row)]
+                              for i, row in enumerate(f.matrix)]
+            self.minus_c = [-t for t in f.translation]
         self._types = {}
         self._terms = {}
+
+    def group_correction(self, orbit: ClosedOrbit):
+        """An element ``g0`` of the closure group making ``a_{g0} o f`` the
+        identity on the orbit (determined modulo the isotropy group):
+        ``(I - A) p0 - c (mod 1)`` on a torus, in one integer step."""
+        group = self.model.group
+        if self.torus:
+            g0 = rl.affine_mod1(self.I_minus_A, orbit.base_point, self.minus_c)
+            g0 = g0 if group.contains(g0) else None
+        else:
+            support = orbit.base_point.support
+            g0 = group.element_with(support, [-self.f.phases[j] for j in support])
+        if g0 is None:
+            raise NonTransverse("orbit is not actually fixed by the map", orbit=orbit)
+        return g0
 
     def isotropy_type(self, isotropy) -> _IsotropyType:
         found = self._types.get(isotropy)
@@ -428,8 +384,8 @@ class _MapContext:
         return tuple(per_degree), total, total_exact if exact_ok else None
 
     def _build_type(self, isotropy) -> _IsotropyType:
-        hat, hom = _hat_context(self.model, self.twist)
-        n = hom.base_dim
+        hat = self.hat
+        n = self.hom.base_dim
         pre = tg.isotropy_preimage(hat, n, isotropy)
         if self.subgroup_rows is None:
             rows_param = tg.complementary_subgroup(pre)
@@ -446,7 +402,7 @@ class _MapContext:
             any(row[j] != 0 for j in range(n, hat.ambient_dim))
             for row in pre.tangent_rows
         )
-        return _IsotropyType(hat, hom, pre, mass, sheets, char_zero)
+        return _IsotropyType(pre, mass, sheets, char_zero)
 
 
 def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
@@ -467,40 +423,55 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
 
 def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
                   context: _MapContext) -> OrbitContribution:
-    """One orbit's term against the map-level data in ``context``: the
-    certificate and group correction, the per-component phase and
-    determinant, the per-degree assembly and the optional quadrature
-    cross-check."""
+    """One orbit's term against the map-level data in ``context``: after the
+    checks every isotropy component shares, one pass over the preimage
+    components builds both the certificate and the per-component data of
+    the assembly; the optional quadrature cross-check runs last."""
     model = orbit.model
-    f = context.f
-    twist = context.twist
-    cert = _certify(orbit, f, g0, context.torus_det)
-    g0 = cert.g0
+    f, twist, hat, hom = context.f, context.twist, context.hat, context.hom
+    torus = context.torus
+    if g0 is None:
+        g0 = context.group_correction(orbit)
+    if torus:
+        det = context.torus_det
+        if det == 0:
+            raise NonTransverse(
+                "base map minus identity vanishes on the conormal space",
+                orbit=orbit,
+            )
+    else:
+        normal = _sphere_normal_coords(orbit)
     typ = context.isotropy_type(orbit.isotropy)
-    hat, hom, pre = typ.hat, typ.hom, typ.pre
+    pre = typ.pre
     n = hom.base_dim
-    torus = isinstance(model, FlatTorusModel)
     fiber_idx = range(n, hat.ambient_dim)
     if twist is not None:
         ghat0 = hat.element_with(range(n), g0)
         if ghat0 is None:
             raise AssertionError("group correction fails to lift")
 
-    def element_term(t):
-        """Twist phase and conormal determinant (exact where available) at
-        the preimage element with parameters ``t``; an untwisted torus
-        orbit reads nothing at ``t``."""
+    def component(t, index=None):
+        """``(phase, det, exact det)`` at the preimage element with
+        parameters ``t``, and the determinant the certificate records; an
+        untwisted torus orbit reads nothing at ``t``."""
         h_amb = None if torus and twist is None else pre.element(t)
         phase = rl.frac_mod1(sum(
             (Fraction(h_amb[j]) - Fraction(ghat0[j])) for j in fiber_idx
         )) if twist is not None else Fraction(0)
         if torus:
-            return phase, cert.dets[0], cert.dets_exact[0]
+            return (phase, float(det), Fraction(det)), float(det)
         turns = _sphere_rotation_turns(model, f, g0, hom.project(h_amb))
-        return phase, _sphere_conormal_det(orbit, turns), None
+        det_val, numeric = _sphere_component_det(orbit, normal, turns, index)
+        return (phase, det_val, None), numeric
 
-    per_degree, total, total_exact = context.assembled(
-        typ, tuple(element_term(rep) for rep in pre.param_reps))
+    data = [component(t, index) for index, t in enumerate(pre.param_reps)]
+    comps = tuple(term for term, _ in data)
+    if torus:
+        cert = TransversalityCertificate(orbit, g0, (float(det),), (Fraction(det),))
+    else:
+        cert = TransversalityCertificate(
+            orbit, g0, tuple(d for _, d in data), (None,) * len(data))
+    per_degree, total, total_exact = context.assembled(typ, comps)
     if isotropy_resolution is not None:
         # independent route: Haar quadrature along each component
         grid = list(itertools.product(range(isotropy_resolution), repeat=pre.dim))
@@ -514,7 +485,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
                                          for c, row in zip(combo, pre.param_tangent_rows)))
                     for i, r in enumerate(rep)
                 )
-                phase, det_val, _ = element_term(t)
+                (phase, det_val, _), _ = component(t)
                 for q in range(len(context.traces)):
                     quad += (-1) ** q * weight * context.term(phase, det_val, q) / count
         if abs(quad - total) > 1e-6 * max(1.0, abs(total)):
@@ -535,11 +506,12 @@ def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
                   subgroup_rows=None, isotropy_resolution=None) -> RhsResult:
     """Sum of per-orbit contributions over the fixed set, with certificates.
 
-    The map-level data (fiber traces, conormal determinant, and per isotropy
-    type the lifted closure, preimage, mass and sheet count) is computed once
-    and shared; each orbit adds only its certificate, its group correction
-    (in integers over one common denominator) and its per-component phases,
-    and the per-degree assembly is built once per distinct component data.
+    The map-level data (fiber traces, lifted closure, conormal determinant,
+    and per isotropy type the preimage, mass and sheet count) is computed
+    once and shared; each orbit adds only its group correction (in integers
+    over one common denominator) and one pass over its preimage components,
+    which yields its certificate and its per-component data, and the
+    per-degree assembly is built once per distinct component data.
     Raises :class:`InfiniteFixedSet`, :class:`FixedSetTooLarge` or
     :class:`NonTransverse` before any value is produced when the hypotheses
     fail."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,9 +45,9 @@ class FlatTorusModel:
     def n(self):
         return self.v.ambient_dim
 
-    @property
+    @cached_property
     def group(self):
-        return _torus_group_of(self.v)
+        return tg.closure_group(self.v)[0]
 
     @property
     def base_lattice(self):
@@ -58,11 +58,6 @@ class FlatTorusModel:
     @property
     def base_dim(self):
         return len(self.base_lattice)
-
-
-@lru_cache(maxsize=None)
-def _torus_group_of(v):
-    return tg.SubtorusGroup(v.ambient_dim, tg.relation_lattice(v))
 
 
 @dataclass(frozen=True)
@@ -137,12 +132,12 @@ class WeightedSphereModel:
     def k(self):
         return self.weights.ambient_dim
 
-    @property
+    @cached_property
     def group(self):
-        return _torus_group_of(self.weights)
+        return tg.closure_group(self.weights)[0]
 
     def restricted_group(self, support):
-        return _torus_group_of(self.weights.restrict(support))
+        return tg.closure_group(self.weights.restrict(support))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,30 +315,27 @@ def isotropy_group(model, orbit: ClosedOrbit) -> tg.IsotropyDescriptor:
     return orbit.isotropy
 
 
+@lru_cache(maxsize=None)
 def induced_base_map(model: FlatTorusModel, f):
     """Express an equivariant affine torus map in base coordinates.
 
     Returns ``(A_bar, c_bar)`` acting on the base torus by
     ``x_bar -> A_bar x_bar + c_bar``; ``A_bar`` is the unique integer matrix
-    with ``A_bar @ L = L @ A`` for the relation lattice ``L``.
+    with ``A_bar @ L = L @ A`` for the relation lattice ``L``, each row the
+    lattice coordinates of a row of ``L @ A``.  Memoized per (model, map):
+    the fixed-orbit congruences and the conormal determinant both read it.
     """
     L = model.base_lattice
-    A = f.matrix
-    c = f.translation
     if not L:
         return (), ()
-    LA = rl.mat_mul(L, rl.freeze(A))
     rows = []
-    Lt = rl.transpose(L)
-    for target in LA:
-        x = rl.solve_rational(Lt, target)
-        if x is None or not rl.is_integral_vector(x):
+    for target in rl.mat_mul(L, f.matrix):
+        row = rl.lattice_coordinates(L, target)
+        if row is None:
             raise AssertionError("equivariant map does not descend to the base torus")
-        rows.append(tuple(int(v) for v in x))
-    A_bar = rl.freeze(rows)
-    assert rl.mat_mul(A_bar, L) == LA
-    c_bar = rl.vec_mod1(rl.mat_vec(L, tuple(Fraction(x) for x in c)))
-    return A_bar, c_bar
+        rows.append(row)
+    c_bar = rl.vec_mod1(rl.mat_vec(L, tuple(Fraction(x) for x in f.translation)))
+    return rl.freeze(rows), c_bar
 
 
 def translate(model, p, g):

@@ -104,17 +104,19 @@ def _parse_fraction(node, path):
     raise SchemaError("expected an exact rational (string or integer)", path=path)
 
 
-def _parse_real(node, path, what, positive=False):
+def _parse_real(node, path, what, positive=False, nonnegative=False):
     """A finite JSON number (not a boolean, not a string), as a float;
-    ``positive`` also rules out zero and negatives."""
+    ``positive`` also rules out zero and negatives, ``nonnegative`` negatives."""
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         try:
             value = float(node)
         except OverflowError:
             value = math.inf
-        if math.isfinite(value) and (value > 0 or not positive):
+        if math.isfinite(value) and not (positive and value <= 0
+                                         or nonnegative and value < 0):
             return value
-    qualifier = "positive finite" if positive else "finite"
+    qualifier = ("positive finite" if positive
+                 else "non-negative finite" if nonnegative else "finite")
     raise SchemaError(f"{what} must be a {qualifier} number", path=path)
 
 
@@ -166,7 +168,12 @@ def _parse_generators(node, path):
         if not isinstance(item, dict) or "name" not in item:
             raise SchemaError("generator entries are names or {name, value}",
                               path=f"{path}[{i}]")
-        labels.append(str(item["name"]))
+        name = item["name"]
+        if not isinstance(name, str) or not name or name == "rational":
+            # "rational" keys the rational part of a generator combination
+            raise SchemaError("a generator name must be a nonempty string "
+                              "other than 'rational'", path=f"{path}[{i}].name")
+        labels.append(name)
         if "value" in item:
             values.append(_parse_real(item["value"], f"{path}[{i}].value",
                                       "a generator value"))
@@ -305,7 +312,7 @@ def parse_scenario(data: dict) -> Scenario:
     tolerances = _parse_object(data.get("tolerances"), "$.tolerances")
     tolerance, heat_tolerance = (
         _parse_real(tolerances.get(key, default), f"$.tolerances.{key}",
-                    "a tolerance")
+                    "a tolerance", nonnegative=True)
         for key, default in (("verify", DEFAULT_TOLERANCE), ("heat", 1e-8)))
     heat_s = data.get("heat_s", DEFAULT_HEAT_S)
     if not isinstance(heat_s, (list, tuple)):
@@ -720,6 +727,12 @@ def run(command: str, scenario_file: str, argv_options=None,
     try:
         if options.cutoff is not None and options.cutoff < 0:
             raise _UsageError("--cutoff must be a non-negative integer")
+        # the overrides follow the schema of the fields they replace
+        tolerance = options.tolerance
+        if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+            raise _UsageError("--tolerance must be a finite non-negative number")
+        if options.grid is not None and not 1 <= options.grid <= ml.MAX_GRID:
+            raise _UsageError(f"--grid must be an integer in [1, {ml.MAX_GRID}]")
         scenario = load_scenario(scenario_file)
         report, code = COMMANDS[command](scenario, options)
         _emit(report, options, stream)

@@ -309,6 +309,7 @@ def relation_lattice(v: SymbolicFrequency):
     return rl.integer_kernel(v.constraint_rows(), n=v.ambient_dim)
 
 
+@lru_cache(maxsize=None)
 def closure_group(v: SymbolicFrequency, bundle_weights: SymbolicFrequency | None = None):
     """Closure of ``t -> (t v, t sigma)`` in the (n+r)-torus with its
     projection onto the closure of ``t -> t v``.
@@ -316,11 +317,15 @@ def closure_group(v: SymbolicFrequency, bundle_weights: SymbolicFrequency | None
     With no bundle weights the lift is the group itself and the projection is
     the identity.  The projection's surjectivity is certified by comparing the
     lattice of relations among the first ``n`` coordinates of the lift with
-    the base relation lattice.
+    the base relation lattice.  This is the one route to a flow's closure:
+    memoized per ``(v, bundle_weights)``, and the base group of a lift is the
+    cached ``closure_group(v)``, so a model's group, its restricted groups
+    and every map's lift share one lattice computation each.
     """
-    base = SubtorusGroup(v.ambient_dim, relation_lattice(v))
     if bundle_weights is None or bundle_weights.ambient_dim == 0:
+        base = SubtorusGroup(v.ambient_dim, relation_lattice(v))
         return base, GroupHomomorphism(base, base)
+    base, _ = closure_group(v)
     stacked = v.stack(bundle_weights)
     lifted = SubtorusGroup(stacked.ambient_dim, relation_lattice(stacked))
     hom = GroupHomomorphism(lifted, base)

@@ -67,6 +67,13 @@ class TestFindFixedOrbits:
         assert len(orbits) == abs(rl.det_int(M)) == 1
         assert brute_force_base_fixed_points(A_bar, c_bar, 12) == [(0, 0)]
 
+    def test_a_map_that_does_not_descend_is_refused(self):
+        # row 0 of L @ A leaves the base lattice: (1, 0, 1) is not an
+        # integer combination of L = ((1, 0, 0), (0, 1, 0))
+        f = TorusMap(((1, 0, 1), (0, 2, 0), (0, 0, 1)), (0, 0, 0))
+        with pytest.raises(AssertionError, match="does not descend"):
+            gm.induced_base_map(T3_PROD, f)
+
     def test_doubling_single_orbit(self):
         orbits = fpf.find_fixed_orbits(T3_MIX, DOUBLING_T3)
         assert len(orbits) == 1

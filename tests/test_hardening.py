@@ -1,7 +1,9 @@
 """Wider-scope stress tests: higher dimensions, degenerate maps, richer
 isotropy, higher form degrees."""
 
+import io
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from equilef import _ratlin as rl
 from equilef import basic_complex as bc
 from equilef import fixed_point_formula as fpf
 from equilef import geometry_models as gm
+from equilef import scenario_cli as cli
 from equilef import torus_group as tg
 from equilef.endomorphism import (
     SpherePhaseMap,
@@ -193,3 +196,46 @@ class TestRationalWeightedFiveSphere:
                                          subgroup_rows=((2, 4, 6),))
         assert doubled.per_degree[0].haar_factor == 6
         assert doubled.per_degree[0].sheets == 6
+
+
+class TestGeneratorNames:
+    """A generator named ``rational`` would be read as the rational part of
+    every combination that mentions it, so such names are schema errors."""
+
+    @staticmethod
+    def doc(name):
+        return {
+            "schema": 1, "name": "named_generator_t2",
+            "generators": [name],
+            "model": {"type": "flat_torus", "n": 2,
+                      "v": [{"rational": "1"}, "1"]},
+            "map": {"matrix": [[1, 0], [0, 1]], "translation": ["1/3", "0"]},
+        }
+
+    @staticmethod
+    def run(doc, tmp_path, command="rhs"):
+        path = tmp_path / "case.scenario"
+        path.write_text(json.dumps(doc))
+        stream = io.StringIO()
+        options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
+                                         json_path=None)
+        return cli.run(command, str(path), options, stream), stream.getvalue()
+
+    def test_a_proper_name_reads_as_an_irrational_generator(self):
+        # v = (alpha, 1) under the name alpha: the closure is the whole T^2
+        doc = self.doc({"name": "alpha"})
+        doc["model"]["v"] = [{"alpha": "1"}, "1"]
+        scn = cli.parse_scenario(doc)
+        assert scn.model.group.dim == 2
+        assert len(fpf.lefschetz_rhs(scn.model, scn.map).contributions) == 1
+
+    @pytest.mark.parametrize("name", [
+        {"name": "rational"}, "rational", {"name": 7}, {"name": ""},
+        {"name": None}, {"name": ["alpha"]},
+    ])
+    @pytest.mark.parametrize("command", ["validate", "rhs"])
+    def test_colliding_or_malformed_name_is_a_schema_error(self, tmp_path, name,
+                                                           command):
+        code, text = self.run(self.doc(name), tmp_path, command)
+        assert code == cli.EXIT_USAGE
+        assert text.startswith("schema error at $.generators[0].name:")

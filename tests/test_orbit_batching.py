@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,18 @@ def test_sphere_congruence_solves_do_not_grow_with_isotropy_components(
     assert solves(401) == solves(7)
 
 
+def clear_equilef_caches():
+    """Empty every functools cache bound in an ``equilef`` module, so a
+    counted call starts cold whatever ran before it (as each benchmark op
+    does)."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "equilef" or name.startswith("equilef.")):
+            continue
+        for value in vars(module).values():
+            if hasattr(value, "cache_info") and callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
 def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):
     # the base points come from one solve operator per map, the term is
     # assembled once per distinct component data, and an untwisted torus
@@ -162,6 +175,7 @@ def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):
         f = TorusMap(((k, 0, 0), (0, k, 0), (0, 0, 1)), (0, 0, 0))
         for name in calls:
             calls[name] = 0
+        clear_equilef_caches()
         result = fpf.lefschetz_rhs(model, f)
         assert result.value_exact == (k - 1) ** 2
         return len(result.contributions), dict(calls)
@@ -274,3 +288,116 @@ def test_principal_minor_traces_agree_with_the_characteristic_polynomial(data):
     U, U_inv = unimodular(data.draw, n)
     A = matmul(matmul(U, A), U_inv)
     assert fpf._principal_minor_traces(A) == exact_exterior_traces(A)
+
+
+# ---------------------------------------------------------------------------
+# one pass per isotropy component, one owner per map-level object
+
+
+def counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` through its module binding."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def sphere(weights):
+    return gm.WeightedSphereModel(tg.SymbolicFrequency.rational(weights))
+
+
+HALF_TWIST = BundleTwist(tg.SymbolicFrequency.rational((Fraction(1, 2),)))
+
+
+def test_a_twisted_sphere_lifts_its_closure_once(monkeypatch):
+    # two isotropy types (the two poles) read the one lifted closure
+    calls = counted(monkeypatch, tg, "_check_projection_onto")
+    clear_equilef_caches()
+    rhs = fpf.lefschetz_rhs(sphere((1, 2)), SpherePhaseMap((Fraction(1, 4), 0)),
+                            fibers="scalar", twist=HALF_TWIST)
+    assert len({c.orbit.isotropy for c in rhs.contributions}) == 2
+    assert len(calls) == 1
+
+
+# the poles of weights (1, 7) have 1 and 7 isotropy components; the half
+# twist doubles each in the preimage
+@pytest.mark.parametrize("twist,total", [(None, 8), (HALF_TWIST, 16)])
+def test_sphere_turns_are_evaluated_once_per_preimage_component(monkeypatch, twist,
+                                                                total):
+    calls = counted(monkeypatch, fpf, "_sphere_rotation_turns")
+    model = sphere((1, 7))
+    clear_equilef_caches()
+    rhs = fpf.lefschetz_rhs(model, SpherePhaseMap((Fraction(1, 4), 0)),
+                            fibers="scalar", twist=twist)
+    hat, _ = tg.closure_group(model.weights, *(() if twist is None else (twist.weight,)))
+    components = [tg.isotropy_preimage(hat, 2, c.orbit.isotropy).component_count
+                  for c in rhs.contributions]
+    assert sum(components) == total
+    assert len(calls) == sum(components)
+
+
+def test_the_base_map_is_solved_once_per_rhs(monkeypatch):
+    # c solves build the base-point operator of the c-dimensional base and c
+    # more solve the base map's rows; the fixed-orbit congruences and the
+    # conormal determinant share that one base map
+    calls = counted(monkeypatch, fpf.rl, "solve_rational")
+    model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 1)))
+    f = TorusMap(((3, 1, 0), (1, 2, 0), (0, 0, 1)), (0, Fraction(1, 2), 0))
+    clear_equilef_caches()
+    rhs = fpf.lefschetz_rhs(model, f)
+    assert rhs.value_exact is not None
+    c = model.base_dim
+    assert len(calls) == 2 * c
+    info = gm.induced_base_map.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=equivariant_maps())
+def test_torus_certificate_is_the_contribution_certificate(data):
+    model, f = data
+    rhs = fpf.lefschetz_rhs(model, f)
+    for contrib in rhs.contributions:
+        assert fpf.check_transversality(contrib.orbit, f) == contrib.certificate
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.data())
+def test_sphere_certificate_is_the_contribution_certificate(data):
+    k = data.draw(st.integers(2, 3))
+    weights = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    phases = data.draw(st.lists(st.builds(Fraction, st.integers(0, 10), st.just(11)),
+                                min_size=k, max_size=k))
+    f = SpherePhaseMap(phases)
+    try:
+        rhs = fpf.lefschetz_rhs(sphere(weights), f, fibers="scalar")
+    except (InfiniteFixedSet, NonTransverse):
+        assume(False)
+    for contrib in rhs.contributions:
+        cert = fpf.check_transversality(contrib.orbit, f)
+        assert cert == contrib.certificate
+        assert len(cert.dets) == contrib.orbit.isotropy.component_count
+
+
+def test_twisted_sphere_certificate_lists_every_preimage_component():
+    model = sphere((1, 2))
+    f = SpherePhaseMap((Fraction(1, 4), 0))
+    rhs = fpf.lefschetz_rhs(model, f, fibers="scalar", twist=HALF_TWIST)
+    hat, _ = tg.closure_group(model.weights, HALF_TWIST.weight)
+    counts = []
+    for contrib in rhs.contributions:
+        pre = tg.isotropy_preimage(hat, 2, contrib.orbit.isotropy)
+        counts.append(len(contrib.certificate.dets))
+        assert len(contrib.certificate.dets) == pre.component_count
+        assert contrib.certificate.dets_exact == (None,) * pre.component_count
+        # twice the base isotropy's components: the half-weight doubles them
+        assert pre.component_count == 2 * contrib.orbit.isotropy.component_count
+        assert fpf.orbit_contribution(contrib.orbit, f, fibers="scalar",
+                                      twist=HALF_TWIST) == contrib
+    assert sorted(counts) == [2, 4]

@@ -128,6 +128,17 @@ def test_char_poly_companion():
     assert rl.char_poly(M) == (1, 0, -2, -5)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_char_poly_agrees_with_sympy(M):
+    import sympy
+
+    expected = sympy.Matrix(M).charpoly().all_coeffs()
+    assert rl.char_poly(M) == tuple(int(c) for c in expected)
+
+
 def test_deflate_root_one():
     # (t - 1)(t^2 - 3t + 1) = t^3 - 4t^2 + 4t - 1
     assert rl.deflate_root_one((1, -4, 4, -1)) == (1, -3, 1)

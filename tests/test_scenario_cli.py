@@ -393,11 +393,15 @@ class TestSchemaHardening:
 
     def test_cli_grid_past_the_cell_budget_exits_1(self, tmp_path):
         doc = _mutated("mollifier_doubling_t2", ("mollifier", "k_list"), [8])
+        # two active directions along a one-dimensional closure: grid^3
+        # cells, past the budget at the largest grid --grid accepts
+        doc["model"]["v"] = ["1", "1"]
+        doc["map"]["matrix"] = [[2, -1], [0, 1]]
         path = tmp_path / "fine.scenario"
         path.write_text(json.dumps(doc))
         stream = io.StringIO()
         options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=10**6, json_path=None)
+                                         grid=ml.MAX_GRID, json_path=None)
         code = cli.run("mollifier", str(path), options, stream)
         assert code == cli.EXIT_DISCREPANCY
         assert "quadrature cells" in stream.getvalue()
@@ -437,3 +441,54 @@ class TestFixedOrbitCap:
         assert code == cli.EXIT_DISCREPANCY
         assert text == ("error: a congruence system has 2000003 solution "
                         "components, more than the 1000000 that can be listed\n")
+
+
+class TestOverridesFollowTheSchema:
+    """``--tolerance`` and ``--grid`` replace ``tolerances.verify`` and
+    ``mollifier.grid``, so they obey the same bounds; the schema's
+    tolerances are non-negative."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, value):
+        # nan and inf used to reach the --json report as invalid JSON tokens,
+        # and inf passed every verify
+        json_path = tmp_path / "verify.json"
+        code, text = run("verify", "twisted_unit_t3", tolerance=value,
+                         json_path=str(json_path))
+        assert code == cli.EXIT_USAGE
+        assert text.startswith("usage error: --tolerance")
+        assert not json_path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+    def test_tolerance_through_main(self, capsys, value):
+        code = cli.main(["verify", str(SCENARIOS / "twisted_unit_t3.scenario"),
+                         f"--tolerance={value}"])
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().out
+
+    def test_zero_tolerance_is_accepted(self):
+        # exact equality still decides an exact map
+        code, text = run("verify", "classical_t3", tolerance=0.0)
+        assert code == cli.EXIT_PASS
+
+    @pytest.mark.parametrize("value", [0, -4, ml.MAX_GRID + 1, 10**6])
+    def test_grid_must_lie_in_the_schema_range(self, value):
+        # 0 and -4 used to exit 1 with a GridTooCoarse message
+        code, text = run("mollifier", "mollifier_doubling_t2", grid=value)
+        assert code == cli.EXIT_USAGE
+        assert text.startswith("usage error: --grid")
+
+    def test_grid_through_main(self, capsys):
+        code = cli.main(["mollifier", str(SCENARIOS / "mollifier_doubling_t2.scenario"),
+                         "--grid", "0"])
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["verify", "heat"])
+    def test_schema_tolerance_must_be_non_negative(self, tmp_path, key):
+        # a negative verify tolerance used to fail a 2.2e-16 discrepancy
+        doc = _mutated("twisted_unit_t3", ("tolerances",), {key: -1})
+        for command in ("validate", "verify"):
+            code, text = run_doc(tmp_path, command, doc)
+            assert code == cli.EXIT_USAGE
+            assert text.startswith(f"schema error at $.tolerances.{key}:")
