@@ -73,11 +73,11 @@ def translate_form(u: bc.BasicForm, g) -> bc.BasicForm:
                         basic_flag=u.basic_flag)
 
 
-def averaging_report(model, cutoff, rng, n_sections=REPORT_SECTIONS,
-                     tol=REPORT_TOLERANCE):
+def averaging_report(model, cutoff, rng):
     """Projector suite: idempotence, self-adjointness and flow-annihilation of
-    the spectral filter on random truncated sections.  Returns the worst
-    residuals (used by the command-line ``avcheck``)."""
+    the spectral filter on ``REPORT_SECTIONS`` random truncated sections.
+    Returns the worst residuals and whether each is within
+    ``REPORT_TOLERANCE`` (used by the command-line ``avcheck``)."""
     import itertools
 
     group = model.group
@@ -85,7 +85,7 @@ def averaging_report(model, cutoff, rng, n_sections=REPORT_SECTIONS,
     g = quad[min(1, len(quad) - 1)][0]  # a nonzero element when dim > 0
     worst = {"idempotent": 0.0, "self_adjoint": 0.0, "invariance": 0.0}
     n = model.n
-    for _ in range(n_sections):
+    for _ in range(REPORT_SECTIONS):
         q = int(rng.integers(0, n))
         subsets = list(itertools.combinations(range(n - 1), q))
         coeffs = {}
@@ -112,5 +112,6 @@ def averaging_report(model, cutoff, rng, n_sections=REPORT_SECTIONS,
         diff = average_modes(translate_form(u, g), group).plus(
             translate_form(au, g), factor=-1.0)
         worst["invariance"] = max(worst["invariance"], diff.norm())
-    worst["pass"] = all(v <= tol for k, v in worst.items() if k != "pass")
+    worst["pass"] = all(v <= REPORT_TOLERANCE for k, v in worst.items()
+                        if k != "pass")
     return worst

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,6 +60,11 @@ class TorusMap:
     def apply(self, p):
         return rl.affine_mod1(self.matrix, [Fraction(x) for x in p], self.translation)
 
+    @cached_property
+    def exterior_traces(self):
+        """:func:`exact_exterior_traces` of the matrix, once per map."""
+        return exact_exterior_traces(self.matrix)
+
 
 @dataclass(frozen=True)
 class SpherePhaseMap:
@@ -77,9 +82,6 @@ class SpherePhaseMap:
         return len(self.phases)
 
 
-EquivariantMap = TorusMap | SpherePhaseMap
-
-
 @dataclass(frozen=True)
 class BundleTwist:
     """A flat line bundle twist: lifted rotation rate ``weight`` (in the same
@@ -94,9 +96,6 @@ class BundleTwist:
         object.__setattr__(self, "phi_scalar", complex(self.phi_scalar))
         if not (abs(self.phi_scalar) < math.inf):
             raise ValueError("fiber scalar must be finite")
-
-    def weight_components(self):
-        return self.weight.coeffs[0]
 
 
 def _symbolic_str(row, labels):
@@ -176,7 +175,6 @@ def _certify_equivariance(model, f) -> EquivarianceCertificate:
     )
 
 
-@lru_cache(maxsize=None)
 def _frame_pullback_matrix(model, matrix):
     frame = bc.frame_for(model)
     A = np.array(matrix, dtype=float)
@@ -228,47 +226,27 @@ def exact_exterior_traces(matrix):
     return tuple((-1) ** q * h[q] for q in range(len(h)))
 
 
-def rational_flow_mode(model: FlatTorusModel):
-    """Primitive integer vector parallel to the flow direction, if the
-    direction is rational; ``None`` otherwise."""
-    v = model.v
-    if any(row[j] != 0 for row in v.coeffs for j in range(1, 1 + v.generator_count)):
-        return None
-    scaled = rl.scale_rows_to_int([[row[0] for row in v.coeffs]])[0]
-    g = math.gcd(*(abs(x) for x in scaled))
-    return tuple(x // g for x in scaled)
-
-
 def harmonic_mode(model: FlatTorusModel, twist: BundleTwist | None = None):
-    """The unique mode carrying the harmonic space: ``m`` parallel to the
-    flow with ``m . v`` equal to the twist weight.  Untwisted this is the
-    zero mode; a twist may shift it or empty the space (``None``)."""
+    """The mode carrying the harmonic space: the zero-eigenvalue point (the
+    one parallel to the flow) of the lattice of modes with ``m . v`` equal to
+    the twist weight that :func:`twisted_invariant_modes` enumerates.  It is
+    zero untwisted or at weight zero.  A nonzero weight ``sigma`` needs a
+    periodic flow, at any speed: its coefficient columns ``C`` have rank 1,
+    and the mode solves ``C m = sigma`` with ``K m = 0`` for the integer
+    kernel ``K`` of ``C``.  ``None`` when no integer mode does."""
+    zero = (0,) * model.n
     if twist is None:
-        return tuple(0 for _ in range(model.n))
+        return zero
     if twist.weight.generator_labels != model.v.generator_labels:
         raise GeneratorMismatch("twist weight must use the model's generators")
-    sigma = twist.weight_components()
-    if all(c == 0 for c in sigma):
-        return tuple(0 for _ in range(model.n))
-    p = rational_flow_mode(model)
-    if p is None:
-        # irrational flow direction: the only parallel mode is zero, which
-        # cannot carry a nonzero weight
+    sigma = twist.weight.coeffs[0]
+    if not any(sigma):
+        return zero
+    rows = model.v.constraint_rows()
+    if rl.rational_rank(rows) != 1:
         return None
-    return _parallel_mode_for(model, p, sigma)
-
-
-def _parallel_mode_for(model, p, sigma):
-    rho = model.v.symbolic_dot(p)
-    # p is rational-parallel, so rho has no generator components
-    if any(c != 0 for c in rho[1:]):
-        return None
-    if any(c != 0 for c in sigma[1:]):
-        return None
-    t = Fraction(sigma[0], rho[0])
-    if t.denominator != 1:
-        return None
-    return tuple(int(t) * x for x in p)
+    kernel = rl.integer_kernel(rows, n=model.n)
+    return rl.integer_solution(rows + kernel, sigma + (0,) * len(kernel))
 
 
 def twisted_invariant_modes(model: FlatTorusModel, cutoff: int,
@@ -294,9 +272,11 @@ def _fixed_modes(model: FlatTorusModel, f: TorusMap, cutoff: int,
 
 @dataclass(frozen=True)
 class CohomologyAction:
-    """Induced action on harmonic representatives: one matrix per degree,
-    exact per-degree traces, and the alternating-sum Lefschetz number."""
+    """Induced action on harmonic representatives: the harmonic dimensions,
+    one matrix per degree, exact per-degree traces, and the alternating-sum
+    Lefschetz number."""
 
+    dimensions: tuple              # of the harmonic space, one per degree
     matrices: tuple
     traces: tuple                  # complex, one per degree
     trace_integers: tuple          # exact fiber traces (no phase factor)
@@ -307,26 +287,32 @@ class CohomologyAction:
     lefschetz_exact: Fraction | None
 
 
+def _dimensions(n, m0):
+    """``binom(n-1, q)`` in each degree when the mode ``m0`` carries the
+    harmonic space (the frame forms on that mode), zero when there is none."""
+    return tuple(0 if m0 is None else math.comb(n - 1, q) for q in range(n))
+
+
 def cohomology_action(model: FlatTorusModel, f: TorusMap,
                       twist: BundleTwist | None = None) -> CohomologyAction:
     """Compress the pull-back to the harmonic spaces and take the alternating
     trace.
 
-    The harmonic space in each degree is carried by a single mode; the
-    compression is the exterior power of the horizontal restriction times
-    the character phase of that mode (and the twist's fiber scalar).  The
-    alternating sum telescopes to a determinant, so untwisted values are
-    exact integers."""
+    The harmonic spaces are carried by the one mode of :func:`harmonic_mode`
+    (with the dimensions of :func:`harmonic_dimensions`).  The action is zero
+    when there is none or ``A^T`` moves it; otherwise it is the exterior power
+    of the horizontal restriction times the character phase of that mode (and
+    the twist's fiber scalar).  The alternating sum telescopes to a
+    determinant, so untwisted values are exact integers."""
     validate_equivariance(model, f)
     n = model.n
-    ext = exact_exterior_traces(f.matrix)
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     m0 = harmonic_mode(model, twist)
-    Mf = _frame_pullback_matrix(model, f.matrix)
+    dims = _dimensions(n, m0)
     if m0 is None or rl.vec_mat(m0, f.matrix) != m0:
-        empty = tuple(np.zeros((math.comb(n - 1, q),) * 2) for q in range(n))
         return CohomologyAction(
-            matrices=empty,
+            dimensions=dims,
+            matrices=tuple(np.zeros((d, d)) for d in dims),
             traces=tuple(0.0 for _ in range(n)),
             trace_integers=tuple(0 for _ in range(n)),
             phase_turns=Fraction(0),
@@ -335,43 +321,35 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
             lefschetz=0.0,
             lefschetz_exact=Fraction(0),
         )
-    phase_turns = rl.frac_mod1(f.character(m0))
-    phase = cmath.exp(2j * math.pi * float(phase_turns))
-    factor = scalar * phase
-    matrices = []
-    traces = []
-    for q in range(n):
-        _, W = _wedge_minors(Mf, q)
-        matrices.append(factor * W)
-        traces.append(factor * ext[q])
+    ext = f.exterior_traces
+    Mf = _frame_pullback_matrix(model, f.matrix)
+    minors = [_wedge_minors(Mf, q)[1] for q in range(n)]
+    for W, e in zip(minors, ext):
         # the floating frame route must agree with the exact route
-        assert abs(np.trace(W) - ext[q]) < 1e-8 * max(1.0, abs(ext[q]))
+        assert abs(np.trace(W) - e) < 1e-8 * max(1.0, abs(e))
+    phase_turns = rl.frac_mod1(f.character(m0))
+    factor = scalar * cmath.exp(2j * math.pi * float(phase_turns))
     alt = sum((-1) ** q * e for q, e in enumerate(ext))
-    lefschetz = factor * alt
-    exact = None
-    if phase_turns == 0 and twist is None:
-        exact = Fraction(alt)
+    exact = Fraction(alt) if phase_turns == 0 and twist is None else None
     return CohomologyAction(
-        matrices=tuple(matrices),
-        traces=tuple(traces),
+        dimensions=dims,
+        matrices=tuple(factor * W for W in minors),
+        traces=tuple(factor * e for e in ext),
         trace_integers=ext,
         phase_turns=phase_turns,
         scalar=scalar,
         harmonic_mode_vec=m0,
-        lefschetz=lefschetz,
+        lefschetz=factor * alt,
         lefschetz_exact=exact,
     )
 
 
 def harmonic_dimensions(model: FlatTorusModel, twist: BundleTwist | None = None):
     """Dimension of the harmonic space in each degree: ``binom(n-1, q)``
-    when a mode carries it (the frame forms on that mode), zero in every
-    degree when the twist leaves no mode.  The truncation cutoff plays no
-    part: the carrying mode is fixed by the flow and the twist."""
-    m0 = harmonic_mode(model, twist)
-    if m0 is None:
-        return tuple(0 for _ in range(model.n))
-    return tuple(math.comb(model.n - 1, q) for q in range(model.n))
+    when :func:`harmonic_mode` finds a mode carrying it, zero in every
+    degree otherwise.  The truncation cutoff plays no part: the carrying
+    mode is fixed by the flow and the twist."""
+    return _dimensions(model.n, harmonic_mode(model, twist))
 
 
 def heat_damped_traces(model: FlatTorusModel, f: TorusMap, s: float,
@@ -400,7 +378,7 @@ def _heat_sweep(model, f, s_values, cutoff, twist):
         return []
     validate_equivariance(model, f)
     n = model.n
-    fiber_traces = exact_exterior_traces(f.matrix)
+    fiber_traces = f.exterior_traces
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     vhat = bc.frame_for(model).theta
     modes = []

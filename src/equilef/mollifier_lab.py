@@ -34,6 +34,10 @@ MIN_CELLS_PER_BUMP = 4
 MAX_SHARPNESS = 64
 MAX_GRID = 4096
 MAX_CELLS = MAX_GRID**2
+#: radial samples of the bump's normalization integral
+NORMALIZATION_POINTS = 4001
+#: largest final error a converged sharpness sweep may have
+CONVERGENCE_TOLERANCE = 0.05
 
 
 def _bump(u):
@@ -57,7 +61,6 @@ class MollifierConfig:
     k: int
     radius: float = 0.3
     grid: int | None = None
-    normalization_points: int = 4001
 
     def __post_init__(self):
         if self.k < 1:
@@ -75,11 +78,11 @@ class MollifierConfig:
     def normalization(self):
         """Constant making the fiber integral of the bump equal one, with the
         quadrature residual used to compute it."""
-        return _normalization(self.radius, self.normalization_points)
+        return _normalization(self.radius)
 
 
-def _normalization(radius, points):
-    rho = np.linspace(0.0, radius, points)
+def _normalization(radius):
+    rho = np.linspace(0.0, radius, NORMALIZATION_POINTS)
     vals = _bump(rho / radius) * rho
     integral = 2.0 * math.pi * float(np.trapezoid(vals, rho))
     coarse = 2.0 * math.pi * float(np.trapezoid(vals[::2], rho[::2]))
@@ -93,9 +96,13 @@ class PairingResult:
     grid: int
 
 
-def _pairing_sum(model, f, k, radius, c_norm, grid):
-    """Tensor-quadrature value of the diagonal pairing at one resolution."""
+def _pairing_sum(model, f, config, grid):
+    """Tensor-quadrature value of the diagonal pairing at one resolution.
+    The grid is checked against the cell budget and the bump support before
+    the bump is normalized, so a radius too small to resolve ends in
+    ``GridTooCoarse``, not in a vanishing normalization integral."""
     n = model.n
+    k, radius = config.k, config.radius
     M = np.eye(n) - np.array(f.matrix, dtype=float)
     # torus directions the kernel actually depends on
     active = [j for j in range(n) if np.any(M[:, j] != 0.0)]
@@ -129,6 +136,7 @@ def _pairing_sum(model, f, k, radius, c_norm, grid):
         np.meshgrid(*([axis] * len(active)), indexing="ij"), axis=-1
     ).reshape(-1, len(active)) @ M[:, active].T
 
+    c_norm, _ = config.normalization()
     scale = (k**n) * c_norm / cells
 
     def chunk_sum(lo, hi):
@@ -153,9 +161,8 @@ def kernel_pairing(model: FlatTorusModel, f: TorusMap,
     if model.n != 2:
         raise ValueError("the lab runs scalar experiments on two-tori only")
     validate_equivariance(model, f)
-    c_norm, _ = config.normalization()
     grid = config.resolved_grid()
-    value = _pairing_sum(model, f, config.k, config.radius, c_norm, grid)
+    value = _pairing_sum(model, f, config, grid)
     return PairingResult(value=value, grid=grid)
 
 
@@ -200,14 +207,15 @@ class ConvergenceStudy:
 
 
 def convergence_study(model: FlatTorusModel, f: TorusMap, k_list,
-                      radius=0.3, grid=None, tolerance=0.05) -> ConvergenceStudy:
+                      radius=0.3, grid=None) -> ConvergenceStudy:
     """Sweep the sharpness and compare against the closed-form fixed-orbit
     value.
 
     Transversality is checked first; non-transverse scenarios raise before
     any quadrature runs.  The study is flagged converged when the final
     sharpness attains the smallest error of the sweep and that error is
-    within tolerance; the raw errors need not decrease monotonically."""
+    within ``CONVERGENCE_TOLERANCE``; the raw errors need not decrease
+    monotonically."""
     oracle = fpf.theorem_c_scalar_value(model, f)
     rows = []
     for k in sorted(k_list):
@@ -222,12 +230,12 @@ def convergence_study(model: FlatTorusModel, f: TorusMap, k_list,
     errors = [r.abs_error for r in rows]
     converged = (
         len(rows) > 0
-        and errors[-1] <= tolerance
+        and errors[-1] <= CONVERGENCE_TOLERANCE
         and errors[-1] <= min(errors) + 1e-15
     )
     return ConvergenceStudy(
         oracle=oracle,
         rows=tuple(rows),
         converged=converged,
-        tolerance=tolerance,
+        tolerance=CONVERGENCE_TOLERANCE,
     )

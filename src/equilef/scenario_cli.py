@@ -46,7 +46,6 @@ from .endomorphism import (
     TorusMap,
     alternating_heat_traces,
     cohomology_action,
-    harmonic_dimensions,
     validate_equivariance,
 )
 from .errors import (
@@ -334,6 +333,9 @@ def parse_scenario(data: dict) -> Scenario:
     if not 0 < radius < Fraction(1, 2):
         raise SchemaError("bump radius must lie in (0, 1/2)",
                           path="$.mollifier.radius")
+    if not 0 < float(radius) < 0.5:
+        raise SchemaError("bump radius rounds to 0 or 1/2 as a float",
+                          path="$.mollifier.radius")
     grid = moll.get("grid")
     if grid is not None:
         grid = _parse_int(grid, "$.mollifier.grid", "the grid", 1, ml.MAX_GRID)
@@ -503,9 +505,8 @@ def cmd_validate(scenario: Scenario, options) -> tuple[dict, int]:
 
 def _lhs_sections(scenario):
     act = cohomology_action(scenario.model, scenario.map, scenario.twist)
-    dims = harmonic_dimensions(scenario.model, scenario.twist)
     sections = {
-        "harmonic_dimensions": list(dims),
+        "harmonic_dimensions": list(act.dimensions),
         "per_degree_traces": [_complex(t) for t in act.traces],
         "per_degree_traces_text": [_complex_str(t) for t in act.traces],
         "value": _complex(act.lefschetz),

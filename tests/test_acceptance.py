@@ -173,7 +173,7 @@ def test_criterion_5_averaging_projector():
                       "quadrature routes agree"):
         model = torus_model([(1, 0), (0, 1)], ("alpha",))
         rng = np.random.default_rng(777)
-        report = av.averaging_report(model, 4, rng, n_sections=50, tol=1e-10)
+        report = av.averaging_report(model, 4, rng)
         assert report["idempotent"] <= 1e-10
         assert report["self_adjoint"] <= 1e-10
         # spectral filter vs Haar quadrature at 100 sample points
@@ -236,8 +236,7 @@ def test_criterion_8_mollifier_convergence():
         model = torus_model([(0,), (1,)])
         for block in (((2, 0), (0, 1)), ((3, 0), (0, 1))):
             f = TorusMap(block, (0, 0))
-            study = ml.convergence_study(model, f, (8, 16, 32, 64),
-                                         tolerance=0.05)
+            study = ml.convergence_study(model, f, (8, 16, 32, 64))
             errors = [row.abs_error for row in study.rows]
             assert errors[-1] <= 0.05
             envelope = list(itertools.accumulate(errors, min))

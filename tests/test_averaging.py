@@ -47,7 +47,7 @@ def test_basic_mode_survives():
 
 def test_projector_and_adjoint_on_random_sections():
     rng = np.random.default_rng(42)
-    report = av.averaging_report(T2_IRR, 4, rng, n_sections=50)
+    report = av.averaging_report(T2_IRR, 4, rng)
     assert report["idempotent"] <= 1e-10
     assert report["self_adjoint"] <= 1e-10
     assert report["invariance"] <= 1e-10

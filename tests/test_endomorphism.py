@@ -1,14 +1,20 @@
 """Equivariant maps: validation, pull-back, harmonic action, heat traces."""
 
+import argparse
 import io
 import itertools
+import json
 import math
 import pathlib
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from equilef import _ratlin as rl
 from equilef import basic_complex as bc
 from equilef import endomorphism as em
 from equilef import geometry_models as gm
@@ -305,3 +311,227 @@ class TestExactExteriorTraces:
                 np.prod(c) for c in itertools.combinations(rest, q)
             )
             assert abs(total - e) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The harmonic mode is the zero-eigenvalue point of the twisted mode lattice
+
+LABELS = ("alpha", "beta")
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+SCAN_BUDGET = 30000           # box points the oracle may test
+small_rational = st.builds(Fraction, st.integers(-3, 3),
+                           st.sampled_from([1, 1, 2, 3]))
+
+
+def parallel_mode_scan(model, sigma, box):
+    """Oracle: the modes of the box with ``m . v == sigma`` to which every
+    coefficient column of ``v`` is parallel."""
+    rows = model.v.constraint_rows()
+    # clear each equation's denominators so the scan runs on integers
+    dens = [math.lcm(*(a.denominator for a in row), s.denominator)
+            for row, s in zip(rows, sigma)]
+    int_rows = [[int(a * d) for a in row] for row, d in zip(rows, dens)]
+    targets = [s * d for s, d in zip(sigma, dens)]
+    found = []
+    for m in itertools.product(range(-box, box + 1), repeat=model.n):
+        if any(sum(a * mi for a, mi in zip(row, m)) != t
+               for row, t in zip(int_rows, targets)):
+            continue
+        if all(row[i] * m[j] == row[j] * m[i]
+               for row in int_rows for i in range(model.n) for j in range(i)):
+            found.append(m)
+    return found
+
+
+@st.composite
+def harmonic_mode_cases(draw):
+    """A flow, a twist and a box holding every mode parallel to the flow
+    that carries the twist weight.
+
+    Periodic flows are ``lambda p`` with ``lambda = a + b alpha + c beta``
+    (irrational speeds included) and weights ``t lambda |p|^2``, optionally
+    disturbed; other flows are ``p + alpha q + beta r``."""
+    n = draw(st.integers(2, 4))
+    labels = LABELS[:draw(st.integers(1, 2))]
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        p = draw(vec.filter(any))
+        speed = draw(st.lists(small_rational, min_size=1 + len(labels),
+                              max_size=1 + len(labels)).filter(any))
+        rows = [tuple(c * x for c in speed) for x in p]
+        t = draw(small_rational)
+        sigma = [c * t * sum(x * x for x in p) for c in speed]
+        if draw(st.booleans()):
+            sigma[draw(st.integers(0, len(labels)))] += draw(small_rational)
+    else:
+        columns = [draw(vec) for _ in range(1 + len(labels))]
+        rows = [tuple(Fraction(col[i]) for col in columns) for i in range(n)]
+        m = draw(vec)
+        sigma = [sum(a * mi for a, mi in zip(col, m)) for col in columns]
+    v = tg.SymbolicFrequency(tuple(rows), labels)
+    length = np.linalg.norm(v.float_values())
+    assume(length > 1e-9)
+    model = gm.FlatTorusModel(v)
+    sigma = tuple(Fraction(s) for s in sigma)
+    weight = tg.SymbolicFrequency((sigma,), labels)
+    # a mode parallel to v has |m| |v| = |m . v| = |sigma|
+    box = math.ceil(abs(weight.float_values()[0]) / length) + 1
+    assume((2 * box + 1) ** n <= SCAN_BUDGET)
+    return model, em.BundleTwist(weight), sigma, box
+
+
+class TestHarmonicMode:
+    @SETTINGS
+    @given(harmonic_mode_cases())
+    def test_against_the_parallel_mode_box_scan(self, case):
+        model, twist, sigma, box = case
+        found = parallel_mode_scan(model, sigma, box)
+        assert len(found) <= 1
+        assert em.harmonic_mode(model, twist) == (found[0] if found else None)
+
+    def test_is_the_zero_eigenvalue_point_of_the_twisted_lattice(self):
+        model = torus_model([(0, 2), (0, -2), (0, 4)], ("alpha",))
+        twist = em.BundleTwist(tg.SymbolicFrequency(((0, -24),), ("alpha",)))
+        m0 = em.harmonic_mode(model, twist)
+        assert m0 == (-2, 2, -4)
+        theta = bc.frame_for(model).theta
+        zero = [m for m in em.twisted_invariant_modes(model, 4, twist)
+                if abs(np.dot(m, m) - np.dot(m, theta) ** 2) < 1e-9]
+        assert zero == [m0]
+
+
+SWAP_SCENARIO = {
+    "schema": 1, "name": "swap_irrational_speed_t2",
+    "generators": [{"name": "alpha"}],
+    "model": {"type": "flat_torus", "n": 2,
+              "v": [{"rational": "1", "alpha": "1"},
+                    {"rational": "1", "alpha": "1"}]},
+    "map": {"matrix": [[0, 1], [1, 0]], "translation": ["0", "0"]},
+    "twist": {"weight": {"rational": "2", "alpha": "2"}},
+    "cutoffs": {"modes": 4},
+}
+
+
+def run_json(command, doc, directory):
+    """Exit code and ``--json`` report of one command on a scenario."""
+    path = pathlib.Path(directory) / "case.scenario"
+    path.write_text(json.dumps(doc))
+    json_path = pathlib.Path(directory) / "report.json"
+    json_path.unlink(missing_ok=True)
+    options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
+                                 json_path=str(json_path))
+    code = cli.run(command, str(path), options, io.StringIO())
+    report = json.loads(json_path.read_text()) if json_path.exists() else None
+    return code, report
+
+
+def test_swap_map_on_a_flow_at_an_irrational_speed_verifies(tmp_path):
+    code, report = run_json("lhs", SWAP_SCENARIO, tmp_path)
+    assert code == cli.EXIT_PASS
+    assert report["lhs"]["harmonic_dimensions"] == [1, 1]
+    assert report["lhs"]["value_text"] == "2"
+    code, report = run_json("verify", SWAP_SCENARIO, tmp_path)
+    assert code == cli.EXIT_PASS
+    assert report["rhs"]["value_text"] == "2"
+    assert report["comparison"]["discrepancy"] == 0.0
+
+
+@st.composite
+def scaled_twisted_maps(draw):
+    """A twisted map on ``T^n`` (n = 2, 3) fixing the flow ``p`` and the
+    covector ``p``, and a speed ``lambda = a + b alpha``."""
+    n = draw(st.integers(2, 3))
+    p = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+    # A = I + K^T C K with K the integer kernel of p: A p = p = A^T p
+    K = rl.integer_kernel([p])
+    C = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n - 1,
+                               max_size=n - 1), min_size=n - 1, max_size=n - 1))
+    KtCK = rl.mat_mul(rl.mat_mul(rl.transpose(K), C), K)
+    matrix = [[(i == j) + KtCK[i][j] for j in range(n)] for i in range(n)]
+    translation = draw(st.lists(st.sampled_from(
+        [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]),
+        min_size=n, max_size=n))
+    if draw(st.booleans()):
+        sigma = draw(small_rational) * sum(x * x for x in p)
+    else:
+        sigma = draw(small_rational)
+    speed = draw(st.tuples(small_rational, small_rational).filter(any))
+    return p, matrix, translation, sigma, speed
+
+
+def twisted_doc(p, matrix, translation, sigma, speed):
+    a, b = speed
+
+    def entry(x):
+        return {"rational": str(a * x), "alpha": str(b * x)}
+    return {
+        "schema": 1, "name": "scaled_twisted",
+        "generators": [{"name": "alpha"}],
+        "model": {"type": "flat_torus", "n": len(p),
+                  "v": [entry(x) for x in p]},
+        "map": {"matrix": matrix,
+                "translation": [str(c) for c in translation]},
+        "twist": {"weight": entry(sigma)},
+        "cutoffs": {"modes": 4},
+    }
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scaled_twisted_maps())
+def test_both_sides_depend_only_on_the_flow_direction(case):
+    # L_{lambda T} = lambda L_T: scaling the flow and the twist weight by the
+    # same speed leaves the harmonic complex, and the fixed orbits, alone
+    p, matrix, translation, sigma, speed = case
+    with tempfile.TemporaryDirectory() as directory:
+        outcomes = []
+        for lam in ((1, 0), speed):
+            doc = twisted_doc(p, matrix, translation, sigma, lam)
+            lhs_code, lhs = run_json("lhs", doc, directory)
+            # verify reports the rhs section too, or is gated with rhs
+            code, report = run_json("verify", doc, directory)
+            outcomes.append((
+                lhs_code, lhs and lhs["lhs"],
+                report and (report["rhs"]["value_text"],
+                            report["rhs"]["orbit_count"]),
+                code,
+            ))
+    assert outcomes[0] == outcomes[1]
+    # A^T fixes the flow covector too, so the two sides must agree
+    assert outcomes[0][-1] != cli.EXIT_DISCREPANCY
+
+
+def counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` through its module binding."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("command", ["lhs", "verify"])
+@pytest.mark.parametrize("name", ["classical_t3", "twisted_unit_t3"])
+def test_the_harmonic_side_computes_each_map_quantity_once_per_op(monkeypatch,
+                                                                  name, command):
+    counts = {key: counted(monkeypatch, owner, key) for owner, key in (
+        (rl, "char_poly"), (em, "harmonic_mode"),
+        (em, "_frame_pullback_matrix"))}
+    path = str(SCENARIOS / f"{name}.scenario")
+    assert cli.run(command, path, stream=io.StringIO()) == cli.EXIT_PASS
+    assert {key: len(calls) for key, calls in counts.items()} == {
+        "char_poly": 1, "harmonic_mode": 1, "_frame_pullback_matrix": 1}
+
+
+def test_an_empty_harmonic_space_builds_no_frame_pullback(monkeypatch):
+    calls = counted(monkeypatch, em, "_frame_pullback_matrix")
+    path = str(SCENARIOS / "twisted_halfweight_t2.scenario")
+    assert cli.run("lhs", path, stream=io.StringIO()) == cli.EXIT_PASS
+    assert calls == []

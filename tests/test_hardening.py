@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -239,3 +240,33 @@ class TestGeneratorNames:
         code, text = self.run(self.doc(name), tmp_path, command)
         assert code == cli.EXIT_USAGE
         assert text.startswith("schema error at $.generators[0].name:")
+
+
+class TestTinyMollifierRadius:
+    """A radius inside the schema's exact ``(0, 1/2)`` can still be 0 or
+    subnormal as a float; neither may escape as a traceback."""
+
+    @staticmethod
+    def run(radius, tmp_path):
+        doc = json.loads((pathlib.Path(__file__).resolve().parent.parent /
+                          "scenarios" / "mollifier_doubling_t2.scenario").read_text())
+        doc["mollifier"]["radius"] = radius
+        path = tmp_path / "case.scenario"
+        path.write_text(json.dumps(doc))
+        stream = io.StringIO()
+        return cli.run("mollifier", str(path), stream=stream), stream.getvalue()
+
+    @pytest.mark.parametrize("radius", [
+        "1/1" + "0" * 400,                             # float 0.0
+        f"{5 * 10**399 - 1}/1{'0' * 400}",             # float 0.5
+    ])
+    def test_a_radius_that_rounds_to_an_end_is_a_schema_error(self, radius,
+                                                              tmp_path):
+        code, text = self.run(radius, tmp_path)
+        assert code == cli.EXIT_USAGE
+        assert text.startswith("schema error at $.mollifier.radius:")
+
+    def test_a_subnormal_radius_is_too_coarse_for_the_grid(self, tmp_path):
+        code, text = self.run("1/1" + "0" * 320, tmp_path)
+        assert code == cli.EXIT_DISCREPANCY
+        assert text.startswith("error: bump support")
