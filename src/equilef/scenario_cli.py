@@ -32,6 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -361,6 +362,8 @@ def load_scenario(path) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read scenario file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read scenario file: not UTF-8 text ({exc})")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -397,7 +400,35 @@ def _frac_str(q):
     return None if q is None else str(Fraction(q))
 
 
-def _orbit_json(contrib):
+def _term_json(contrib, terms):
+    """An orbit's term entries, built once per distinct term: orbits whose
+    assembly is shared (one ``contrib.per_degree`` object, see
+    ``fixed_point_formula._MapContext.assembled``) share these objects, so
+    the report writers render them once.  ``terms`` lives for one report,
+    while every contribution (and so every key's object) is alive."""
+    per_degree = contrib.per_degree
+    found = terms.get(id(per_degree))
+    if found is None:
+        found = terms[id(per_degree)] = {
+            "sheets": per_degree[0].sheets,
+            "haar_factor": str(per_degree[0].haar_factor),
+            "per_degree": [
+                {
+                    "q": pd.degree,
+                    "trace": _complex(pd.trace_value),
+                    "det": _f(pd.det_value),
+                    "abs_det": _f(abs(pd.det_value)),
+                    "isotropy_integral": _complex(pd.isotropy_integral),
+                }
+                for pd in per_degree
+            ],
+            "contribution": _complex(contrib.total),
+            "contribution_exact": _frac_str(contrib.total_exact),
+        }
+    return found
+
+
+def _orbit_json(contrib, terms):
     orbit = contrib.orbit
     if isinstance(orbit.model, FlatTorusModel):
         location = {"base_point": [str(x) for x in orbit.base_point]}
@@ -413,20 +444,7 @@ def _orbit_json(contrib):
         "dim": orbit.dim,
         "isotropy_components": orbit.isotropy.component_count,
         "g0": [str(x) for x in contrib.g0],
-        "sheets": contrib.per_degree[0].sheets,
-        "haar_factor": str(contrib.per_degree[0].haar_factor),
-        "per_degree": [
-            {
-                "q": pd.degree,
-                "trace": _complex(pd.trace_value),
-                "det": _f(pd.det_value),
-                "abs_det": _f(abs(pd.det_value)),
-                "isotropy_integral": _complex(pd.isotropy_integral),
-            }
-            for pd in contrib.per_degree
-        ],
-        "contribution": _complex(contrib.total),
-        "contribution_exact": _frac_str(contrib.total_exact),
+        **_term_json(contrib, terms),
         "transversality": "certified",
     }
 
@@ -437,32 +455,98 @@ def _render_text(report):
     tool = report["tool"]
     push(f"equilef {report['command']} report (version {tool['version']})")
     push(f"scenario: {report['scenario_name']}")
+    memo = {}
     for section, content in report.items():
         if section in ("tool", "command", "scenario_name", "scenario"):
             continue
         push(f"-- {section}")
-        _render_node(content, push, indent="   ")
+        lines += _node_lines(content, "   ", memo)
     return "\n".join(lines) + "\n"
 
 
-def _render_node(node, push, indent):
+def _node_lines(node, indent, memo):
+    """The text lines of one report node, built once per (object, indent)
+    within one report (``memo``): a sub-object many orbits share is laid out
+    once at each depth it sits at."""
+    if not isinstance(node, (dict, list)):
+        return [f"{indent}{node}"]
+    slot = (id(node), indent)
+    lines = memo.get(slot)
+    if lines is not None:
+        return lines
+    lines = memo[slot] = []
+    push = lines.append
+    deeper = indent + "   "
     if isinstance(node, dict):
         width = max((len(str(k)) for k in node), default=0)
         for key, val in node.items():
             if isinstance(val, (dict, list)):
                 push(f"{indent}{key}:")
-                _render_node(val, push, indent + "   ")
+                lines += _node_lines(val, deeper, memo)
             else:
                 push(f"{indent}{str(key).ljust(width)} : {val}")
-    elif isinstance(node, list):
+    else:
         for i, val in enumerate(node):
             if isinstance(val, (dict, list)):
                 push(f"{indent}[{i}]")
-                _render_node(val, push, indent + "   ")
+                lines += _node_lines(val, deeper, memo)
             else:
                 push(f"{indent}[{i}] {val}")
-    else:
-        push(f"{indent}{node}")
+    return lines
+
+
+def _json_scalar(node):
+    """A leaf as ``json.dumps`` writes it (``NaN``/``Infinity`` included)."""
+    if isinstance(node, str):
+        return _json_str(node)
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if isinstance(node, float):
+        if node != node:
+            return "NaN"
+        if math.isinf(node):
+            return "Infinity" if node > 0 else "-Infinity"
+        return float.__repr__(node)
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
+def _json_text(report):
+    """``json.dumps(report, indent=2)``, byte for byte, with each container's
+    text built once per (object, depth): a sub-object many orbits share is
+    serialized once at each depth it sits at."""
+    memo = {}
+
+    def write(node, level):
+        if not isinstance(node, (dict, list, tuple)):
+            return _json_scalar(node)
+        slot = (id(node), level)
+        text = memo.get(slot)
+        if text is not None:
+            return text
+        if isinstance(node, dict):
+            # report keys are strings; any other key is a TypeError here
+            items = [f"{_json_str(k)}: {write(v, level + 1)}"
+                     for k, v in node.items()]
+            brackets = "{}"
+        else:
+            items = [write(v, level + 1) for v in node]
+            brackets = "[]"
+        if items:
+            inner = "\n" + "  " * (level + 1)
+            text = (brackets[0] + inner + ("," + inner).join(items)
+                    + "\n" + "  " * level + brackets[1])
+        else:
+            text = brackets
+        memo[slot] = text
+        return text
+
+    return write(report, 0)
 
 
 def _base_report(scenario: Scenario, command: str) -> dict:
@@ -552,6 +636,7 @@ def _rhs_sections(scenario):
     fibers = "de_rham" if isinstance(scenario.model, FlatTorusModel) else "scalar"
     rhs = fpf.lefschetz_rhs(scenario.model, scenario.map, fibers=fibers,
                             twist=scenario.twist)
+    terms = {}
     return rhs, {
         "fibers": fibers,
         "groups": _group_section(scenario),
@@ -566,7 +651,7 @@ def _rhs_sections(scenario):
                              "base point; no geodesic slice is materialized",
         },
         "orbit_count": len(rhs.contributions),
-        "fixed_orbits": [_orbit_json(c) for c in rhs.contributions],
+        "fixed_orbits": [_orbit_json(c, terms) for c in rhs.contributions],
         "value": _complex(rhs.value),
         "value_text": _complex_str(rhs.value),
         "exact": _frac_str(rhs.value_exact),
@@ -710,10 +795,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(report, options, stream):
-    stream.write(_render_text(report))
+    """Write the JSON report (when asked for) and then the text report: an
+    unwritable ``--json`` path is a usage error before any report text."""
     if options.json_path:
-        with open(options.json_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
+        text = _json_text(report) + "\n"
+        try:
+            with open(options.json_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write JSON report: {exc}")
+    stream.write(_render_text(report))
 
 
 def run(command: str, scenario_file: str, argv_options=None,

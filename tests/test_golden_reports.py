@@ -127,3 +127,64 @@ def test_every_scenario_is_pinned_for_rhs():
 def test_report_digest(command, name, tmp_path):
     got = report_digests(command, name, tmp_path / "report.json")
     assert got == GOLDEN[(command, name)]
+
+
+def diag_doc(k):
+    """T^3 with the flow along the last axis and A = diag(k, k, 1):
+    (k - 1)^2 fixed orbits, all of one isotropy type and one term."""
+    return {
+        "schema": 1,
+        "name": f"diag_{k}_{k}_1_t3",
+        "model": {"type": "flat_torus", "n": 3, "v": ["0", "0", "1"]},
+        "map": {"matrix": [[k, 0, 0], [0, k, 0], [0, 0, 1]],
+                "translation": ["0", "0", "0"]},
+        "cutoffs": {"modes": 3},
+    }
+
+
+# 100 orbits, pinned before the report writers shared the orbits' term
+# entries and memoized repeated sub-objects
+LARGE_GOLDEN = {
+    "rhs": (0, "120e6c181bf05647cfabf082de3222e14fd03830eacd4d9a0fad02f962756c3c", "da17f324cdaa82f1827469daf55219242366efae41e0d4781361994a162ce467"),
+    "verify": (0, "955a5e036aa90048c55e89148a076ec0285c8b4ed7a55272a62ab0a72b8ab725", "dbf56350b6a8da89e02510ceff816999ab81d68991e412748c67f2378671b3a7"),
+}
+
+
+def run_doc(command, doc, tmp_path):
+    scenario = tmp_path / f"{doc['name']}.scenario"
+    scenario.write_text(json.dumps(doc))
+    json_path = tmp_path / f"{command}.json"
+    stream = io.StringIO()
+    options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
+                                 json_path=str(json_path))
+    code = cli.run(command, str(scenario), options, stream)
+    return code, stream.getvalue(), json_path.read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_GOLDEN))
+def test_large_orbit_report_digest(command, tmp_path):
+    code, text, blob = run_doc(command, diag_doc(11), tmp_path)
+    assert json.loads(blob)["rhs"]["orbit_count"] == 100
+    assert (code, hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(blob).hexdigest()) == LARGE_GOLDEN[command]
+
+
+def test_term_entries_are_built_per_distinct_term(monkeypatch, tmp_path):
+    """Every orbit of diag(k, k, 1) has the same term, so the report builds
+    its complex entries as often at 4 orbits as at 100."""
+    calls = []
+    original = cli._complex
+
+    def counting(z):
+        calls.append(z)
+        return original(z)
+
+    monkeypatch.setattr(cli, "_complex", counting)
+    counts = {}
+    for k in (3, 11):
+        calls.clear()
+        code, _, blob = run_doc("rhs", diag_doc(k), tmp_path)
+        assert code == 0
+        assert json.loads(blob)["rhs"]["orbit_count"] == (k - 1) ** 2
+        counts[k] = len(calls)
+    assert counts[3] == counts[11]

@@ -190,6 +190,32 @@ class TestReports:
         assert "tolerance" in rep["heat_traces"]
         assert "tolerance" in rep["verdict"]
 
+    def test_json_path_in_a_missing_directory_is_a_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "dir" / "x.json"
+        code, text = run("verify", "classical_t3", json_path=str(target))
+        assert code == cli.EXIT_USAGE
+        assert text.startswith("usage error: cannot write JSON report: ")
+        assert text.count("\n") == 1
+        assert not target.exists()
+
+    def test_json_path_naming_a_directory_is_a_usage_error(self, tmp_path):
+        code, text = run("verify", "classical_t3", json_path=str(tmp_path))
+        assert code == cli.EXIT_USAGE
+        assert text.startswith("usage error: cannot write JSON report: ")
+        assert text.count("\n") == 1
+
+    def test_non_utf8_scenario_file_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "utf16.scenario"
+        path.write_bytes(b"\xff\xfe" + (SCENARIOS / "classical_t3.scenario")
+                         .read_text().encode("utf-16-le"))
+        stream = io.StringIO()
+        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
+                                         grid=None, json_path=None)
+        code = cli.run("verify", str(path), options, stream)
+        assert code == cli.EXIT_USAGE
+        assert stream.getvalue().startswith(
+            "usage error: cannot read scenario file: ")
+
     def test_scenario_round_trips_rationals(self):
         src = json.loads((SCENARIOS / "shifted_classical_t3.scenario").read_text())
         scn = cli.parse_scenario(src)
