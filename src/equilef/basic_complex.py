@@ -311,39 +311,6 @@ def harmonic_basis(model: FlatTorusModel, q: int, cutoff: int):
     ]
 
 
-def mode_complex_matrices(model: FlatTorusModel, m):
-    """Matrices of the differential on the single-mode exterior family, one
-    per degree; used for rank-nullity bookkeeping of the per-eigenvalue
-    complexes."""
-    n = model.n
-    mats = []
-    for q in range(n - 1):
-        dom = list(itertools.combinations(range(n - 1), q))
-        cod = list(itertools.combinations(range(n - 1), q + 1))
-        cod_index = {I: i for i, I in enumerate(cod)}
-        M = np.zeros((len(cod), len(dom)), dtype=complex)
-        for j, I in enumerate(dom):
-            u = BasicForm(model, q, {(tuple(m), I): 1.0})
-            for (m2, J), c in apply_D(u).coeffs.items():
-                M[cod_index[J], j] = c
-        mats.append(M)
-    return mats
-
-
-def eigen_complex_cohomology_dims(model: FlatTorusModel, m):
-    """Cohomology dimensions of the single-mode complex (all zero for basic
-    modes other than zero)."""
-    mats = mode_complex_matrices(model, m)
-    n = model.n
-    dims = []
-    for q in range(n):
-        dim_q = math.comb(n - 1, q)
-        rank_in = np.linalg.matrix_rank(mats[q - 1]) if q >= 1 and mats[q - 1].size else 0
-        rank_out = np.linalg.matrix_rank(mats[q]) if q <= n - 2 and mats[q].size else 0
-        dims.append(dim_q - rank_in - rank_out)
-    return dims
-
-
 def basic_spectrum(model: FlatTorusModel, q: int, cutoff: int):
     """Sorted (eigenvalue, multiplicity) table of the elliptic operator on
     flow-annihilated sections in degree ``q`` within the truncation."""

@@ -336,15 +336,3 @@ def induced_base_map(model: FlatTorusModel, f):
         rows.append(row)
     c_bar = rl.vec_mod1(rl.mat_vec(L, tuple(Fraction(x) for x in f.translation)))
     return rl.freeze(rows), c_bar
-
-
-def translate(model, p, g):
-    """Act by a group element: translation on the torus, phase rotation on
-    the sphere.  Exact."""
-    if isinstance(model, FlatTorusModel):
-        return rl.vec_mod1(tuple(Fraction(a) + Fraction(b) for a, b in zip(p, g)))
-    point = p if isinstance(p, SpherePoint) else SpherePoint.from_complex(p)
-    return SpherePoint(
-        point.moduli_sq,
-        tuple(rl.frac_mod1(ph + Fraction(gj)) for ph, gj in zip(point.phases, g)),
-    )

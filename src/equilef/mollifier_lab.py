@@ -166,22 +166,6 @@ def kernel_pairing(model: FlatTorusModel, f: TorusMap,
     return PairingResult(value=value, grid=grid)
 
 
-def mollifier_mass_check(config: MollifierConfig, grid=256) -> float:
-    """Quadrature of the bare mollifier mass around a fixed diagonal point;
-    converges to one by the normalization choice."""
-    c_norm, _ = config.normalization()
-    axis = np.arange(grid) / grid
-    px, py = np.meshgrid(axis, axis, indexing="ij")
-    gx = px - 0.5
-    gy = py - 0.5
-    gx -= np.round(gx)
-    gy -= np.round(gy)
-    dist = np.sqrt(gx * gx + gy * gy)
-    support = config.radius / config.k
-    vals = _bump(dist / support)
-    return float((config.k**2) * c_norm * np.sum(vals) / grid**2)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     k: int

@@ -1,9 +1,13 @@
 """The averaging projector: spectral filter vs Haar quadrature."""
 
+import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from equilef import averaging as av
 from equilef import basic_complex as bc
@@ -18,6 +22,18 @@ def torus_model(entries, labels=()):
 
 T2_IRR = torus_model([(1, 0), (0, 1)], ("alpha",))   # v = (1, alpha)
 T3 = torus_model([(0, 0), (1, 0), (0, 1)], ("alpha",))
+
+
+def translate_form(u, g):
+    """The section ``p -> u(p - g)``: mode ``m`` picks up the character
+    ``exp(-2 pi i m . g)``."""
+    g = tuple(Fraction(x) for x in g)
+    coeffs = {
+        (m, I): c * cmath.exp(-2j * math.pi * float(sum(Fraction(mi) * gi for mi, gi in zip(m, g))))
+        for (m, I), c in u.coeffs.items()
+    }
+    return bc.BasicForm(u.model, u.degree, coeffs, cutoff=u.cutoff,
+                        basic_flag=u.basic_flag)
 
 
 def random_section(model, q, cutoff, rng, n_terms=5):
@@ -121,6 +137,105 @@ def test_equivariance_under_group_translation():
     u = random_section(T3, 0, 3, rng)
     G = T3.group
     for g, _ in tg.haar_quadrature(G, 2):
-        lhs = av.average_modes(av.translate_form(u, g), G)
-        rhs = av.translate_form(av.average_modes(u, G), g)
+        lhs = av.average_modes(translate_form(u, g), G)
+        rhs = translate_form(av.average_modes(u, G), g)
         assert lhs.plus(rhs, factor=-1.0).norm() <= 1e-12 * max(1.0, u.norm())
+
+
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def torus_flows(draw):
+    """A flat T^2-T^4 model whose flow is rational or has one or two
+    irrational generators; each coordinate is zero, rational, irrational or
+    mixed."""
+    n = draw(st.integers(2, 4))
+    g = draw(st.integers(0, 2))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "rational", "irrational", "mixed"]))
+        row = [Fraction(0)] * (1 + g)
+        if kind in ("rational", "mixed") or g == 0:
+            row[0] = draw(small_rational)
+        if kind in ("irrational", "mixed") and g:
+            row[1 + draw(st.integers(0, g - 1))] = draw(small_rational)
+        rows.append(tuple(row))
+    assume(any(c for row in rows for c in row))
+    return torus_model(rows, ("alpha", "beta")[:g])
+
+
+class TestArrayPass:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), model=torus_flows())
+    def test_mask_is_the_flow_decision_and_the_report_reads_zero(self, data, model):
+        cutoff = data.draw(st.integers(0, 4))
+        modes = data.draw(st.lists(
+            st.tuples(*[st.integers(-cutoff, cutoff)] * model.n), max_size=40))
+        keep = av.averaging_mask(model.group, np.array(modes, dtype=np.int64)
+                                 .reshape(-1, model.n))
+        assert keep.tolist() == [bc.is_basic_mode(model, m) for m in modes]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        report = av.averaging_report(model, cutoff, np.random.default_rng(seed))
+        assert report == {"idempotent": 0.0, "self_adjoint": 0.0,
+                          "invariance": 0.0, "pass": True, "unannihilated": 0}
+
+    def test_average_modes_uses_the_shared_mask(self, monkeypatch):
+        u = bc.BasicForm(T3, 0, {((1, 0, 0), ()): 1.0, ((0, 0, 0), ()): 2.0})
+        assert len(av.average_modes(u, T3.group).coeffs) == 2
+        monkeypatch.setattr(av, "averaging_mask",
+                            lambda group, modes: np.zeros(len(modes), dtype=bool))
+        assert av.average_modes(u, T3.group).coeffs == {}
+
+    def test_generator_calls_do_not_grow_with_the_section_count(self, monkeypatch):
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.calls = 0
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    self.calls += 1
+                    return method(*args, **kwargs)
+                return counted
+
+        def no_forms(*args, **kwargs):
+            raise AssertionError("the array pass builds no BasicForm")
+
+        monkeypatch.setattr(bc, "BasicForm", no_forms)
+        calls = []
+        for sections in (1, av.REPORT_SECTIONS, 400):
+            monkeypatch.setattr(av, "REPORT_SECTIONS", sections)
+            rng = CountingGenerator(5)
+            assert av.averaging_report(T3, 4, rng)["pass"]
+            calls.append(rng.calls)
+        assert calls[0] == calls[1] == calls[2] <= 5
+
+    def test_halving_filter_is_caught(self, monkeypatch):
+        # a filter that halves the kept coefficients is self-adjoint and
+        # commutes with translations, but is not idempotent
+        mask = av.averaging_mask
+        monkeypatch.setattr(av, "averaging_mask",
+                            lambda group, modes: 0.5 * mask(group, modes))
+        report = av.averaging_report(T3, 4, np.random.default_rng(3))
+        assert report["idempotent"] > av.REPORT_TOLERANCE
+        assert report["self_adjoint"] == report["invariance"] == 0.0
+        assert not report["pass"]
+
+    def test_mode_the_flow_does_not_annihilate_is_caught(self, monkeypatch):
+        # a filter that keeps every mode: the group-side identities still
+        # hold, the flow's constraint rows reject the kept modes
+        monkeypatch.setattr(av, "averaging_mask",
+                            lambda group, modes: np.ones(np.shape(modes)[:-1], dtype=bool))
+        report = av.averaging_report(T3, 4, np.random.default_rng(3))
+        assert report["unannihilated"] > 0
+        assert not report["pass"]
+
+    def test_exact_products_past_int64(self):
+        big = 2**70
+        modes = np.array([[1, 2], [3, -1]])
+        assert av._exact_products(modes, [[big, 1]]).tolist() == [[big + 2], [3 * big - 1]]
+        assert av._exact_products(modes, [[2, 1]]).dtype == np.int64

@@ -30,6 +30,18 @@ T3_PRODUCT = torus_model([(0, 0), (1, 0), (0, 1)], ("alpha",))  # v = (0, 1, alp
 S5_TAU12 = sphere_model([(0, 1), (1, 0), (2, 0)], ("tau",))     # weights (tau, 1, 2)
 
 
+def translate(model, p, g):
+    """Act by a group element: translation on the torus, phase rotation on
+    the sphere.  Exact."""
+    if isinstance(model, gm.FlatTorusModel):
+        return rl.vec_mod1(tuple(Fraction(a) + Fraction(b) for a, b in zip(p, g)))
+    point = p if isinstance(p, gm.SpherePoint) else gm.SpherePoint.from_complex(p)
+    return gm.SpherePoint(
+        point.moduli_sq,
+        tuple(rl.frac_mod1(ph + Fraction(gj)) for ph, gj in zip(point.phases, g)),
+    )
+
+
 class TestTorusOrbits:
     def test_product_orbit(self):
         orbit = gm.orbit_through(T3_PRODUCT, (Fraction(1, 4), 0, 0))
@@ -45,7 +57,7 @@ class TestTorusOrbits:
         p = (Fraction(1, 4), Fraction(1, 3), Fraction(2, 7))
         orbit = gm.orbit_through(model, p)
         for g, _ in tg.haar_quadrature(model.group, 3):
-            moved = gm.translate(model, p, g)
+            moved = translate(model, p, g)
             assert gm.orbit_through(model, moved) == orbit
 
     def test_conormal_annihilates_tangent(self):
@@ -123,7 +135,7 @@ class TestSphereOrbits:
         p = gm.SpherePoint((Fraction(1, 2), Fraction(1, 2), 0), (0, Fraction(1, 3), 0))
         orbit = gm.orbit_through(S5_TAU12, p)
         for g, _ in tg.haar_quadrature(S5_TAU12.group, 3):
-            moved = gm.translate(S5_TAU12, p, g)
+            moved = translate(S5_TAU12, p, g)
             assert gm.orbit_through(S5_TAU12, moved) == orbit
 
     def test_conormal_orthogonal_to_numeric_tangent(self):

@@ -6,8 +6,10 @@ import pathlib
 
 import pytest
 
+from equilef import averaging as av
 from equilef import mollifier_lab as ml
 from equilef import scenario_cli as cli
+from equilef import torus_group as tg
 from equilef.errors import SchemaError
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -120,6 +122,23 @@ class TestOtherCommands:
     def test_avcheck(self):
         code, text = run("avcheck", "identity_irrational_t2")
         assert code == cli.EXIT_PASS
+
+    def test_avcheck_filter_keeping_unannihilated_modes_exits_1(self, monkeypatch):
+        # dropping a tangent row makes the filter keep modes the flow moves;
+        # the flow-route check must fail the verdict, not raise
+        basis = tg.SubtorusGroup.complement_basis
+        monkeypatch.setattr(tg.SubtorusGroup, "complement_basis",
+                            lambda group: basis(group)[:-1])
+        code, text = run("avcheck", "classical_t3")
+        assert code == cli.EXIT_DISCREPANCY
+        assert "pass : False" in text
+
+    def test_avcheck_non_idempotent_filter_exits_1(self, monkeypatch):
+        mask = av.averaging_mask
+        monkeypatch.setattr(av, "averaging_mask",
+                            lambda group, modes: 0.5 * mask(group, modes))
+        code, text = run("avcheck", "classical_t3")
+        assert code == cli.EXIT_DISCREPANCY
 
     def test_mollifier_grid_too_coarse_exit_1(self, tmp_path):
         src = json.loads((SCENARIOS / "mollifier_doubling_t2.scenario").read_text())
