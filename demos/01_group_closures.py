@@ -20,7 +20,7 @@ print(__doc__)
 v = SymbolicFrequency(
     ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), ("alpha",)
 )
-G, _ = closure_group(v)
+G = closure_group(v)
 print(f"direction (1, alpha):  relation lattice {G.relation_lattice!r}, "
       f"closure dimension {G.dim}")
 
@@ -29,7 +29,7 @@ w = SymbolicFrequency(
     ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
      (Fraction(2), Fraction(0))), ("tau",)
 )
-G2, _ = closure_group(w)
+G2 = closure_group(w)
 print(f"direction (tau, 1, 2): relation lattice {G2.relation_lattice!r}, "
       f"closure dimension {G2.dim}")
 
@@ -47,11 +47,10 @@ print(f"orbit through (0,0,z3): dimension {pole.dim}, "
       f"{iso.component_count} components of dimension {iso.dim}")
 print("  component representatives:",
       ", ".join("(" + ", ".join(str(x) for x in h) + ")" for h in iso.component_reps))
-Ghat, hom = closure_group(w)
 print("sheets of the covering by the subgroup (0,1,2):",
-      sheet_count(((0, 1, 2),), pole, hom))
+      sheet_count(((0, 1, 2),), pole))
 print("sheets of the covering by the subgroup (1,1,2):",
-      sheet_count(((1, 1, 2),), pole, hom))
+      sheet_count(((1, 1, 2),), pole))
 
 # --- winding presentations count sheets on the parametrizing circle ----------
 from equilef.torus_group import trivial_isotropy

@@ -32,6 +32,7 @@ from .errors import (
     GridTooCoarse,
     GridTooFine,
     InfiniteFixedSet,
+    ModeBoxTooLarge,
     NonTransverse,
     NotBasic,
     NotEquivariant,
@@ -58,7 +59,6 @@ from .geometry_models import (
 )
 from .mollifier_lab import MollifierConfig, convergence_study, kernel_pairing
 from .torus_group import (
-    GroupHomomorphism,
     IsotropyDescriptor,
     SubtorusGroup,
     SymbolicFrequency,

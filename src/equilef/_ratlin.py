@@ -561,22 +561,3 @@ def lattice_coordinates(basis_rows, x):
     if vec_mat(y, basis_rows) != tuple(Fraction(q) for q in x):
         return None
     return tuple(int(v) for v in y)
-
-
-def rational_rank(rows):
-    """Rank of a rational matrix."""
-    M = [[Fraction(x) for x in row] for row in rows]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, m):
-            if M[i][col] != 0:
-                f = M[i][col] / M[r][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        r += 1
-    return r

@@ -31,11 +31,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import _ratlin as rl
-from .errors import DegreeOverflow, GeneratorMismatch
+from .errors import DegreeOverflow, GeneratorMismatch, ModeBoxTooLarge
 from .geometry_models import FlatTorusModel
 
 TWO_PI = 2.0 * math.pi
 PRUNE_TOL = 1e-14
+#: most lattice modes one cutoff may list
+MODE_BOX_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ def lattice_modes(model: FlatTorusModel, cutoff: int, weight=None, extra=()):
     rows stacked with ``extra``, translated by one integer solution of the
     weighted system.  Its points in the box are enumerated from the kernel's
     HNF basis; the box itself is never scanned.  Empty when no integer mode
-    carries the weight."""
+    carries the weight.  Raises :class:`ModeBoxTooLarge` before listing when
+    the pivot ranges allow more than ``MODE_BOX_LIMIT`` points."""
     if weight is not None and weight.generator_labels != model.v.generator_labels:
         raise GeneratorMismatch("the weight must use the model's generators")
     rows = model.v.constraint_rows() + tuple(extra)
@@ -102,6 +105,13 @@ def lattice_modes(model: FlatTorusModel, cutoff: int, weight=None, extra=()):
         offset = rl.integer_solution(rows, weight.coeffs[0] + (0,) * len(extra))
         if offset is None:
             return ()
+    # basis row i takes at most 2c // |pivot| + 1 coefficients
+    bound = math.prod(2 * cutoff // abs(next(a for a in row if a)) + 1
+                      for row in kernel)
+    if bound > MODE_BOX_LIMIT:
+        raise ModeBoxTooLarge(
+            f"cutoff {cutoff} allows up to {bound} lattice modes, more than "
+            f"the {MODE_BOX_LIMIT} that can be listed")
     return rl.lattice_box_points(kernel, offset, cutoff)
 
 

@@ -232,8 +232,8 @@ def harmonic_mode(model: FlatTorusModel, twist: BundleTwist | None = None):
     the twist weight that :func:`twisted_invariant_modes` enumerates.  It is
     zero untwisted or at weight zero.  A nonzero weight ``sigma`` needs a
     periodic flow, at any speed: its coefficient columns ``C`` have rank 1,
-    and the mode solves ``C m = sigma`` with ``K m = 0`` for the integer
-    kernel ``K`` of ``C``.  ``None`` when no integer mode does."""
+    so their integer kernel ``K`` has rank ``n - 1``, and the mode solves
+    ``C m = sigma`` with ``K m = 0``.  ``None`` when no integer mode does."""
     zero = (0,) * model.n
     if twist is None:
         return zero
@@ -243,9 +243,9 @@ def harmonic_mode(model: FlatTorusModel, twist: BundleTwist | None = None):
     if not any(sigma):
         return zero
     rows = model.v.constraint_rows()
-    if rl.rational_rank(rows) != 1:
-        return None
     kernel = rl.integer_kernel(rows, n=model.n)
+    if len(kernel) != model.n - 1:
+        return None
     return rl.integer_solution(rows + kernel, sigma + (0,) * len(kernel))
 
 

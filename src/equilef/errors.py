@@ -56,6 +56,10 @@ class TorsionTooLarge(EquilefError):
     """A congruence solution set has more components than can be listed."""
 
 
+class ModeBoxTooLarge(EquilefError):
+    """A mode cutoff would list more lattice modes than the toolkit allows."""
+
+
 class GridTooCoarse(EquilefError):
     """The mollifier bump is not resolved by the sample grid."""
 

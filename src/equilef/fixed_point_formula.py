@@ -304,8 +304,9 @@ class _MapContext:
         self.torus = isinstance(model, FlatTorusModel)
         direction = model.v if self.torus else model.weights
         # untwisted, the same cache entry as ``model.group``
-        self.hat, self.hom = (tg.closure_group(direction) if twist is None
-                              else tg.closure_group(direction, twist.weight))
+        self.n = direction.ambient_dim
+        self.hat = (tg.closure_group(direction) if twist is None
+                    else tg.closure_group(direction, twist.weight))
         if self.torus:
             self.torus_det = rl.det_int(_base_minus_identity(model, f)[0])
             self.I_minus_A = [[(i == j) - a for j, a in enumerate(row)]
@@ -385,8 +386,8 @@ class _MapContext:
 
     def _build_type(self, isotropy) -> _IsotropyType:
         hat = self.hat
-        n = self.hom.base_dim
-        pre = tg.isotropy_preimage(hat, n, isotropy)
+        n = self.n
+        pre = tg.isotropy_preimage(hat, isotropy)
         if self.subgroup_rows is None:
             rows_param = tg.complementary_subgroup(pre)
         else:
@@ -428,7 +429,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
     components builds both the certificate and the per-component data of
     the assembly; the optional quadrature cross-check runs last."""
     model = orbit.model
-    f, twist, hat, hom = context.f, context.twist, context.hat, context.hom
+    f, twist, hat, n = context.f, context.twist, context.hat, context.n
     torus = context.torus
     if g0 is None:
         g0 = context.group_correction(orbit)
@@ -443,7 +444,6 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         normal = _sphere_normal_coords(orbit)
     typ = context.isotropy_type(orbit.isotropy)
     pre = typ.pre
-    n = hom.base_dim
     fiber_idx = range(n, hat.ambient_dim)
     if twist is not None:
         ghat0 = hat.element_with(range(n), g0)
@@ -454,13 +454,13 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         """``(phase, det, exact det)`` at the preimage element with
         parameters ``t``, and the determinant the certificate records; an
         untwisted torus orbit reads nothing at ``t``."""
-        h_amb = None if torus and twist is None else pre.element(t)
+        h_amb = None if torus and twist is None else hat.element(t)
         phase = rl.frac_mod1(sum(
             (Fraction(h_amb[j]) - Fraction(ghat0[j])) for j in fiber_idx
         )) if twist is not None else Fraction(0)
         if torus:
             return (phase, float(det), Fraction(det)), float(det)
-        turns = _sphere_rotation_turns(model, f, g0, hom.project(h_amb))
+        turns = _sphere_rotation_turns(model, f, g0, h_amb[:n])
         det_val, numeric = _sphere_component_det(orbit, normal, turns, index)
         return (phase, det_val, None), numeric
 

@@ -47,17 +47,13 @@ class FlatTorusModel:
 
     @cached_property
     def group(self):
-        return tg.closure_group(self.v)[0]
+        return tg.closure_group(self.v)
 
     @property
     def base_lattice(self):
         """Rows of the relation lattice; the map ``x -> base_lattice @ x`` is
         the projection onto base coordinates for the orbit space."""
         return self.group.relation_lattice
-
-    @property
-    def base_dim(self):
-        return len(self.base_lattice)
 
 
 @dataclass(frozen=True)
@@ -134,10 +130,10 @@ class WeightedSphereModel:
 
     @cached_property
     def group(self):
-        return tg.closure_group(self.weights)[0]
+        return tg.closure_group(self.weights)
 
     def restricted_group(self, support):
-        return tg.closure_group(self.weights.restrict(support))[0]
+        return tg.closure_group(self.weights.restrict(support))
 
 
 @dataclass(frozen=True, eq=False)

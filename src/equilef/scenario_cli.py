@@ -64,6 +64,8 @@ SCHEMA_VERSION = 1
 DEFAULT_CUTOFF = 8
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_HEAT_S = (0.1, 1.0, 10.0)
+#: largest torus dimension n and sphere dimension k a scenario may declare
+MAX_DIM = 10
 
 EXIT_PASS = 0
 EXIT_DISCREPANCY = 1
@@ -222,7 +224,7 @@ def parse_scenario(data: dict) -> Scenario:
     mtype = model_node.get("type")
     if mtype == "flat_torus":
         n = _parse_int(model_node.get("n"), "$.model.n",
-                       "the flat torus dimension n", 1)
+                       "the flat torus dimension n", 1, MAX_DIM)
         entries = model_node.get("v")
         if not isinstance(entries, list) or len(entries) != n:
             raise SchemaError("v must list n entries", path="$.model.v")
@@ -236,7 +238,7 @@ def parse_scenario(data: dict) -> Scenario:
             raise SchemaError(str(exc), path="$.model.v")
     elif mtype == "weighted_sphere":
         k = _parse_int(model_node.get("k"), "$.model.k",
-                       "the weighted sphere dimension k", 1)
+                       "the weighted sphere dimension k", 1, MAX_DIM)
         entries = model_node.get("weights")
         if not isinstance(entries, list) or len(entries) != k:
             raise SchemaError("weights must list k entries", path="$.model.weights")
@@ -619,11 +621,12 @@ def _group_section(scenario):
             "ambient_dim": model.group.ambient_dim,
             "dim": model.group.dim,
             "relation_lattice": [list(row) for row in model.group.relation_lattice],
-            "haar_normalization": str(model.group.haar_normalization),
+            # the Haar measure of every closure group is normalized to mass one
+            "haar_normalization": "1",
         }
     }
     if scenario.twist is not None:
-        hat, _ = closure_group(direction, scenario.twist.weight)
+        hat = closure_group(direction, scenario.twist.weight)
         section["lifted"] = {
             "ambient_dim": hat.ambient_dim,
             "dim": hat.dim,

@@ -10,9 +10,12 @@ torus is the connected subgroup cut out by the integer relation lattice
     ``{m in Z^n : m . v = 0}``.
 
 Groups are represented canonically by the Hermite normal form of that
-(saturated) lattice, so equal groups compare equal.  Haar measure, lifted
-groups acting on flat line bundles, isotropy preimages and covering sheet
-counts are all computed from the same lattice data.
+(saturated) lattice, so equal groups compare equal.  Haar measure (always
+normalized to mass one), lifted groups acting on flat line bundles, isotropy
+preimages and covering sheet counts are all computed from the same lattice
+data.  A lifted group is a plain :class:`SubtorusGroup` in the
+``(n + r)``-torus whose first ``n`` coordinates project onto the base
+closure; :func:`closure_group` certifies that projection once per lift.
 
 Stabilizers have one type, :class:`IsotropyDescriptor`: the elements of a
 closure group whose coordinates ``coords`` vanish modulo one.  The isotropy
@@ -91,14 +94,6 @@ class SymbolicFrequency:
     def generator_count(self):
         return len(self.generator_labels)
 
-    def symbolic_dot(self, m):
-        """The vector ``m . v`` as exact components over (1, alpha_1, ...)."""
-        width = 1 + self.generator_count
-        return tuple(
-            sum(Fraction(mi) * row[j] for mi, row in zip(m, self.coeffs))
-            for j in range(width)
-        )
-
     def float_values(self):
         """Numeric embedding of the vector, for the floating-point layer."""
         return tuple(self._float_value(row) for row in self.coeffs)
@@ -164,14 +159,10 @@ class SubtorusGroup:
 
     ambient_dim: int
     relation_lattice: tuple = ()
-    haar_normalization: Fraction = Fraction(1)
 
     def __post_init__(self):
         lat = rl.hnf(self.relation_lattice, ncols=self.ambient_dim)
         object.__setattr__(self, "relation_lattice", lat)
-        object.__setattr__(self, "haar_normalization", Fraction(self.haar_normalization))
-        if self.haar_normalization <= 0:
-            raise ValueError("haar_normalization must be positive")
         if lat and len(lat[0]) != self.ambient_dim:
             raise ValueError("relation lattice width does not match ambient dimension")
 
@@ -227,21 +218,6 @@ def _complement_basis(lattice, ambient_dim):
 
 
 @dataclass(frozen=True)
-class GroupHomomorphism:
-    """Coordinate projection of a lifted closure group onto the base group."""
-
-    source: SubtorusGroup
-    target: SubtorusGroup
-
-    @property
-    def base_dim(self):
-        return self.target.ambient_dim
-
-    def project(self, point):
-        return tuple(point[: self.base_dim])
-
-
-@dataclass(frozen=True)
 class IsotropyDescriptor:
     """The closed (possibly disconnected) subgroup of ``group`` whose
     coordinates ``coords`` vanish modulo one.
@@ -271,10 +247,6 @@ class IsotropyDescriptor:
     def dim(self):
         return len(self.solution.free)
 
-    def element(self, t):
-        """The group element with parameters ``t``."""
-        return self.group.element(t)
-
     @property
     def param_reps(self):
         # the system is homogeneous, so its particular solution is zero and
@@ -283,7 +255,7 @@ class IsotropyDescriptor:
 
     @cached_property
     def component_reps(self):
-        return tuple(self.element(t) for t in self.param_reps)
+        return tuple(self.group.element(t) for t in self.param_reps)
 
     @property
     def param_tangent_rows(self):
@@ -311,42 +283,39 @@ def relation_lattice(v: SymbolicFrequency):
 
 @lru_cache(maxsize=None)
 def closure_group(v: SymbolicFrequency, bundle_weights: SymbolicFrequency | None = None):
-    """Closure of ``t -> (t v, t sigma)`` in the (n+r)-torus with its
-    projection onto the closure of ``t -> t v``.
+    """Closure of ``t -> t v`` in the n-torus or, with bundle weights, of
+    ``t -> (t v, t sigma)`` in the (n+r)-torus: the lift, whose first ``n``
+    coordinates project onto the closure of ``t -> t v``.
 
-    With no bundle weights the lift is the group itself and the projection is
-    the identity.  The projection's surjectivity is certified by comparing the
-    lattice of relations among the first ``n`` coordinates of the lift with
-    the base relation lattice.  This is the one route to a flow's closure:
-    memoized per ``(v, bundle_weights)``, and the base group of a lift is the
-    cached ``closure_group(v)``, so a model's group, its restricted groups
-    and every map's lift share one lattice computation each.
+    The projection's surjectivity is certified by comparing the lattice of
+    relations among the first ``n`` coordinates of the lift with the base
+    relation lattice.  This is the one route to a flow's closure: memoized
+    per ``(v, bundle_weights)``, and the base group of a lift is the cached
+    ``closure_group(v)``, so a model's group, its restricted groups and
+    every map's lift share one lattice computation each.
     """
-    if bundle_weights is None or bundle_weights.ambient_dim == 0:
-        base = SubtorusGroup(v.ambient_dim, relation_lattice(v))
-        return base, GroupHomomorphism(base, base)
-    base, _ = closure_group(v)
+    if bundle_weights is None:
+        return SubtorusGroup(v.ambient_dim, relation_lattice(v))
     stacked = v.stack(bundle_weights)
     lifted = SubtorusGroup(stacked.ambient_dim, relation_lattice(stacked))
-    hom = GroupHomomorphism(lifted, base)
-    _check_projection_onto(hom)
-    return lifted, hom
+    _check_projection_onto(lifted, closure_group(v))
+    return lifted
 
 
-def _check_projection_onto(hom: GroupHomomorphism):
-    """Verify that projecting the lifted group gives exactly the base group,
-    by saturated-lattice comparison."""
-    n = hom.base_dim
-    total = hom.source.ambient_dim
-    tangent = hom.source.complement_basis()
-    constraints = [list(row) for row in tangent]
+def _check_projection_onto(lifted: SubtorusGroup, base: SubtorusGroup):
+    """Verify that projecting the lifted group onto its first
+    ``base.ambient_dim`` coordinates gives exactly the base group, by
+    saturated-lattice comparison."""
+    n = base.ambient_dim
+    total = lifted.ambient_dim
+    constraints = [list(row) for row in lifted.complement_basis()]
     for j in range(n, total):
         unit = [0] * total
         unit[j] = 1
         constraints.append(unit)
     in_span = rl.integer_kernel(constraints, n=total)
     projected = rl.hnf([row[:n] for row in in_span], ncols=n)
-    if projected != hom.target.relation_lattice:
+    if projected != base.relation_lattice:
         raise AssertionError("lifted group does not project onto the base group")
 
 
@@ -354,14 +323,14 @@ def haar_quadrature(group: SubtorusGroup, resolution: int):
     """Uniform quadrature for the normalized Haar measure.
 
     Returns ``resolution**dim`` exact rational points on the group with equal
-    rational weights summing to the declared normalization.  Characters that
+    rational weights summing to one.  Characters that
     are nontrivial on the group integrate to zero exactly once the resolution
     exceeds their order on the parametrizing grid.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     d = group.dim
-    weight = group.haar_normalization / Fraction(resolution**d)
+    weight = Fraction(1, resolution**d)
     points = []
     for combo in itertools.product(range(resolution), repeat=d):
         t = tuple(Fraction(c, resolution) for c in combo)
@@ -369,16 +338,14 @@ def haar_quadrature(group: SubtorusGroup, resolution: int):
     return points
 
 
-def isotropy_preimage(hat_group: SubtorusGroup, base_dim: int,
+def isotropy_preimage(hat_group: SubtorusGroup,
                       isotropy: IsotropyDescriptor) -> IsotropyDescriptor:
     """Compute ``{g in hat_group : projection(g) in isotropy}``: the elements
     of the lifted group whose base coordinates ``isotropy.coords`` vanish."""
-    if isotropy.group.ambient_dim != base_dim:
-        raise ValueError("isotropy must live in the base torus of the lift")
     return IsotropyDescriptor(hat_group, isotropy.coords)
 
 
-def sheet_count(G0, orbit, hom: GroupHomomorphism | None = None):
+def sheet_count(G0, orbit):
     """Number of sheets of the parametrized covering of an orbit by a
     subgroup ``G0`` of the (lifted) closure group.
 
@@ -393,8 +360,6 @@ def sheet_count(G0, orbit, hom: GroupHomomorphism | None = None):
     preimage in positive dimension.
     """
     if isinstance(G0, SubtorusGroup):
-        if hom is not None and G0.ambient_dim != hom.source.ambient_dim:
-            raise ValueError("subgroup must live in the ambient of the lifted group")
         rows = G0.complement_basis()
     else:
         rows = rl.freeze(G0)

@@ -20,7 +20,7 @@ from equilef import basic_complex as bc
 from equilef import endomorphism as em
 from equilef import geometry_models as gm
 from equilef import torus_group as tg
-from equilef.errors import GeneratorMismatch
+from equilef.errors import GeneratorMismatch, ModeBoxTooLarge
 
 LABELS = ("alpha", "beta")
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -165,6 +165,44 @@ class TestLatticeBoxPoints:
     def test_cutoff_zero(self):
         basis = rl.integer_kernel([[1, -1, 0]])
         assert rl.lattice_box_points(basis, (0, 0, 0), 0) == ((0, 0, 0),)
+
+
+def _t3_vertical():
+    return gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 1)))
+
+
+class TestModeBoxLimit:
+    def test_refused_before_listing(self, monkeypatch):
+        # kernel rank 2 with unit pivots: (2c + 1)^2 modes at cutoff c
+        listed = []
+        monkeypatch.setattr(rl, "lattice_box_points",
+                            lambda *args: listed.append(args) or ())
+        with pytest.raises(ModeBoxTooLarge, match="36012001"):
+            bc.lattice_modes(_t3_vertical(), 3000)
+        with pytest.raises(ModeBoxTooLarge):
+            bc.lattice_modes(_t3_vertical(), 500)    # 1001^2 > 10^6
+        assert listed == []
+        bc.lattice_modes(_t3_vertical(), 499)        # 999^2 <= 10^6
+        assert len(listed) == 1
+
+    def test_refused_in_the_heat_and_twisted_routes(self):
+        model = _t3_vertical()
+        twist = em.BundleTwist(tg.SymbolicFrequency.rational((1,)))
+        with pytest.raises(ModeBoxTooLarge):
+            em.twisted_invariant_modes(model, 3000, twist)
+        f = em.TorusMap(rl.identity_rows(3), (0, 0, 0))
+        with pytest.raises(ModeBoxTooLarge):
+            em._fixed_modes(model, f, 3000)
+
+    @SETTINGS
+    @given(st.data())
+    def test_bound_covers_the_listing(self, data):
+        model = data.draw(flows())
+        cutoff = cutoff_for(data.draw, model.n)
+        kernel = rl.integer_kernel(model.v.constraint_rows(), n=model.n)
+        bound = math.prod(2 * cutoff // next(a for a in row if a) + 1
+                          for row in kernel)
+        assert len(bc.basic_modes(model, cutoff)) <= bound
 
 
 class TestIntegerSolution:

@@ -333,8 +333,8 @@ def test_sphere_turns_are_evaluated_once_per_preimage_component(monkeypatch, twi
     clear_equilef_caches()
     rhs = fpf.lefschetz_rhs(model, SpherePhaseMap((Fraction(1, 4), 0)),
                             fibers="scalar", twist=twist)
-    hat, _ = tg.closure_group(model.weights, *(() if twist is None else (twist.weight,)))
-    components = [tg.isotropy_preimage(hat, 2, c.orbit.isotropy).component_count
+    hat = tg.closure_group(model.weights, *(() if twist is None else (twist.weight,)))
+    components = [tg.isotropy_preimage(hat, c.orbit.isotropy).component_count
                   for c in rhs.contributions]
     assert sum(components) == total
     assert len(calls) == sum(components)
@@ -350,7 +350,7 @@ def test_the_base_map_is_solved_once_per_rhs(monkeypatch):
     clear_equilef_caches()
     rhs = fpf.lefschetz_rhs(model, f)
     assert rhs.value_exact is not None
-    c = model.base_dim
+    c = len(model.base_lattice)
     assert len(calls) == 2 * c
     info = gm.induced_base_map.cache_info()
     assert (info.misses, info.hits) == (1, 1)
@@ -389,10 +389,10 @@ def test_twisted_sphere_certificate_lists_every_preimage_component():
     model = sphere((1, 2))
     f = SpherePhaseMap((Fraction(1, 4), 0))
     rhs = fpf.lefschetz_rhs(model, f, fibers="scalar", twist=HALF_TWIST)
-    hat, _ = tg.closure_group(model.weights, HALF_TWIST.weight)
+    hat = tg.closure_group(model.weights, HALF_TWIST.weight)
     counts = []
     for contrib in rhs.contributions:
-        pre = tg.isotropy_preimage(hat, 2, contrib.orbit.isotropy)
+        pre = tg.isotropy_preimage(hat, contrib.orbit.isotropy)
         counts.append(len(contrib.certificate.dets))
         assert len(contrib.certificate.dets) == pre.component_count
         assert contrib.certificate.dets_exact == (None,) * pre.component_count

@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -363,6 +364,32 @@ class TestCutoffAndHeatSchema:
         assert "usage error" in capsys.readouterr().out
 
 
+class TestSizeBounds:
+    def test_oversized_mode_box_exits_1_promptly(self):
+        start = time.perf_counter()
+        code, text = run("spectrum", "classical_t3", cutoff=3000)
+        assert time.perf_counter() - start < 5
+        assert code == cli.EXIT_DISCREPANCY
+        assert text == ("error: cutoff 3000 allows up to 36012001 lattice modes, "
+                        "more than the 1000000 that can be listed\n")
+
+    def test_largest_dimensions_are_accepted(self, tmp_path):
+        n = cli.MAX_DIM
+        torus = {"schema": 1, "name": "t10",
+                 "model": {"type": "flat_torus", "n": n,
+                           "v": ["0"] * (n - 1) + ["1"]},
+                 "map": {"matrix": [[int(i == j) for j in range(n)]
+                                    for i in range(n)],
+                         "translation": ["0"] * n}}
+        sphere = {"schema": 1, "name": "s19",
+                  "model": {"type": "weighted_sphere", "k": n,
+                            "weights": [str(j + 1) for j in range(n)]},
+                  "map": {"phases": ["0"] * n}}
+        for doc in (torus, sphere):
+            code, text = run_doc(tmp_path, "validate", doc)
+            assert code == cli.EXIT_PASS, text
+
+
 def _mutated(name, keys, value):
     doc = json.loads((SCENARIOS / f"{name}.scenario").read_text())
     node = doc
@@ -410,6 +437,11 @@ class TestSchemaHardening:
         ("doubling_t3", ("model", "v", 1), "1" + "0" * 400, "$.model.v"),
         ("s3_rational", ("model", "weights", 1), "1" + "0" * 400,
          "$.model.weights[1]"),
+        ("doubling_t3", ("model", "n"), cli.MAX_DIM + 1, "$.model.n"),
+        ("doubling_t3", ("model", "n"), 0, "$.model.n"),
+        ("doubling_t3", ("model", "n"), 10**400, "$.model.n"),
+        ("s3_rational", ("model", "k"), cli.MAX_DIM + 1, "$.model.k"),
+        ("s3_rational", ("model", "k"), 0, "$.model.k"),
     ])
     def test_malformed_input_is_a_schema_error(self, tmp_path, name, keys,
                                                value, path):
