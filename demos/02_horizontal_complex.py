@@ -48,10 +48,11 @@ print(f"difference against the composed route: "
 
 print("harmonic dimensions per degree:", harmonic_dimensions(model))
 for q in range(3):
-    kernel = [basic_spectrum(model, q, c)[0][1] for c in (1, 2, 3)]
+    kernel = [basic_spectrum(model, c)[0][1] * math.comb(model.n - 1, q)
+              for c in (1, 2, 3)]
     print(f"kernel of the truncated operator in degree {q}: {kernel} "
           "at cutoffs (1, 2, 3)")
 
 print("low spectrum in degree 0:")
-for lam, mult in basic_spectrum(model, 0, 3)[:4]:
+for lam, mult in basic_spectrum(model, 3)[:4]:
     print(f"   eigenvalue {lam:14.6f}   multiplicity {mult}")

@@ -28,7 +28,7 @@ coeffs = {((0, 0), ()): 1.0 + 0.5j}
 for _ in range(5):
     m = tuple(int(x) for x in rng.integers(-3, 4, 2))
     coeffs[(m, ())] = complex(rng.normal(), rng.normal())
-u = BasicForm(model, 0, coeffs, cutoff=3)
+u = BasicForm(model, 0, coeffs)
 print(f"random section with modes {sorted(m for m, _ in u.coeffs)}")
 
 filtered = average_modes(u, G)

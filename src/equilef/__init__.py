@@ -26,6 +26,7 @@ from .endomorphism import (
 )
 from .errors import (
     DegreeOverflow,
+    DeterminantUnderflow,
     EquilefError,
     FixedSetTooLarge,
     GeneratorMismatch,

@@ -57,7 +57,7 @@ def average_modes(u: bc.BasicForm, group: tg.SubtorusGroup) -> bc.BasicForm:
     modes = np.array([m for m, _ in keys], dtype=object).reshape(-1, u.model.n)
     keep = averaging_mask(group, modes)
     coeffs = {key: u.coeffs[key] for key, kept in zip(keys, keep) if kept}
-    return bc.BasicForm(u.model, u.degree, coeffs, cutoff=u.cutoff, basic_flag=True)
+    return bc.BasicForm(u.model, u.degree, coeffs, basic_flag=True)
 
 
 def average_quadrature(u: bc.BasicForm, group: tg.SubtorusGroup, resolution: int,

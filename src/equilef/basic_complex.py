@@ -10,7 +10,10 @@ block-diagonal over modes:
 * the flow derivative multiplies mode ``m`` by ``2 pi i (m . v) / |v|``;
 * the second-order operator combining the horizontal Laplacian with minus
   the squared flow derivative acts as ``4 pi^2 |m|^2`` on every mode, which
-  is strictly positive away from ``m = 0`` (the ellipticity witness).
+  is strictly positive away from ``m = 0`` (the ellipticity witness).  Its
+  spectrum within a cutoff is therefore one table of mode counts per exact
+  norm class, times the fiber rank ``C(n-1, q)`` in degree ``q``
+  (``basic_spectrum``).
 
 Whether a mode is annihilated by the flow derivative (``m . v = 0``) is
 decided exactly at the symbolic level; the frame itself is floating point.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +38,6 @@ from . import _ratlin as rl
 from .errors import DegreeOverflow, GeneratorMismatch, ModeBoxTooLarge
 from .geometry_models import FlatTorusModel
 
-TWO_PI = 2.0 * math.pi
 PRUNE_TOL = 1e-14
 #: most lattice modes one cutoff may list
 MODE_BOX_LIMIT = 10**6
@@ -45,13 +48,8 @@ class HStarFrame:
     """Orthonormal frame data at a flat torus model: the unit covector along
     the flow and an orthonormal basis of its orthogonal complement."""
 
-    model: FlatTorusModel
     theta: np.ndarray
     basis: np.ndarray
-
-    @property
-    def n(self):
-        return self.model.n
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +64,7 @@ def frame_for(model: FlatTorusModel) -> HStarFrame:
         lead = next((x for x in col if abs(x) > 1e-9), 1.0)
         basis.append(col if lead > 0 else -col)
     basis = np.array(basis) if basis else np.zeros((0, model.n))
-    frame = HStarFrame(model, theta, basis)
+    frame = HStarFrame(theta, basis)
     # frame sanity: theta pairs to 1 with the unit flow, basis annihilates it
     assert abs(float(theta @ theta) - 1.0) < 1e-12
     assert np.max(np.abs(basis @ theta)) < 1e-12 if basis.size else True
@@ -115,6 +113,7 @@ def lattice_modes(model: FlatTorusModel, cutoff: int, weight=None, extra=()):
     return rl.lattice_box_points(kernel, offset, cutoff)
 
 
+# the benchmark's traced runs read ``basic_modes.cache_info()``
 @lru_cache(maxsize=None)
 def basic_modes(model: FlatTorusModel, cutoff: int):
     """All modes with sup-norm at most ``cutoff`` annihilated by the flow, in
@@ -128,17 +127,18 @@ def mode_eigenvalue(m) -> float:
 
 
 class BasicForm:
-    """A truncated Fourier section of the degree-q exterior bundle.
+    """A finite Fourier section of the degree-q exterior bundle.
 
-    ``coeffs`` maps ``(mode, frame index subset)`` to a complex coefficient.
+    ``coeffs`` maps ``(mode, frame index subset)`` to a complex coefficient;
+    the modes present are the whole truncation, no cutoff is stored.
     Treated as immutable: operations return new forms.  ``basic_flag`` records
     (and, on construction, verifies) that every mode is annihilated by the
     flow derivative.
     """
 
-    __slots__ = ("model", "degree", "coeffs", "cutoff", "basic_flag")
+    __slots__ = ("model", "degree", "coeffs", "basic_flag")
 
-    def __init__(self, model, degree, coeffs, cutoff=None, basic_flag=None):
+    def __init__(self, model, degree, coeffs, basic_flag=None):
         self.model = model
         self.degree = int(degree)
         clean = {}
@@ -151,9 +151,6 @@ class BasicForm:
                 raise ValueError("index subset size must equal the degree")
             clean[(m, I)] = complex(c)
         self.coeffs = clean
-        if cutoff is None:
-            cutoff = max((max(abs(x) for x in m) for (m, _) in clean), default=0)
-        self.cutoff = int(cutoff)
         if basic_flag is None:
             basic_flag = all(is_basic_mode(model, m) for (m, _) in clean)
         elif basic_flag:
@@ -165,22 +162,12 @@ class BasicForm:
     def norm(self):
         return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
 
-    def scaled(self, factor):
-        return BasicForm(
-            self.model,
-            self.degree,
-            {key: factor * c for key, c in self.coeffs.items()},
-            cutoff=self.cutoff,
-            basic_flag=self.basic_flag,
-        )
-
     def plus(self, other, factor=1.0):
         assert other.degree == self.degree and other.model == self.model
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out.get(key, 0.0) + factor * c
-        return BasicForm(self.model, self.degree, out,
-                         cutoff=max(self.cutoff, other.cutoff))
+        return BasicForm(self.model, self.degree, out)
 
     def value_components(self, x):
         """Pointwise evaluation: frame-component values at ``x`` (an array of
@@ -194,7 +181,7 @@ class BasicForm:
 
     def __repr__(self):
         return (f"BasicForm(degree={self.degree}, modes={len(self.coeffs)}, "
-                f"cutoff={self.cutoff}, basic={self.basic_flag})")
+                f"basic={self.basic_flag})")
 
 
 def zero_form(model, degree):
@@ -245,8 +232,7 @@ def apply_D(form: BasicForm) -> BasicForm:
                 continue
             key = (m, newI)
             out[key] = out.get(key, 0.0) + sign * 2j * math.pi * a[k] * c
-    return BasicForm(model, form.degree + 1, out, cutoff=form.cutoff,
-                     basic_flag=form.basic_flag)
+    return BasicForm(model, form.degree + 1, out, basic_flag=form.basic_flag)
 
 
 def apply_D_adjoint(form: BasicForm) -> BasicForm:
@@ -265,8 +251,7 @@ def apply_D_adjoint(form: BasicForm) -> BasicForm:
             newI, sign = _remove_index(I, k)
             key = (m, newI)
             out[key] = out.get(key, 0.0) - sign * 2j * math.pi * a[k] * c
-    return BasicForm(model, form.degree - 1, out, cutoff=form.cutoff,
-                     basic_flag=form.basic_flag)
+    return BasicForm(model, form.degree - 1, out, basic_flag=form.basic_flag)
 
 
 def apply_lie(form: BasicForm) -> BasicForm:
@@ -281,7 +266,7 @@ def apply_lie(form: BasicForm) -> BasicForm:
         if is_basic_mode(form.model, m):
             continue
         out[(m, I)] = 2j * math.pi * t * c
-    return BasicForm(form.model, form.degree, out, cutoff=form.cutoff)
+    return BasicForm(form.model, form.degree, out)
 
 
 def apply_P(form: BasicForm) -> BasicForm:
@@ -292,8 +277,7 @@ def apply_P(form: BasicForm) -> BasicForm:
         (m, I): mode_eigenvalue(m) * c
         for (m, I), c in form.coeffs.items()
     }
-    return BasicForm(form.model, form.degree, out, cutoff=form.cutoff,
-                     basic_flag=form.basic_flag)
+    return BasicForm(form.model, form.degree, out, basic_flag=form.basic_flag)
 
 
 def apply_P_composed(form: BasicForm) -> BasicForm:
@@ -306,27 +290,32 @@ def apply_P_composed(form: BasicForm) -> BasicForm:
     return up.plus(down).plus(lie2, factor=-1.0)
 
 
-def harmonic_basis(model: FlatTorusModel, q: int, cutoff: int):
-    """Orthonormal basis of the untwisted harmonic space in degree ``q``
-    within the truncation: the constant frame forms, as sections that can be
-    pulled back and paired.  Dimensions come from
-    ``endomorphism.harmonic_dimensions``."""
+def harmonic_basis(model: FlatTorusModel, q: int):
+    """Orthonormal basis of the untwisted harmonic space in degree ``q``: the
+    constant frame forms, as sections that can be pulled back and paired.
+    Dimensions come from ``endomorphism.harmonic_dimensions``."""
     n = model.n
     if q < 0 or q > n - 1:
         return []
     zero = tuple(0 for _ in range(n))
     return [
-        BasicForm(model, q, {(zero, I): 1.0}, cutoff=cutoff, basic_flag=True)
+        BasicForm(model, q, {(zero, I): 1.0}, basic_flag=True)
         for I in itertools.combinations(range(n - 1), q)
     ]
 
 
-def basic_spectrum(model: FlatTorusModel, q: int, cutoff: int):
-    """Sorted (eigenvalue, multiplicity) table of the elliptic operator on
-    flow-annihilated sections in degree ``q`` within the truncation."""
-    counts = {}
-    for m in basic_modes(model, cutoff):
-        lam = round(mode_eigenvalue(m), 12)
-        counts[lam] = counts.get(lam, 0) + 1
-    fiber = math.comb(model.n - 1, q)
-    return [(lam, mult * fiber) for lam, mult in sorted(counts.items())]
+def basic_spectrum(model: FlatTorusModel, cutoff: int):
+    """Sorted ``(eigenvalue, mode count)`` table of the elliptic operator on
+    the flow-annihilated modes within the truncation.
+
+    One pass over ``basic_modes`` counts the exact integer norms ``|m|^2``;
+    each norm class is evaluated once by ``mode_eigenvalue`` and rounded to
+    12 places.  Distinct norms give eigenvalues at least ``4 pi^2`` apart, so
+    these are exactly the classes of rounding each mode's eigenvalue.  In
+    degree ``q`` every mode carries a fiber of rank ``C(n-1, q)``, so that
+    degree's multiplicities are the counts times the binomial."""
+    modes = basic_modes(model, cutoff)
+    norms = [sum(mi * mi for mi in m) for m in modes]
+    representative = dict(zip(norms, modes))
+    return [(round(mode_eigenvalue(representative[norm]), 12), count)
+            for norm, count in sorted(Counter(norms).items())]

@@ -119,7 +119,6 @@ class EquivarianceCertificate:
     independently as ``cochain_on_all``."""
 
     map_kind: str
-    flow_preserved: bool = True
     cochain_on_basic: bool = True
     cochain_on_all: bool = True
     detail: str = ""
@@ -281,7 +280,6 @@ class CohomologyAction:
     traces: tuple                  # complex, one per degree
     trace_integers: tuple          # exact fiber traces (no phase factor)
     phase_turns: Fraction          # exact character phase of the harmonic mode
-    scalar: complex                # fiber scalar of the twist
     harmonic_mode_vec: tuple | None
     lefschetz: complex
     lefschetz_exact: Fraction | None
@@ -306,7 +304,6 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
     determinant, so untwisted values are exact integers."""
     validate_equivariance(model, f)
     n = model.n
-    scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     m0 = harmonic_mode(model, twist)
     dims = _dimensions(n, m0)
     if m0 is None or rl.vec_mat(m0, f.matrix) != m0:
@@ -316,7 +313,6 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
             traces=tuple(0.0 for _ in range(n)),
             trace_integers=tuple(0 for _ in range(n)),
             phase_turns=Fraction(0),
-            scalar=scalar,
             harmonic_mode_vec=m0,
             lefschetz=0.0,
             lefschetz_exact=Fraction(0),
@@ -328,6 +324,7 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
         # the floating frame route must agree with the exact route
         assert abs(np.trace(W) - e) < 1e-8 * max(1.0, abs(e))
     phase_turns = rl.frac_mod1(f.character(m0))
+    scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     factor = scalar * cmath.exp(2j * math.pi * float(phase_turns))
     alt = sum((-1) ** q * e for q, e in enumerate(ext))
     exact = Fraction(alt) if phase_turns == 0 and twist is None else None
@@ -337,7 +334,6 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
         traces=tuple(factor * e for e in ext),
         trace_integers=ext,
         phase_turns=phase_turns,
-        scalar=scalar,
         harmonic_mode_vec=m0,
         lefschetz=factor * alt,
         lefschetz_exact=exact,

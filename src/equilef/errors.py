@@ -38,6 +38,11 @@ class NonTransverse(EquilefError):
         self.component = component
 
 
+class DeterminantUnderflow(EquilefError):
+    """A certified-nonzero conormal determinant is too small for its
+    reciprocal to be a float."""
+
+
 class InfiniteFixedSet(EquilefError):
     """The fixed-orbit set is not finite; no trace formula applies."""
 

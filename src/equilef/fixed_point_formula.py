@@ -36,7 +36,12 @@ from .endomorphism import (
     TorusMap,
     validate_equivariance,
 )
-from .errors import FixedSetTooLarge, InfiniteFixedSet, NonTransverse
+from .errors import (
+    DeterminantUnderflow,
+    FixedSetTooLarge,
+    InfiniteFixedSet,
+    NonTransverse,
+)
 from .geometry_models import (
     ClosedOrbit,
     FlatTorusModel,
@@ -213,8 +218,11 @@ def _sphere_component_det(orbit: ClosedOrbit, normal, turns, component):
     """Conormal determinant of the corrected phase map on one isotropy
     component with rotation ``turns``: after the exact zero test on each
     coordinate off the support, one plane rotation minus the identity,
-    ``2 - 2 cos(2 pi theta_l)``, per such coordinate, and its cross-check in
-    the numeric conormal frame (the value the certificate records)."""
+    ``4 sin^2(pi theta_l)``, per such coordinate, evaluated on the exact
+    centred turn ``theta_l - round(theta_l)`` so that small turns do not
+    cancel, and its cross-check in the numeric conormal frame (the value the
+    certificate records).  Raises :class:`DeterminantUnderflow` when the
+    nonzero determinant is too small for its reciprocal to be a float."""
     for l in normal:
         if turns[l] == 0:
             raise NonTransverse(
@@ -222,9 +230,15 @@ def _sphere_component_det(orbit: ClosedOrbit, normal, turns, component):
                 orbit=orbit,
                 component=component,
             )
+    centred = {l: float(turns[l] - round(turns[l])) for l in normal}
     det_val = math.prod(
-        (2.0 - 2.0 * math.cos(2 * math.pi * float(turns[l])) for l in normal),
-        start=1.0)
+        (4.0 * math.sin(math.pi * c) ** 2 for c in centred.values()), start=1.0)
+    if det_val == 0.0 or math.isinf(1.0 / det_val):
+        l = min(centred, key=lambda l: abs(centred[l]))
+        raise DeterminantUnderflow(
+            f"the conormal determinant {det_val:.3g} of the orbit with support "
+            f"{orbit.base_point.support} is too small to invert in floating "
+            f"point (coordinate {l} turns by {centred[l]:.3g})")
     numeric = _sphere_numeric_det(orbit.model, orbit, turns)
     if abs(abs(numeric) - abs(det_val)) > 1e-6 * max(1.0, abs(det_val)):
         raise AssertionError("conormal determinant routes disagree")
@@ -503,7 +517,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
 
 
 def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
-                  subgroup_rows=None, isotropy_resolution=None) -> RhsResult:
+                  isotropy_resolution=None) -> RhsResult:
     """Sum of per-orbit contributions over the fixed set, with certificates.
 
     The map-level data (fiber traces, lifted closure, conormal determinant,
@@ -516,7 +530,7 @@ def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
     :class:`NonTransverse` before any value is produced when the hypotheses
     fail."""
     orbits = find_fixed_orbits(model, f)
-    context = _MapContext(model, f, fibers, twist, subgroup_rows)
+    context = _MapContext(model, f, fibers, twist, None)
     contributions = [_contribution(orbit, None, isotropy_resolution, context)
                      for orbit in orbits]
     total = sum(c.total for c in contributions)

@@ -66,6 +66,9 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_HEAT_S = (0.1, 1.0, 10.0)
 #: largest torus dimension n and sphere dimension k a scenario may declare
 MAX_DIM = 10
+#: deepest nesting of arrays and objects a scenario document may use (the
+#: committed scenarios reach 4)
+MAX_NESTING = 32
 
 EXIT_PASS = 0
 EXIT_DISCREPANCY = 1
@@ -358,6 +361,57 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
+def _path_to(node, target, path="$", depth=0):
+    """The path of ``target`` (found by identity) within the first
+    ``MAX_NESTING`` levels below ``node``; for an object key, the path of its
+    object."""
+    if node is target:
+        return path
+    if depth == MAX_NESTING:
+        return None
+    if isinstance(node, dict):
+        if any(key is target for key in node):
+            return path
+        children = ((val, f"{path}.{key}") for key, val in node.items())
+    elif isinstance(node, list):
+        children = ((val, f"{path}[{i}]") for i, val in enumerate(node))
+    else:
+        return None
+    for child, where in children:
+        found = _path_to(child, target, where, depth + 1)
+        if found is not None:
+            return found
+    return None
+
+
+def _check_document(data):
+    """Bound the nesting of arrays and objects in a parsed document by
+    ``MAX_NESTING`` and require every string, keys included, to encode as
+    UTF-8 (a JSON escape can spell a lone surrogate), so that no later
+    recursive walk or report writer can fail on them.  One walk, level by
+    level, without recursion; an object's keys precede its values, so no
+    reported path spells a bad key."""
+    level = [data]
+    for depth in range(MAX_NESTING + 1):
+        below = []
+        for node in level:
+            if isinstance(node, (dict, list)):
+                if depth == MAX_NESTING:
+                    raise SchemaError(f"arrays and objects nest deeper than "
+                                      f"{MAX_NESTING} levels",
+                                      path=_path_to(data, node))
+                below += node
+                if isinstance(node, dict):
+                    below += node.values()
+            elif isinstance(node, str) and not node.isascii():
+                try:
+                    node.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise SchemaError(f"string {ascii(node)} is not valid "
+                                      "UTF-8 text", path=_path_to(data, node))
+        level = below
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -370,6 +424,12 @@ def load_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        raise ParseError("arrays and objects nest too deeply to parse")
+    except ValueError:
+        raise ParseError("an integer literal has more than "
+                         f"{sys.get_int_max_str_digits()} digits")
+    _check_document(data)
     return parse_scenario(data)
 
 
@@ -723,12 +783,16 @@ def cmd_spectrum(scenario: Scenario, options) -> tuple[dict, int]:
         raise _UsageError("the spectrum command requires a flat torus scenario")
     cutoff = _cutoff(scenario, options)
     report = _base_report(scenario, "spectrum")
-    tables = {}
-    for q in range(scenario.model.n):
-        table = bc.basic_spectrum(scenario.model, q, cutoff)
-        tables[f"degree_{q}"] = [
-            {"eigenvalue": _f(lam), "multiplicity": mult} for lam, mult in table
+    n = scenario.model.n
+    classes = [(_f(lam), count)
+               for lam, count in bc.basic_spectrum(scenario.model, cutoff)]
+    tables = {
+        f"degree_{q}": [
+            {"eigenvalue": lam, "multiplicity": count * math.comb(n - 1, q)}
+            for lam, count in classes
         ]
+        for q in range(n)
+    }
     report["spectrum"] = {"cutoff": cutoff, "tables": tables}
     report["verdict"] = {"pass": True}
     return report, EXIT_PASS
@@ -836,8 +900,8 @@ def run(command: str, scenario_file: str, argv_options=None,
         stream.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except ParseError as exc:
-        stream.write(
-            f"parse error at line {exc.line}, column {exc.column}: {exc}\n")
+        where = "" if exc.line is None else f" at line {exc.line}, column {exc.column}"
+        stream.write(f"parse error{where}: {exc}\n")
         return EXIT_USAGE
     except SchemaError as exc:
         stream.write(f"schema error at {exc.path}: {exc}\n")

@@ -181,7 +181,7 @@ def test_criterion_5_averaging_projector():
         for _ in range(5):
             m = tuple(int(x) for x in rng.integers(-3, 4, 2))
             coeffs[(m, ())] = complex(rng.normal(), rng.normal())
-        u = bc.BasicForm(model, 0, coeffs, cutoff=3)
+        u = bc.BasicForm(model, 0, coeffs)
         filtered = av.average_modes(u, model.group)
         pts = [rng.random(2) for _ in range(100)]
         quad = av.average_quadrature(u, model.group, 32, pts)

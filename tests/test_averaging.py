@@ -32,8 +32,7 @@ def translate_form(u, g):
         (m, I): c * cmath.exp(-2j * math.pi * float(sum(Fraction(mi) * gi for mi, gi in zip(m, g))))
         for (m, I), c in u.coeffs.items()
     }
-    return bc.BasicForm(u.model, u.degree, coeffs, cutoff=u.cutoff,
-                        basic_flag=u.basic_flag)
+    return bc.BasicForm(u.model, u.degree, coeffs, basic_flag=u.basic_flag)
 
 
 def random_section(model, q, cutoff, rng, n_terms=5):
@@ -43,7 +42,7 @@ def random_section(model, q, cutoff, rng, n_terms=5):
         m = tuple(int(x) for x in rng.integers(-cutoff, cutoff + 1, model.n))
         I = subsets[int(rng.integers(0, len(subsets)))]
         coeffs[(m, I)] = complex(rng.normal(), rng.normal())
-    return bc.BasicForm(model, q, coeffs, cutoff=cutoff)
+    return bc.BasicForm(model, q, coeffs)
 
 
 def test_nontrivial_character_averages_to_zero():

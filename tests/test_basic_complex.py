@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equilef import basic_complex as bc
 from equilef import endomorphism as em
@@ -65,7 +67,7 @@ def random_basic_form(model, q, cutoff, rng, n_terms=5):
         m = modes[rng.integers(0, len(modes))]
         I = subsets[rng.integers(0, len(subsets))]
         coeffs[(m, I)] = complex(rng.normal(), rng.normal())
-    return bc.BasicForm(model, q, coeffs, cutoff=cutoff, basic_flag=True)
+    return bc.BasicForm(model, q, coeffs, basic_flag=True)
 
 
 def random_full_form(model, q, cutoff, rng, n_terms=6):
@@ -75,7 +77,7 @@ def random_full_form(model, q, cutoff, rng, n_terms=6):
         m = tuple(int(x) for x in rng.integers(-cutoff, cutoff + 1, model.n))
         I = subsets[rng.integers(0, len(subsets))]
         coeffs[(m, I)] = complex(rng.normal(), rng.normal())
-    return bc.BasicForm(model, q, coeffs, cutoff=cutoff)
+    return bc.BasicForm(model, q, coeffs)
 
 
 class TestFrame:
@@ -173,7 +175,7 @@ class TestHarmonicSpaces:
         assert em.harmonic_dimensions(T2_IRR) == (1, 1)
         assert em.harmonic_dimensions(T3_PROD) == (1, 2, 1)
         for model in (T3, T2_IRR, T3_PROD):
-            sizes = tuple(len(bc.harmonic_basis(model, q, 4)) for q in range(model.n))
+            sizes = tuple(len(bc.harmonic_basis(model, q)) for q in range(model.n))
             assert sizes == em.harmonic_dimensions(model)
 
     def test_brute_force_null_space_oracle(self):
@@ -197,7 +199,7 @@ class TestHarmonicSpaces:
             assert null_dim == math.comb(2, q)
 
     def test_harmonic_forms_are_orthonormal(self):
-        basis = bc.harmonic_basis(T3, 1, 4)
+        basis = bc.harmonic_basis(T3, 1)
         for i, u in enumerate(basis):
             for j, w in enumerate(basis):
                 assert abs(bc.inner_product(u, w) - (i == j)) < 1e-12
@@ -220,10 +222,32 @@ class TestEigenComplexes:
 
 class TestSpectrum:
     def test_nonnegative_and_minimal_gap(self):
-        table = bc.basic_spectrum(T3, 0, 4)
+        table = bc.basic_spectrum(T3, 4)
         assert table[0][0] == 0.0
         nonzero = [lam for lam, _ in table if lam > 0]
         min_m2 = min(
             sum(x * x for x in m) for m in bc.basic_modes(T3, 4) if any(m)
         )
         assert abs(nonzero[0] - 4 * math.pi**2 * min_m2) < 1e-9
+
+
+@st.composite
+def flows(draw):
+    """A T^2-T^4 flow, rational or with one generator."""
+    n = draw(st.integers(2, 4))
+    labels = draw(st.sampled_from([(), ("alpha",)]))
+    entry = st.tuples(st.integers(-3, 3), *[st.integers(-2, 2)] * len(labels))
+    entries = draw(st.lists(entry, min_size=n, max_size=n).filter(
+        lambda rows: any(any(row) for row in rows)))
+    return torus_model(entries, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flows(), st.integers(0, 3))
+def test_spectrum_is_a_recount_of_the_mode_box(model, cutoff):
+    counts = {}
+    for m in itertools.product(range(-cutoff, cutoff + 1), repeat=model.n):
+        if bc.is_basic_mode(model, m):
+            lam = round(bc.mode_eigenvalue(m), 12)
+            counts[lam] = counts.get(lam, 0) + 1
+    assert bc.basic_spectrum(model, cutoff) == sorted(counts.items())

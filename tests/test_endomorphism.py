@@ -45,7 +45,7 @@ DOUBLING = em.TorusMap(((2, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
 class TestValidation:
     def test_block_map_ok(self):
         cert = em.validate_equivariance(T3_PROD, CLASSICAL)
-        assert cert.flow_preserved and cert.cochain_on_basic
+        assert cert.cochain_on_basic
 
     def test_scaling_flow_direction_rejected(self):
         f = em.TorusMap(((2, 0), (0, 1)), (0, 0))
@@ -230,7 +230,7 @@ class TestHarmonicCompressionRoute:
         for model, f in ((T3_PROD, CLASSICAL), (T3_MIX, DOUBLING)):
             act = em.cohomology_action(model, f)
             for q in range(model.n):
-                basis = bc.harmonic_basis(model, q, 4)
+                basis = bc.harmonic_basis(model, q)
                 M = np.zeros((len(basis), len(basis)), dtype=complex)
                 for j, u in enumerate(basis):
                     pu = em.pullback_on_forms(f, u)

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,12 @@ from equilef.endomorphism import (
     TorusMap,
     cohomology_action,
 )
-from equilef.errors import FixedSetTooLarge, InfiniteFixedSet, NonTransverse
+from equilef.errors import (
+    DeterminantUnderflow,
+    FixedSetTooLarge,
+    InfiniteFixedSet,
+    NonTransverse,
+)
 
 
 def torus_model(entries, labels=()):
@@ -314,6 +320,39 @@ class TestSphereContributions:
         res = fpf.lefschetz_rhs(S3_RAT, self.F, fibers="scalar",
                                 isotropy_resolution=4)
         assert abs(res.value - 0.75) < 1e-9
+
+
+class TestSphereSmallTurns:
+    """Phases (theta, 0) on S^3 with weights (1, 2): the orbit with support
+    (0,) turns coordinate 1 by -2 theta, and the one with support (1,) has
+    two isotropy components turning coordinate 0 by theta and theta + 1/2,
+    so the value is ``1/(4 sin^2 2 pi theta) + (1/(4 sin^2 pi theta) +
+    1/(4 cos^2 pi theta)) / 2``."""
+
+    @staticmethod
+    def exact_value(theta):
+        with mpmath.workdps(60):
+            t = mpmath.mpf(theta.numerator) / theta.denominator
+            s = mpmath.sin(mpmath.pi * t) ** 2
+            value = (1 / (4 * mpmath.sin(2 * mpmath.pi * t) ** 2)
+                     + (1 / (4 * s) + 1 / (4 * (1 - s))) / 2)
+            return float(value)
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 4), Fraction(1, 100000),
+                                       Fraction(1, 1000000007)])
+    def test_value_matches_mpmath(self, theta):
+        res = fpf.lefschetz_rhs(S3_RAT, SpherePhaseMap((theta, 0)),
+                                fibers="scalar")
+        exact = self.exact_value(theta)
+        assert abs(res.value.real - exact) <= 1e-13 * exact
+        assert res.value.imag == 0.0
+
+    def test_determinant_past_the_float_range_is_a_typed_error(self):
+        theta = Fraction(1, 10**200)
+        with pytest.raises(DeterminantUnderflow,
+                           match=r"support \(0,\) .* \(coordinate 1 "):
+            fpf.lefschetz_rhs(S3_RAT, SpherePhaseMap((theta, 0)),
+                              fibers="scalar")
 
 
 class TestEqualityIsNotVacuous:

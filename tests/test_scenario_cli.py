@@ -2,12 +2,14 @@
 
 import io
 import json
+import math
 import pathlib
 import time
 
 import pytest
 
 from equilef import averaging as av
+from equilef import basic_complex as bc
 from equilef import mollifier_lab as ml
 from equilef import scenario_cli as cli
 from equilef import torus_group as tg
@@ -108,6 +110,15 @@ class TestRhs:
         assert "0.25" in text
         assert "lifted" in text  # the lifted group is serialized
 
+    def test_determinant_too_small_to_invert_exits_1(self, tmp_path):
+        doc = json.loads((SCENARIOS / "s3_rational.scenario").read_text())
+        doc["map"]["phases"] = ["1/1" + "0" * 200, "0"]
+        code, text = run_doc(tmp_path, "rhs", doc)
+        assert code == cli.EXIT_DISCREPANCY
+        assert text.startswith("error: the conormal determinant 0 of the orbit "
+                               "with support (0,) ")
+        assert "(coordinate 1 " in text
+
 
 class TestOtherCommands:
     def test_lhs(self):
@@ -119,6 +130,30 @@ class TestOtherCommands:
         code, text = run("spectrum", "identity_irrational_t2", cutoff=4)
         assert code == cli.EXIT_PASS
         assert "eigenvalue" in text
+
+    @pytest.mark.parametrize("name,cutoff", [
+        ("classical_t3", 3), ("identity_irrational_t2", 4), ("negation_t4", 2)])
+    def test_spectrum_degrees_are_the_class_table_times_the_fiber_rank(
+            self, tmp_path, name, cutoff):
+        json_path = tmp_path / "spectrum.json"
+        code, _ = run("spectrum", name, cutoff=cutoff, json_path=str(json_path))
+        assert code == cli.EXIT_PASS
+        tables = json.loads(json_path.read_text())["spectrum"]["tables"]
+        model = cli.load_scenario(SCENARIOS / f"{name}.scenario").model
+        classes = bc.basic_spectrum(model, cutoff)
+        assert sorted(tables) == [f"degree_{q}" for q in range(model.n)]
+        for q in range(model.n):
+            assert tables[f"degree_{q}"] == [
+                {"eigenvalue": cli._f(lam),
+                 "multiplicity": count * math.comb(model.n - 1, q)}
+                for lam, count in classes]
+
+    def test_spectrum_reads_the_mode_listing_once(self):
+        bc.basic_modes.cache_clear()
+        code, _ = run("spectrum", "negation_t4", cutoff=3)
+        assert code == cli.EXIT_PASS
+        info = bc.basic_modes.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
 
     def test_avcheck(self):
         code, text = run("avcheck", "identity_irrational_t2")
@@ -497,6 +532,82 @@ class TestSchemaHardening:
         code, text = run_doc(tmp_path, command, doc)
         assert code == cli.EXIT_USAGE
         assert text.startswith("schema error at $.model.weights[0]:")
+
+
+class TestMalformedDocuments:
+    """Documents that ``json.loads`` refuses without a syntax error, or
+    accepts with content no report can carry, exit 64 before any recursive
+    walk."""
+
+    @staticmethod
+    def run_text(tmp_path, command, text, json_path=None):
+        path = tmp_path / "case.scenario"
+        path.write_text(text)
+        # a strict UTF-8 stream, as stdout is
+        raw = io.BytesIO()
+        stream = io.TextIOWrapper(raw, encoding="utf-8")
+        options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
+                                         json_path=json_path)
+        code = cli.run(command, str(path), options, stream)
+        stream.flush()
+        return code, raw.getvalue().decode("utf-8")
+
+    @pytest.mark.parametrize("deep", [0, 900])
+    def test_lone_surrogate_name_is_a_schema_error(self, tmp_path, deep):
+        # a deep array elsewhere does not disturb the reported path
+        doc = {"ignored": json.loads("[" * deep + "]" * deep) if deep else 0,
+               **_mutated("classical_t3", ("name",), "\ud800")}
+        code, text = self.run_text(tmp_path, "rhs", json.dumps(doc))
+        assert code == cli.EXIT_USAGE
+        assert text == ("schema error at $.name: string '\\ud800' is not valid "
+                        "UTF-8 text\n")
+
+    @pytest.mark.parametrize("value", [1, "\ud800", [[["\ud800"]]]])
+    def test_lone_surrogate_key_is_a_schema_error(self, tmp_path, value):
+        doc = _mutated("classical_t3", ("map", "\udfff"), value)
+        code, text = self.run_text(tmp_path, "validate", json.dumps(doc))
+        assert code == cli.EXIT_USAGE
+        assert text.startswith("schema error at $.map: string '\\udfff'")
+
+    def test_overlong_integer_literal_is_a_parse_error(self, tmp_path):
+        text = (SCENARIOS / "classical_t3.scenario").read_text()
+        text = text.replace('"schema": 1', '"schema": 1' + "0" * 5000)
+        code, out = self.run_text(tmp_path, "validate", text)
+        assert code == cli.EXIT_USAGE
+        assert out == "parse error: an integer literal has more than 4300 digits\n"
+
+    def test_nesting_past_the_parser_is_a_parse_error(self, tmp_path):
+        code, out = self.run_text(tmp_path, "validate",
+                                  "[" * 100_000 + "]" * 100_000)
+        assert code == cli.EXIT_USAGE
+        assert out == "parse error: arrays and objects nest too deeply to parse\n"
+
+    @pytest.mark.parametrize("levels,expected", [
+        (cli.MAX_NESTING - 1, cli.EXIT_PASS), (cli.MAX_NESTING, cli.EXIT_USAGE),
+        (495, cli.EXIT_USAGE)])
+    def test_nesting_under_an_ignored_key_is_bounded(self, tmp_path, levels,
+                                                     expected):
+        doc = json.loads((SCENARIOS / "classical_t3.scenario").read_text())
+        doc["ignored"] = json.loads("[" * levels + "]" * levels)
+        json_path = tmp_path / "validate.json"
+        code, out = self.run_text(tmp_path, "validate", json.dumps(doc),
+                                  json_path=str(json_path))
+        assert code == expected
+        if expected == cli.EXIT_USAGE:
+            assert out.startswith("schema error at $.ignored" + "[0]" * (cli.MAX_NESTING - 1)
+                                  + ": arrays and objects nest deeper than 32")
+        else:
+            assert json.loads(json_path.read_text())["scenario"]["ignored"]
+
+    def test_committed_scenarios_nest_four_levels(self):
+        def depth(node):
+            items = (node.values() if isinstance(node, dict)
+                     else node if isinstance(node, list) else None)
+            return 0 if items is None else 1 + max(map(depth, items), default=0)
+
+        depths = {path.stem: depth(json.loads(path.read_text()))
+                  for path in SCENARIOS.glob("*.scenario")}
+        assert max(depths.values()) == 4 < cli.MAX_NESTING
 
 
 class TestFixedOrbitCap:

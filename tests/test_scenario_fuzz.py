@@ -43,7 +43,8 @@ FIELDS = tuple(
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 6)
            | st.floats(-4, 4) | st.sampled_from([float("nan"), float("inf")])
            | st.sampled_from(["0", "1", "-1", "1/2", "2/3", "abc", "nan", "inf",
-                              "alpha", "flat_torus", "weighted_sphere"])
+                              "alpha", "flat_torus", "weighted_sphere",
+                              "\ud800"])
            | st.text(max_size=3))
 JSON_VALUES = st.recursive(
     SCALARS,

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` names the traced functions in ``LAYERS`` and looks
 each one up with ``getattr`` when ``--trace`` is on, so deleting or renaming
 one breaks traced runs only.  The table is read from the file as a literal,
-without importing or changing it.
+without importing or changing it.  ``perfbench/run.py`` also reads the cache
+statistics of ``basic_modes`` in traced runs.
 """
 
 import ast
@@ -32,3 +33,8 @@ def test_every_traced_function_resolves():
         missing += [f"equilef.{module_name}.{name}" for name in names
                     if not callable(getattr(module, name, None))]
     assert not missing
+
+
+def test_mode_listing_cache_statistics_resolve():
+    module = importlib.import_module("equilef.basic_complex")
+    assert callable(module.basic_modes.cache_info)
