@@ -1,13 +1,22 @@
 """Exact linear algebra over the integers and the rationals.
 
-Every function in this module computes with plain Python ints and
-``fractions.Fraction``; no floating point enters any decision.  Matrices are
-sequences of rows and are returned as tuples of tuples.  The ambient
-dimensions in this package are tiny (at most eight or so), so the classical
-cubic algorithms with exact arithmetic are more than fast enough.
+No floating point enters any decision.  Matrices are sequences of rows and
+are returned as tuples of tuples.  Inputs may be ``int``s or
+``fractions.Fraction``s, but the kernels compute in integers only: a
+rational vector is carried as integer numerators over one common
+denominator ``D`` (``numerators``), so eliminations, congruences and
+reductions modulo one are integer products and ``% D``.  A ``Fraction`` is
+built only at the edge, where a public field such as
+``CongruenceSolution.particular`` or a caller asks for one; a ``Fraction``
+operation costs tens of times an integer one, and the torus
+fixed-orbit and isotropy paths run these kernels once per orbit or
+isotropy component.  The ambient dimensions are tiny (at most eight or
+so), so the classical cubic algorithms are used throughout.
 
 The workhorses are
 
+* ``numerators`` -- integer numerators of a rational vector over its least
+  common denominator, the representation every kernel below works in;
 * ``hnf_with_transform`` -- row-style Hermite normal form with a unimodular
   row transform, used to canonicalize integer lattices;
 * ``snf_with_transforms`` -- Smith normal form with both unimodular
@@ -19,7 +28,10 @@ The workhorses are
 * ``solve_congruences`` -- the full solution set of ``A t = b (mod 1)`` on a
   torus, described as particular + torsion + connected part (the whole
   torus for an empty system), counted from the Smith diagonal before any
-  torsion translate is listed;
+  torsion translate is listed, and computed in numerators over
+  ``E * lcm(Smith entries)``, ``E`` the denominator of ``b``;
+* ``solve_rational_numerators`` -- the canonical solution of a rational
+  system (free variables zero) by fraction-free Gauss-Jordan elimination;
 * ``lattice_box_points`` -- the points of an affine lattice
   ``offset + span_Z(basis)`` inside the sup-norm box, enumerated from the
   HNF basis by back-substitution (Fincke-Pohst style bounds), which is how
@@ -32,6 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import TorsionTooLarge
 
@@ -81,23 +94,25 @@ def vec_mod1(x):
 
 
 def numerators(x):
-    """Integer numerators of the rationals ``x`` over their least common
-    denominator ``D``: ``x[i] == Fraction(ints[i], D)``."""
-    D = math.lcm(*(q.denominator for q in x))
-    return tuple(q.numerator * (D // q.denominator) for q in x), D
+    """Integer numerators of the rationals ``x`` (``int``s, taken as they
+    are, or ``Fraction``s) over their least common denominator ``D``:
+    ``x[i] == Fraction(ints[i], D)``."""
+    D = 1
+    for q in x:
+        if type(q) is not int:
+            D = math.lcm(D, q.denominator)
+    return tuple(q * D if type(q) is int else q.numerator * (D // q.denominator)
+                 for q in x), D
 
 
-def affine_mod1(A, x, c):
+def affine_numerators(A, x, c):
     """``A x + c (mod 1)`` for an integer matrix ``A`` and rational vectors
-    ``x`` and ``c``, as one integer affine step over a common denominator."""
+    ``x`` and ``c``, as one integer affine step: ``(numerators, D)`` over
+    the common denominator ``D`` of ``x`` and ``c``."""
     nums, D = numerators((*x, *c))
     x, c = nums[:len(x)], nums[len(x):]
-    return tuple(Fraction((sum(a * xi for a, xi in zip(row, x)) + ci) % D, D)
-                 for row, ci in zip(A, c))
-
-
-def is_integral_vector(x):
-    return all(Fraction(q).denominator == 1 for q in x)
+    return tuple((sum(a * xi for a, xi in zip(row, x)) + ci) % D
+                 for row, ci in zip(A, c)), D
 
 
 def _row_axpy(rows, i, j, q):
@@ -171,12 +186,7 @@ def hnf(M, ncols=None):
 def scale_rows_to_int(rows):
     """Clear denominators row by row; the row lattice's rational span and the
     kernel are unchanged."""
-    out = []
-    for row in rows:
-        fr = [Fraction(a) for a in row]
-        den = math.lcm(*(f.denominator for f in fr)) if fr else 1
-        out.append([int(f * den) for f in fr])
-    return out
+    return [list(numerators(row)[0]) for row in rows]
 
 
 def integer_kernel(constraints, n=None):
@@ -352,19 +362,23 @@ class CongruenceSolution:
     connected part.  ``torsion_reps`` always contains the zero vector, so the
     solutions form ``torsion_count`` parallel translates of a
     ``f``-dimensional subtorus coset.  The count is the product of the
-    nontrivial Smith diagonal entries and is known without listing anything;
-    ``torsion_reps`` and ``points()`` list the translates (a torsor over
-    the Smith group) in integer numerators over the lcm of the Smith entries
-    and the particular solution's denominators, and refuse more than
-    ``TORSION_LIMIT`` of them.
+    nontrivial Smith diagonal entries and is known without listing anything.
+
+    Everything is held as integer numerators over one denominator ``D``
+    (``E * lcm(Smith entries)``, ``E`` the denominator of ``b``), a multiple
+    of every Smith entry, so the translates (a torsor over the Smith group)
+    are integer steps reduced with ``% D``: ``particular_numerators``,
+    ``torsion_numerators`` and ``point_numerators`` read them, and
+    ``particular``, ``torsion_reps`` and ``points()`` are their ``Fraction``
+    views.  Listing refuses more than ``TORSION_LIMIT`` translates.
     """
 
-    def __init__(self, particular, torsion_axes, T, free):
-        self.particular = particular
+    def __init__(self, particular, D, torsion_axes, T, free):
+        self._particular = particular  # numerators over D, in [0, D)
+        self._D = D
         self.free = free
         self._axes = torsion_axes      # (index, Smith entry > 1) pairs
         self._T = T
-        self._reps = None
 
     @property
     def is_finite(self):
@@ -378,36 +392,55 @@ class CongruenceSolution:
     def count(self):
         return self.torsion_count if self.is_finite else math.inf
 
-    @property
+    def particular_numerators(self):
+        """``(numerators, D)`` of the particular solution."""
+        return self._particular, self._D
+
+    @cached_property
+    def particular(self):
+        return tuple(Fraction(a, self._D) for a in self._particular)
+
+    @cached_property
+    def _torsion(self):
+        return self._translates((0,) * len(self._particular))
+
+    def torsion_numerators(self):
+        """``(reps, D)``: the torsion translates as numerators over ``D``,
+        the zero vector first and the last Smith axis varying fastest."""
+        return self._torsion, self._D
+
+    @cached_property
     def torsion_reps(self):
-        if self._reps is None:
-            reps, D = self._translates((0,) * len(self.particular))
-            self._reps = [tuple(Fraction(a, D) for a in r) for r in reps]
-        return self._reps
+        reps, D = self.torsion_numerators()
+        return [tuple(Fraction(a, D) for a in r) for r in reps]
+
+    def point_numerators(self):
+        """``(points, D)``: the solutions of a finite set as numerators over
+        ``D``, sorted, so in the lexicographic order of the solutions."""
+        if not self.is_finite:
+            raise ValueError("solution set is infinite")
+        return sorted(self._translates(self._particular)), self._D
 
     def points(self):
         """The solutions of a finite set, in lexicographic order."""
-        if not self.is_finite:
-            raise ValueError("solution set is infinite")
-        reps, D = self._translates(self.particular)
-        return [tuple(Fraction(a, D) for a in r) for r in sorted(reps)]
+        points, D = self.point_numerators()
+        return [tuple(Fraction(a, D) for a in p) for p in points]
 
     def _translates(self, shift):
-        """``shift + T u (mod 1)`` for every torsion vector ``u``, the last
-        Smith axis varying fastest, as numerators over one denominator."""
+        """``shift + T u (mod D)`` for every torsion vector ``u``, the last
+        Smith axis varying fastest; ``shift`` is over ``D``."""
         total = self.torsion_count
         if total > TORSION_LIMIT:
             raise TorsionTooLarge(
                 f"a congruence system has {total} solution components, "
                 f"more than the {TORSION_LIMIT} that can be listed")
-        nums, E = numerators(shift)
-        D = math.lcm(E, *(di for _, di in self._axes))
-        reps = [tuple(a * (D // E) for a in nums)]
+        D = self._D
+        reps = [tuple(shift)]
         for i, di in self._axes:
             step = [row[i] * (D // di) for row in self._T]
             reps = [tuple(a + j * s for a, s in zip(r, step))
                     for r in reps for j in range(di)]
-        return [tuple(a % D for a in r) for r in reps], D
+        return [tuple(a % D for a in r) for r in reps]
 
 
 def solve_congruences(A, b, d=None):
@@ -416,6 +449,10 @@ def solve_congruences(A, b, d=None):
     ``A``: integer k x d matrix (rows); ``b``: rationals of length k.  The
     width ``d`` is read from ``A``; an empty system (``k = 0``) needs it
     passed and is solved by the whole torus.
+    With ``D = S A T`` (Smith), ``c = S b`` over the denominator ``E`` of
+    ``b`` is unsolvable where a zero diagonal entry meets ``c_i % E != 0``,
+    and ``t = T u`` with ``u_i = c_i / (E d_i)`` otherwise, all in integer
+    numerators over ``E * lcm(Smith entries)``.
     Returns a :class:`CongruenceSolution`, or ``None`` when unsolvable.
     """
     k = len(A)
@@ -424,30 +461,30 @@ def solve_congruences(A, b, d=None):
     elif d is None:
         raise ValueError("an empty system needs the torus dimension d")
     else:
-        return CongruenceSolution(tuple(Fraction(0) for _ in range(d)), [],
-                                  identity_rows(d), freeze(identity_rows(d)))
-    b = [Fraction(x) for x in b]
-    D, S, T = snf_with_transforms(A)
+        return CongruenceSolution((0,) * d, 1, [], identity_rows(d),
+                                  freeze(identity_rows(d)))
+    b, E = numerators(b)
+    Dg, S, T = snf_with_transforms(A)
     c = mat_vec(S, b)
-    particular_u = [Fraction(0)] * d
+    diag = [Dg[i][i] if i < d else 0 for i in range(k)]
+    if any(di == 0 and ci % E for di, ci in zip(diag, c)):
+        return None
+    D = E * math.lcm(*(di for di in diag if di))
+    u = [0] * d
+    for i, (di, ci) in enumerate(zip(diag, c)):
+        if di:
+            u[i] = ci * (D // (E * di))
+    particular = tuple(a % D for a in mat_vec(T, u))
     torsion_axes = []
     free_idx = []
-    for i in range(k):
-        di = D[i][i] if i < d else 0
-        if di == 0:
-            if frac_mod1(c[i]) != 0:
-                return None
-        else:
-            particular_u[i] = frac_mod1(Fraction(c[i], di))
     for i in range(d):
-        di = D[i][i] if i < k else 0
+        di = diag[i] if i < k else 0
         if di == 0:
             free_idx.append(i)
         elif di > 1:
             torsion_axes.append((i, di))
-    particular = vec_mod1(mat_vec(T, particular_u))
     free = freeze([tuple(T[r][i] for r in range(d)) for i in free_idx])
-    return CongruenceSolution(particular, torsion_axes, T, free)
+    return CongruenceSolution(particular, D, torsion_axes, T, free)
 
 
 def det_int(M):
@@ -511,53 +548,79 @@ def deflate_root_one(coeffs):
     return tuple(out[:-1])
 
 
-def solve_rational(A, b):
-    """One exact solution of ``A x = b`` over the rationals, or ``None``.
+def solve_rational_numerators(A, b):
+    """The canonical exact solution of ``A x = b`` over the rationals
+    (free variables zero) as ``(numerators, D)``, or ``None`` when there is
+    none.
 
-    Free variables are set to zero, which makes the answer canonical for a
-    fixed row order of ``A``.
+    Fraction-free Gauss-Jordan elimination: each equation is cleared of
+    denominators together with its right-hand side, each elimination step
+    ``r_i <- p r_i - a r_r`` (``p`` the pivot of row ``r``, ``a`` the entry
+    of row ``i`` under it) stays in integers, and every row is divided by
+    the gcd of its entries.  The rows end as the
+    reduced row echelon form, each scaled by its pivot; that form is unique,
+    so the pivots and the canonical solution are those of elimination over
+    the rationals in any row order, and ``D`` is the lcm of the pivots.
     """
     m = len(A)
     if m == 0:
-        return ()
+        return (), 1
     n = len(A[0])
-    M = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(A, b)]
+    M = [_primitive(numerators((*row, bi))[0]) for row, bi in zip(A, b)]
     pivots = []
     r = 0
     for col in range(n):
-        piv = next((i for i in range(r, m) if M[i][col] != 0), None)
+        piv = next((i for i in range(r, m) if M[i][col]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [x * inv for x in M[r]]
+        R = M[r]
+        p = R[col]
         for i in range(m):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+            a = M[i][col]
+            if i != r and a:
+                M[i] = _primitive([p * x - a * y for x, y in zip(M[i], R)])
         pivots.append(col)
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if M[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row_idx, col in enumerate(pivots):
-        x[col] = M[row_idx][n]
-    return tuple(x)
+    if any(M[i][n] for i in range(r, m)):
+        return None
+    D = math.lcm(*(M[i][col] for i, col in enumerate(pivots)))
+    x = [0] * n
+    for i, col in enumerate(pivots):
+        x[col] = M[i][n] * (D // M[i][col])
+    return tuple(x), D
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def solve_rational(A, b):
+    """One exact solution of ``A x = b`` over the rationals, or ``None``:
+    the ``Fraction`` view of :func:`solve_rational_numerators`."""
+    sol = solve_rational_numerators(A, b)
+    if sol is None:
+        return None
+    x, D = sol
+    return tuple(Fraction(a, D) for a in x)
 
 
 def lattice_coordinates(basis_rows, x):
     """Integer coordinates of ``x`` in the given lattice basis, or ``None``.
 
-    ``basis_rows`` must have full row rank; ``x`` is a rational vector.
+    ``basis_rows`` must have full row rank; ``x`` is a rational vector.  The
+    coordinates solve ``basis^T y = x`` exactly, and are integers when their
+    numerators are multiples of their denominator.
     """
     if not basis_rows:
-        return () if not any(Fraction(q) for q in x) else None
-    y = solve_rational(transpose(basis_rows), x)
-    if y is None or not is_integral_vector(y):
+        return () if not any(x) else None
+    sol = solve_rational_numerators(transpose(basis_rows), x)
+    if sol is None:
         return None
-    if vec_mat(y, basis_rows) != tuple(Fraction(q) for q in x):
+    y, D = sol
+    if any(a % D for a in y):
         return None
-    return tuple(int(v) for v in y)
+    return tuple(a // D for a in y)

@@ -48,6 +48,15 @@ class TorusMap:
         object.__setattr__(self, "translation", tuple(
             rl.frac_mod1(Fraction(x)) for x in self.translation))
 
+    @cached_property
+    def _hash(self):
+        return hash((self.matrix, self.translation))
+
+    def __hash__(self):
+        # a map keys the equivariance and base-map caches; its Fraction
+        # translation is hashed once
+        return self._hash
+
     @property
     def n(self):
         return len(self.matrix)
@@ -58,7 +67,9 @@ class TorusMap:
         return sum(Fraction(mi) * t for mi, t in zip(m, self.translation))
 
     def apply(self, p):
-        return rl.affine_mod1(self.matrix, [Fraction(x) for x in p], self.translation)
+        x, D = rl.affine_numerators(self.matrix, [Fraction(x) for x in p],
+                                    self.translation)
+        return tuple(Fraction(a, D) for a in x)
 
     @cached_property
     def exterior_traces(self):
@@ -150,20 +161,18 @@ def _certify_equivariance(model, f) -> EquivarianceCertificate:
             raise NotEquivariant("matrix shape does not match the model")
         if len(f.translation) != model.n:
             raise NotEquivariant("translation length does not match the model")
-        Av = model.v.apply_integer_matrix(f.matrix)
-        if Av.coeffs != model.v.coeffs:
-            bad = next(i for i in range(model.n)
-                       if Av.coeffs[i] != model.v.coeffs[i])
+        bad = _first_moved_coordinate(model.v, f.matrix)
+        if bad is not None:
+            Av = model.v.apply_integer_matrix(f.matrix)
             raise NotEquivariant(
                 f"A v != v in coordinate {bad}: "
                 f"{_symbolic_str(Av.coeffs[bad], model.v.generator_labels)} != "
                 f"{_symbolic_str(model.v.coeffs[bad], model.v.generator_labels)}"
             )
-        transpose_fixes_v = model.v.apply_integer_matrix(
-            rl.transpose(f.matrix)).coeffs == model.v.coeffs
         return EquivarianceCertificate(
             "torus_affine",
-            cochain_on_all=transpose_fixes_v,
+            cochain_on_all=_first_moved_coordinate(
+                model.v, rl.transpose(f.matrix)) is None,
             detail="A v = v verified symbolically",
         )
     if f.k != model.k:
@@ -172,6 +181,15 @@ def _certify_equivariance(model, f) -> EquivarianceCertificate:
         "sphere_phase",
         detail="diagonal phases commute with the weighted rotation",
     )
+
+
+def _first_moved_coordinate(v: SymbolicFrequency, A):
+    """The first coordinate in which ``A v`` and ``v`` differ, or ``None``
+    when ``A v = v``: each coefficient column is compared as integer
+    numerators over its common denominator."""
+    moved = [i for nums, _ in v.column_numerators
+             for i, (a, x) in enumerate(zip(rl.mat_vec(A, nums), nums)) if a != x]
+    return min(moved, default=None)
 
 
 def _frame_pullback_matrix(model, matrix):

@@ -134,7 +134,7 @@ def _torus_fixed_orbits(model: FlatTorusModel, f: TorusMap):
         )
     if sol.count > rl.TORSION_LIMIT:
         raise FixedSetTooLarge(sol.count, rl.TORSION_LIMIT)
-    return torus_orbits(model, sol.points())
+    return torus_orbits(model, *sol.point_numerators())
 
 
 def _sphere_fixed_orbits(model: WeightedSphereModel, f: SpherePhaseMap):
@@ -143,11 +143,9 @@ def _sphere_fixed_orbits(model: WeightedSphereModel, f: SpherePhaseMap):
     for size in range(2, k + 1):
         for support in itertools.combinations(range(k), size):
             LS = model.restricted_group(support).relation_lattice
-            phi_S = [phases[j] for j in support]
-            fixes = all(
-                rl.frac_mod1(sum(Fraction(m) * p for m, p in zip(row, phi_S))) == 0
-                for row in LS
-            )
+            phi_S, D = rl.numerators([phases[j] for j in support])
+            fixes = all(sum(m * p for m, p in zip(row, phi_S)) % D == 0
+                        for row in LS)
             if fixes:
                 raise InfiniteFixedSet(
                     f"the stratum supported on coordinates {support} is fixed "
@@ -165,21 +163,23 @@ def _sphere_fixed_orbits(model: WeightedSphereModel, f: SpherePhaseMap):
 # transversality
 
 
-def _sphere_rotation_turns(model, f, g0, h_rep):
-    """Per-coordinate rotation turns of ``a_{g0 - h} o f``."""
-    return tuple(
-        rl.frac_mod1(f.phases[l] + g0[l] - Fraction(h_rep[l]))
-        for l in range(model.k)
-    )
+def _sphere_rotation_turns(shift, S, h, H):
+    """Per-coordinate rotation turns of ``a_{g0 - h} o f`` as numerators
+    over one denominator ``D``, returned as ``(turns, D)``: ``shift`` holds
+    the numerators of ``f.phases + g0`` over ``S``, and ``h`` those of the
+    isotropy component's element over ``H``."""
+    D = math.lcm(S, H)
+    s, t = D // S, D // H
+    return tuple((a * s - b * t) % D for a, b in zip(shift, h)), D
 
 
-def _sphere_numeric_det(model, orbit, turns):
-    """Conormal determinant computed in the numeric conormal frame."""
-    z = orbit.base_point.to_complex()
+def _sphere_numeric_det(model, orbit, turns, D):
+    """Conormal determinant computed in the numeric conormal frame, for
+    rotation turns given as numerators over ``D``."""
     k = model.k
     F = np.zeros((2 * k, 2 * k))
     for l in range(k):
-        a = 2 * math.pi * float(turns[l])
+        a = 2 * math.pi * (turns[l] / D)
         F[2 * l:2 * l + 2, 2 * l:2 * l + 2] = [
             [math.cos(a), -math.sin(a)],
             [math.sin(a), math.cos(a)],
@@ -214,23 +214,27 @@ def _sphere_normal_coords(orbit: ClosedOrbit):
     return normal
 
 
-def _sphere_component_det(orbit: ClosedOrbit, normal, turns, component):
+def _sphere_component_det(orbit: ClosedOrbit, normal, turns, D, component):
     """Conormal determinant of the corrected phase map on one isotropy
-    component with rotation ``turns``: after the exact zero test on each
-    coordinate off the support, one plane rotation minus the identity,
-    ``4 sin^2(pi theta_l)``, per such coordinate, evaluated on the exact
-    centred turn ``theta_l - round(theta_l)`` so that small turns do not
-    cancel, and its cross-check in the numeric conormal frame (the value the
-    certificate records).  Raises :class:`DeterminantUnderflow` when the
-    nonzero determinant is too small for its reciprocal to be a float."""
+    component with rotation ``turns`` (numerators over ``D``): after the
+    exact zero test ``turn % D == 0`` on each coordinate off the support,
+    one plane rotation minus the identity, ``4 sin^2(pi theta_l)``, per such
+    coordinate, evaluated on the exact centred turn ``theta_l -
+    round(theta_l)`` so that small turns do not cancel, and its cross-check
+    in the numeric conormal frame (the value the certificate records),
+    which must agree to a relative ``1e-6``.  Raises
+    :class:`DeterminantUnderflow` when the nonzero determinant is too small
+    for its reciprocal to be a float."""
     for l in normal:
-        if turns[l] == 0:
+        if turns[l] % D == 0:
             raise NonTransverse(
                 f"coordinate {l} is fixed by the corrected map",
                 orbit=orbit,
                 component=component,
             )
-    centred = {l: float(turns[l] - round(turns[l])) for l in normal}
+    # turns lie in [0, D); a half turn stays +1/2, as round() takes it to 0
+    centred = {l: (turns[l] if 2 * turns[l] <= D else turns[l] - D) / D
+               for l in normal}
     det_val = math.prod(
         (4.0 * math.sin(math.pi * c) ** 2 for c in centred.values()), start=1.0)
     if det_val == 0.0 or math.isinf(1.0 / det_val):
@@ -239,8 +243,8 @@ def _sphere_component_det(orbit: ClosedOrbit, normal, turns, component):
             f"the conormal determinant {det_val:.3g} of the orbit with support "
             f"{orbit.base_point.support} is too small to invert in floating "
             f"point (coordinate {l} turns by {centred[l]:.3g})")
-    numeric = _sphere_numeric_det(orbit.model, orbit, turns)
-    if abs(abs(numeric) - abs(det_val)) > 1e-6 * max(1.0, abs(det_val)):
+    numeric = _sphere_numeric_det(orbit.model, orbit, turns, D)
+    if abs(abs(numeric) - abs(det_val)) > 1e-6 * abs(det_val):
         raise AssertionError("conormal determinant routes disagree")
     return det_val, numeric
 
@@ -322,21 +326,29 @@ class _MapContext:
         self.hat = (tg.closure_group(direction) if twist is None
                     else tg.closure_group(direction, twist.weight))
         if self.torus:
-            self.torus_det = rl.det_int(_base_minus_identity(model, f)[0])
+            det = self.torus_det = rl.det_int(_base_minus_identity(model, f)[0])
             self.I_minus_A = [[(i == j) - a for j, a in enumerate(row)]
                               for i, row in enumerate(f.matrix)]
             self.minus_c = [-t for t in f.translation]
+            # an untwisted torus orbit's one component, and the exact and
+            # float determinant every certificate records
+            self.torus_component = ((0.0, float(det), det), float(det))
+            self.torus_dets = (float(det),), (Fraction(det),)
         self._types = {}
         self._terms = {}
 
     def group_correction(self, orbit: ClosedOrbit):
         """An element ``g0`` of the closure group making ``a_{g0} o f`` the
         identity on the orbit (determined modulo the isotropy group):
-        ``(I - A) p0 - c (mod 1)`` on a torus, in one integer step."""
+        ``(I - A) p0 - c (mod 1)`` on a torus, computed and tested for
+        membership (``L g0 = 0 mod D``) in numerators over one denominator
+        ``D``, and made ``Fraction``s only once it passes."""
         group = self.model.group
         if self.torus:
-            g0 = rl.affine_mod1(self.I_minus_A, orbit.base_point, self.minus_c)
-            g0 = g0 if group.contains(g0) else None
+            g, D = rl.affine_numerators(self.I_minus_A, orbit.base_point,
+                                        self.minus_c)
+            g0 = tuple(Fraction(a, D) for a in g) \
+                if group.contains_numerators(g, D) else None
         else:
             support = orbit.base_point.support
             g0 = group.element_with(support, [-self.f.phases[j] for j in support])
@@ -351,7 +363,9 @@ class _MapContext:
         return found
 
     def term(self, phase, det_val, q):
-        return (self.scalar * cmath.exp(2j * math.pi * float(phase))
+        """Degree ``q``'s term at a component with twist phase ``phase`` (a
+        float in turns) and determinant ``det_val``."""
+        return (self.scalar * cmath.exp(2j * math.pi * phase)
                 * self.traces[q] / abs(det_val))
 
     def assembled(self, typ: _IsotropyType, comps):
@@ -460,46 +474,63 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
     pre = typ.pre
     fiber_idx = range(n, hat.ambient_dim)
     if twist is not None:
-        ghat0 = hat.element_with(range(n), g0)
-        if ghat0 is None:
+        lift = hat.parameters_with(range(n), g0)
+        if lift is None:
             raise AssertionError("group correction fails to lift")
+        t0, G = lift.particular_numerators()
+        ghat0 = hat.element_numerators(t0, G)
+        g_fiber = sum(ghat0[j] for j in fiber_idx)
+    if not torus:
+        # the numerators of f.phases + g0, which every component's turns shift
+        shift, S = rl.numerators((*f.phases, *g0))
+        shift = tuple(a + b for a, b in zip(shift[:n], shift[n:]))
 
-    def component(t, index=None):
+    def component(t, T, index=None):
         """``(phase, det, exact det)`` at the preimage element with
-        parameters ``t``, and the determinant the certificate records; an
-        untwisted torus orbit reads nothing at ``t``."""
-        h_amb = None if torus and twist is None else hat.element(t)
-        phase = rl.frac_mod1(sum(
-            (Fraction(h_amb[j]) - Fraction(ghat0[j])) for j in fiber_idx
-        )) if twist is not None else Fraction(0)
+        parameters ``t / T`` (integer numerators ``t``), and the determinant
+        the certificate records; an untwisted torus orbit reads nothing at
+        ``t``.  The twist phase is a float in turns, the only form the term
+        reads."""
+        if torus and twist is None:
+            return context.torus_component
+        h = hat.element_numerators(t, T)
+        phase = 0.0
+        if twist is not None:
+            L = math.lcm(T, G)
+            phase = (sum(h[j] for j in fiber_idx) * (L // T)
+                     - g_fiber * (L // G)) % L / L
         if torus:
-            return (phase, float(det), Fraction(det)), float(det)
-        turns = _sphere_rotation_turns(model, f, g0, h_amb[:n])
-        det_val, numeric = _sphere_component_det(orbit, normal, turns, index)
+            return (phase, float(det), det), float(det)
+        turns, D = _sphere_rotation_turns(shift, S, h[:n], T)
+        det_val, numeric = _sphere_component_det(orbit, normal, turns, D, index)
         return (phase, det_val, None), numeric
 
-    data = [component(t, index) for index, t in enumerate(pre.param_reps)]
+    reps, T = pre.solution.torsion_numerators()
+    data = [component(t, T, index) for index, t in enumerate(reps)]
     comps = tuple(term for term, _ in data)
     if torus:
-        cert = TransversalityCertificate(orbit, g0, (float(det),), (Fraction(det),))
+        cert = TransversalityCertificate(orbit, g0, *context.torus_dets)
     else:
         cert = TransversalityCertificate(
             orbit, g0, tuple(d for _, d in data), (None,) * len(data))
     per_degree, total, total_exact = context.assembled(typ, comps)
     if isotropy_resolution is not None:
-        # independent route: Haar quadrature along each component
-        grid = list(itertools.product(range(isotropy_resolution), repeat=pre.dim))
+        # independent route: Haar quadrature along each component, on the
+        # grid of parameters over Q = lcm(T, resolution)
+        res = isotropy_resolution
+        grid = list(itertools.product(range(res), repeat=pre.dim))
         count = pre.component_count * max(len(grid), 1)
         weight = float(typ.mass / typ.sheets)
+        Q = math.lcm(T, res)
         quad = 0.0 + 0.0j
-        for rep in pre.param_reps:
+        for rep in reps:
             for combo in grid or [()]:
                 t = tuple(
-                    rl.frac_mod1(r + sum(Fraction(c, isotropy_resolution) * row[i]
-                                         for c, row in zip(combo, pre.param_tangent_rows)))
+                    (r * (Q // T) + sum(c * row[i] for c, row in
+                                        zip(combo, pre.param_tangent_rows)) * (Q // res)) % Q
                     for i, r in enumerate(rep)
                 )
-                (phase, det_val, _), _ = component(t)
+                (phase, det_val, _), _ = component(t, Q)
                 for q in range(len(context.traces)):
                     quad += (-1) ** q * weight * context.term(phase, det_val, q) / count
         if abs(quad - total) > 1e-6 * max(1.0, abs(total)):
@@ -534,12 +565,10 @@ def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
     contributions = [_contribution(orbit, None, isotropy_resolution, context)
                      for orbit in orbits]
     total = sum(c.total for c in contributions)
-    exact = Fraction(0)
-    for c in contributions:
-        if c.total_exact is None:
-            exact = None
-            break
-        exact += c.total_exact
+    exact = None
+    if all(c.total_exact is not None for c in contributions):
+        nums, D = rl.numerators([c.total_exact for c in contributions])
+        exact = Fraction(sum(nums), D)
     return RhsResult(
         value=complex(total),
         value_exact=exact,

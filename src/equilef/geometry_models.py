@@ -179,10 +179,11 @@ def _solve_from_level(lattice, level, n):
     using the HNF pivot structure (non-pivot coordinates are zero)."""
     if not lattice:
         return tuple(Fraction(0) for _ in range(n))
-    x = rl.solve_rational(lattice, level)
-    if x is None:
+    sol = rl.solve_rational_numerators(lattice, level)
+    if sol is None:
         raise AssertionError("level sets of a full-row-rank lattice are nonempty")
-    return rl.vec_mod1(x)
+    x, D = sol
+    return tuple(Fraction(a % D, D) for a in x)
 
 
 def orbit_through(model, p) -> ClosedOrbit:
@@ -196,41 +197,41 @@ def orbit_through(model, p) -> ClosedOrbit:
 
 
 def _torus_orbit(model: FlatTorusModel, p) -> ClosedOrbit:
-    point = _exact_vector(p, model.n)
-    return torus_orbits(model, [rl.vec_mod1(rl.mat_vec(model.base_lattice, point))])[0]
+    point, E = rl.numerators(_exact_vector(p, model.n))
+    level = tuple(a % E for a in rl.mat_vec(model.base_lattice, point))
+    return torus_orbits(model, [level], E)[0]
 
 
-def torus_orbits(model: FlatTorusModel, levels) -> list:
+def torus_orbits(model: FlatTorusModel, levels, D) -> list:
     """The orbit closures whose base coordinates ``L x (mod 1)`` are the
-    given levels, in order.  The canonical base point of ``_solve_from_level``
-    is linear in the level (its free coordinates are zero), so its solve
-    operator is built once from the unit levels and each level is mapped
-    through it in integers over one common denominator.  The dimension, the
-    (trivial) isotropy and the conormal frame of the lattice covectors are
-    the same for every orbit and built once."""
+    given levels, in order, each level given as integer numerators over
+    ``D`` (as ``CongruenceSolution.point_numerators`` lists them).  The
+    canonical base point of ``_solve_from_level`` is linear in the level
+    (its free coordinates are zero), so its solve operator is built once
+    from the unit levels, and each level's numerators are mapped through it
+    in integers over ``D`` times the operator's denominator.  The
+    dimension, the (trivial) isotropy and the conormal frame of the lattice
+    covectors are the same for every orbit and built once."""
     L = model.base_lattice
     dim = model.group.dim
     isotropy = tg.IsotropyDescriptor(model.group, range(model.n))
     conormal = np.array([[float(m) for m in row] for row in L], dtype=float).T \
         if L else np.zeros((model.n, 0))
     conormal.flags.writeable = False    # one frame, shared by every orbit
-    columns = [rl.solve_rational(L, unit) for unit in rl.identity_rows(len(L))]
-    flat, E = rl.numerators([x for column in columns for x in column])
-    solve = [flat[i::model.n] for i in range(model.n)]     # over E
-
-    def base_point(level):
-        nums, D = rl.numerators(level)
-        D *= E
-        return tuple(Fraction(a % D, D) for a in rl.mat_vec(solve, nums))
-
+    columns = [rl.solve_rational_numerators(L, unit)
+               for unit in rl.identity_rows(len(L))]
+    E = math.lcm(*(den for _, den in columns))
+    solve = [[x[i] * (E // den) for x, den in columns]
+             for i in range(model.n)]                       # over E
+    DE = D * E
     return [
         ClosedOrbit(
             model=model,
-            base_point=base_point(level),
+            base_point=tuple(Fraction(a % DE, DE) for a in rl.mat_vec(solve, level)),
             dim=dim,
             isotropy=isotropy,
             conormal_basis=conormal,
-            key=("torus", tuple(level)),
+            key=("torus", tuple(Fraction(a, D) for a in level)),
         )
         for level in levels
     ]
@@ -250,8 +251,8 @@ def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
         raise OffManifold("the origin is not on the sphere")
     GS = model.restricted_group(support)
     LS = GS.relation_lattice
-    theta_S = tuple(p.phases[j] for j in support)
-    phase_coords = rl.vec_mod1(rl.mat_vec(LS, theta_S))
+    theta_S, E = rl.numerators([p.phases[j] for j in support])
+    phase_coords = tuple(Fraction(a % E, E) for a in rl.mat_vec(LS, theta_S))
     theta_canon = list(_solve_from_level(LS, phase_coords, len(support)))
     # gauge: rotate the first supported phase to zero with a group shift
     shift = GS.element_with([0], [-theta_canon[0]])
@@ -330,5 +331,6 @@ def induced_base_map(model: FlatTorusModel, f):
         if row is None:
             raise AssertionError("equivariant map does not descend to the base torus")
         rows.append(row)
-    c_bar = rl.vec_mod1(rl.mat_vec(L, tuple(Fraction(x) for x in f.translation)))
+    c, E = rl.numerators(f.translation)
+    c_bar = tuple(Fraction(a % E, E) for a in rl.mat_vec(L, c))
     return rl.freeze(rows), c_bar

@@ -52,7 +52,8 @@ DEFAULT_GENERATOR_VALUES = (
 
 
 def _as_fraction_rows(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                 for row in rows)
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,15 @@ class SymbolicFrequency:
         if len(values) != len(self.generator_labels):
             raise ValueError("one numeric value per generator required")
         object.__setattr__(self, "generator_values", values)
+
+    @cached_property
+    def _hash(self):
+        return hash((self.coeffs, self.generator_labels, self.generator_values))
+
+    def __hash__(self):
+        # a flow keys several caches per op; its Fraction coefficients are
+        # hashed once
+        return self._hash
 
     @classmethod
     def rational(cls, entries):
@@ -138,17 +148,19 @@ class SymbolicFrequency:
             self.coeffs + other.coeffs, self.generator_labels, self.generator_values
         )
 
+    @cached_property
+    def column_numerators(self):
+        """Each coefficient column (a row of :meth:`constraint_rows`) as
+        integer numerators over its common denominator, ``(nums, D)``."""
+        return tuple(rl.numerators(col) for col in self.constraint_rows())
+
     def apply_integer_matrix(self, A):
-        """The vector ``A v``, exactly."""
-        rows = []
-        for arow in A:
-            rows.append(
-                tuple(
-                    sum(Fraction(a) * self.coeffs[j][col] for j, a in enumerate(arow))
-                    for col in range(1 + self.generator_count)
-                )
-            )
-        return SymbolicFrequency(tuple(rows), self.generator_labels, self.generator_values)
+        """The vector ``A v``, exactly: each coefficient column is multiplied
+        as integer numerators over its common denominator."""
+        columns = [tuple(Fraction(a, D) for a in rl.mat_vec(A, nums))
+                   for nums, D in self.column_numerators]
+        return SymbolicFrequency(rl.transpose(columns), self.generator_labels,
+                                 self.generator_values)
 
 
 @dataclass(frozen=True)
@@ -188,27 +200,36 @@ class SubtorusGroup:
         A = [[row[j] for row in C] for j in coords]
         return rl.solve_congruences(A, values, self.dim)
 
+    def element_numerators(self, t, D):
+        """The group element with parameters ``t / D`` as numerators over
+        ``D``: ``t @ complement_basis() (mod D)`` in integers."""
+        C = self.complement_basis()
+        return tuple(sum(x * row[j] for x, row in zip(t, C)) % D
+                     for j in range(self.ambient_dim))
+
     def element(self, t):
         """The group element ``t @ complement_basis() (mod 1)`` with
-        parameters ``t``."""
-        C = self.complement_basis()
-        return rl.vec_mod1(tuple(
-            sum(x * row[j] for x, row in zip(t, C))
-            for j in range(self.ambient_dim)
-        ))
+        rational parameters ``t``."""
+        t, D = rl.numerators(t)
+        return tuple(Fraction(a, D) for a in self.element_numerators(t, D))
 
     def element_with(self, coords, values):
         """An element of the group whose coordinates ``coords`` equal
         ``values`` modulo one, or ``None`` when the group has none."""
         sol = self.parameters_with(coords, values)
-        return None if sol is None else self.element(sol.particular)
+        if sol is None:
+            return None
+        t, D = sol.particular_numerators()
+        return tuple(Fraction(a, D) for a in self.element_numerators(t, D))
 
     def contains(self, point):
-        """Whether the rational ``point`` satisfies ``L x = 0 (mod 1)``,
-        tested as ``L x_num = 0 (mod D)`` on its numerators over their
-        common denominator ``D``."""
-        nums, D = rl.numerators(point)
-        return all(sum(m * x for m, x in zip(row, nums)) % D == 0
+        """Whether the rational ``point`` satisfies ``L x = 0 (mod 1)``."""
+        return self.contains_numerators(*rl.numerators(point))
+
+    def contains_numerators(self, x, D):
+        """Whether the point ``x / D`` lies in the group, tested as
+        ``L x = 0 (mod D)`` on its integer numerators ``x``."""
+        return all(sum(m * a for m, a in zip(row, x)) % D == 0
                    for row in self.relation_lattice)
 
 

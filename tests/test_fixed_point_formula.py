@@ -347,6 +347,19 @@ class TestSphereSmallTurns:
         assert abs(res.value.real - exact) <= 1e-13 * exact
         assert res.value.imag == 0.0
 
+    def test_determinant_cross_check_is_relative(self, monkeypatch):
+        # the closed-form determinants here are 1.58e-08 and 3.95e-09; a
+        # numeric route that triples them must fail the cross-check
+        numeric = fpf._sphere_numeric_det
+
+        def tripled(*args):
+            value = numeric(*args)
+            return 3 * value if abs(value) < 1e-6 else value
+        monkeypatch.setattr(fpf, "_sphere_numeric_det", tripled)
+        with pytest.raises(AssertionError, match="determinant routes disagree"):
+            fpf.lefschetz_rhs(S3_RAT, SpherePhaseMap((Fraction(1, 100000), 0)),
+                              fibers="scalar")
+
     def test_determinant_past_the_float_range_is_a_typed_error(self):
         theta = Fraction(1, 10**200)
         with pytest.raises(DeterminantUnderflow,

@@ -232,7 +232,10 @@ def test_torus_orbit_base_points_match_the_fraction_solve(data, model):
     # the integer solve operator against one Fraction elimination per level
     L = model.base_lattice
     levels = data.draw(st.lists(st.tuples(*[rationals()] * len(L)), min_size=1, max_size=5))
-    orbits = gm.torus_orbits(model, levels)
+    flat, D = rl.numerators([x for level in levels for x in level])
+    nums = [flat[i:i + len(L)] for i in range(0, len(flat), len(L))] if L \
+        else [()] * len(levels)
+    orbits = gm.torus_orbits(model, nums, D)
     for level, orbit in zip(levels, orbits):
         expected = (rl.vec_mod1(rl.solve_rational(L, level)) if L
                     else (Fraction(0),) * model.n)

@@ -191,41 +191,77 @@ def test_solve_congruences_empty_system_needs_dimension():
         rl.solve_congruences([], [])
 
 
+def _solves(A, b, t):
+    return all(rl.frac_mod1(sum(a * x for a, x in zip(row, t)) - bi) == 0
+               for row, bi in zip(A, b))
+
+
+def _grid_solutions(A, b, N, d):
+    """Every solution of ``A t = b (mod 1)`` on the grid ``(1/N) Z^d`` in
+    ``[0, 1)^d``, tested in integers: ``A x = N b (mod N)``."""
+    Nb = [bi * N for bi in b]
+    assert all(x.denominator == 1 for x in Nb)
+    return {
+        tuple(Fraction(xi, N) for xi in x)
+        for x in _product(range(N), d)
+        if all((sum(a * xi for a, xi in zip(row, x)) - nb) % N == 0
+               for row, nb in zip(A, Nb))
+    }
+
+
+def _on_coset(t, base, free):
+    """Whether ``t - base`` lies in the subtorus ``span_R(free) (mod 1)``:
+    every integer covector annihilating the (integer, primitive) rows
+    ``free`` pairs with it to an integer.  For ``d - len(free) = 1`` that
+    covector is the primitive integer vector of the one-dimensional
+    rational null space."""
+    d = len(t)
+    if len(free) == d:
+        return True
+    assert d - len(free) == 1
+    (null,) = sympy.Matrix(free).nullspace()
+    scale = math.lcm(*(sympy.fraction(x)[1] for x in null))
+    m = [int(x * scale) for x in null]
+    g = math.gcd(*m)
+    m = [a // g for a in m]
+    return sum(a * (x - y) for a, x, y in zip(m, t, base)).denominator == 1
+
+
 def test_solve_congruences_brute_force_oracle():
     rng = random.Random(97)
     denom = 12
-    for _ in range(25):
+    seen = {"none": 0, "finite": 0, "infinite": 0}
+    for _ in range(60):
         k, d = rng.randint(1, 3), rng.randint(1, 2)
         A = random_int_matrix(rng, k, d, -3, 3)
         b = [Fraction(rng.randint(0, denom - 1), denom) for _ in range(k)]
         sol = rl.solve_congruences(A, b)
-        grid = [
-            tuple(Fraction(i, denom) for i in combo)
-            for combo in _product(range(denom), d)
-        ]
-        brute = {
-            t
-            for t in grid
-            if all(
-                rl.frac_mod1(sum(a * x for a, x in zip(row, t)) - bi) == 0
-                for row, bi in zip(A, b)
-            )
-        }
+        if sol is not None and sol.is_finite:
+            # every solution of a finite system lies on (1/N) Z^d with N the
+            # right-hand side's denominator times |det| of any nonsingular
+            # d x d row minor (Cramer's rule on A_S t = b_S + z)
+            minors = (abs(sympy.Matrix([A[i] for i in rows]).det())
+                      for rows in itertools.combinations(range(k), d))
+            N = denom * int(min(m for m in minors if m))
+            points = sol.points()
+            assert set(points) == _grid_solutions(A, b, N, d), (A, b)
+            assert len(points) == sol.count
+            seen["finite"] += 1
+            continue
+        brute = _grid_solutions(A, b, denom, d)
         if sol is None:
-            assert not brute
-        elif sol.is_finite:
-            pts = {p for p in sol.points() if all(x.denominator | 0 == x.denominator for x in p)}
-            on_grid = {p for p in pts if all((x * denom).denominator == 1 for x in p)}
-            assert on_grid == {p for p in brute if p in pts} or brute.issuperset(on_grid)
-            # every brute solution must be reproduced by the parametrization
-            for t in brute:
-                assert any(
-                    all(rl.frac_mod1(a - b2) == 0 for a, b2 in zip(t, p))
-                    for p in pts
-                ), (A, b, t)
-        else:
-            # infinite: every brute point satisfies, nothing to enumerate
-            assert brute or True
+            assert not brute, (A, b)
+            seen["none"] += 1
+            continue
+        # infinite: each listed translate solves the system, and every grid
+        # solution lies on one of the translates' subtorus cosets
+        bases = [rl.vec_mod1(tuple(p + r for p, r in zip(sol.particular, rep)))
+                 for rep in sol.torsion_reps]
+        assert all(_solves(A, b, base) for base in bases)
+        for t in brute:
+            assert any(_on_coset(t, base, sol.free) for base in bases), (A, b, t)
+        seen["infinite"] += bool(brute)
+    assert all(seen.values()), seen
 
 
 def _product(rng_range, d):
@@ -292,3 +328,85 @@ def test_solve_rational_and_lattice_coordinates():
     basis = ((1, 0, 1), (0, 2, 1))
     assert rl.lattice_coordinates(basis, (1, 2, 2)) == (1, 1)
     assert rl.lattice_coordinates(basis, (0, 1, 1)) is None
+
+
+def _small_rationals():
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_rational_matches_sympy_rref(data):
+    # consistent, inconsistent and rank-deficient systems: the integer
+    # Gauss-Jordan must give sympy's pivots (through None for an
+    # inconsistent system) and its canonical solution, free variables zero
+    m = data.draw(st.integers(1, 4), label="m")
+    n = data.draw(st.integers(1, 4), label="n")
+    A = [[data.draw(_small_rationals()) for _ in range(n)] for _ in range(m)]
+    if m > 1 and data.draw(st.booleans(), label="dependent row"):
+        c = data.draw(_small_rationals())
+        A[-1] = [c * a for a in A[0]]
+    if data.draw(st.booleans(), label="consistent"):
+        x0 = [data.draw(_small_rationals()) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = [data.draw(_small_rationals()) for _ in range(m)]
+    R, pivots = sympy.Matrix([[*row, bi] for row, bi in zip(A, b)]).rref()
+    x = rl.solve_rational(A, b)
+    if n in pivots:
+        assert x is None
+        return
+    expected = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        expected[col] = Fraction(int(R[i, n].p), int(R[i, n].q))
+    assert x == tuple(expected)
+    nums, D = rl.solve_rational_numerators(A, b)
+    assert tuple(Fraction(a, D) for a in nums) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lattice_coordinates_match_brute_force(data):
+    # HNF bases of small integer matrices; a point within 2 of the origin
+    # in sup norm has coordinates within 2^(r-1) * 2 <= 8 (back-substitution
+    # with entries above each pivot reduced into [0, pivot)), so the box
+    # search below finds them whenever the point is in the lattice
+    n = data.draw(st.integers(1, 4), label="n")
+    M = [[data.draw(st.integers(-3, 3)) for _ in range(n)]
+         for _ in range(data.draw(st.integers(1, 3), label="rows"))]
+    basis = rl.hnf(M)
+    x = tuple(data.draw(st.integers(-2, 2)) for _ in range(n))
+    r = len(basis)
+    found = [y for y in itertools.product(range(-8, 9), repeat=r)
+             if rl.vec_mat(y, basis) == x] if basis else ([()] if not any(x) else [])
+    assert len(found) <= 1
+    assert rl.lattice_coordinates(basis, x) == (found[0] if found else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-50, 50),
+                          st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40))),
+                max_size=6))
+def test_numerators_take_ints_as_they_are(x):
+    nums, D = rl.numerators(x)
+    assert all(type(a) is int for a in nums) and type(D) is int
+    assert [Fraction(a, D) for a in nums] == [Fraction(q) for q in x]
+    assert D == math.lcm(*(Fraction(q).denominator for q in x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_numerators_are_the_points(data):
+    k = data.draw(st.integers(1, 3), label="k")
+    d = data.draw(st.integers(1, 3), label="d")
+    A = [[data.draw(st.integers(-4, 4)) for _ in range(d)] for _ in range(k)]
+    b = [Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 6)))
+         for _ in range(k)]
+    sol = rl.solve_congruences(A, b, d)
+    assume(sol is not None and sol.is_finite and sol.count <= 300)
+    points, D = sol.point_numerators()
+    assert points == sorted(points)
+    assert all(0 <= a < D for p in points for a in p)
+    assert [tuple(Fraction(a, D) for a in p) for p in points] == sol.points()
+    particular, E = sol.particular_numerators()
+    assert tuple(Fraction(a, E) for a in particular) == sol.particular

@@ -469,3 +469,28 @@ def test_isotropy_quadrature_matches_exact_sum_on_random_spheres(data):
     quad = fpf.lefschetz_rhs(model, f, fibers="scalar", twist=twist,
                              isotropy_resolution=5)
     assert abs(quad.value - exact.value) <= 1e-9
+
+
+def fraction_apply(v, A):
+    """``A v`` with one ``Fraction`` product per entry: the reference for the
+    integer column products of ``SymbolicFrequency.apply_integer_matrix``."""
+    return tuple(
+        tuple(sum(Fraction(a) * v.coeffs[j][col] for j, a in enumerate(arow))
+              for col in range(1 + v.generator_count))
+        for arow in A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_apply_integer_matrix_matches_the_fraction_products(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    g = data.draw(st.integers(0, 2), label="generators")
+    entry = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    coeffs = tuple(tuple(data.draw(entry) for _ in range(1 + g)) for _ in range(n))
+    v = tg.SymbolicFrequency(coeffs, ("alpha", "beta")[:g])
+    A = [[data.draw(st.integers(-5, 5)) for _ in range(n)]
+         for _ in range(data.draw(st.integers(1, 4), label="rows"))]
+    Av = v.apply_integer_matrix(A)
+    assert Av.coeffs == fraction_apply(v, A)
+    assert Av.generator_labels == v.generator_labels
+    assert Av.generator_values == v.generator_values
