@@ -13,12 +13,16 @@ with ``gamma(p, p') = p' - f(p)`` reduced to the centered fundamental domain
 fixed-point module supplies as the oracle; non-transverse scenarios are
 refused before any quadrature is attempted.
 
-Everything here is plain tensor quadrature with a fixed summation order, so
-results are deterministic.
+Everything here is tensor quadrature with a fixed summation order, so
+results are deterministic.  The bump is evaluated only on the cells that can
+lie inside its support; every other cell enters the sums as the exact zero
+it is, so each value equals the full tensor sum bit for bit, while the cell
+budget and the resolution check still count the full tensor grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -29,8 +33,8 @@ from .errors import GridTooCoarse, GridTooFine
 from .geometry_models import FlatTorusModel
 
 MIN_CELLS_PER_BUMP = 4
-# a pairing that runs has at least grid^2 cells; sharpness 64 resolves to
-# grid 4096, whose 4096^2 cells take a few hundred MB of temporaries
+# sharpness 64 resolves to grid 4096; its 4096^2 cells are summed in four
+# chunks of 1024 x 4096 doubles (32 MiB), one chunk allocated at a time
 MAX_SHARPNESS = 64
 MAX_GRID = 4096
 MAX_CELLS = MAX_GRID**2
@@ -81,6 +85,7 @@ class MollifierConfig:
         return _normalization(self.radius)
 
 
+@functools.lru_cache
 def _normalization(radius):
     rho = np.linspace(0.0, radius, NORMALIZATION_POINTS)
     vals = _bump(rho / radius) * rho
@@ -96,11 +101,55 @@ class PairingResult:
     grid: int
 
 
+def _near_integer(x, half):
+    """Mask of the entries of the fresh array ``x`` within ``half`` of an
+    integer; ``x`` is overwritten."""
+    x -= np.round(x)
+    return np.abs(x, out=x) <= half
+
+
+def _candidate_pairs(small, large, half):
+    """Index pairs ``(i, j)`` such that, in one coordinate, ``small[i] +
+    large[j]`` lies within ``half`` of an integer: the coordinate that leaves
+    the fewest pairs.  ``large`` is sorted by that coordinate modulo one and
+    each point of ``small`` takes the window of its keys; a single point
+    scans ``large`` instead of sorting it, keeping the points near in every
+    coordinate.  Pairs come in increasing ``i``; a window as wide as the
+    circle may list a pair twice."""
+    n = large.shape[1]
+    if len(small) == 1:
+        j = np.flatnonzero(_near_integer(large[:, 0] + small[0, 0], half))
+        for c in range(1, n):
+            j = j[_near_integer(large[j, c] + small[0, c], half)]
+        return np.zeros_like(j), j
+    centers = -small % 1.0
+    best = None
+    for c in range(n):
+        keys = large[:, c] % 1.0
+        order = np.argsort(keys)
+        ring = keys[order]
+        # a copy of the circle on either side makes every window one run
+        ring = np.concatenate((ring - 1.0, ring, ring + 1.0))
+        start = np.searchsorted(ring, centers[:, c] - half, "left")
+        counts = np.searchsorted(ring, centers[:, c] + half, "right") - start
+        if best is None or counts.sum() < best[2].sum():
+            best = (order, start, counts)
+    order, start, counts = best
+    rows = np.repeat(np.arange(len(small)), counts)
+    pos = np.arange(len(rows)) + np.repeat(start - np.cumsum(counts) + counts,
+                                           counts)
+    return rows, order[pos % len(order)]
+
+
 def _pairing_sum(model, f, config, grid):
     """Tensor-quadrature value of the diagonal pairing at one resolution.
     The grid is checked against the cell budget and the bump support before
     the bump is normalized, so a radius too small to resolve ends in
-    ``GridTooCoarse``, not in a vanishing normalization integral."""
+    ``GridTooCoarse``, not in a vanishing normalization integral.  Both
+    checks count the full tensor grid, but the bump is evaluated only on the
+    cells that can lie inside its support; every other cell contributes the
+    exact zero it would contribute to the full sum, so the value is the full
+    tensor sum bit for bit."""
     n = model.n
     k, radius = config.k, config.radius
     M = np.eye(n) - np.array(f.matrix, dtype=float)
@@ -123,14 +172,11 @@ def _pairing_sum(model, f, config, grid):
         )
     axis = np.arange(grid) / grid
 
-    if d == 0:
-        g_pts = np.zeros((1, n))
-    else:
-        combos = np.stack(
-            np.meshgrid(*([axis] * d), indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        g_pts = combos @ B
-    base = g_pts - c_vec  # gamma at p = 0, per group point
+    # a nonzero flow has a closure of dimension d >= 1
+    combos = np.stack(
+        np.meshgrid(*([axis] * d), indexing="ij"), axis=-1
+    ).reshape(-1, d)
+    base = combos @ B - c_vec  # gamma at p = 0, per group point
 
     p_cols = np.zeros((1, n)) if not active else np.stack(
         np.meshgrid(*([axis] * len(active)), indexing="ij"), axis=-1
@@ -139,17 +185,52 @@ def _pairing_sum(model, f, config, grid):
     c_norm, _ = config.normalization()
     scale = (k**n) * c_norm / cells
 
-    def chunk_sum(lo, hi):
-        gamma = base[lo:hi, None, :] + p_cols[None, :, :]
-        gamma -= np.round(gamma)
-        dist = np.sqrt(np.sum(gamma * gamma, axis=-1))
-        return float(np.sum(_bump(dist / support)))
+    # The bump vanishes unless |gamma| < support.  A cell left out has a
+    # coordinate of gamma farther than ``half`` from an integer as measured
+    # on the window keys, which lose a few ulps of ``bound`` (no coordinate
+    # of base or p_cols is larger) to rounding; the eps term pays for them,
+    # so the cell's computed |gamma| exceeds support * (1 + 1e-9).  That
+    # relative margin is far above the rounding of dist / support, so the
+    # quotient is at least 1 and the dense sum has an exact 0 there too
+    # (the bump underflows to 0.0 past dist / support = 0.9994 anyway).
+    # GridTooCoarse keeps support >= 2 / grid >= 4.9e-4 at grid <= 4096, so
+    # for small coefficients the relative margin alone would do.
+    bound = np.abs(np.concatenate((B, M, [c_vec]))).sum()
+    half = support * (1.0 + 1e-9) + 16.0 * np.finfo(float).eps * (1.0 + bound)
+    half = min(half, 0.5)  # a wider window would list cells twice
+    if len(base) <= len(p_cols):
+        g_idx, p_idx = _candidate_pairs(base, p_cols, half)
+    else:
+        p_idx, g_idx = _candidate_pairs(p_cols, base, half)
+        # the chunks below split the candidates by group point
+        by_g = np.argsort(g_idx, kind="stable")
+        g_idx, p_idx = g_idx[by_g], p_idx[by_g]
+    # the dense quadrature's float expressions, on the candidate cells only
+    gamma = base[g_idx] + p_cols[p_idx]
+    gamma -= np.round(gamma)
+    dist = np.sqrt(np.sum(gamma * gamma, axis=-1))
+    vals = _bump(dist / support)
 
-    # four chunks bound the temporary arrays; the fixed split and the exact
-    # sum fix the value bit for bit
+    # four chunks bound the temporary arrays; summing each chunk's full
+    # array of cells, zeros included, in the dense layout and the exact sum
+    # of the partials fix the value bit for bit (a plain fsum over the
+    # nonzero cells would round differently).  One zeroed chunk is reused,
+    # and a chunk without candidates sums to 0.0 as its zeros would.
     step = max(1, math.ceil(len(base) / 4))
-    partials = [chunk_sum(lo, min(lo + step, len(base)))
-                for lo in range(0, len(base), step)]
+    starts = range(0, len(base), step)
+    edges = np.searchsorted(g_idx, [*starts, len(base)])
+    cell = g_idx * len(p_cols) + p_idx  # flat index in the dense layout
+    chunk = np.zeros((step, len(p_cols)))
+    flat = chunk.reshape(-1)
+    partials = []
+    for lo, a, b in zip(starts, edges, edges[1:]):
+        if a == b:
+            partials.append(0.0)
+            continue
+        at = cell[a:b] - lo * len(p_cols)
+        flat[at] = vals[a:b]
+        partials.append(float(np.sum(chunk[:min(step, len(base) - lo)])))
+        flat[at] = 0.0
     return scale * math.fsum(partials)
 
 

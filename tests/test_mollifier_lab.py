@@ -1,9 +1,13 @@
 """Smoothing-kernel pairings against the closed-form fixed-orbit values."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equilef import geometry_models as gm
 from equilef import mollifier_lab as ml
@@ -19,8 +23,70 @@ def torus_model(entries, labels=()):
 
 T2 = torus_model([(0,), (1,)])
 T2_IRR = torus_model([(1, 0), (0, 1)], ("alpha",))
+T2_DIAGONAL = torus_model([(1,), (1,)])
 DOUBLING = TorusMap(((2, 0), (0, 1)), (0, 0))
 TRIPLING = TorusMap(((3, 0), (0, 1)), (0, 0))
+# two nonzero columns in I - A: grid^3 cells on the diagonal flow
+SHEAR = TorusMap(((2, -1), (1, 0)), (0, 0))
+
+
+def dense_pairing(model, f, config):
+    """Reference quadrature: the bump evaluated on every cell of the full
+    tensor grid, in the four chunks and the summation order the lab uses."""
+    grid = config.resolved_grid()
+    n = model.n
+    k, radius = config.k, config.radius
+    M = np.eye(n) - np.array(f.matrix, dtype=float)
+    active = [j for j in range(n) if np.any(M[:, j] != 0.0)]
+    d = model.group.dim
+    cells = grid ** (d + len(active))
+    if cells > ml.MAX_CELLS:
+        raise GridTooFine(f"grid {grid} needs {cells} quadrature cells, "
+                          f"more than the budget of {ml.MAX_CELLS}")
+    c_vec = np.array([float(x) for x in f.translation])
+    B = np.array(
+        [[float(x) for x in row] for row in model.group.complement_basis()]
+    )
+    support = radius / k
+    if 2.0 * support * grid < ml.MIN_CELLS_PER_BUMP:
+        raise GridTooCoarse(
+            f"bump support {2 * support:.3e} spans fewer than "
+            f"{ml.MIN_CELLS_PER_BUMP} cells at grid {grid}"
+        )
+    axis = np.arange(grid) / grid
+    combos = np.stack(
+        np.meshgrid(*([axis] * d), indexing="ij"), axis=-1
+    ).reshape(-1, d)
+    base = combos @ B - c_vec
+    p_cols = np.zeros((1, n)) if not active else np.stack(
+        np.meshgrid(*([axis] * len(active)), indexing="ij"), axis=-1
+    ).reshape(-1, len(active)) @ M[:, active].T
+
+    c_norm, _ = config.normalization()
+    scale = (k**n) * c_norm / cells
+
+    def chunk_sum(lo, hi):
+        gamma = base[lo:hi, None, :] + p_cols[None, :, :]
+        gamma -= np.round(gamma)
+        dist = np.sqrt(np.sum(gamma * gamma, axis=-1))
+        return float(np.sum(ml._bump(dist / support)))
+
+    step = max(1, math.ceil(len(base) / 4))
+    partials = [chunk_sum(lo, min(lo + step, len(base)))
+                for lo in range(0, len(base), step)]
+    return scale * math.fsum(partials)
+
+
+def lab_pairing(model, f, config):
+    return ml.kernel_pairing(model, f, config).value
+
+
+def outcome(pairing, model, f, config):
+    """The pairing's value, or the type and message of its refusal."""
+    try:
+        return pairing(model, f, config)
+    except (GridTooCoarse, GridTooFine) as exc:
+        return type(exc), str(exc)
 
 
 def mollifier_mass_check(config, grid=256):
@@ -73,11 +139,9 @@ class TestKernelPairing:
                               ml.MollifierConfig(k=8, grid=ml.MAX_GRID + 1))
         # a circle closure and two active directions: grid^3 cells, so
         # sharpness 16 (grid 512) is already past the budget
-        diagonal = torus_model([(1,), (1,)])
-        f = TorusMap(((2, -1), (1, 0)), (0, 0))
-        ml.kernel_pairing(diagonal, f, ml.MollifierConfig(k=8))
+        ml.kernel_pairing(T2_DIAGONAL, SHEAR, ml.MollifierConfig(k=8))
         with pytest.raises(GridTooFine):
-            ml.kernel_pairing(diagonal, f, ml.MollifierConfig(k=16))
+            ml.kernel_pairing(T2_DIAGONAL, SHEAR, ml.MollifierConfig(k=16))
 
     def test_max_sharpness_resolves_within_max_grid(self):
         assert ml.MollifierConfig(k=ml.MAX_SHARPNESS).resolved_grid() <= ml.MAX_GRID
@@ -87,6 +151,95 @@ class TestKernelPairing:
         c, resid = ml.MollifierConfig(k=8).normalization()
         assert c > 0
         assert resid < 1e-6
+
+
+@st.composite
+def translations(draw, config):
+    """A translation coordinate on a node of the pairing grid, near the 0/1
+    seam, a bump support away from a node, or anywhere."""
+    grid = config.resolved_grid()
+    node = Fraction(draw(st.integers(-grid, 2 * grid - 1)), grid)
+    tiny = Fraction(draw(st.sampled_from((-1, 1))), 10**draw(st.integers(6, 15)))
+    edge = Fraction(config.radius / config.k) * draw(st.sampled_from((-1, 1)))
+    return draw(st.sampled_from((
+        node, tiny, 1 + tiny, node + edge,
+        draw(st.fractions(-1, 2, max_denominator=10**6)),
+    )))
+
+
+@st.composite
+def pairing_cases(draw):
+    """A two-torus pairing of each quadrature shape: the circle closure with
+    one active direction, the diagonal flow with two, the irrational flow
+    with none."""
+    shape = draw(st.sampled_from(("circle", "diagonal", "irrational")))
+    k = draw(st.integers(1, 16))
+    radius = draw(st.floats(0.05, 0.49, exclude_min=True, exclude_max=True))
+    if shape == "diagonal":
+        # grid^3 cells: keep the dense reference small, and resolve the
+        # bump where that allows
+        grid = draw(st.integers(min(max(16, math.ceil(2 * k / radius)), 96), 96))
+    else:
+        grid = draw(st.none() | st.integers(8, 512))
+    config = ml.MollifierConfig(k=k, radius=radius, grid=grid)
+    translation = (draw(translations(config)), draw(translations(config)))
+    if shape == "circle":
+        a = draw(st.sampled_from((-3, -2, -1, 0, 2, 3, 4)))
+        return T2, TorusMap(((a, 0), (0, 1)), translation), config
+    if shape == "diagonal":
+        return T2_DIAGONAL, TorusMap(SHEAR.matrix, translation), config
+    return T2_IRR, TorusMap(((1, 0), (0, 1)), translation), config
+
+
+class TestSupportQuadrature:
+    """The lab evaluates the bump only near its support; the dense tensor
+    quadrature above is the reference it must equal bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairing_cases())
+    def test_matches_dense_quadrature(self, case):
+        model, f, config = case
+        assert (outcome(lab_pairing, model, f, config)
+                == outcome(dense_pairing, model, f, config))
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(2, 16),
+           radius=st.floats(0.05, 0.49, exclude_min=True, exclude_max=True),
+           u=st.floats(0.0, 1.0),
+           s=st.fractions(0, 1, max_denominator=1000),
+           grid=st.integers(640, 4096))
+    def test_no_fixed_orbit_is_exactly_zero(self, k, radius, u, s, grid):
+        # the base shift stays two supports away from every integer, and
+        # grid 640 resolves the narrowest bump
+        config = ml.MollifierConfig(k=k, radius=radius, grid=grid)
+        margin = 2 * radius / k
+        t = Fraction(margin + u * (1 - 2 * margin))
+        f = TorusMap(((1, 0), (0, 1)), (t, s))
+        value = outcome(lab_pairing, T2, f, config)
+        assert value == 0.0
+        assert value == outcome(dense_pairing, T2, f, config)
+
+    @pytest.mark.parametrize("model, f, k", [
+        (T2, DOUBLING, 64),
+        (T2, TRIPLING, 32),
+        (T2_IRR, TorusMap(((1, 0), (0, 1)), (Fraction(1, 4), 0)), 16),
+        (T2_DIAGONAL, SHEAR, 8),
+    ])
+    def test_fixture_configurations(self, model, f, k):
+        config = ml.MollifierConfig(k=k)
+        assert lab_pairing(model, f, config) == dense_pairing(model, f, config)
+
+    def test_peak_memory_is_one_chunk(self):
+        # the full k = 64 tensor took 196 MiB of temporaries; now one of the
+        # four 1024 x 4096 chunks of doubles is allocated at a time
+        ml.kernel_pairing(T2, DOUBLING, ml.MollifierConfig(k=8))
+        tracemalloc.start()
+        try:
+            ml.kernel_pairing(T2, DOUBLING, ml.MollifierConfig(k=64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1024 * 4096 * 8
 
 
 class TestMassCheck:
