@@ -515,7 +515,7 @@ def char_poly(M):
 
     Returns coefficients ``(1, c1, ..., cn)`` of ``t^n + c1 t^(n-1) + ... + cn``
     (Faddeev-LeVerrier in integers: every intermediate matrix is integral, so
-    each trace division is exact, which is asserted).
+    each trace division is exact, which is checked).
     """
     n = len(M)
     A = [list(map(int, row)) for row in M]
@@ -523,7 +523,8 @@ def char_poly(M):
     Mk = [row[:] for row in A]
     for k in range(1, n + 1):
         ck, rem = divmod(-sum(Mk[i][i] for i in range(n)), k)
-        assert rem == 0
+        if rem:
+            raise AssertionError("a Faddeev-LeVerrier trace division is not exact")
         coeffs.append(ck)
         if k == n:
             break

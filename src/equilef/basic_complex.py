@@ -66,8 +66,10 @@ def frame_for(model: FlatTorusModel) -> HStarFrame:
     basis = np.array(basis) if basis else np.zeros((0, model.n))
     frame = HStarFrame(theta, basis)
     # frame sanity: theta pairs to 1 with the unit flow, basis annihilates it
-    assert abs(float(theta @ theta) - 1.0) < 1e-12
-    assert np.max(np.abs(basis @ theta)) < 1e-12 if basis.size else True
+    if not abs(float(theta @ theta) - 1.0) < 1e-12:
+        raise AssertionError("the flow covector is not a unit vector")
+    if basis.size and not np.max(np.abs(basis @ theta)) < 1e-12:
+        raise AssertionError("the frame basis does not annihilate the flow")
     return frame
 
 
@@ -163,7 +165,8 @@ class BasicForm:
         return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
 
     def plus(self, other, factor=1.0):
-        assert other.degree == self.degree and other.model == self.model
+        if other.degree != self.degree or other.model != self.model:
+            raise ValueError("forms of different degrees or models do not add")
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out.get(key, 0.0) + factor * c

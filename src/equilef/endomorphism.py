@@ -340,7 +340,9 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
     minors = [_wedge_minors(Mf, q)[1] for q in range(n)]
     for W, e in zip(minors, ext):
         # the floating frame route must agree with the exact route
-        assert abs(np.trace(W) - e) < 1e-8 * max(1.0, abs(e))
+        if not abs(np.trace(W) - e) < 1e-8 * max(1.0, abs(e)):
+            raise AssertionError(
+                "the frame pull-back disagrees with the exact exterior traces")
     phase_turns = rl.frac_mod1(f.character(m0))
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     factor = scalar * cmath.exp(2j * math.pi * float(phase_turns))

@@ -14,8 +14,10 @@ On flat tori every ingredient is exact: fixed orbits come from integer
 congruences (finitely many iff the base map minus identity is invertible),
 conormal determinants are integer determinants, fiber traces are elementary
 symmetric integers, and twist phases are rational turns.  On weighted
-spheres determinants are products of plane rotations, with exact rational
-zero-tests and floating values.
+spheres the conormal space at a fixed pole is the product of the normal
+coordinate planes, which a float frame check certifies once per orbit, so
+each isotropy component's determinant is a product of plane rotations minus
+the identity: an exact rational zero-test and a closed-form float value.
 """
 
 from __future__ import annotations
@@ -49,14 +51,16 @@ from .geometry_models import (
     WeightedSphereModel,
     induced_base_map,
     orbit_through,
+    sphere_conormal_frame,
     torus_orbits,
 )
 
 @dataclass(frozen=True)
 class TransversalityCertificate:
     """Nonvanishing of the conormal determinants, from the pass that builds
-    the orbit's term: ``det(A_bar - I)`` on a torus, one value per isotropy-
-    preimage component on a sphere.  ``dets_exact`` holds exact values where
+    the orbit's term: ``det(A_bar - I)`` on a torus, one closed-form value
+    ``prod 4 sin^2(pi theta_l)`` per isotropy-preimage component on a sphere
+    (the value the term divides by).  ``dets_exact`` holds exact values where
     available (always on tori; ``None`` entries on spheres carry only floats)."""
 
     orbit: ClosedOrbit
@@ -173,28 +177,14 @@ def _sphere_rotation_turns(shift, S, h, H):
     return tuple((a * s - b * t) % D for a, b in zip(shift, h)), D
 
 
-def _sphere_numeric_det(model, orbit, turns, D):
-    """Conormal determinant computed in the numeric conormal frame, for
-    rotation turns given as numerators over ``D``."""
-    k = model.k
-    F = np.zeros((2 * k, 2 * k))
-    for l in range(k):
-        a = 2 * math.pi * (turns[l] / D)
-        F[2 * l:2 * l + 2, 2 * l:2 * l + 2] = [
-            [math.cos(a), -math.sin(a)],
-            [math.sin(a), math.cos(a)],
-        ]
-    Q = orbit.conormal_basis
-    if Q.shape[1] == 0:
-        return 1.0
-    M = Q.T @ F.T @ Q
-    return float(np.linalg.det(M - np.eye(Q.shape[1])))
-
-
 def _sphere_normal_coords(orbit: ClosedOrbit):
     """The coordinates off a sphere orbit's support, after the checks every
-    isotropy component shares: the stratum has no moduli, and the identity
-    component sweeps no rotation angle through zero."""
+    isotropy component shares: the stratum has no moduli, the identity
+    component sweeps no rotation angle through zero, and the numeric
+    conormal frame spans exactly the planes ``(2l, 2l + 1)`` of those
+    coordinates (``Q Q^T`` is their projector to ``1e-9`` entrywise), which
+    is what lets :func:`_sphere_component_det` read the determinant off the
+    turns.  Runs once per orbit."""
     support = orbit.base_point.support
     if len(support) > 1:
         # moduli directions inside the stratum are fixed by any phase map
@@ -211,6 +201,11 @@ def _sphere_normal_coords(orbit: ClosedOrbit):
                     f"component (coordinate {l})",
                     orbit=orbit,
                 )
+    Q = sphere_conormal_frame(orbit.model, orbit.base_point)
+    P = np.diag([float(j // 2 in normal) for j in range(2 * orbit.model.k)])
+    if not np.max(np.abs(Q @ Q.T - P)) <= 1e-9:
+        raise AssertionError(
+            "the conormal frame is not the normal coordinate planes")
     return normal
 
 
@@ -220,11 +215,11 @@ def _sphere_component_det(orbit: ClosedOrbit, normal, turns, D, component):
     exact zero test ``turn % D == 0`` on each coordinate off the support,
     one plane rotation minus the identity, ``4 sin^2(pi theta_l)``, per such
     coordinate, evaluated on the exact centred turn ``theta_l -
-    round(theta_l)`` so that small turns do not cancel, and its cross-check
-    in the numeric conormal frame (the value the certificate records),
-    which must agree to a relative ``1e-6``.  Raises
-    :class:`DeterminantUnderflow` when the nonzero determinant is too small
-    for its reciprocal to be a float."""
+    round(theta_l)`` so that small turns do not cancel.  It is the
+    determinant in the conormal frame that :func:`_sphere_normal_coords`
+    certified, and the value both the term and the certificate read.
+    Raises :class:`DeterminantUnderflow` when the nonzero determinant is too
+    small for its reciprocal to be a float."""
     for l in normal:
         if turns[l] % D == 0:
             raise NonTransverse(
@@ -243,10 +238,7 @@ def _sphere_component_det(orbit: ClosedOrbit, normal, turns, D, component):
             f"the conormal determinant {det_val:.3g} of the orbit with support "
             f"{orbit.base_point.support} is too small to invert in floating "
             f"point (coordinate {l} turns by {centred[l]:.3g})")
-    numeric = _sphere_numeric_det(orbit.model, orbit, turns, D)
-    if abs(abs(numeric) - abs(det_val)) > 1e-6 * abs(det_val):
-        raise AssertionError("conormal determinant routes disagree")
-    return det_val, numeric
+    return det_val
 
 
 def check_transversality(orbit: ClosedOrbit, f, g0=None) -> TransversalityCertificate:
@@ -332,7 +324,7 @@ class _MapContext:
             self.minus_c = [-t for t in f.translation]
             # an untwisted torus orbit's one component, and the exact and
             # float determinant every certificate records
-            self.torus_component = ((0.0, float(det), det), float(det))
+            self.torus_component = (0.0, float(det), det)
             self.torus_dets = (float(det),), (Fraction(det),)
         self._types = {}
         self._terms = {}
@@ -487,10 +479,9 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
 
     def component(t, T, index=None):
         """``(phase, det, exact det)`` at the preimage element with
-        parameters ``t / T`` (integer numerators ``t``), and the determinant
-        the certificate records; an untwisted torus orbit reads nothing at
-        ``t``.  The twist phase is a float in turns, the only form the term
-        reads."""
+        parameters ``t / T`` (integer numerators ``t``); an untwisted torus
+        orbit reads nothing at ``t``.  The twist phase is a float in turns,
+        the only form the term reads."""
         if torus and twist is None:
             return context.torus_component
         h = hat.element_numerators(t, T)
@@ -500,19 +491,17 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
             phase = (sum(h[j] for j in fiber_idx) * (L // T)
                      - g_fiber * (L // G)) % L / L
         if torus:
-            return (phase, float(det), det), float(det)
+            return phase, float(det), det
         turns, D = _sphere_rotation_turns(shift, S, h[:n], T)
-        det_val, numeric = _sphere_component_det(orbit, normal, turns, D, index)
-        return (phase, det_val, None), numeric
+        return phase, _sphere_component_det(orbit, normal, turns, D, index), None
 
     reps, T = pre.solution.torsion_numerators()
-    data = [component(t, T, index) for index, t in enumerate(reps)]
-    comps = tuple(term for term, _ in data)
+    comps = tuple(component(t, T, index) for index, t in enumerate(reps))
     if torus:
         cert = TransversalityCertificate(orbit, g0, *context.torus_dets)
     else:
         cert = TransversalityCertificate(
-            orbit, g0, tuple(d for _, d in data), (None,) * len(data))
+            orbit, g0, tuple(d for _, d, _ in comps), (None,) * len(comps))
     per_degree, total, total_exact = context.assembled(typ, comps)
     if isotropy_resolution is not None:
         # independent route: Haar quadrature along each component, on the
@@ -530,7 +519,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
                                         zip(combo, pre.param_tangent_rows)) * (Q // res)) % Q
                     for i, r in enumerate(rep)
                 )
-                (phase, det_val, _), _ = component(t, Q)
+                phase, det_val, _ = component(t, Q)
                 for q in range(len(context.traces)):
                     quad += (-1) ** q * weight * context.term(phase, det_val, q) / count
         if abs(quad - total) > 1e-6 * max(1.0, abs(total)):

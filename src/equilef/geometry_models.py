@@ -91,25 +91,6 @@ class SpherePoint:
             ]
         )
 
-    @classmethod
-    def from_complex(cls, z, tol=1e-9, max_denominator=10**6):
-        z = np.asarray(z, dtype=complex)
-        ms, ph = [], []
-        for zj in z:
-            m = Fraction(float(abs(zj)) ** 2).limit_denominator(max_denominator)
-            if abs(float(m) - abs(zj) ** 2) > tol:
-                raise ValueError("squared modulus is not recognizably rational")
-            if m == 0:
-                ph.append(Fraction(0))
-            else:
-                turns = math.atan2(zj.imag, zj.real) / (2 * math.pi)
-                p = Fraction(turns).limit_denominator(max_denominator)
-                if abs(float(p) - turns) > tol:
-                    raise ValueError("phase is not a recognizable rational turn")
-                ph.append(p)
-            ms.append(m)
-        return cls(tuple(ms), tuple(ph))
-
 
 @dataclass(frozen=True)
 class WeightedSphereModel:
@@ -138,18 +119,19 @@ class WeightedSphereModel:
 
 @dataclass(frozen=True, eq=False)
 class ClosedOrbit:
-    """A group-orbit closure with canonical exact identifier.
+    """A group-orbit closure as exact data: canonical base point, dimension,
+    isotropy descriptor and identifier.
 
     ``key`` determines the orbit; two orbits of the same model are equal iff
-    their keys are.  ``conormal_basis`` has one column per conormal direction
-    at the base point (exact lattice covectors on the torus, an orthonormal
-    numeric frame on the sphere)."""
+    their keys are.  No frame is stored: on a torus the conormal covectors
+    are the rows of ``model.base_lattice``, and on a sphere
+    :func:`sphere_conormal_frame` builds the numeric frame for the one check
+    that reads it."""
 
     model: object
     base_point: object
     dim: int
     isotropy: tg.IsotropyDescriptor
-    conormal_basis: np.ndarray
     key: tuple
 
     def __eq__(self, other):
@@ -187,8 +169,8 @@ def _solve_from_level(lattice, level, n):
 
 
 def orbit_through(model, p) -> ClosedOrbit:
-    """The orbit closure through ``p`` with canonical base point, dimension,
-    isotropy descriptor and conormal frame."""
+    """The orbit closure through ``p`` with canonical base point, dimension
+    and isotropy descriptor."""
     if isinstance(model, FlatTorusModel):
         return _torus_orbit(model, p)
     if isinstance(model, WeightedSphereModel):
@@ -210,14 +192,11 @@ def torus_orbits(model: FlatTorusModel, levels, D) -> list:
     (its free coordinates are zero), so its solve operator is built once
     from the unit levels, and each level's numerators are mapped through it
     in integers over ``D`` times the operator's denominator.  The
-    dimension, the (trivial) isotropy and the conormal frame of the lattice
-    covectors are the same for every orbit and built once."""
+    dimension and the (trivial) isotropy are the same for every orbit and
+    built once."""
     L = model.base_lattice
     dim = model.group.dim
     isotropy = tg.IsotropyDescriptor(model.group, range(model.n))
-    conormal = np.array([[float(m) for m in row] for row in L], dtype=float).T \
-        if L else np.zeros((model.n, 0))
-    conormal.flags.writeable = False    # one frame, shared by every orbit
     columns = [rl.solve_rational_numerators(L, unit)
                for unit in rl.identity_rows(len(L))]
     E = math.lcm(*(den for _, den in columns))
@@ -230,7 +209,6 @@ def torus_orbits(model: FlatTorusModel, levels, D) -> list:
             base_point=tuple(Fraction(a % DE, DE) for a in rl.mat_vec(solve, level)),
             dim=dim,
             isotropy=isotropy,
-            conormal_basis=conormal,
             key=("torus", tuple(Fraction(a, D) for a in level)),
         )
         for level in levels
@@ -239,13 +217,11 @@ def torus_orbits(model: FlatTorusModel, levels, D) -> list:
 
 def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
     if not isinstance(p, SpherePoint):
-        p = SpherePoint.from_complex(p)
+        raise OffManifold("sphere points must be exact SpherePoints")
     if p.k != model.k:
         raise OffManifold(f"expected a point of C^{model.k}")
-    total = sum(p.moduli_sq)
-    if total != 1:
-        if abs(float(total) - 1.0) > 1e-12:
-            raise OffManifold("point does not lie on the unit sphere")
+    if sum(p.moduli_sq) != 1:
+        raise OffManifold("point does not lie on the unit sphere")
     support = p.support
     if not support:
         raise OffManifold("the origin is not on the sphere")
@@ -262,14 +238,11 @@ def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
     for idx, j in enumerate(support):
         phases[j] = theta_canon[idx]
     base_point = SpherePoint(p.moduli_sq, tuple(phases))
-    isotropy = tg.IsotropyDescriptor(model.group, support)
-    conormal = _sphere_conormal(model, base_point)
     return ClosedOrbit(
         model=model,
         base_point=base_point,
         dim=GS.dim,
-        isotropy=isotropy,
-        conormal_basis=conormal,
+        isotropy=tg.IsotropyDescriptor(model.group, support),
         key=("sphere", support, p.moduli_sq, phase_coords),
     )
 
@@ -283,9 +256,10 @@ def realify(z):
     return out
 
 
-def _sphere_conormal(model: WeightedSphereModel, p: SpherePoint):
+def sphere_conormal_frame(model: WeightedSphereModel, p: SpherePoint):
     """Orthonormal basis of the conormal space of the orbit at ``p`` inside
-    the sphere, as columns in R^{2k}."""
+    the sphere, as columns in R^{2k}: the numeric null space of the radial
+    direction and the closure group's tangent directions."""
     z = p.to_complex()
     spanning = [realify(z)]
     for row in model.group.complement_basis():

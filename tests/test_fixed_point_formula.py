@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from equilef import _ratlin as rl
 from equilef import fixed_point_formula as fpf
@@ -42,6 +44,7 @@ T2_IRR = torus_model([(1, 0), (0, 1)], ("alpha",))
 T2_PROD = torus_model([(0,), (1,)])
 S5 = sphere_model([(0, 1), (1, 0), (2, 0)], ("tau",))
 S3_RAT = sphere_model([(1,), (2,)])
+S5_123 = sphere_model([(1,), (2,), (3,)])
 
 CLASSICAL = TorusMap(((2, 1, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))
 DOUBLING_T3 = TorusMap(((2, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
@@ -347,18 +350,46 @@ class TestSphereSmallTurns:
         assert abs(res.value.real - exact) <= 1e-13 * exact
         assert res.value.imag == 0.0
 
-    def test_determinant_cross_check_is_relative(self, monkeypatch):
-        # the closed-form determinants here are 1.58e-08 and 3.95e-09; a
-        # numeric route that triples them must fail the cross-check
-        numeric = fpf._sphere_numeric_det
-
-        def tripled(*args):
-            value = numeric(*args)
-            return 3 * value if abs(value) < 1e-6 else value
-        monkeypatch.setattr(fpf, "_sphere_numeric_det", tripled)
-        with pytest.raises(AssertionError, match="determinant routes disagree"):
+    def test_frame_off_the_normal_planes_is_refused(self, monkeypatch):
+        # a conormal frame with one normal direction swapped for the orbit's
+        # tangent direction must stop the closed form from being used
+        def swapped(model, p):
+            Q = gm.sphere_conormal_frame(model, p).copy()
+            Q[:, 0] = gm.realify(1j * p.to_complex())
+            return Q
+        monkeypatch.setattr(fpf, "sphere_conormal_frame", swapped)
+        with pytest.raises(AssertionError, match="conormal frame"):
             fpf.lefschetz_rhs(S3_RAT, SpherePhaseMap((Fraction(1, 100000), 0)),
                               fibers="scalar")
+
+    def test_frame_check_reads_only_the_spanned_planes(self, monkeypatch):
+        # any orthonormal basis of the normal planes passes: rotate the frame
+        f = SpherePhaseMap((Fraction(1, 7), Fraction(2, 5), Fraction(1, 11)))
+        plain = fpf.lefschetz_rhs(S5_123, f, fibers="scalar").value
+
+        def rotated(model, p):
+            # mix the first and last columns, which lie in different planes
+            Q = gm.sphere_conormal_frame(model, p)
+            c, s = math.cos(0.7), math.sin(0.7)
+            R = np.eye(Q.shape[1])
+            R[np.ix_([0, -1], [0, -1])] = [[c, -s], [s, c]]
+            return Q @ R
+        monkeypatch.setattr(fpf, "sphere_conormal_frame", rotated)
+        assert fpf.lefschetz_rhs(S5_123, f, fibers="scalar").value == plain
+
+    def test_one_frame_check_per_orbit_and_no_determinant(self, monkeypatch):
+        # weights (1, 1001): 1002 isotropy components over two orbits, two
+        # frame builds and no numeric determinant
+        builds, dets = [], []
+        frame, det = gm.sphere_conormal_frame, np.linalg.det
+        monkeypatch.setattr(fpf, "sphere_conormal_frame",
+                            lambda *a: builds.append(a) or frame(*a))
+        monkeypatch.setattr(np.linalg, "det", lambda *a: dets.append(a) or det(*a))
+        res = fpf.lefschetz_rhs(sphere_model([(1,), (1001,)]),
+                                SpherePhaseMap((Fraction(1, 3), 0)), fibers="scalar")
+        assert sum(len(c.certificate.dets) for c in res.contributions) == 1002
+        assert len(builds) == len(res.contributions) == 2
+        assert dets == []
 
     def test_determinant_past_the_float_range_is_a_typed_error(self):
         theta = Fraction(1, 10**200)
@@ -366,6 +397,58 @@ class TestSphereSmallTurns:
                            match=r"support \(0,\) .* \(coordinate 1 "):
             fpf.lefschetz_rhs(S3_RAT, SpherePhaseMap((theta, 0)),
                               fibers="scalar")
+
+
+def s3_closed_form(a, b, theta1, theta2):
+    """``(a + b) / (4 sin^2(pi x))`` for ``x = b theta1 - a theta2``, the
+    scalar Lefschetz number of the phase map on S^3 with coprime weights
+    ``(a, b)``, evaluated on the exact centred ``x``; ``None`` when ``x`` is
+    an integer."""
+    x = b * theta1 - a * theta2
+    if x.denominator == 1:
+        return None
+    return (a + b) / (4 * math.sin(math.pi * float(x - round(x))) ** 2)
+
+
+def assert_s3_closed_form(a, b, theta1, theta2):
+    model = sphere_model([(a,), (b,)])
+    f = SpherePhaseMap((theta1, theta2))
+    expected = s3_closed_form(a, b, theta1, theta2)
+    if expected is None:
+        # the two-coordinate stratum is fixed orbitwise, and each pole's
+        # corrected map fixes its normal coordinate on some component
+        with pytest.raises(InfiniteFixedSet):
+            fpf.lefschetz_rhs(model, f, fibers="scalar")
+        for j in range(2):
+            pole = gm.SpherePoint((int(j == 0), int(j == 1)), (0, 0))
+            with pytest.raises(NonTransverse):
+                fpf.check_transversality(gm.orbit_through(model, pole), f)
+        return
+    value = fpf.lefschetz_rhs(model, f, fibers="scalar").value
+    assert value.imag == 0.0
+    assert abs(value.real - expected) <= 1e-12 * expected
+
+
+phases_40 = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(1, 9), b=st.integers(1, 9), theta1=phases_40, theta2=phases_40)
+def test_s3_matches_the_closed_form(a, b, theta1, theta2):
+    assume(math.gcd(a, b) == 1)
+    assert_s3_closed_form(a, b, theta1, theta2)
+
+
+@pytest.mark.parametrize("b", [1001, 30001])
+@pytest.mark.parametrize("theta1, theta2", [
+    (Fraction(1, 3), Fraction(0)),
+    (Fraction(1, 7), Fraction(2, 5)),
+    (Fraction(1, 10**6), Fraction(0)),
+    (Fraction(-1, 10**6), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 2)),
+])
+def test_s3_large_isotropy_matches_the_closed_form(b, theta1, theta2):
+    assert_s3_closed_form(1, b, theta1, theta2)
 
 
 class TestEqualityIsNotVacuous:

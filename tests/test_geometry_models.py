@@ -35,10 +35,9 @@ def translate(model, p, g):
     the sphere.  Exact."""
     if isinstance(model, gm.FlatTorusModel):
         return rl.vec_mod1(tuple(Fraction(a) + Fraction(b) for a, b in zip(p, g)))
-    point = p if isinstance(p, gm.SpherePoint) else gm.SpherePoint.from_complex(p)
     return gm.SpherePoint(
-        point.moduli_sq,
-        tuple(rl.frac_mod1(ph + Fraction(gj)) for ph, gj in zip(point.phases, g)),
+        p.moduli_sq,
+        tuple(rl.frac_mod1(ph + Fraction(gj)) for ph, gj in zip(p.phases, g)),
     )
 
 
@@ -48,9 +47,8 @@ class TestTorusOrbits:
         assert orbit.dim == 2
         assert orbit.isotropy.component_count == 1 and orbit.isotropy.dim == 0
         assert orbit.base_point == (Fraction(1, 4), 0, 0)
-        # conormal spanned by dx1
-        assert orbit.conormal_basis.shape == (3, 1)
-        assert np.allclose(orbit.conormal_basis[:, 0], [1, 0, 0])
+        # conormal spanned by dx1, exactly
+        assert T3_PRODUCT.base_lattice == ((1, 0, 0),)
 
     def test_orbit_invariant_under_group(self):
         model = T3_PRODUCT
@@ -61,12 +59,15 @@ class TestTorusOrbits:
             assert gm.orbit_through(model, moved) == orbit
 
     def test_conormal_annihilates_tangent(self):
-        model = T3_PRODUCT
-        orbit = gm.orbit_through(model, (Fraction(1, 5), 0, 0))
-        tangent = np.array(
-            [[float(x) for x in row] for row in model.group.complement_basis()]
-        )
-        assert np.max(np.abs(tangent @ orbit.conormal_basis)) == 0
+        # the base lattice rows (the conormal covectors) pair to zero with
+        # every tangent row of the closure group, in integers
+        for entries in ([(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (0, 1)],
+                        [(2, 1), (-1, 3), (1, 0), (0, 1)]):
+            model = torus_model(entries, ("alpha",))
+            L = model.base_lattice
+            B = model.group.complement_basis()
+            assert L and len(L) + len(B) == model.n
+            assert all(x == 0 for row in rl.mat_mul(L, rl.transpose(B)) for x in row)
 
     def test_float_points_rejected(self):
         with pytest.raises(OffManifold):
@@ -78,7 +79,7 @@ class TestTorusOrbits:
         o2 = gm.orbit_through(model, (0, 0))
         assert o1 == o2
         assert o1.dim == 2
-        assert o1.conormal_basis.shape == (2, 0)
+        assert model.base_lattice == ()
 
 
 class TestSphereOrbits:
@@ -141,6 +142,7 @@ class TestSphereOrbits:
     def test_conormal_orthogonal_to_numeric_tangent(self):
         p = gm.SpherePoint((0, 0, 1), (0, 0, 0))
         orbit = gm.orbit_through(S5_TAU12, p)
+        frame = gm.sphere_conormal_frame(S5_TAU12, orbit.base_point)
         z = orbit.base_point.to_complex()
         h = 1e-6
         # numeric tangent along the flow direction (central difference)
@@ -148,17 +150,24 @@ class TestSphereOrbits:
         fwd = np.array([zj * np.exp(2j * np.pi * wj * h) for zj, wj in zip(z, w)])
         bwd = np.array([zj * np.exp(-2j * np.pi * wj * h) for zj, wj in zip(z, w)])
         tangent = (gm.realify(fwd) - gm.realify(bwd)) / (2 * h)
-        assert np.max(np.abs(tangent @ orbit.conormal_basis)) < 1e-10
-        assert orbit.conormal_basis.shape == (6, 4)
+        assert np.max(np.abs(tangent @ frame)) < 1e-10
+        assert frame.shape == (6, 4)
 
     def test_off_manifold(self):
-        with pytest.raises(OffManifold):
-            gm.orbit_through(S5_TAU12, gm.SpherePoint((Fraction(1, 2), 0, 0), (0, 0, 0)))
+        # exact points: a total one part in 10^15 short of one is off too
+        for m in (Fraction(1, 2), 1 - Fraction(1, 10**15)):
+            with pytest.raises(OffManifold, match="unit sphere"):
+                gm.orbit_through(S5_TAU12, gm.SpherePoint((m, 0, 0), (0, 0, 0)))
 
-    def test_from_complex_round_trip(self):
-        p = gm.SpherePoint((Fraction(1, 4), Fraction(3, 4), 0), (Fraction(1, 3), 0, 0))
-        again = gm.SpherePoint.from_complex(p.to_complex())
-        assert again == p
+    @pytest.mark.parametrize("point", [
+        gm.SpherePoint((1, 0, 0), (0, 0, 0)).to_complex(),
+        [1.0, 0.0, 0.0],
+        (Fraction(1), 0, 0),
+    ])
+    def test_inexact_points_rejected(self, point):
+        # like float torus points, a sphere point must be an exact SpherePoint
+        with pytest.raises(OffManifold, match="exact SpherePoints"):
+            gm.orbit_through(S5_TAU12, point)
 
 
 class TestInducedBaseMap:

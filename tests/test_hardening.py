@@ -1,11 +1,15 @@
 """Wider-scope stress tests: higher dimensions, degenerate maps, richer
 isotropy, higher form degrees."""
 
+import ast
 import io
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -270,3 +274,46 @@ class TestTinyMollifierRadius:
         code, text = self.run("1/1" + "0" * 320, tmp_path)
         assert code == cli.EXIT_DISCREPANCY
         assert text.startswith("error: bump support")
+
+
+class TestChecksSurvivePythonO:
+    """Internal cross-checks are explicit raises, which ``python -O`` keeps
+    (it strips ``assert`` statements)."""
+
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+    def test_package_has_no_assert_statements(self):
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted((self.ROOT / "src" / "equilef").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_frame_cross_check_fires_under_python_O(self):
+        # a frame pull-back scaled by 2 must still be caught by the harmonic
+        # action's comparison with the exact exterior traces
+        script = """
+import sys
+from fractions import Fraction
+from equilef import endomorphism as en, geometry_models as gm, torus_group as tg
+model = gm.FlatTorusModel(tg.SymbolicFrequency(((Fraction(0),),) * 2 + ((Fraction(1),),)))
+f = en.TorusMap(((2, 1, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))
+original = en._frame_pullback_matrix
+en._frame_pullback_matrix = lambda *args: 2 * original(*args)
+try:
+    en.cohomology_action(model, f)
+except AssertionError as exc:
+    print(sys.flags.optimize, exc)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(self.ROOT / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                cwd=self.ROOT, env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == (
+            "1 the frame pull-back disagrees with the exact exterior traces")
