@@ -33,6 +33,7 @@ from .errors import (
     GridTooCoarse,
     GridTooFine,
     InfiniteFixedSet,
+    InternalCheckFailed,
     ModeBoxTooLarge,
     NonTransverse,
     NotBasic,

@@ -46,7 +46,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import TorsionTooLarge
+from .errors import InternalCheckFailed, TorsionTooLarge
 
 
 def freeze(rows):
@@ -524,7 +524,7 @@ def char_poly(M):
     for k in range(1, n + 1):
         ck, rem = divmod(-sum(Mk[i][i] for i in range(n)), k)
         if rem:
-            raise AssertionError("a Faddeev-LeVerrier trace division is not exact")
+            raise InternalCheckFailed("a Faddeev-LeVerrier trace division is not exact")
         coeffs.append(ck)
         if k == n:
             break

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import _ratlin as rl
 from . import basic_complex as bc
 from . import torus_group as tg
@@ -35,6 +33,8 @@ REPORT_TOLERANCE = 1e-10
 def _exact_products(modes, rows):
     """The integer products ``modes @ rows.T`` over the last axis: in int64
     when no sum can overflow it, in Python integers otherwise."""
+    import numpy as np
+
     modes = np.asarray(modes)
     rows = np.array(rows, dtype=object).reshape(-1, modes.shape[-1])
     bound = (max(int(np.abs(modes).max(initial=0)), 1) * modes.shape[-1]
@@ -47,12 +47,16 @@ def averaging_mask(group: tg.SubtorusGroup, modes):
     """Whether averaging over ``group`` keeps each integer mode (the last
     axis of ``modes``): exactly when the group's tangent rows annihilate it,
     ``modes @ complement_basis()ᵀ == 0``."""
+    import numpy as np
+
     return np.all(_exact_products(modes, group.complement_basis()) == 0, axis=-1)
 
 
 def average_modes(u: bc.BasicForm, group: tg.SubtorusGroup) -> bc.BasicForm:
     """Spectral form of the averaging operator: retain exactly the modes
     ``averaging_mask`` keeps, zero the rest.  Idempotent by construction."""
+    import numpy as np
+
     keys = list(u.coeffs)
     modes = np.array([m for m, _ in keys], dtype=object).reshape(-1, u.model.n)
     keep = averaging_mask(group, modes)
@@ -68,6 +72,8 @@ def average_quadrature(u: bc.BasicForm, group: tg.SubtorusGroup, resolution: int
     ``sum_g w_g u(p - g)`` over the Haar quadrature of the group (frame
     components are translation invariant on the flat torus, so averaging is
     componentwise)."""
+    import numpy as np
+
     quad = tg.haar_quadrature(group, resolution)
     shifts = [np.array([float(x) for x in g]) for g, _ in quad]
     weights = [float(w) for _, w in quad]
@@ -84,6 +90,8 @@ def average_quadrature(u: bc.BasicForm, group: tg.SubtorusGroup, resolution: int
 
 def _worst_norm(diff):
     """The largest per-section coefficient norm of ``diff``."""
+    import numpy as np
+
     return float(np.sqrt((np.abs(diff) ** 2).sum(axis=1)).max())
 
 
@@ -108,6 +116,8 @@ def averaging_report(model, cutoff, rng):
     constraint rows, independently of the group; ``unannihilated`` counts
     the kept modes that fail.  ``pass`` holds when every residual is within
     ``REPORT_TOLERANCE`` and ``unannihilated`` is zero."""
+    import numpy as np
+
     n = model.n
     group = model.group
     shape = (REPORT_SECTIONS, REPORT_TERMS)

@@ -25,6 +25,7 @@ constraint rows (an affine translate of it for twisted sections), and
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from bisect import bisect_left
@@ -32,10 +33,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import _ratlin as rl
-from .errors import DegreeOverflow, GeneratorMismatch, ModeBoxTooLarge
+from .errors import (
+    DegreeOverflow,
+    GeneratorMismatch,
+    InternalCheckFailed,
+    ModeBoxTooLarge,
+)
 from .geometry_models import FlatTorusModel
 
 PRUNE_TOL = 1e-14
@@ -45,32 +49,45 @@ MODE_BOX_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class HStarFrame:
-    """Orthonormal frame data at a flat torus model: the unit covector along
-    the flow and an orthonormal basis of its orthogonal complement."""
+    """Orthonormal frame data at a flat torus model, as tuples of floats:
+    the unit covector along the flow and ``n - 1`` rows spanning its
+    orthogonal complement orthonormally."""
 
-    theta: np.ndarray
-    basis: np.ndarray
+    theta: tuple
+    basis: tuple
 
 
 @lru_cache(maxsize=None)
 def frame_for(model: FlatTorusModel) -> HStarFrame:
-    v = np.array(model.v.float_values())
-    theta = v / np.linalg.norm(v)
-    proj = np.eye(model.n) - np.outer(theta, theta)
-    u, s, _ = np.linalg.svd(proj)
-    basis = []
-    for j in range(model.n - 1):
-        col = u[:, j]
-        lead = next((x for x in col if abs(x) > 1e-9), 1.0)
-        basis.append(col if lead > 0 else -col)
-    basis = np.array(basis) if basis else np.zeros((0, model.n))
-    frame = HStarFrame(theta, basis)
+    """The unit flow covector ``theta = v / |v|`` and, as the basis, the rows
+    other than ``k`` of the Householder reflection ``H = I - 2 u u^T / u^T u``
+    with ``u = e_k + sign(theta_k) theta``, where ``|theta_k|`` is largest.
+    ``H`` is symmetric and orthogonal and takes ``e_k`` to ``-sign(theta_k)
+    theta``, so its other rows are orthonormal and annihilate ``theta``.
+    ``u_k = 1 + |theta_k|`` is at least 1, so ``u`` never vanishes; a flow
+    along an axis gives the other coordinate axes."""
+    v = model.v.float_values()
+    length = math.sqrt(sum(x * x for x in v))
+    theta = tuple(x / length for x in v)
+    k = max(range(model.n), key=lambda i: abs(theta[i]))
+    sign = math.copysign(1.0, theta[k])
+    u = [sign * t for t in theta]
+    u[k] += 1.0
+    scale = 2.0 / sum(x * x for x in u)
+    basis = tuple(
+        tuple((i == j) - scale * u[i] * u[j] for j in range(model.n))
+        for i in range(model.n) if i != k)
     # frame sanity: theta pairs to 1 with the unit flow, basis annihilates it
-    if not abs(float(theta @ theta) - 1.0) < 1e-12:
-        raise AssertionError("the flow covector is not a unit vector")
-    if basis.size and not np.max(np.abs(basis @ theta)) < 1e-12:
-        raise AssertionError("the frame basis does not annihilate the flow")
-    return frame
+    if not abs(sum(t * t for t in theta) - 1.0) < 1e-12:
+        raise InternalCheckFailed("the flow covector is not a unit vector")
+    if not all(abs(_pair(row, theta)) < 1e-12 for row in basis):
+        raise InternalCheckFailed("the frame basis does not annihilate the flow")
+    return HStarFrame(theta, basis)
+
+
+def _pair(row, m):
+    """The plain sum ``row . m`` in floats."""
+    return sum(a * x for a, x in zip(row, m))
 
 
 @lru_cache(maxsize=None)
@@ -173,12 +190,11 @@ class BasicForm:
         return BasicForm(self.model, self.degree, out)
 
     def value_components(self, x):
-        """Pointwise evaluation: frame-component values at ``x`` (an array of
-        n angles in full turns)."""
-        x = np.asarray(x, dtype=float)
+        """Pointwise evaluation: frame-component values at ``x`` (a sequence
+        of n angles in full turns)."""
         out = {}
         for (m, I), c in self.coeffs.items():
-            phase = c * np.exp(2j * math.pi * float(np.dot(m, x)))
+            phase = c * cmath.exp(2j * math.pi * float(_pair(m, x)))
             out[I] = out.get(I, 0.0) + phase
         return out
 
@@ -226,7 +242,7 @@ def apply_D(form: BasicForm) -> BasicForm:
     frame = frame_for(model)
     out = {}
     for (m, I), c in form.coeffs.items():
-        a = frame.basis @ np.asarray(m, dtype=float)
+        a = [_pair(row, m) for row in frame.basis]
         for k in range(model.n - 1):
             if a[k] == 0.0:
                 continue
@@ -247,7 +263,7 @@ def apply_D_adjoint(form: BasicForm) -> BasicForm:
     frame = frame_for(model)
     out = {}
     for (m, I), c in form.coeffs.items():
-        a = frame.basis @ np.asarray(m, dtype=float)
+        a = [_pair(row, m) for row in frame.basis]
         for k in I:
             if a[k] == 0.0:
                 continue
@@ -262,13 +278,12 @@ def apply_lie(form: BasicForm) -> BasicForm:
     ``2 pi i (m . v) / |v|``.  Exactly zero on basic forms."""
     if form.basic_flag:
         return zero_form(form.model, form.degree)
-    vhat = frame_for(form.model).theta
+    theta = frame_for(form.model).theta
     out = {}
     for (m, I), c in form.coeffs.items():
-        t = float(np.dot(m, vhat))
         if is_basic_mode(form.model, m):
             continue
-        out[(m, I)] = 2j * math.pi * t * c
+        out[(m, I)] = 2j * math.pi * _pair(m, theta) * c
     return BasicForm(form.model, form.degree, out)
 
 

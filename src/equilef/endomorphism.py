@@ -12,8 +12,10 @@ The induced map on harmonic representatives is a compression of the exterior
 powers of ``A^T`` restricted to the horizontal subspace.  Its per-degree
 traces are elementary symmetric functions of the spectrum of ``A`` with one
 copy of the eigenvalue 1 removed, which this module computes exactly from
-the integer characteristic polynomial; the floating frame route is kept as a
-cross-check.
+the integer characteristic polynomial.  The float frame route is kept as a
+cross-check: the trace of the q-th exterior power of the frame pull-back
+``B A^T B^T`` is the sum of its principal q-minors, each taken by a small
+partial-pivoting determinant in plain Python floats.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from . import _ratlin as rl
 from . import basic_complex as bc
-from .errors import GeneratorMismatch, NotBasic, NotEquivariant
+from .errors import (
+    GeneratorMismatch,
+    InternalCheckFailed,
+    NotBasic,
+    NotEquivariant,
+)
 from .geometry_models import FlatTorusModel, WeightedSphereModel
 from .torus_group import SymbolicFrequency
 
@@ -193,20 +198,52 @@ def _first_moved_coordinate(v: SymbolicFrequency, A):
 
 
 def _frame_pullback_matrix(model, matrix):
-    frame = bc.frame_for(model)
-    A = np.array(matrix, dtype=float)
-    return frame.basis @ A.T @ frame.basis.T
+    """``B A^T B^T`` in floats, for the frame basis ``B``: the horizontal
+    restriction of ``A^T`` in frame coordinates, as a list of rows."""
+    basis = bc.frame_for(model).basis
+    # row i of B A^T is the i-th frame covector composed with A
+    pulled = [[bc._pair(covector, row) for row in matrix] for covector in basis]
+    return [[bc._pair(p, b) for b in basis] for p in pulled]
+
+
+def _float_det(M):
+    """Determinant of a small square float matrix (a list of rows) by
+    Gaussian elimination with partial pivoting; 1 for the empty matrix."""
+    a = [list(row) for row in M]
+    det = 1.0
+    for c in range(len(a)):
+        p = max(range(c, len(a)), key=lambda r: abs(a[r][c]))
+        if a[p][c] == 0.0:
+            return 0.0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        pivot = a[c]
+        det *= pivot[c]
+        for row in a[c + 1:]:
+            factor = row[c] / pivot[c]
+            for j in range(c + 1, len(a)):
+                row[j] -= factor * pivot[j]
+    return det
+
+
+def _minor(M, rows, cols):
+    return _float_det([[M[i][j] for j in cols] for i in rows])
 
 
 def _wedge_minors(M, q):
-    """Matrix of the q-th exterior power over sorted index subsets."""
-    n = M.shape[0]
-    subsets = list(itertools.combinations(range(n), q))
-    W = np.zeros((len(subsets), len(subsets)))
-    for b, I in enumerate(subsets):
-        for a, J in enumerate(subsets):
-            W[a, b] = 1.0 if q == 0 else np.linalg.det(M[np.ix_(J, I)])
-    return subsets, W
+    """Matrix of the q-th exterior power over sorted index subsets, as a
+    list of rows: entry ``(J, I)`` is the minor of ``M`` on rows ``J`` and
+    columns ``I``."""
+    subsets = list(itertools.combinations(range(len(M)), q))
+    return subsets, [[_minor(M, J, I) for I in subsets] for J in subsets]
+
+
+def _principal_minor_sums(M):
+    """Trace of each exterior power of ``M``, degree by degree: the sum of
+    its principal minors of that size."""
+    return [sum(_minor(M, I, I) for I in itertools.combinations(range(len(M)), q))
+            for q in range(len(M) + 1)]
 
 
 def pullback_on_forms(f: TorusMap, u: bc.BasicForm) -> bc.BasicForm:
@@ -226,7 +263,7 @@ def pullback_on_forms(f: TorusMap, u: bc.BasicForm) -> bc.BasicForm:
         phase = cmath.exp(2j * math.pi * float(f.character(m)))
         col = index[I]
         for row, J in enumerate(subsets):
-            w = W[row, col]
+            w = W[row][col]
             if w == 0.0:
                 continue
             key = (mT, J)
@@ -290,11 +327,9 @@ def _fixed_modes(model: FlatTorusModel, f: TorusMap, cutoff: int,
 @dataclass(frozen=True)
 class CohomologyAction:
     """Induced action on harmonic representatives: the harmonic dimensions,
-    one matrix per degree, exact per-degree traces, and the alternating-sum
-    Lefschetz number."""
+    exact per-degree traces, and the alternating-sum Lefschetz number."""
 
     dimensions: tuple              # of the harmonic space, one per degree
-    matrices: tuple
     traces: tuple                  # complex, one per degree
     trace_integers: tuple          # exact fiber traces (no phase factor)
     phase_turns: Fraction          # exact character phase of the harmonic mode
@@ -327,7 +362,6 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
     if m0 is None or rl.vec_mat(m0, f.matrix) != m0:
         return CohomologyAction(
             dimensions=dims,
-            matrices=tuple(np.zeros((d, d)) for d in dims),
             traces=tuple(0.0 for _ in range(n)),
             trace_integers=tuple(0 for _ in range(n)),
             phase_turns=Fraction(0),
@@ -336,12 +370,11 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
             lefschetz_exact=Fraction(0),
         )
     ext = f.exterior_traces
-    Mf = _frame_pullback_matrix(model, f.matrix)
-    minors = [_wedge_minors(Mf, q)[1] for q in range(n)]
-    for W, e in zip(minors, ext):
+    frame_traces = _principal_minor_sums(_frame_pullback_matrix(model, f.matrix))
+    for trace, e in zip(frame_traces, ext):
         # the floating frame route must agree with the exact route
-        if not abs(np.trace(W) - e) < 1e-8 * max(1.0, abs(e)):
-            raise AssertionError(
+        if not abs(trace - e) < 1e-8 * max(1.0, abs(e)):
+            raise InternalCheckFailed(
                 "the frame pull-back disagrees with the exact exterior traces")
     phase_turns = rl.frac_mod1(f.character(m0))
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
@@ -350,7 +383,6 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
     exact = Fraction(alt) if phase_turns == 0 and twist is None else None
     return CohomologyAction(
         dimensions=dims,
-        matrices=tuple(factor * W for W in minors),
         traces=tuple(factor * e for e in ext),
         trace_integers=ext,
         phase_turns=phase_turns,
@@ -384,10 +416,15 @@ def heat_damped_traces(model: FlatTorusModel, f: TorusMap, s: float,
 
 
 def _heat_sweep(model, f, s_values, cutoff, twist):
-    """:func:`heat_damped_traces` for each ``s`` in turn.  The equivariance
-    check, the fiber traces, the fixed modes and their phases and
-    eigenvalues do not depend on ``s`` and are computed once; each ``s``
-    only applies its damping."""
+    """:func:`heat_damped_traces` for each ``s`` in turn: the fixed-mode
+    diagnostic.  Each fixed mode contributes its phase and damping times the
+    same cached ``f.exterior_traces`` that the ``lhs`` reads, so the sweep
+    checks the set of fixed modes and the truncation, not the fiber traces;
+    ``verify`` reports it without gating on it.  The equivariance check, the
+    fiber traces, the fixed modes and their phases and eigenvalues do not
+    depend on ``s`` and are computed once; each ``s`` only applies its
+    damping.  The flow component ``t_along = m . theta`` of a mode is a plain
+    float sum."""
     if any(s <= 0 for s in s_values):
         raise ValueError("the damping parameter must be positive")
     if not s_values:
@@ -396,11 +433,11 @@ def _heat_sweep(model, f, s_values, cutoff, twist):
     n = model.n
     fiber_traces = f.exterior_traces
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
-    vhat = bc.frame_for(model).theta
+    theta = bc.frame_for(model).theta
     modes = []
     for m in _fixed_modes(model, f, cutoff, twist):
         phase = cmath.exp(2j * math.pi * float(f.character(m)))
-        t_along = float(np.dot(m, vhat))
+        t_along = bc._pair(m, theta)
         lam = 4.0 * math.pi**2 * (float(sum(x * x for x in m)) - t_along**2)
         modes.append((phase, max(lam, 0.0)))
     sweep = []
@@ -416,6 +453,10 @@ def _heat_sweep(model, f, s_values, cutoff, twist):
 
 def alternating_heat_traces(model, f, s_values, cutoff, twist=None) -> list:
     """Alternating sums of :func:`heat_damped_traces`, one per ``s``, with
-    the ``s``-independent mode data computed once for the whole list."""
+    the ``s``-independent mode data computed once for the whole list.  This
+    is the fixed-mode diagnostic of :func:`_heat_sweep`: the alternating sum
+    of ``f.exterior_traces`` (the ``lhs`` value's fiber factor) times the
+    damped phase sum over the fixed modes, not an independent route to the
+    Lefschetz number."""
     return [sum((-1) ** q * t for q, t in enumerate(traces))
             for traces in _heat_sweep(model, f, tuple(s_values), cutoff, twist)]

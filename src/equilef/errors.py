@@ -5,6 +5,13 @@ class EquilefError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InternalCheckFailed(AssertionError):
+    """An internal invariant or cross-check failed: a fault in the program,
+    not in its input.  Raised explicitly so that ``python -O`` keeps it, and
+    deliberately not an :class:`EquilefError`, so the command line does not
+    map it to a documented exit code."""
+
+
 class GeneratorMismatch(EquilefError):
     """Two symbolic vectors were combined but declare different generator sets."""
 

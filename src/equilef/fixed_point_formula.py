@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _ratlin as rl
 from . import torus_group as tg
 from .endomorphism import (
@@ -42,6 +40,7 @@ from .errors import (
     DeterminantUnderflow,
     FixedSetTooLarge,
     InfiniteFixedSet,
+    InternalCheckFailed,
     NonTransverse,
 )
 from .geometry_models import (
@@ -201,10 +200,12 @@ def _sphere_normal_coords(orbit: ClosedOrbit):
                     f"component (coordinate {l})",
                     orbit=orbit,
                 )
+    import numpy as np
+
     Q = sphere_conormal_frame(orbit.model, orbit.base_point)
     P = np.diag([float(j // 2 in normal) for j in range(2 * orbit.model.k)])
     if not np.max(np.abs(Q @ Q.T - P)) <= 1e-9:
-        raise AssertionError(
+        raise InternalCheckFailed(
             "the conormal frame is not the normal coordinate planes")
     return normal
 
@@ -468,7 +469,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
     if twist is not None:
         lift = hat.parameters_with(range(n), g0)
         if lift is None:
-            raise AssertionError("group correction fails to lift")
+            raise InternalCheckFailed("group correction fails to lift")
         t0, G = lift.particular_numerators()
         ghat0 = hat.element_numerators(t0, G)
         g_fiber = sum(ghat0[j] for j in fiber_idx)
@@ -523,7 +524,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
                 for q in range(len(context.traces)):
                     quad += (-1) ** q * weight * context.term(phase, det_val, q) / count
         if abs(quad - total) > 1e-6 * max(1.0, abs(total)):
-            raise AssertionError(
+            raise InternalCheckFailed(
                 f"isotropy quadrature disagrees with the exact sum: {quad} vs {total}"
             )
     return OrbitContribution(

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from . import _ratlin as rl
 from . import torus_group as tg
-from .errors import OffManifold
+from .errors import InternalCheckFailed, OffManifold
 
 
 @dataclass(frozen=True)
@@ -32,10 +30,11 @@ class FlatTorusModel:
 
     def __post_init__(self):
         # the floating-point layer divides by the numeric length of the flow,
-        # so that length, not only the exact coefficients, must be nonzero
+        # so that length, not only the exact coefficients, must be nonzero;
+        # the squares are summed unscaled, so a length whose square over- or
+        # underflows is refused as well
         try:
-            with np.errstate(over="ignore"):
-                length = np.linalg.norm(self.v.float_values())
+            length = math.sqrt(sum(x * x for x in self.v.float_values()))
         except OverflowError:
             length = math.inf
         if not 0 < length < math.inf:
@@ -83,6 +82,8 @@ class SpherePoint:
         return tuple(j for j, m in enumerate(self.moduli_sq) if m > 0)
 
     def to_complex(self):
+        import numpy as np
+
         return np.array(
             [
                 math.sqrt(float(m)) * complex(math.cos(2 * math.pi * float(p)),
@@ -163,7 +164,7 @@ def _solve_from_level(lattice, level, n):
         return tuple(Fraction(0) for _ in range(n))
     sol = rl.solve_rational_numerators(lattice, level)
     if sol is None:
-        raise AssertionError("level sets of a full-row-rank lattice are nonempty")
+        raise InternalCheckFailed("level sets of a full-row-rank lattice are nonempty")
     x, D = sol
     return tuple(Fraction(a % D, D) for a in x)
 
@@ -249,6 +250,8 @@ def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
 
 def realify(z):
     """R^{2k} coordinates (Re z1, Im z1, ..., Re zk, Im zk)."""
+    import numpy as np
+
     z = np.asarray(z, dtype=complex)
     out = np.empty(2 * z.size)
     out[0::2] = z.real
@@ -260,6 +263,8 @@ def sphere_conormal_frame(model: WeightedSphereModel, p: SpherePoint):
     """Orthonormal basis of the conormal space of the orbit at ``p`` inside
     the sphere, as columns in R^{2k}: the numeric null space of the radial
     direction and the closure group's tangent directions."""
+    import numpy as np
+
     z = p.to_complex()
     spanning = [realify(z)]
     for row in model.group.complement_basis():
@@ -303,7 +308,7 @@ def induced_base_map(model: FlatTorusModel, f):
     for target in rl.mat_mul(L, f.matrix):
         row = rl.lattice_coordinates(L, target)
         if row is None:
-            raise AssertionError("equivariant map does not descend to the base torus")
+            raise InternalCheckFailed("equivariant map does not descend to the base torus")
         rows.append(row)
     c, E = rl.numerators(f.translation)
     c_bar = tuple(Fraction(a % E, E) for a in rl.mat_vec(L, c))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-import numpy as np
 
 from . import fixed_point_formula as fpf
 from .endomorphism import TorusMap, validate_equivariance
@@ -46,6 +45,8 @@ CONVERGENCE_TOLERANCE = 0.05
 
 def _bump(u):
     """Smooth compactly supported profile on (-1, 1), equal to 1 at 0."""
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
@@ -87,6 +88,8 @@ class MollifierConfig:
 
 @functools.lru_cache
 def _normalization(radius):
+    import numpy as np
+
     rho = np.linspace(0.0, radius, NORMALIZATION_POINTS)
     vals = _bump(rho / radius) * rho
     integral = 2.0 * math.pi * float(np.trapezoid(vals, rho))
@@ -104,6 +107,8 @@ class PairingResult:
 def _near_integer(x, half):
     """Mask of the entries of the fresh array ``x`` within ``half`` of an
     integer; ``x`` is overwritten."""
+    import numpy as np
+
     x -= np.round(x)
     return np.abs(x, out=x) <= half
 
@@ -116,6 +121,8 @@ def _candidate_pairs(small, large, half):
     scans ``large`` instead of sorting it, keeping the points near in every
     coordinate.  Pairs come in increasing ``i``; a window as wide as the
     circle may list a pair twice."""
+    import numpy as np
+
     n = large.shape[1]
     if len(small) == 1:
         j = np.flatnonzero(_near_integer(large[:, 0] + small[0, 0], half))
@@ -150,6 +157,8 @@ def _pairing_sum(model, f, config, grid):
     cells that can lie inside its support; every other cell contributes the
     exact zero it would contribute to the full sum, so the value is the full
     tensor sum bit for bit."""
+    import numpy as np
+
     n = model.n
     k, radius = config.k, config.radius
     M = np.eye(n) - np.array(f.matrix, dtype=float)

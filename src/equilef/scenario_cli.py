@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-import numpy as np
-
 from . import __version__
 from . import averaging as av
 from . import basic_complex as bc
@@ -799,6 +797,8 @@ def cmd_spectrum(scenario: Scenario, options) -> tuple[dict, int]:
 
 
 def cmd_avcheck(scenario: Scenario, options) -> tuple[dict, int]:
+    import numpy as np
+
     if not isinstance(scenario.model, FlatTorusModel):
         raise _UsageError("the avcheck command requires a flat torus scenario")
     cutoff = _cutoff(scenario, options)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import _ratlin as rl
-from .errors import GeneratorMismatch, NotTransversal
+from .errors import GeneratorMismatch, InternalCheckFailed, NotTransversal
 
 #: numeric values of declared generators that pin none, by position, used
 #: only by the floating-point layer (frames, spectra); all group-theoretic
@@ -337,7 +337,7 @@ def _check_projection_onto(lifted: SubtorusGroup, base: SubtorusGroup):
     in_span = rl.integer_kernel(constraints, n=total)
     projected = rl.hnf([row[:n] for row in in_span], ncols=n)
     if projected != base.relation_lattice:
-        raise AssertionError("lifted group does not project onto the base group")
+        raise InternalCheckFailed("lifted group does not project onto the base group")
 
 
 def haar_quadrature(group: SubtorusGroup, resolution: int):

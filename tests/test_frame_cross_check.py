@@ -1,0 +1,152 @@
+"""The harmonic side's float cross-check: the Householder frame, the
+partial-pivoting determinant, and the principal-minor traces of the frame
+pull-back that ``cohomology_action`` compares with the exact traces."""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from equilef import _ratlin as rl
+from equilef import basic_complex as bc
+from equilef import endomorphism as em
+from equilef import geometry_models as gm
+from equilef import torus_group as tg
+from equilef.errors import InternalCheckFailed
+
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def flows(draw):
+    """A flat T^2-T^6 model with 0-2 generators.  Either one coordinate is
+    nonzero (a flow along an axis, rational or irrational) or each
+    coordinate is zero, rational, irrational or mixed."""
+    n = draw(st.integers(2, 6))
+    g = draw(st.integers(0, 2))
+    kinds = ["rational", "irrational", "mixed"] if g else ["rational"]
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, n - 1))
+        plan = ["zero" if i != axis else draw(st.sampled_from(kinds))
+                for i in range(n)]
+    else:
+        plan = [draw(st.sampled_from(["zero", *kinds])) for _ in range(n)]
+    rows = []
+    for kind in plan:
+        row = [Fraction(0)] * (1 + g)
+        if kind in ("rational", "mixed"):
+            row[0] = draw(small_rational)
+        if kind in ("irrational", "mixed"):
+            row[1 + draw(st.integers(0, g - 1))] = draw(small_rational)
+        rows.append(tuple(row))
+    assume(any(c for row in rows for c in row))
+    return gm.FlatTorusModel(tg.SymbolicFrequency(rows, ("alpha", "beta")[:g]))
+
+
+def torus_model(entries, labels=()):
+    rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+    return gm.FlatTorusModel(tg.SymbolicFrequency(rows, labels))
+
+
+T3_PROD = torus_model([(0,), (0,), (1,)])                        # v = (0, 0, 1)
+CLASSICAL = em.TorusMap(((2, 1, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))
+
+
+class TestFrame:
+    @settings(max_examples=150, deadline=None)
+    @given(flows())
+    def test_orthonormal_and_annihilates_theta(self, model):
+        frame = bc.frame_for(model)
+        v = np.array(model.v.float_values())
+        theta = np.asarray(frame.theta)
+        basis = np.asarray(frame.basis).reshape(model.n - 1, model.n)
+        assert np.max(np.abs(theta - v / np.linalg.norm(v))) < 1e-12
+        gram = basis @ basis.T
+        assert np.max(np.abs(gram - np.eye(model.n - 1)), initial=0.0) < 1e-12
+        assert np.max(np.abs(basis @ theta), initial=0.0) < 1e-12
+
+    def test_flow_along_an_axis_gives_the_other_axes(self):
+        frame = bc.frame_for(T3_PROD)
+        assert frame.theta == (0.0, 0.0, 1.0)
+        assert frame.basis == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+class TestFloatDeterminant:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_agrees_with_numpy(self, M):
+        want = np.linalg.det(np.array(M, dtype=float).reshape(len(M), len(M)))
+        got = em._float_det([[float(x) for x in row] for row in M])
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_needs_a_row_swap_and_finds_singular_matrices(self):
+        assert em._float_det([[0.0, 1.0], [1.0, 0.0]]) == -1.0
+        assert em._float_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+        assert em._float_det([]) == 1.0
+
+    def test_principal_minor_sums_are_the_exterior_power_traces(self):
+        M = np.random.default_rng(5).normal(size=(4, 4)).tolist()
+        for q, trace in enumerate(em._principal_minor_sums(M)):
+            W = np.array(em._wedge_minors(M, q)[1])
+            assert abs(np.trace(W) - trace) < 1e-12 * max(1.0, abs(trace))
+
+
+@st.composite
+def equivariant_maps(draw):
+    """``(model, f)`` with ``A = I + X K`` for the integer kernel ``K`` of the
+    flow's constraint rows (so ``K v = 0`` and ``A v = v``) and a random
+    integer ``X``."""
+    model = draw(flows())
+    n = model.n
+    K = rl.integer_kernel(model.v.constraint_rows(), n=n)
+    X = [[draw(st.integers(-2, 2)) for _ in K] for _ in range(n)]
+    XK = rl.mat_mul(X, K) if K else [[0] * n for _ in range(n)]
+    A = [[(i == j) + XK[i][j] for j in range(n)] for i in range(n)]
+    return model, em.TorusMap(A, (0,) * n)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(equivariant_maps())
+def test_random_equivariant_maps_pass_the_cross_check(case):
+    model, f = case
+    act = em.cohomology_action(model, f)
+    assert act.trace_integers == f.exterior_traces
+
+
+def test_dropping_one_principal_minor_is_caught(monkeypatch):
+    # the classical map's frame pull-back is [[2, 1], [1, 1]]: its four
+    # principal minors 1; 2, 1; 1 are all nonzero, so losing any one of them
+    # moves a degree's trace
+    original = em._minor
+    calls = []
+    monkeypatch.setattr(em, "_minor",
+                        lambda M, rows, cols: calls.append(rows) or original(M, rows, cols))
+    em.cohomology_action(T3_PROD, CLASSICAL)
+    assert calls == [I for q in range(3) for I in itertools.combinations(range(2), q)]
+    for dropped in range(len(calls)):
+        seen = []
+
+        def mutant(M, rows, cols):
+            seen.append(rows)
+            return 0.0 if len(seen) - 1 == dropped else original(M, rows, cols)
+        monkeypatch.setattr(em, "_minor", mutant)
+        with pytest.raises(InternalCheckFailed, match="frame pull-back disagrees"):
+            em.cohomology_action(T3_PROD, CLASSICAL)
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda det: det * (1 + 1e-6),
+    lambda det: det + 1e-6,
+    lambda det: -det,
+])
+def test_a_perturbed_determinant_is_caught(monkeypatch, perturb):
+    original = em._float_det
+    monkeypatch.setattr(em, "_float_det", lambda M: perturb(original(M)))
+    with pytest.raises(AssertionError, match="frame pull-back disagrees"):
+        em.cohomology_action(T3_PROD, CLASSICAL)

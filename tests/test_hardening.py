@@ -30,6 +30,9 @@ from equilef.endomorphism import (
 from equilef.errors import InfiniteFixedSet
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
 def torus_model(entries, labels=()):
     rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
     return gm.FlatTorusModel(tg.SymbolicFrequency(rows, labels))
@@ -280,20 +283,18 @@ class TestChecksSurvivePythonO:
     """Internal cross-checks are explicit raises, which ``python -O`` keeps
     (it strips ``assert`` statements)."""
 
-    ROOT = pathlib.Path(__file__).resolve().parent.parent
-
     def test_package_has_no_assert_statements(self):
         found = [
             f"{path.name}:{node.lineno}"
-            for path in sorted((self.ROOT / "src" / "equilef").glob("*.py"))
+            for path in sorted((ROOT / "src" / "equilef").glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Assert)
         ]
         assert found == []
 
     def test_frame_cross_check_fires_under_python_O(self):
-        # a frame pull-back scaled by 2 must still be caught by the harmonic
-        # action's comparison with the exact exterior traces
+        # a frame pull-back with its entries scaled by 2 must still be caught
+        # by the harmonic action's comparison with the exact exterior traces
         script = """
 import sys
 from fractions import Fraction
@@ -301,19 +302,49 @@ from equilef import endomorphism as en, geometry_models as gm, torus_group as tg
 model = gm.FlatTorusModel(tg.SymbolicFrequency(((Fraction(0),),) * 2 + ((Fraction(1),),)))
 f = en.TorusMap(((2, 1, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))
 original = en._frame_pullback_matrix
-en._frame_pullback_matrix = lambda *args: 2 * original(*args)
+en._frame_pullback_matrix = lambda *args: [[2 * x for x in row]
+                                            for row in original(*args)]
 try:
     en.cohomology_action(model, f)
 except AssertionError as exc:
     print(sys.flags.optimize, exc)
 """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(self.ROOT / "src")]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        result = subprocess.run([sys.executable, "-O", "-c", script],
-                                cwd=self.ROOT, env=env, capture_output=True,
-                                text=True, timeout=120)
+        result = run_fresh("-O", "-c", script)
         assert result.returncode == 0, result.stderr[-2000:]
         assert result.stdout.strip() == (
             "1 the frame pull-back disagrees with the exact exterior traces")
+
+
+def run_fresh(*args):
+    """Run the interpreter in a fresh process at the repository root, with
+    the package's sources on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_flat_torus_commands_never_load_numpy():
+    # NumPy is imported where floats are the point (avcheck, the mollifier
+    # lab, the sphere frame), never by ``import equilef`` or a torus command
+    script = """
+import io, json, sys
+import equilef
+from equilef import scenario_cli as cli
+seen = {"import": "numpy" in sys.modules}
+for name in ("classical_t3", "twisted_unit_t3"):
+    for command in ("validate", "lhs", "rhs", "verify", "spectrum"):
+        code = cli.run(command, f"scenarios/{name}.scenario", stream=io.StringIO())
+        seen[f"{command} {name}"] = [code, "numpy" in sys.modules]
+code = cli.run("avcheck", "scenarios/classical_t3.scenario", stream=io.StringIO())
+seen["avcheck classical_t3"] = [code, "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+    result = run_fresh("-c", script)
+    assert result.returncode == 0, result.stderr[-2000:]
+    seen = json.loads(result.stdout)
+    assert seen.pop("import") is False
+    assert seen.pop("avcheck classical_t3") == [cli.EXIT_PASS, True]
+    assert len(seen) == 10
+    assert all(outcome == [cli.EXIT_PASS, False] for outcome in seen.values()), seen
