@@ -143,17 +143,21 @@ def _torus_fixed_orbits(model: FlatTorusModel, f: TorusMap):
 def _sphere_fixed_orbits(model: WeightedSphereModel, f: SpherePhaseMap):
     k = model.k
     phases = f.phases
-    for size in range(2, k + 1):
-        for support in itertools.combinations(range(k), size):
-            LS = model.restricted_group(support).relation_lattice
-            phi_S, D = rl.numerators([phases[j] for j in support])
-            fixes = all(sum(m * p for m, p in zip(row, phi_S)) % D == 0
-                        for row in LS)
-            if fixes:
-                raise InfiniteFixedSet(
-                    f"the stratum supported on coordinates {support} is fixed "
-                    "orbitwise and carries a positive-dimensional moduli family"
-                )
+    # Pairs suffice: the projection of the closure to a pair of coordinates
+    # is the closure of the projection, so the relations on a pair lie in
+    # those of every larger support containing it, and a stratum fixed
+    # orbitwise fixes each pair inside it.  The first fixed stratum of the
+    # all-sizes scan, smallest size first, is therefore always a pair.
+    for support in itertools.combinations(range(k), 2):
+        LS = model.restricted_group(support).relation_lattice
+        phi_S, D = rl.numerators([phases[j] for j in support])
+        fixes = all(sum(m * p for m, p in zip(row, phi_S)) % D == 0
+                    for row in LS)
+        if fixes:
+            raise InfiniteFixedSet(
+                f"the stratum supported on coordinates {support} is fixed "
+                "orbitwise and carries a positive-dimensional moduli family"
+            )
     orbits = []
     for j in range(k):
         moduli = tuple(Fraction(int(i == j)) for i in range(k))

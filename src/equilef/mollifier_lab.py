@@ -13,10 +13,11 @@ with ``gamma(p, p') = p' - f(p)`` reduced to the centered fundamental domain
 fixed-point module supplies as the oracle; non-transverse scenarios are
 refused before any quadrature is attempted.
 
-Everything here is tensor quadrature with a fixed summation order, so
-results are deterministic.  The bump is evaluated only on the cells that can
-lie inside its support; every other cell enters the sums as the exact zero
-it is, so each value equals the full tensor sum bit for bit, while the cell
+Everything here is tensor quadrature summed by ``math.fsum``, which rounds
+the exact sum once, so a value does not depend on the order of the cells.
+The bump is evaluated only on the cells that can lie inside its support;
+every other cell would add an exact zero, so each value equals the
+correctly rounded sum over the full tensor grid bit for bit, while the cell
 budget and the resolution check still count the full tensor grid.
 """
 
@@ -32,8 +33,9 @@ from .errors import GridTooCoarse, GridTooFine
 from .geometry_models import FlatTorusModel
 
 MIN_CELLS_PER_BUMP = 4
-# sharpness 64 resolves to grid 4096; its 4096^2 cells are summed in four
-# chunks of 1024 x 4096 doubles (32 MiB), one chunk allocated at a time
+# sharpness 64 resolves to grid 4096; the 4096^2 budget caps the tensor
+# cells, and with them the group and active point sets and the candidate
+# cells, none of which outnumbers the cells
 MAX_SHARPNESS = 64
 MAX_GRID = 4096
 MAX_CELLS = MAX_GRID**2
@@ -119,8 +121,8 @@ def _candidate_pairs(small, large, half):
     the fewest pairs.  ``large`` is sorted by that coordinate modulo one and
     each point of ``small`` takes the window of its keys; a single point
     scans ``large`` instead of sorting it, keeping the points near in every
-    coordinate.  Pairs come in increasing ``i``; a window as wide as the
-    circle may list a pair twice."""
+    coordinate.  Each pair is listed at most once, so a sum over the pairs
+    counts each cell at most once."""
     import numpy as np
 
     n = large.shape[1]
@@ -139,6 +141,10 @@ def _candidate_pairs(small, large, half):
         ring = np.concatenate((ring - 1.0, ring, ring + 1.0))
         start = np.searchsorted(ring, centers[:, c] - half, "left")
         counts = np.searchsorted(ring, centers[:, c] + half, "right") - start
+        # a window of a turn or more (half >= 1/2, give or take rounding)
+        # takes every key once: len(keys) consecutive ring places hold each
+        # key exactly once, and fewer hold none twice
+        counts = np.minimum(counts, len(keys))
         if best is None or counts.sum() < best[2].sum():
             best = (order, start, counts)
     order, start, counts = best
@@ -154,9 +160,10 @@ def _pairing_sum(model, f, config, grid):
     the bump is normalized, so a radius too small to resolve ends in
     ``GridTooCoarse``, not in a vanishing normalization integral.  Both
     checks count the full tensor grid, but the bump is evaluated only on the
-    cells that can lie inside its support; every other cell contributes the
-    exact zero it would contribute to the full sum, so the value is the full
-    tensor sum bit for bit."""
+    cells that can lie inside its support, each once.  Every other cell
+    would add an exact zero, and ``math.fsum`` rounds the exact sum once, so
+    the value is the correctly rounded sum over the full tensor grid bit for
+    bit."""
     import numpy as np
 
     n = model.n
@@ -206,41 +213,16 @@ def _pairing_sum(model, f, config, grid):
     # for small coefficients the relative margin alone would do.
     bound = np.abs(np.concatenate((B, M, [c_vec]))).sum()
     half = support * (1.0 + 1e-9) + 16.0 * np.finfo(float).eps * (1.0 + bound)
-    half = min(half, 0.5)  # a wider window would list cells twice
     if len(base) <= len(p_cols):
         g_idx, p_idx = _candidate_pairs(base, p_cols, half)
     else:
         p_idx, g_idx = _candidate_pairs(p_cols, base, half)
-        # the chunks below split the candidates by group point
-        by_g = np.argsort(g_idx, kind="stable")
-        g_idx, p_idx = g_idx[by_g], p_idx[by_g]
     # the dense quadrature's float expressions, on the candidate cells only
     gamma = base[g_idx] + p_cols[p_idx]
     gamma -= np.round(gamma)
     dist = np.sqrt(np.sum(gamma * gamma, axis=-1))
-    vals = _bump(dist / support)
-
-    # four chunks bound the temporary arrays; summing each chunk's full
-    # array of cells, zeros included, in the dense layout and the exact sum
-    # of the partials fix the value bit for bit (a plain fsum over the
-    # nonzero cells would round differently).  One zeroed chunk is reused,
-    # and a chunk without candidates sums to 0.0 as its zeros would.
-    step = max(1, math.ceil(len(base) / 4))
-    starts = range(0, len(base), step)
-    edges = np.searchsorted(g_idx, [*starts, len(base)])
-    cell = g_idx * len(p_cols) + p_idx  # flat index in the dense layout
-    chunk = np.zeros((step, len(p_cols)))
-    flat = chunk.reshape(-1)
-    partials = []
-    for lo, a, b in zip(starts, edges, edges[1:]):
-        if a == b:
-            partials.append(0.0)
-            continue
-        at = cell[a:b] - lo * len(p_cols)
-        flat[at] = vals[a:b]
-        partials.append(float(np.sum(chunk[:min(step, len(base) - lo)])))
-        flat[at] = 0.0
-    return scale * math.fsum(partials)
+    # each cell at most once, and fsum is correctly rounded in any order
+    return scale * math.fsum(_bump(dist / support).tolist())
 
 
 def kernel_pairing(model: FlatTorusModel, f: TorusMap,

@@ -451,6 +451,83 @@ def test_s3_large_isotropy_matches_the_closed_form(b, theta1, theta2):
     assert_s3_closed_form(1, b, theta1, theta2)
 
 
+phases_30 = st.builds(Fraction, st.integers(0, 59), st.integers(1, 30))
+
+
+@st.composite
+def sphere_phase_maps(draw, irrational=st.booleans()):
+    """A phase map on S^3 to S^11 with weights 1 to 6, or, with a generator
+    tau, weights ``a + b tau`` for a in [0, 6] and b in [0, 2]."""
+    k = draw(st.integers(2, 6))
+    if draw(irrational):
+        weight = st.tuples(st.integers(0, 6), st.integers(0, 2)).filter(any)
+        model = sphere_model(draw(st.lists(weight, min_size=k, max_size=k)),
+                             ("tau",))
+    else:
+        model = sphere_model([(w,) for w in draw(
+            st.lists(st.integers(1, 6), min_size=k, max_size=k))])
+    phases = draw(st.lists(phases_30, min_size=k, max_size=k))
+    return model, SpherePhaseMap(phases)
+
+
+def first_fixed_stratum(model, f):
+    """The first stratum fixed orbitwise, scanning every support of two or
+    more coordinates, smallest size first; ``None`` when none is fixed."""
+    for size in range(2, model.k + 1):
+        for support in itertools.combinations(range(model.k), size):
+            LS = model.restricted_group(support).relation_lattice
+            phi_S, D = rl.numerators([f.phases[j] for j in support])
+            if all(sum(m * p for m, p in zip(row, phi_S)) % D == 0
+                   for row in LS):
+                return support
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(sphere_phase_maps())
+def test_sphere_gate_scans_pairs_to_the_same_verdict(case):
+    # the gate scans pairs only; every larger stratum it skips is fixed only
+    # if a pair inside it is
+    model, f = case
+    support = first_fixed_stratum(model, f)
+    if support is None:
+        orbits = fpf.find_fixed_orbits(model, f)
+        supports = [o.base_point.support for o in orbits]
+        assert supports == [(j,) for j in range(model.k)]
+        return
+    with pytest.raises(InfiniteFixedSet) as info:
+        fpf.find_fixed_orbits(model, f)
+    assert str(info.value) == (
+        f"the stratum supported on coordinates {support} is fixed orbitwise "
+        "and carries a positive-dimensional moduli family")
+
+
+@settings(max_examples=150, deadline=None)
+@given(sphere_phase_maps(irrational=st.just(False)))
+def test_sphere_pole_gate_is_the_pair_stratum_gate(case):
+    # with integer weights, the corrected map on pole j fixes coordinate l
+    # on some isotropy component exactly when b' phi_j - a' phi_l is an
+    # integer, (a', b') = (w_j, w_l) / gcd, which is the condition that the
+    # pair stratum {j, l} is fixed orbitwise: the per-component gate never
+    # refuses a map the stratum gate lets through
+    model, f = case
+    w = [int(row[0]) for row in model.weights.coeffs]
+    for j in range(model.k):
+        fixed_pair = False
+        for l in range(model.k):
+            g = math.gcd(w[j], w[l])
+            turn = (w[l] // g) * f.phases[j] - (w[j] // g) * f.phases[l]
+            fixed_pair |= l != j and turn.denominator == 1
+        pole = gm.SpherePoint(tuple(int(i == j) for i in range(model.k)),
+                              (0,) * model.k)
+        orbit = gm.orbit_through(model, pole)
+        if fixed_pair:
+            with pytest.raises(NonTransverse):
+                fpf.check_transversality(orbit, f)
+        else:
+            fpf.check_transversality(orbit, f)
+
+
 class TestEqualityIsNotVacuous:
     def test_mismatched_data_actually_differs(self):
         # the agreement test has teeth: pairing the untwisted harmonic side

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equilef import geometry_models as gm
@@ -28,11 +28,15 @@ DOUBLING = TorusMap(((2, 0), (0, 1)), (0, 0))
 TRIPLING = TorusMap(((3, 0), (0, 1)), (0, 0))
 # two nonzero columns in I - A: grid^3 cells on the diagonal flow
 SHEAR = TorusMap(((2, -1), (1, 0)), (0, 0))
+# the widest bump radius
+HALF_TURN = math.nextafter(0.5, 0.0)
 
 
 def dense_pairing(model, f, config):
     """Reference quadrature: the bump evaluated on every cell of the full
-    tensor grid, in the four chunks and the summation order the lab uses."""
+    tensor grid, four chunks at a time to bound the temporaries, and every
+    cell's value in one ``math.fsum`` (exact zeros dropped first: they do
+    not change the sum)."""
     grid = config.resolved_grid()
     n = model.n
     k, radius = config.k, config.radius
@@ -65,16 +69,17 @@ def dense_pairing(model, f, config):
     c_norm, _ = config.normalization()
     scale = (k**n) * c_norm / cells
 
-    def chunk_sum(lo, hi):
+    def chunk_values(lo, hi):
         gamma = base[lo:hi, None, :] + p_cols[None, :, :]
         gamma -= np.round(gamma)
         dist = np.sqrt(np.sum(gamma * gamma, axis=-1))
-        return float(np.sum(ml._bump(dist / support)))
+        vals = ml._bump(dist / support)
+        return vals[vals != 0.0].tolist()
 
     step = max(1, math.ceil(len(base) / 4))
-    partials = [chunk_sum(lo, min(lo + step, len(base)))
-                for lo in range(0, len(base), step)]
-    return scale * math.fsum(partials)
+    values = [v for lo in range(0, len(base), step)
+              for v in chunk_values(lo, min(lo + step, len(base)))]
+    return scale * math.fsum(values)
 
 
 def lab_pairing(model, f, config):
@@ -174,7 +179,13 @@ def pairing_cases(draw):
     with none."""
     shape = draw(st.sampled_from(("circle", "diagonal", "irrational")))
     k = draw(st.integers(1, 16))
-    radius = draw(st.floats(0.05, 0.49, exclude_min=True, exclude_max=True))
+    radii = st.floats(0.05, 0.49, exclude_min=True, exclude_max=True)
+    if k <= 2:
+        # the candidate window reaches about half a turn either side, where
+        # a key can sit at both of its ends
+        radii |= (st.floats(0.49, 0.5, exclude_min=True, exclude_max=True)
+                  | st.just(HALF_TURN))
+    radius = draw(radii)
     if shape == "diagonal":
         # grid^3 cells: keep the dense reference small, and resolve the
         # bump where that allows
@@ -197,10 +208,35 @@ class TestSupportQuadrature:
 
     @settings(max_examples=80, deadline=None)
     @given(pairing_cases())
+    @example((T2, DOUBLING, ml.MollifierConfig(k=1, radius=HALF_TURN)))
+    @example((T2_DIAGONAL, SHEAR, ml.MollifierConfig(k=1, radius=HALF_TURN,
+                                                     grid=16)))
+    @example((T2_IRR, TorusMap(((1, 0), (0, 1)), (Fraction(1, 2), 0)),
+              ml.MollifierConfig(k=2, radius=0.495)))
     def test_matches_dense_quadrature(self, case):
         model, f, config = case
         assert (outcome(lab_pairing, model, f, config)
                 == outcome(dense_pairing, model, f, config))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small=st.integers(2, 12), large=st.integers(1, 12),
+           grid=st.sampled_from((2, 4, 8, 10)),
+           data=st.data())
+    def test_candidate_pairs_are_listed_once(self, small, large, grid, data):
+        # points on a grid put keys exactly half a turn from window centres,
+        # at both ends of a window of half a turn; no window repeats a pair,
+        # and one of more than half a turn keeps every pair
+        def points(count):
+            return np.array(data.draw(st.lists(
+                st.tuples(st.integers(-grid, 2 * grid), st.integers(0, grid)),
+                min_size=count, max_size=count)), dtype=float) / grid
+
+        a, b = points(small), points(large)
+        for half in (0.25, 0.5, math.nextafter(0.5, 1.0), 0.75):
+            rows, cols = ml._candidate_pairs(a, b, half)
+            pairs = list(zip(rows.tolist(), cols.tolist()))
+            assert len(pairs) == len(set(pairs))
+        assert len(pairs) == small * large
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(2, 16),
@@ -229,9 +265,9 @@ class TestSupportQuadrature:
         config = ml.MollifierConfig(k=k)
         assert lab_pairing(model, f, config) == dense_pairing(model, f, config)
 
-    def test_peak_memory_is_one_chunk(self):
-        # the full k = 64 tensor took 196 MiB of temporaries; now one of the
-        # four 1024 x 4096 chunks of doubles is allocated at a time
+    def test_peak_memory_follows_the_candidate_cells(self):
+        # the k = 64 doubling's candidate cells take 12 MiB, against 196 MiB
+        # of temporaries for its full tensor grid
         ml.kernel_pairing(T2, DOUBLING, ml.MollifierConfig(k=8))
         tracemalloc.start()
         try:
@@ -239,7 +275,7 @@ class TestSupportQuadrature:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 1024 * 4096 * 8
+        assert peak < 16 * 2**20
 
 
 class TestMassCheck:
