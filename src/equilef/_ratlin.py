@@ -18,13 +18,13 @@ The workhorses are
 * ``numerators`` -- integer numerators of a rational vector over its least
   common denominator, the representation every kernel below works in;
 * ``hnf_with_transform`` -- row-style Hermite normal form with a unimodular
-  row transform, used to canonicalize integer lattices;
+  row transform, which answers every question about integer lattice points;
 * ``snf_with_transforms`` -- Smith normal form with both unimodular
-  transforms, which the two solvers below diagonalize through;
+  transforms, used only for congruences modulo one, where torsion counts;
 * ``integer_kernel`` -- a basis of ``{x in Z^n : A x = 0}`` for a rational
   constraint matrix ``A``, which is how group closures are computed;
-* ``integer_solution`` -- one integer solution of a rational system, or
-  none, which is how twisted mode lattices are offset;
+* ``integer_solutions`` -- all integer solutions of a rational system, read
+  off one Hermite form, which is how twisted mode lattices are offset;
 * ``solve_congruences`` -- the full solution set of ``A t = b (mod 1)`` on a
   torus, described as particular + torsion + connected part (the whole
   torus for an empty system), counted from the Smith diagonal before any
@@ -183,19 +183,14 @@ def hnf(M, ncols=None):
     return tuple(row for row in H if any(row))
 
 
-def scale_rows_to_int(rows):
-    """Clear denominators row by row; the row lattice's rational span and the
-    kernel are unchanged."""
-    return [list(numerators(row)[0]) for row in rows]
-
-
 def integer_kernel(constraints, n=None):
     """HNF basis of ``{x in Z^n : C x = 0}`` for rational constraint rows C.
 
     The result is automatically a saturated lattice.  With no constraints the
-    kernel is all of Z^n.
+    kernel is all of Z^n.  Each row is cleared of denominators on its own,
+    which leaves the kernel unchanged.
     """
-    rows = scale_rows_to_int(constraints)
+    rows = [numerators(row)[0] for row in constraints]
     if rows:
         n = len(rows[0])
     if n is None:
@@ -242,29 +237,21 @@ def lattice_box_points(basis, offset, cutoff):
     return tuple(out)
 
 
-def integer_solution(C, b):
-    """One integer solution of ``C x = b`` for rational ``C`` and ``b``, or
-    ``None`` when there is none.
-
-    Each equation is cleared of denominators together with its right-hand
-    side; then ``D = S C T`` (Smith normal form) turns the system into
-    ``D y = S b`` with ``x = T y``, and free coordinates of ``y`` are zero.
-    """
-    rows = scale_rows_to_int([list(r) + [bi] for r, bi in zip(C, b)])
-    n = len(rows[0]) - 1
-    D, S, T = snf_with_transforms([r[:n] for r in rows])
-    c = mat_vec(S, [r[n] for r in rows])
-    y = [0] * n
-    for i, ci in enumerate(c):
-        d = D[i][i] if i < n else 0
-        if d == 0:
-            if ci != 0:
-                return None
-        elif ci % d:
-            return None
-        else:
-            y[i] = ci // d
-    return mat_vec(T, y)
+def integer_solutions(C, b):
+    """The integer solutions of ``C x = b`` (rational; ``C`` has a row) as
+    ``(offset, kernel)``: ``offset + span_Z(kernel)``, ``kernel`` the HNF
+    basis ``integer_kernel(C)``; ``None`` when there are none.  The first
+    pivot of the HNF basis ``K`` of ``{(t, x) : C x = t b}`` is the gcd of
+    the ``t`` it reaches, so a solution exists exactly when it is 1, at
+    ``x = K[0][1:]``; the other rows of ``K`` vanish at ``t`` and, the HNF
+    being canonical, are ``integer_kernel(C)``."""
+    n = len(C[0])
+    if not any(b):
+        return (0,) * n, integer_kernel(C)
+    K = integer_kernel([(-bi, *row) for row, bi in zip(C, b)])
+    if not K or K[0][0] != 1:
+        return None
+    return K[0][1:], tuple(row[1:] for row in K[1:])
 
 
 def snf_with_transforms(M):

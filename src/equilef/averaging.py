@@ -144,8 +144,8 @@ def averaging_report(model, cutoff, rng):
     turns = (_exact_products(modes, [g_num])[..., 0] % D).astype(float) / D
     chi = np.exp(-2j * math.pi * turns)
 
-    flow = np.all(_exact_products(modes, bc._basic_constraints_int(model.v)) == 0,
-                  axis=-1)
+    flow_rows = [nums for nums, _ in model.v.column_numerators]
+    flow = np.all(_exact_products(modes, flow_rows) == 0, axis=-1)
     unannihilated = int(np.count_nonzero((keep != 0) & ~flow))
     worst = {
         "idempotent": _worst_norm(keep * pu - pu),

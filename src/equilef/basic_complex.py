@@ -90,15 +90,10 @@ def _pair(row, m):
     return sum(a * x for a, x in zip(row, m))
 
 
-@lru_cache(maxsize=None)
-def _basic_constraints_int(v):
-    return rl.freeze(rl.scale_rows_to_int(v.constraint_rows()))
-
-
 def is_basic_mode(model: FlatTorusModel, m) -> bool:
     """Exact decision of ``m . v = 0``."""
-    rows = _basic_constraints_int(model.v)
-    return all(sum(a * mi for a, mi in zip(row, m)) == 0 for row in rows)
+    return all(sum(a * mi for a, mi in zip(nums, m)) == 0
+               for nums, _ in model.v.column_numerators)
 
 
 def lattice_modes(model: FlatTorusModel, cutoff: int, weight=None, extra=()):
@@ -108,20 +103,19 @@ def lattice_modes(model: FlatTorusModel, cutoff: int, weight=None, extra=()):
 
     They form an affine lattice: the integer kernel of the flow's constraint
     rows stacked with ``extra``, translated by one integer solution of the
-    weighted system.  Its points in the box are enumerated from the kernel's
-    HNF basis; the box itself is never scanned.  Empty when no integer mode
-    carries the weight.  Raises :class:`ModeBoxTooLarge` before listing when
-    the pivot ranges allow more than ``MODE_BOX_LIMIT`` points."""
+    weighted system, both read off one Hermite form.  Its points in the box
+    are enumerated from the kernel's HNF basis; the box is never scanned.
+    Empty when no integer mode carries the weight.  Raises
+    :class:`ModeBoxTooLarge` before listing when the pivot ranges allow more
+    than ``MODE_BOX_LIMIT`` points."""
     if weight is not None and weight.generator_labels != model.v.generator_labels:
         raise GeneratorMismatch("the weight must use the model's generators")
-    rows = model.v.constraint_rows() + tuple(extra)
-    kernel = rl.integer_kernel(rows, n=model.n)
-    if weight is None:
-        offset = (0,) * model.n
-    else:
-        offset = rl.integer_solution(rows, weight.coeffs[0] + (0,) * len(extra))
-        if offset is None:
-            return ()
+    flow = model.v.constraint_rows()
+    sigma = (0,) * len(flow) if weight is None else weight.coeffs[0]
+    solutions = rl.integer_solutions(flow + tuple(extra), sigma + (0,) * len(extra))
+    if solutions is None:
+        return ()
+    offset, kernel = solutions
     # basis row i takes at most 2c // |pivot| + 1 coefficients
     bound = math.prod(2 * cutoff // abs(next(a for a in row if a)) + 1
                       for row in kernel)

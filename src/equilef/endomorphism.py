@@ -286,8 +286,9 @@ def harmonic_mode(model: FlatTorusModel, twist: BundleTwist | None = None):
     the twist weight that :func:`twisted_invariant_modes` enumerates.  It is
     zero untwisted or at weight zero.  A nonzero weight ``sigma`` needs a
     periodic flow, at any speed: its coefficient columns ``C`` have rank 1,
-    so their integer kernel ``K`` has rank ``n - 1``, and the mode solves
-    ``C m = sigma`` with ``K m = 0``.  ``None`` when no integer mode does."""
+    so their integer kernel ``K`` has rank ``n - 1``, and the mode is the
+    Hermite-form offset solving ``C m = sigma`` with ``K m = 0``.  ``None``
+    when no integer mode does."""
     zero = (0,) * model.n
     if twist is None:
         return zero
@@ -300,7 +301,8 @@ def harmonic_mode(model: FlatTorusModel, twist: BundleTwist | None = None):
     kernel = rl.integer_kernel(rows, n=model.n)
     if len(kernel) != model.n - 1:
         return None
-    return rl.integer_solution(rows + kernel, sigma + (0,) * len(kernel))
+    solutions = rl.integer_solutions(rows + kernel, sigma + (0,) * len(kernel))
+    return None if solutions is None else solutions[0]
 
 
 def twisted_invariant_modes(model: FlatTorusModel, cutoff: int,

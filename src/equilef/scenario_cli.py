@@ -67,6 +67,8 @@ MAX_DIM = 10
 #: deepest nesting of arrays and objects a scenario document may use (the
 #: committed scenarios reach 4)
 MAX_NESTING = 32
+#: largest absolute torus matrix entry: the frame pull-back runs in floats
+MAX_MATRIX_ENTRY = 2**53
 
 EXIT_PASS = 0
 EXIT_DISCREPANCY = 1
@@ -100,6 +102,15 @@ def _parse_fraction(node, path):
     if isinstance(node, int):
         return Fraction(node)
     if isinstance(node, str):
+        # Fraction would spell out every digit, and no report could print them
+        mantissa, _, exponent = node.lower().partition("e")
+        try:
+            size = sum(map(str.isdecimal, mantissa)) + abs(int(exponent or 0))
+        except ValueError:
+            size = 0        # not a rational: Fraction says so below
+        limit = sys.get_int_max_str_digits()
+        if size > limit:
+            raise SchemaError(f"a rational spells more than {limit} digits", path=path)
         try:
             return Fraction(node)
         except (ValueError, ZeroDivisionError) as exc:
@@ -268,9 +279,9 @@ def parse_scenario(data: dict) -> Scenario:
                 or any(not isinstance(row, list) or len(row) != model.n
                        for row in matrix)
                 or any(not isinstance(a, int) or isinstance(a, bool)
-                       for row in matrix for a in row)):
-            raise SchemaError("matrix must be an n x n integer array",
-                              path="$.map.matrix")
+                       or abs(a) > MAX_MATRIX_ENTRY for row in matrix for a in row)):
+            raise SchemaError("matrix must be an n x n array of integers in "
+                              "[-2^53, 2^53]", path="$.map.matrix")
         translation = map_node.get("translation", ["0"] * model.n)
         if not isinstance(translation, list) or len(translation) != model.n:
             raise SchemaError("translation must list n rationals",

@@ -557,3 +557,17 @@ def test_an_empty_harmonic_space_builds_no_frame_pullback(monkeypatch):
     path = str(SCENARIOS / "twisted_halfweight_t2.scenario")
     assert cli.run("lhs", path, stream=io.StringIO()) == cli.EXIT_PASS
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["twisted_unit_t3", "twisted_halfweight_t2"])
+def test_the_harmonic_side_and_the_heat_sweep_run_no_smith_form(monkeypatch,
+                                                                 name):
+    # lattice points come from Hermite forms: only the localized side's
+    # congruences modulo one count torsion with a Smith form
+    scenario = cli.load_scenario(SCENARIOS / f"{name}.scenario")
+    bc.basic_modes.cache_clear()
+    calls = counted(monkeypatch, rl, "snf_with_transforms")
+    cli._lhs_sections(scenario)
+    em.alternating_heat_traces(scenario.model, scenario.map, scenario.heat_s,
+                               scenario.cutoff, scenario.twist)
+    assert calls == []

@@ -159,7 +159,8 @@ class TestLatticeBoxPoints:
     def test_affine_translate(self):
         # x + y = 3 inside the box of radius 2
         basis = rl.integer_kernel([[1, 1]])
-        offset = rl.integer_solution([[1, 1]], [3])
+        offset, kernel = rl.integer_solutions([[1, 1]], [3])
+        assert kernel == basis
         assert rl.lattice_box_points(basis, offset, 2) == ((1, 2), (2, 1))
 
     def test_cutoff_zero(self):
@@ -209,13 +210,12 @@ class TestIntegerSolution:
     def test_solution_satisfies_system(self):
         C = [[2, 4, 6], [0, 3, 9]]
         b = [10, 12]
-        x = rl.integer_solution(C, b)
+        x, _ = rl.integer_solutions(C, b)
         assert rl.mat_vec(C, x) == tuple(b)
 
     def test_rational_rows(self):
-        x = rl.integer_solution([[Fraction(1, 2), Fraction(1, 3)]],
-                                [Fraction(5, 6)])
-        assert x is not None
+        x, _ = rl.integer_solutions([[Fraction(1, 2), Fraction(1, 3)]],
+                                    [Fraction(5, 6)])
         assert Fraction(x[0], 2) + Fraction(x[1], 3) == Fraction(5, 6)
 
     @pytest.mark.parametrize("C,b", [
@@ -224,7 +224,7 @@ class TestIntegerSolution:
         ([[2]], [Fraction(1, 3)]),       # fractional right-hand side
     ])
     def test_no_solution(self, C, b):
-        assert rl.integer_solution(C, b) is None
+        assert rl.integer_solutions(C, b) is None
 
 
 class TestGeneratorMismatch:

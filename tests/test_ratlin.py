@@ -410,3 +410,47 @@ def test_point_numerators_are_the_points(data):
     assert [tuple(Fraction(a, D) for a in p) for p in points] == sol.points()
     particular, E = sol.particular_numerators()
     assert tuple(Fraction(a, E) for a in particular) == sol.particular
+
+
+def _smith_integer_solution(C, b):
+    """The Smith-form route to one integer solution of ``C x = b``, kept as
+    the reference for :func:`rl.integer_solutions`: with ``D = S C T``, solve
+    ``D y = S b`` coordinatewise, free coordinates zero, and ``x = T y``."""
+    rows = [rl.numerators((*r, bi))[0] for r, bi in zip(C, b)]
+    n = len(rows[0]) - 1
+    D, S, T = rl.snf_with_transforms([r[:n] for r in rows])
+    y = [0] * n
+    for i, ci in enumerate(rl.mat_vec(S, [r[n] for r in rows])):
+        d = D[i][i] if i < n else 0
+        if d == 0 and ci or d and ci % d:
+            return None
+        if d:
+            y[i] = ci // d
+    return rl.mat_vec(T, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_solutions_match_the_smith_route(data):
+    # integer, rational and inconsistent right-hand sides; homogeneous ones too
+    m = data.draw(st.integers(1, 5), label="m")
+    n = data.draw(st.integers(1, 5), label="n")
+    C = [[data.draw(_small_rationals()) for _ in range(n)] for _ in range(m)]
+    kind = data.draw(st.sampled_from(("integer", "rational", "random", "zero")))
+    if kind == "random":
+        b = [data.draw(_small_rationals()) for _ in range(m)]
+    elif kind == "zero":
+        b = [0] * m
+    else:
+        point = st.integers(-4, 4) if kind == "integer" else _small_rationals()
+        x0 = [data.draw(point) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in C]
+    solutions = rl.integer_solutions(C, b)
+    assert (solutions is None) == (_smith_integer_solution(C, b) is None)
+    if kind == "integer":
+        assert solutions is not None
+    if solutions is not None:
+        offset, kernel = solutions
+        assert all(type(a) is int for a in offset)
+        assert rl.mat_vec(C, offset) == tuple(b)
+        assert kernel == rl.integer_kernel(C)

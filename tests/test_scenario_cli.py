@@ -599,6 +599,42 @@ class TestMalformedDocuments:
         else:
             assert json.loads(json_path.read_text())["scenario"]["ignored"]
 
+    @pytest.mark.parametrize("command", ["validate", "lhs", "verify"])
+    @pytest.mark.parametrize("keys,value,expected", [
+        # Fraction used to spell out ten million digits, for 12 s
+        (("map", "translation", 0), "1e10000000",
+         "$.map.translation[0]: a rational spells more than 4300 digits"),
+        # the orbit report used to fail to print a 100 001-digit denominator
+        (("map", "translation", 0), "1e-100000",
+         "$.map.translation[0]: a rational spells more than 4300 digits"),
+        # the frame pull-back used to overflow converting the entry to float
+        (("map", "matrix"), [[10**400 + 1, 1, 0], [10**400, 1, 0], [0, 0, 1]],
+         "$.map.matrix: matrix must be an n x n array of integers in [-2^53, 2^53]"),
+    ])
+    def test_numbers_past_what_a_report_can_carry_are_schema_errors(
+            self, tmp_path, command, keys, value, expected):
+        doc = _mutated("classical_t3", keys, value)
+        start = time.perf_counter()
+        code, out = self.run_text(tmp_path, command, json.dumps(doc))
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_USAGE
+        assert out == f"schema error at {expected}\n"
+
+    @pytest.mark.parametrize("value,code", [
+        ("1e4299", cli.EXIT_PASS), ("1e4300", cli.EXIT_USAGE),
+        ("-0.5e-4298", cli.EXIT_PASS), ("-0.5e-4299", cli.EXIT_USAGE)])
+    def test_a_rational_may_spell_4300_digits(self, tmp_path, value, code):
+        doc = _mutated("classical_t3", ("map", "translation", 0), value)
+        assert self.run_text(tmp_path, "verify", json.dumps(doc))[0] == code
+
+    @pytest.mark.parametrize("a,code", [
+        (2**53, cli.EXIT_PASS), (2**53 + 1, cli.EXIT_USAGE),
+        (1 - 2**53, cli.EXIT_PASS), (-2**53, cli.EXIT_USAGE)])
+    def test_matrix_entries_are_bounded_by_2_53(self, tmp_path, a, code):
+        matrix = [[a, 1, 0], [a - 1, 1, 0], [0, 0, 1]]     # determinant 1
+        doc = _mutated("classical_t3", ("map", "matrix"), matrix)
+        assert self.run_text(tmp_path, "validate", json.dumps(doc))[0] == code
+
     def test_committed_scenarios_nest_four_levels(self):
         def depth(node):
             items = (node.values() if isinstance(node, dict)
