@@ -30,14 +30,19 @@ The workhorses are
   torus for an empty system), counted from the Smith diagonal before any
   torsion translate is listed, and computed in numerators over
   ``E * lcm(Smith entries)``, ``E`` the denominator of ``b``;
-* ``solve_rational_numerators`` -- the canonical solution of a rational
-  system (free variables zero) by fraction-free Gauss-Jordan elimination;
+* ``echelon_solve`` -- the solution of a system in echelon form with
+  non-pivot coordinates zero, by back-substitution in integers; applied to
+  a Hermite form it answers every rational solve (``solve_rational``) and
+  every lattice-coordinate read (``lattice_coordinates``);
 * ``lattice_box_points`` -- the points of an affine lattice
   ``offset + span_Z(basis)`` inside the sup-norm box, enumerated from the
   HNF basis by back-substitution (Fincke-Pohst style bounds), which is how
   flow-annihilated Fourier modes are listed;
 * ``det_int`` and ``char_poly`` -- exact determinants (Bareiss) and
   characteristic polynomials (Faddeev-LeVerrier) of integer matrices.
+
+One elimination per kind of question: Hermite (lattices, rational solves),
+Smith (congruences modulo one), Bareiss and Faddeev-LeVerrier.
 """
 
 from __future__ import annotations
@@ -536,79 +541,60 @@ def deflate_root_one(coeffs):
     return tuple(out[:-1])
 
 
-def solve_rational_numerators(A, b):
-    """The canonical exact solution of ``A x = b`` over the rationals
-    (free variables zero) as ``(numerators, D)``, or ``None`` when there is
-    none.
-
-    Fraction-free Gauss-Jordan elimination: each equation is cleared of
-    denominators together with its right-hand side, each elimination step
-    ``r_i <- p r_i - a r_r`` (``p`` the pivot of row ``r``, ``a`` the entry
-    of row ``i`` under it) stays in integers, and every row is divided by
-    the gcd of its entries.  The rows end as the
-    reduced row echelon form, each scaled by its pivot; that form is unique,
-    so the pivots and the canonical solution are those of elimination over
-    the rationals in any row order, and ``D`` is the lcm of the pivots.
-    """
-    m = len(A)
-    if m == 0:
-        return (), 1
-    n = len(A[0])
-    M = [_primitive(numerators((*row, bi))[0]) for row, bi in zip(A, b)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        R = M[r]
-        p = R[col]
-        for i in range(m):
-            a = M[i][col]
-            if i != r and a:
-                M[i] = _primitive([p * x - a * y for x, y in zip(M[i], R)])
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    if any(M[i][n] for i in range(r, m)):
-        return None
-    D = math.lcm(*(M[i][col] for i, col in enumerate(pivots)))
-    x = [0] * n
-    for i, col in enumerate(pivots):
-        x[col] = M[i][n] * (D // M[i][col])
+def echelon_solve(H, b):
+    """The solution of ``H x = b`` with non-pivot coordinates zero, as
+    ``(numerators, D)``, for an integer echelon basis ``H`` with no zero
+    rows and a rational ``b``.  Back-substitution from the last row up, in
+    integers over ``D = E |prod pivots|`` (``E`` the denominator of ``b``):
+    by Cramer's rule on the triangular pivot block, ``D x`` is integral, so
+    every division is exact."""
+    b, E = numerators(b)
+    pivots = [next(j for j, a in enumerate(row) if a) for row in H]
+    D = E * abs(math.prod(row[p] for row, p in zip(H, pivots)))
+    x = [0] * len(H[0])
+    for row, p, bi in zip(reversed(H), reversed(pivots), reversed(b)):
+        rest = sum(a * xj for a, xj in zip(row[p + 1:], x[p + 1:]))
+        x[p] = (bi * (D // E) - rest) // row[p]
     return tuple(x), D
 
 
-def _primitive(row):
-    g = math.gcd(*row)
-    return [a // g for a in row] if g > 1 else row
-
-
 def solve_rational(A, b):
-    """One exact solution of ``A x = b`` over the rationals, or ``None``:
-    the ``Fraction`` view of :func:`solve_rational_numerators`."""
-    sol = solve_rational_numerators(A, b)
-    if sol is None:
+    """The canonical exact solution of ``A x = b`` over the rationals (free
+    variables zero), or ``None`` when there is none.  The Hermite form of
+    the rows ``(*A_i, b_i)``, cleared of denominators, has the pivot columns
+    of the reduced row echelon form: a pivot in the right-hand column means
+    no solution, and otherwise :func:`echelon_solve` gives it."""
+    if not A:
+        return ()
+    n = len(A[0])
+    H = hnf([numerators((*row, bi))[0] for row, bi in zip(A, b)])
+    if not H:
+        return (Fraction(0),) * n
+    if not any(H[-1][:n]):
         return None
-    x, D = sol
+    x, D = echelon_solve([row[:n] for row in H], [row[n] for row in H])
     return tuple(Fraction(a, D) for a in x)
 
 
 def lattice_coordinates(basis_rows, x):
     """Integer coordinates of ``x`` in the given lattice basis, or ``None``.
 
-    ``basis_rows`` must have full row rank; ``x`` is a rational vector.  The
-    coordinates solve ``basis^T y = x`` exactly, and are integers when their
-    numerators are multiples of their denominator.
+    ``basis_rows`` is an integer basis of full row rank, not necessarily a
+    Hermite one, and ``x`` a rational vector.  With ``H = U basis`` (Hermite)
+    one coefficient ``y_i`` is read per pivot, in integers over the
+    denominator of ``x``; a pivot that does not divide, or a nonzero
+    residual, means ``x`` is not in the lattice.  Then ``x = (y U) basis``.
     """
-    if not basis_rows:
-        return () if not any(x) else None
-    sol = solve_rational_numerators(transpose(basis_rows), x)
-    if sol is None:
+    H, U = hnf_with_transform(basis_rows)
+    x, E = numerators(x)
+    y = []
+    for row in H:
+        p = next(j for j, a in enumerate(row) if a)
+        q, rem = divmod(x[p], E * row[p])
+        if rem:
+            return None
+        y.append(q)
+        x = [a - q * E * b for a, b in zip(x, row)]
+    if any(x):
         return None
-    y, D = sol
-    if any(a % D for a in y):
-        return None
-    return tuple(a // D for a in y)
+    return vec_mat(y, U)

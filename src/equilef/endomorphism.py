@@ -246,6 +246,14 @@ def _principal_minor_sums(M):
             for q in range(len(M) + 1)]
 
 
+def _hadamard_sums(M):
+    """Per degree, the sum of the principal minors' Hadamard bounds (products
+    of their row lengths), which also scale their float rounding errors."""
+    return [sum(math.prod(math.hypot(*(M[i][j] for j in I)) for i in I)
+                for I in itertools.combinations(range(len(M)), q))
+            for q in range(len(M) + 1)]
+
+
 def pullback_on_forms(f: TorusMap, u: bc.BasicForm) -> bc.BasicForm:
     """Pull back a flow-annihilated form: modes map by ``A^T`` with a
     character phase, frame covectors by the horizontal restriction of
@@ -372,10 +380,12 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
             lefschetz_exact=Fraction(0),
         )
     ext = f.exterior_traces
-    frame_traces = _principal_minor_sums(_frame_pullback_matrix(model, f.matrix))
-    for trace, e in zip(frame_traces, ext):
-        # the floating frame route must agree with the exact route
-        if not abs(trace - e) < 1e-8 * max(1.0, abs(e)):
+    pullback = _frame_pullback_matrix(model, f.matrix)
+    for trace, e, bound in zip(_principal_minor_sums(pullback), ext,
+                               _hadamard_sums(pullback)):
+        # the floating frame route must agree with the exact route; a float
+        # minor's rounding error scales with its Hadamard bound, not its value
+        if not abs(trace - e) < 1e-8 * max(1.0, abs(e)) + 1e-12 * bound:
             raise InternalCheckFailed(
                 "the frame pull-back disagrees with the exact exterior traces")
     phase_turns = rl.frac_mod1(f.character(m0))

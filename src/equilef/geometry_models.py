@@ -158,14 +158,11 @@ def _exact_vector(p, n):
 
 
 def _solve_from_level(lattice, level, n):
-    """Canonical exact solution in ``[0, 1)^n`` of ``lattice @ x = level``
-    using the HNF pivot structure (non-pivot coordinates are zero)."""
+    """Canonical exact solution in ``[0, 1)^n`` of ``lattice @ x = level`` by
+    back-substitution on the HNF basis ``lattice`` (non-pivot coordinates 0)."""
     if not lattice:
         return tuple(Fraction(0) for _ in range(n))
-    sol = rl.solve_rational_numerators(lattice, level)
-    if sol is None:
-        raise InternalCheckFailed("level sets of a full-row-rank lattice are nonempty")
-    x, D = sol
+    x, D = rl.echelon_solve(lattice, level)
     return tuple(Fraction(a % D, D) for a in x)
 
 
@@ -190,19 +187,18 @@ def torus_orbits(model: FlatTorusModel, levels, D) -> list:
     given levels, in order, each level given as integer numerators over
     ``D`` (as ``CongruenceSolution.point_numerators`` lists them).  The
     canonical base point of ``_solve_from_level`` is linear in the level
-    (its free coordinates are zero), so its solve operator is built once
-    from the unit levels, and each level's numerators are mapped through it
-    in integers over ``D`` times the operator's denominator.  The
-    dimension and the (trivial) isotropy are the same for every orbit and
-    built once."""
+    (its free coordinates are zero), so its solve operator is built once,
+    by back-substitution of the unit levels on the HNF basis ``L``; every
+    column is over the same denominator ``E``, the product of the pivots,
+    and each level's numerators are mapped through it in integers over
+    ``D E``.  The dimension and the (trivial) isotropy are the same for
+    every orbit and built once."""
     L = model.base_lattice
     dim = model.group.dim
     isotropy = tg.IsotropyDescriptor(model.group, range(model.n))
-    columns = [rl.solve_rational_numerators(L, unit)
-               for unit in rl.identity_rows(len(L))]
-    E = math.lcm(*(den for _, den in columns))
-    solve = [[x[i] * (E // den) for x, den in columns]
-             for i in range(model.n)]                       # over E
+    columns = [rl.echelon_solve(L, unit) for unit in rl.identity_rows(len(L))]
+    E = columns[0][1] if columns else 1
+    solve = [[x[i] for x, _ in columns] for i in range(model.n)]    # over E
     DE = D * E
     return [
         ClosedOrbit(

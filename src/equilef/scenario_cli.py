@@ -468,7 +468,14 @@ def _complex_str(z):
 
 
 def _frac_str(q):
-    return None if q is None else str(Fraction(q))
+    """A ``Fraction`` or ``int`` as report text, or a typed error if too long."""
+    if q is None:
+        return None
+    try:
+        return str(q)
+    except ValueError:
+        raise EquilefError("an exact value in the report has more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _term_json(contrib, terms):
@@ -482,7 +489,7 @@ def _term_json(contrib, terms):
     if found is None:
         found = terms[id(per_degree)] = {
             "sheets": per_degree[0].sheets,
-            "haar_factor": str(per_degree[0].haar_factor),
+            "haar_factor": _frac_str(per_degree[0].haar_factor),
             "per_degree": [
                 {
                     "q": pd.degree,
@@ -502,19 +509,19 @@ def _term_json(contrib, terms):
 def _orbit_json(contrib, terms):
     orbit = contrib.orbit
     if isinstance(orbit.model, FlatTorusModel):
-        location = {"base_point": [str(x) for x in orbit.base_point]}
+        location = {"base_point": [_frac_str(x) for x in orbit.base_point]}
     else:
         bp = orbit.base_point
         location = {
             "support": list(bp.support),
-            "moduli_sq": [str(x) for x in bp.moduli_sq],
-            "phases": [str(x) for x in bp.phases],
+            "moduli_sq": [_frac_str(x) for x in bp.moduli_sq],
+            "phases": [_frac_str(x) for x in bp.phases],
         }
     return {
         "location": location,
         "dim": orbit.dim,
         "isotropy_components": orbit.isotropy.component_count,
-        "g0": [str(x) for x in contrib.g0],
+        "g0": [_frac_str(x) for x in contrib.g0],
         **_term_json(contrib, terms),
         "transversality": "certified",
     }

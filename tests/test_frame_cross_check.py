@@ -1,6 +1,7 @@
 """The harmonic side's float cross-check: the Householder frame, the
 partial-pivoting determinant, and the principal-minor traces of the frame
-pull-back that ``cohomology_action`` compares with the exact traces."""
+pull-back that ``cohomology_action`` compares with the exact traces; and,
+on the same random equivariant maps, exact agreement of the two sides."""
 
 import itertools
 from fractions import Fraction
@@ -13,19 +14,20 @@ from hypothesis import strategies as st
 from equilef import _ratlin as rl
 from equilef import basic_complex as bc
 from equilef import endomorphism as em
+from equilef import fixed_point_formula as fpf
 from equilef import geometry_models as gm
 from equilef import torus_group as tg
-from equilef.errors import InternalCheckFailed
+from equilef.errors import InfiniteFixedSet, InternalCheckFailed
 
 small_rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
 
 
 @st.composite
-def flows(draw):
-    """A flat T^2-T^6 model with 0-2 generators.  Either one coordinate is
-    nonzero (a flow along an axis, rational or irrational) or each
+def flows(draw, max_n=6):
+    """A flat T^2-T^max_n model with 0-2 generators.  Either one coordinate
+    is nonzero (a flow along an axis, rational or irrational) or each
     coordinate is zero, rational, irrational or mixed."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_n))
     g = draw(st.integers(0, 2))
     kinds = ["rational", "irrational", "mixed"] if g else ["rational"]
     if draw(st.booleans()):
@@ -97,17 +99,18 @@ class TestFloatDeterminant:
 
 
 @st.composite
-def equivariant_maps(draw):
+def equivariant_maps(draw, max_n=6, translated=False):
     """``(model, f)`` with ``A = I + X K`` for the integer kernel ``K`` of the
     flow's constraint rows (so ``K v = 0`` and ``A v = v``) and a random
-    integer ``X``."""
-    model = draw(flows())
+    integer ``X``; the translation is zero unless ``translated``."""
+    model = draw(flows(max_n))
     n = model.n
     K = rl.integer_kernel(model.v.constraint_rows(), n=n)
     X = [[draw(st.integers(-2, 2)) for _ in K] for _ in range(n)]
     XK = rl.mat_mul(X, K) if K else [[0] * n for _ in range(n)]
     A = [[(i == j) + XK[i][j] for j in range(n)] for i in range(n)]
-    return model, em.TorusMap(A, (0,) * n)
+    c = [draw(small_rational) if translated else 0 for _ in range(n)]
+    return model, em.TorusMap(A, c)
 
 
 @settings(max_examples=100, deadline=None,
@@ -117,6 +120,35 @@ def test_random_equivariant_maps_pass_the_cross_check(case):
     model, f = case
     act = em.cohomology_action(model, f)
     assert act.trace_integers == f.exterior_traces
+
+
+@pytest.mark.parametrize("a", [10**8, 10**9, -10**9, 10**12, 10**15, -10**15, 2**53])
+def test_large_entries_pass_the_cross_check(a):
+    # determinant 1 with entries near a: the float minor a - (a - 1) loses
+    # the determinant to cancellation, within the minor's Hadamard bound
+    f = em.TorusMap(((a, 1, 0), (a - 1, 1, 0), (0, 0, 1)), (0, 0, 0))
+    act = em.cohomology_action(T3_PROD, f)
+    assert act.trace_integers == (1, a + 1, 1)
+    assert act.lefschetz_exact == 1 - a
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(equivariant_maps(max_n=4, translated=True))
+def test_both_sides_agree_exactly_on_random_maps(case):
+    # the harmonic side's exact value against the localized side's, through
+    # the induced base map and the orbit base points, wherever the fixed
+    # set is finite and small
+    model, f = case
+    A_bar, _ = gm.induced_base_map(model, f)
+    minus_identity = [[a - (i == j) for j, a in enumerate(row)]
+                      for i, row in enumerate(A_bar)]
+    assume(abs(rl.det_int(minus_identity)) <= 100)
+    try:
+        rhs = fpf.lefschetz_rhs(model, f)
+    except InfiniteFixedSet:
+        assume(False)
+    assert em.cohomology_action(model, f).lefschetz_exact == rhs.value_exact
 
 
 def test_dropping_one_principal_minor_is_caught(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -238,7 +239,8 @@ def torus_models(draw):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), model=torus_models())
 def test_torus_orbit_base_points_match_the_fraction_solve(data, model):
-    # the integer solve operator against one Fraction elimination per level
+    # the integer solve operator against sympy's reduced row echelon form of
+    # each level's system, free coordinates zero
     L = model.base_lattice
     levels = data.draw(st.lists(st.tuples(*[rationals()] * len(L)), min_size=1, max_size=5))
     flat, D = rl.numerators([x for level in levels for x in level])
@@ -246,9 +248,12 @@ def test_torus_orbit_base_points_match_the_fraction_solve(data, model):
         else [()] * len(levels)
     orbits = gm.torus_orbits(model, nums, D)
     for level, orbit in zip(levels, orbits):
-        expected = (rl.vec_mod1(rl.solve_rational(L, level)) if L
-                    else (Fraction(0),) * model.n)
-        assert orbit.base_point == expected
+        expected = [Fraction(0)] * model.n
+        if L:
+            R, pivots = sympy.Matrix([[*row, q] for row, q in zip(L, level)]).rref()
+            for i, col in enumerate(pivots):
+                expected[col] = Fraction(int(R[i, model.n].p), int(R[i, model.n].q))
+        assert orbit.base_point == rl.vec_mod1(expected)
         assert orbit.key == ("torus", level)
         assert rl.vec_mod1(rl.mat_vec(L, orbit.base_point)) == rl.vec_mod1(level)
 

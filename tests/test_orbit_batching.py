@@ -156,7 +156,7 @@ def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):
     # the base points come from one solve operator per map, the term is
     # assembled once per distinct component data, and an untwisted torus
     # orbit never evaluates a preimage element
-    calls = {"solve_rational_numerators": 0, "PerDegreeData": 0,
+    calls = {"echelon_solve": 0, "PerDegreeData": 0,
              "element_numerators": 0}
 
     def counting(owner, name):
@@ -167,7 +167,7 @@ def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(fpf.rl, "solve_rational_numerators")
+    counting(fpf.rl, "echelon_solve")
     counting(fpf, "PerDegreeData")
     counting(tg.SubtorusGroup, "element_numerators")
 
@@ -184,8 +184,7 @@ def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):
     one, one_calls = rhs(2)
     sixteen, sixteen_calls = rhs(5)
     assert (one, sixteen) == (1, 16)
-    assert (sixteen_calls["solve_rational_numerators"]
-            == one_calls["solve_rational_numerators"])
+    assert sixteen_calls["echelon_solve"] == one_calls["echelon_solve"]
     assert sixteen_calls["PerDegreeData"] == 3       # once per degree of T^3
     assert sixteen_calls["element_numerators"] == 0
 
@@ -343,17 +342,19 @@ def test_sphere_turns_are_evaluated_once_per_preimage_component(monkeypatch, twi
 
 
 def test_the_base_map_is_solved_once_per_rhs(monkeypatch):
-    # c solves build the base-point operator of the c-dimensional base and c
-    # more solve the base map's rows; the fixed-orbit congruences and the
-    # conormal determinant share that one base map
-    calls = counted(monkeypatch, fpf.rl, "solve_rational_numerators")
+    # c back-substitutions build the base-point operator of the
+    # c-dimensional base and c lattice-coordinate reads solve the base map's
+    # rows; the fixed-orbit congruences and the conormal determinant share
+    # that one base map
+    solves = counted(monkeypatch, fpf.rl, "echelon_solve")
+    reads = counted(monkeypatch, fpf.rl, "lattice_coordinates")
     model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 1)))
     f = TorusMap(((3, 1, 0), (1, 2, 0), (0, 0, 1)), (0, Fraction(1, 2), 0))
     clear_equilef_caches()
     rhs = fpf.lefschetz_rhs(model, f)
     assert rhs.value_exact is not None
     c = len(model.base_lattice)
-    assert len(calls) == 2 * c
+    assert (len(solves), len(reads)) == (c, c)
     info = gm.induced_base_map.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 

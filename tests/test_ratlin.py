@@ -337,8 +337,8 @@ def _small_rationals():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_solve_rational_matches_sympy_rref(data):
-    # consistent, inconsistent and rank-deficient systems: the integer
-    # Gauss-Jordan must give sympy's pivots (through None for an
+    # consistent, inconsistent and rank-deficient systems: the Hermite form
+    # of the augmented rows must give sympy's pivots (through None for an
     # inconsistent system) and its canonical solution, free variables zero
     m = data.draw(st.integers(1, 4), label="m")
     n = data.draw(st.integers(1, 4), label="n")
@@ -360,8 +360,28 @@ def test_solve_rational_matches_sympy_rref(data):
     for i, col in enumerate(pivots):
         expected[col] = Fraction(int(R[i, n].p), int(R[i, n].q))
     assert x == tuple(expected)
-    nums, D = rl.solve_rational_numerators(A, b)
-    assert tuple(Fraction(a, D) for a in nums) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_echelon_solve_on_hermite_bases_matches_sympy_rref(data):
+    # the rows of a Hermite basis are independent, so every right-hand side
+    # is solvable; back-substitution must give the reduced row echelon
+    # form's solution, non-pivot coordinates zero
+    m = data.draw(st.integers(1, 5), label="m")
+    n = data.draw(st.integers(1, 6), label="n")
+    H = rl.hnf([[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(m)])
+    assume(H)
+    b = [data.draw(_small_rationals()) for _ in H]
+    nums, D = rl.echelon_solve(H, b)
+    x = [Fraction(a, D) for a in nums]
+    R, pivots = sympy.Matrix([[*row, bi] for row, bi in zip(H, b)]).rref()
+    expected = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        expected[col] = Fraction(int(R[i, n].p), int(R[i, n].q))
+    assert x == expected
+    assert list(rl.mat_vec(H, x)) == b
+    assert all(x[j] == 0 for j in range(n) if j not in pivots)
 
 
 @settings(max_examples=80, deadline=None)
@@ -380,6 +400,42 @@ def test_lattice_coordinates_match_brute_force(data):
     found = [y for y in itertools.product(range(-8, 9), repeat=r)
              if rl.vec_mat(y, basis) == x] if basis else ([()] if not any(x) else [])
     assert len(found) <= 1
+    assert rl.lattice_coordinates(basis, x) == (found[0] if found else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lattice_coordinates_in_mixed_bases_match_brute_force(data):
+    # a full-rank basis that is not Hermite: a unimodular mix of an HNF
+    # basis.  The point is a lattice point with coordinates in [-2, 2], or
+    # one moved off the lattice by half a unit or by a unit vector at a
+    # non-pivot column (no lattice vector starts there), so the box search
+    # below finds every lattice point's coordinates
+    n = data.draw(st.integers(1, 4), label="n")
+    M = [[data.draw(st.integers(-3, 3)) for _ in range(n)]
+         for _ in range(data.draw(st.integers(1, 3), label="rows"))]
+    H = rl.hnf(M)
+    assume(H)
+    r = len(H)
+    U = rl.identity_rows(r)
+    for _ in range(data.draw(st.integers(0, 3), label="mixes")):
+        i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+        q = data.draw(st.integers(-2, 2))
+        U[i] = [-a for a in U[i]] if i == j else [a + q * c for a, c in zip(U[i], U[j])]
+    basis = rl.mat_mul(U, H)
+    pivots = {next(j for j, a in enumerate(row) if a) for row in H}
+    shifts = [Fraction(0)] * n
+    move = data.draw(st.sampled_from(["none", "half", "non-pivot"]), label="move")
+    free = [j for j in range(n) if j not in pivots]
+    if move == "half":
+        shifts[data.draw(st.integers(0, n - 1))] = Fraction(1, 2)
+    elif move == "non-pivot" and free:
+        shifts[data.draw(st.sampled_from(free))] = Fraction(1)
+    y = tuple(data.draw(st.integers(-2, 2)) for _ in range(r))
+    x = tuple(a + s for a, s in zip(rl.vec_mat(y, basis), shifts))
+    found = [z for z in itertools.product(range(-2, 3), repeat=r)
+             if rl.vec_mat(z, basis) == x]
+    assert found == ([y] if not any(shifts) else [])
     assert rl.lattice_coordinates(basis, x) == (found[0] if found else None)
 
 

@@ -119,6 +119,25 @@ class TestRhs:
                                "with support (0,) ")
         assert "(coordinate 1 " in text
 
+    def test_an_exact_value_too_long_to_print_exits_1(self, tmp_path):
+        # each translation is accepted (1453 characters), but (A - I)^-1
+        # mixes the three denominators into a base point past Python's
+        # 4300-digit string limit
+        doc = {
+            "schema": 1, "name": "long_denominators",
+            "model": {"type": "flat_torus", "n": 4, "v": ["0", "0", "0", "1"]},
+            "map": {"matrix": [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]],
+                    "translation": [f"1/{10**1450 + k}" for k in (1, 3, 7)] + ["0"]},
+        }
+        for command in ("rhs", "verify"):
+            start = time.perf_counter()
+            code, text = run_doc(tmp_path, command, doc)
+            assert time.perf_counter() - start < 1.0
+            assert code == cli.EXIT_DISCREPANCY
+            assert text == "error: an exact value in the report has more than 4300 digits\n"
+        for command in ("validate", "lhs"):
+            assert run_doc(tmp_path, command, doc)[0] == cli.EXIT_PASS
+
 
 class TestOtherCommands:
     def test_lhs(self):
