@@ -576,25 +576,30 @@ def solve_rational(A, b):
     return tuple(Fraction(a, D) for a in x)
 
 
-def lattice_coordinates(basis_rows, x):
-    """Integer coordinates of ``x`` in the given lattice basis, or ``None``.
+def lattice_coordinates(basis_rows, rows):
+    """Integer coordinate rows ``Y`` with ``Y basis = rows``, or ``None`` when
+    some row is not in the lattice.
 
     ``basis_rows`` is an integer basis of full row rank, not necessarily a
-    Hermite one, and ``x`` a rational vector.  With ``H = U basis`` (Hermite)
-    one coefficient ``y_i`` is read per pivot, in integers over the
-    denominator of ``x``; a pivot that does not divide, or a nonzero
-    residual, means ``x`` is not in the lattice.  Then ``x = (y U) basis``.
+    Hermite one, and each of ``rows`` a rational vector.  With ``H = U
+    basis`` (Hermite, computed once for all rows) one coefficient ``y_i`` of
+    a row ``x`` is read per pivot, in integers over the denominator of
+    ``x``; a pivot that does not divide, or a nonzero residual, means ``x``
+    is not in the lattice.  Then ``x = (y U) basis``.
     """
     H, U = hnf_with_transform(basis_rows)
-    x, E = numerators(x)
-    y = []
-    for row in H:
-        p = next(j for j, a in enumerate(row) if a)
-        q, rem = divmod(x[p], E * row[p])
-        if rem:
+    out = []
+    for x in rows:
+        x, E = numerators(x)
+        y = []
+        for row in H:
+            p = next(j for j, a in enumerate(row) if a)
+            q, rem = divmod(x[p], E * row[p])
+            if rem:
+                return None
+            y.append(q)
+            x = [a - q * E * b for a, b in zip(x, row)]
+        if any(x):
             return None
-        y.append(q)
-        x = [a - q * E * b for a, b in zip(x, row)]
-    if any(x):
-        return None
-    return vec_mat(y, U)
+        out.append(vec_mat(y, U))
+    return freeze(out)

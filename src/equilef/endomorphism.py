@@ -12,10 +12,12 @@ The induced map on harmonic representatives is a compression of the exterior
 powers of ``A^T`` restricted to the horizontal subspace.  Its per-degree
 traces are elementary symmetric functions of the spectrum of ``A`` with one
 copy of the eigenvalue 1 removed, which this module computes exactly from
-the integer characteristic polynomial.  The float frame route is kept as a
-cross-check: the trace of the q-th exterior power of the frame pull-back
-``B A^T B^T`` is the sum of its principal q-minors, each taken by a small
-partial-pivoting determinant in plain Python floats.
+the integer characteristic polynomial.  They are cross-checked in integers
+by restriction to the lattice of flow-annihilated modes, which ``A^T``
+preserves: with its rows ``K`` and their Gram matrix ``G = K K^T``, the
+deflated characteristic polynomial ``h`` satisfies ``h(x) det G =
+det(x G - K A K^T) (x - 1)^(d - 1)``, ``d`` the closure dimension, with
+Bareiss determinants at ``n`` integer points.
 """
 
 from __future__ import annotations
@@ -239,21 +241,6 @@ def _wedge_minors(M, q):
     return subsets, [[_minor(M, J, I) for I in subsets] for J in subsets]
 
 
-def _principal_minor_sums(M):
-    """Trace of each exterior power of ``M``, degree by degree: the sum of
-    its principal minors of that size."""
-    return [sum(_minor(M, I, I) for I in itertools.combinations(range(len(M)), q))
-            for q in range(len(M) + 1)]
-
-
-def _hadamard_sums(M):
-    """Per degree, the sum of the principal minors' Hadamard bounds (products
-    of their row lengths), which also scale their float rounding errors."""
-    return [sum(math.prod(math.hypot(*(M[i][j] for j in I)) for i in I)
-                for I in itertools.combinations(range(len(M)), q))
-            for q in range(len(M) + 1)]
-
-
 def pullback_on_forms(f: TorusMap, u: bc.BasicForm) -> bc.BasicForm:
     """Pull back a flow-annihilated form: modes map by ``A^T`` with a
     character phase, frame covectors by the horizontal restriction of
@@ -288,6 +275,43 @@ def exact_exterior_traces(matrix):
     return tuple((-1) ** q * h[q] for q in range(len(h)))
 
 
+@lru_cache(maxsize=None)
+def _basic_lattice(model: FlatTorusModel):
+    """HNF rows ``K`` of the lattice ``{m : m . v = 0}`` of flow-annihilated
+    modes, of rank ``n - d`` for the closure dimension ``d``; memoized per
+    model, so the twisted harmonic mode and the trace check share it."""
+    return rl.integer_kernel(model.v.constraint_rows(), n=model.n)
+
+
+def _check_exterior_traces(model: FlatTorusModel, f: TorusMap):
+    """Certify ``f.exterior_traces`` in integers, or raise
+    :class:`InternalCheckFailed`.
+
+    Since ``A v = v``, ``A^T`` maps the basic-mode lattice ``K`` into itself,
+    ``K A = M K``, and acts trivially on the ``d`` flow directions, so the
+    deflated characteristic polynomial ``h`` (``h_q = (-1)^q`` times the
+    q-th trace) is ``chi_M(x) (x - 1)^(d - 1)``.  With ``G = K K^T``,
+    ``chi_M(x) det G = det(x G - K A K^T)``, so M is never formed.  Both
+    sides of ``h(x) det G = det(x G - K A K^T) (x - 1)^(d - 1)`` have degree
+    ``n - 1``; agreeing at the ``n`` points ``x = 0, ..., n - 1`` they are
+    equal."""
+    n = model.n
+    K = _basic_lattice(model)
+    G = [rl.mat_vec(K, k) for k in K]
+    KAK = [rl.mat_vec(K, rl.vec_mat(k, f.matrix)) for k in K]
+    det_G = rl.det_int(G)
+    h = [(-1) ** q * e for q, e in enumerate(f.exterior_traces)]
+    for x in range(n):
+        h_x = 0
+        for c in h:
+            h_x = h_x * x + c
+        det_x = rl.det_int([[x * g - s for g, s in zip(g_row, s_row)]
+                            for g_row, s_row in zip(G, KAK)])
+        if h_x * det_G != det_x * (x - 1) ** (n - len(K) - 1):
+            raise InternalCheckFailed(
+                "the exterior traces disagree with the basic-mode lattice")
+
+
 def harmonic_mode(model: FlatTorusModel, twist: BundleTwist | None = None):
     """The mode carrying the harmonic space: the zero-eigenvalue point (the
     one parallel to the flow) of the lattice of modes with ``m . v`` equal to
@@ -305,11 +329,11 @@ def harmonic_mode(model: FlatTorusModel, twist: BundleTwist | None = None):
     sigma = twist.weight.coeffs[0]
     if not any(sigma):
         return zero
-    rows = model.v.constraint_rows()
-    kernel = rl.integer_kernel(rows, n=model.n)
+    kernel = _basic_lattice(model)
     if len(kernel) != model.n - 1:
         return None
-    solutions = rl.integer_solutions(rows + kernel, sigma + (0,) * len(kernel))
+    solutions = rl.integer_solutions(model.v.constraint_rows() + kernel,
+                                     sigma + (0,) * len(kernel))
     return None if solutions is None else solutions[0]
 
 
@@ -364,7 +388,9 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
     when there is none or ``A^T`` moves it; otherwise it is the exterior power
     of the horizontal restriction times the character phase of that mode (and
     the twist's fiber scalar).  The alternating sum telescopes to a
-    determinant, so untwisted values are exact integers."""
+    determinant, so untwisted values are exact integers.  The exterior
+    traces are certified by :func:`_check_exterior_traces` first; the phase
+    factor is the only float work."""
     validate_equivariance(model, f)
     n = model.n
     m0 = harmonic_mode(model, twist)
@@ -379,15 +405,8 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
             lefschetz=0.0,
             lefschetz_exact=Fraction(0),
         )
+    _check_exterior_traces(model, f)
     ext = f.exterior_traces
-    pullback = _frame_pullback_matrix(model, f.matrix)
-    for trace, e, bound in zip(_principal_minor_sums(pullback), ext,
-                               _hadamard_sums(pullback)):
-        # the floating frame route must agree with the exact route; a float
-        # minor's rounding error scales with its Hadamard bound, not its value
-        if not abs(trace - e) < 1e-8 * max(1.0, abs(e)) + 1e-12 * bound:
-            raise InternalCheckFailed(
-                "the frame pull-back disagrees with the exact exterior traces")
     phase_turns = rl.frac_mod1(f.character(m0))
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     factor = scalar * cmath.exp(2j * math.pi * float(phase_turns))

@@ -15,7 +15,7 @@ congruences (finitely many iff the base map minus identity is invertible),
 conormal determinants are integer determinants, fiber traces are elementary
 symmetric integers, and twist phases are rational turns.  On weighted
 spheres the conormal space at a fixed pole is the product of the normal
-coordinate planes, which a float frame check certifies once per orbit, so
+coordinate planes, which an exact check certifies once per orbit, so
 each isotropy component's determinant is a product of plane rotations minus
 the identity: an exact rational zero-test and a closed-form float value.
 """
@@ -50,7 +50,6 @@ from .geometry_models import (
     WeightedSphereModel,
     induced_base_map,
     orbit_through,
-    sphere_conormal_frame,
     torus_orbits,
 )
 
@@ -182,12 +181,14 @@ def _sphere_rotation_turns(shift, S, h, H):
 
 def _sphere_normal_coords(orbit: ClosedOrbit):
     """The coordinates off a sphere orbit's support, after the checks every
-    isotropy component shares: the stratum has no moduli, the identity
-    component sweeps no rotation angle through zero, and the numeric
-    conormal frame spans exactly the planes ``(2l, 2l + 1)`` of those
-    coordinates (``Q Q^T`` is their projector to ``1e-9`` entrywise), which
-    is what lets :func:`_sphere_component_det` read the determinant off the
-    turns.  Runs once per orbit."""
+    isotropy component shares: the stratum has no moduli, and the identity
+    component sweeps no rotation angle through zero.  Then the orbit runs
+    through a coordinate point ``e_j``, where the radial vector lies in plane
+    ``j``, and so does every closure tangent vector; the conormal space is
+    exactly the planes of the other coordinates when some closure tangent
+    row is nonzero at ``j``, which is checked exactly.  That is what lets
+    :func:`_sphere_component_det` read the determinant off the turns.  Runs
+    once per orbit."""
     support = orbit.base_point.support
     if len(support) > 1:
         # moduli directions inside the stratum are fixed by any phase map
@@ -204,13 +205,10 @@ def _sphere_normal_coords(orbit: ClosedOrbit):
                     f"component (coordinate {l})",
                     orbit=orbit,
                 )
-    import numpy as np
-
-    Q = sphere_conormal_frame(orbit.model, orbit.base_point)
-    P = np.diag([float(j // 2 in normal) for j in range(2 * orbit.model.k)])
-    if not np.max(np.abs(Q @ Q.T - P)) <= 1e-9:
+    if len(support) != 1 or not any(
+            row[support[0]] for row in orbit.model.group.complement_basis()):
         raise InternalCheckFailed(
-            "the conormal frame is not the normal coordinate planes")
+            "the conormal space is not the normal coordinate planes")
     return normal
 
 
@@ -221,8 +219,9 @@ def _sphere_component_det(orbit: ClosedOrbit, normal, turns, D, component):
     one plane rotation minus the identity, ``4 sin^2(pi theta_l)``, per such
     coordinate, evaluated on the exact centred turn ``theta_l -
     round(theta_l)`` so that small turns do not cancel.  It is the
-    determinant in the conormal frame that :func:`_sphere_normal_coords`
-    certified, and the value both the term and the certificate read.
+    determinant on the normal coordinate planes, which
+    :func:`_sphere_normal_coords` certified to be the conormal space, and the
+    value both the term and the certificate read.
     Raises :class:`DeterminantUnderflow` when the nonzero determinant is too
     small for its reciprocal to be a float."""
     for l in normal:

@@ -81,17 +81,6 @@ class SpherePoint:
     def support(self):
         return tuple(j for j, m in enumerate(self.moduli_sq) if m > 0)
 
-    def to_complex(self):
-        import numpy as np
-
-        return np.array(
-            [
-                math.sqrt(float(m)) * complex(math.cos(2 * math.pi * float(p)),
-                                              math.sin(2 * math.pi * float(p)))
-                for m, p in zip(self.moduli_sq, self.phases)
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class WeightedSphereModel:
@@ -125,9 +114,9 @@ class ClosedOrbit:
 
     ``key`` determines the orbit; two orbits of the same model are equal iff
     their keys are.  No frame is stored: on a torus the conormal covectors
-    are the rows of ``model.base_lattice``, and on a sphere
-    :func:`sphere_conormal_frame` builds the numeric frame for the one check
-    that reads it."""
+    are the rows of ``model.base_lattice``, and on a sphere the conormal
+    space is the coordinate planes off the support, which the localized side
+    checks exactly against the closure's tangent rows."""
 
     model: object
     base_point: object
@@ -244,40 +233,6 @@ def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
     )
 
 
-def realify(z):
-    """R^{2k} coordinates (Re z1, Im z1, ..., Re zk, Im zk)."""
-    import numpy as np
-
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(2 * z.size)
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
-def sphere_conormal_frame(model: WeightedSphereModel, p: SpherePoint):
-    """Orthonormal basis of the conormal space of the orbit at ``p`` inside
-    the sphere, as columns in R^{2k}: the numeric null space of the radial
-    direction and the closure group's tangent directions."""
-    import numpy as np
-
-    z = p.to_complex()
-    spanning = [realify(z)]
-    for row in model.group.complement_basis():
-        spanning.append(realify(2j * math.pi * np.array([b * zj for b, zj in zip(row, z)])))
-    M = np.array(spanning).T  # 2k x (1 + d)
-    u, s, _ = np.linalg.svd(M, full_matrices=True)
-    rank = int((s > 1e-12).sum())
-    null = u[:, rank:]
-    # deterministic column signs
-    cols = []
-    for j in range(null.shape[1]):
-        col = null[:, j]
-        lead = next((x for x in col if abs(x) > 1e-9), 1.0)
-        cols.append(col if lead > 0 else -col)
-    return np.array(cols).T if cols else np.zeros((2 * model.k, 0))
-
-
 def isotropy_group(model, orbit: ClosedOrbit) -> tg.IsotropyDescriptor:
     """Stabilizer of the orbit's points inside the closure group, the
     descriptor the orbit carries: every coordinate pinned on a flat torus
@@ -294,18 +249,16 @@ def induced_base_map(model: FlatTorusModel, f):
     Returns ``(A_bar, c_bar)`` acting on the base torus by
     ``x_bar -> A_bar x_bar + c_bar``; ``A_bar`` is the unique integer matrix
     with ``A_bar @ L = L @ A`` for the relation lattice ``L``, each row the
-    lattice coordinates of a row of ``L @ A``.  Memoized per (model, map):
-    the fixed-orbit congruences and the conormal determinant both read it.
+    lattice coordinates of a row of ``L @ A``, all read off one Hermite form
+    of ``L``.  Memoized per (model, map): the fixed-orbit congruences and the
+    conormal determinant both read it.
     """
     L = model.base_lattice
     if not L:
         return (), ()
-    rows = []
-    for target in rl.mat_mul(L, f.matrix):
-        row = rl.lattice_coordinates(L, target)
-        if row is None:
-            raise InternalCheckFailed("equivariant map does not descend to the base torus")
-        rows.append(row)
+    A_bar = rl.lattice_coordinates(L, rl.mat_mul(L, f.matrix))
+    if A_bar is None:
+        raise InternalCheckFailed("equivariant map does not descend to the base torus")
     c, E = rl.numerators(f.translation)
     c_bar = tuple(Fraction(a % E, E) for a in rl.mat_vec(L, c))
-    return rl.freeze(rows), c_bar
+    return A_bar, c_bar

@@ -67,7 +67,8 @@ MAX_DIM = 10
 #: deepest nesting of arrays and objects a scenario document may use (the
 #: committed scenarios reach 4)
 MAX_NESTING = 32
-#: largest absolute torus matrix entry: the frame pull-back runs in floats
+#: largest absolute torus matrix entry: every integer up to it is exact as
+#: a float
 MAX_MATRIX_ENTRY = 2**53
 
 EXIT_PASS = 0

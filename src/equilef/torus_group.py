@@ -425,14 +425,10 @@ def haar_factor(preimage: IsotropyDescriptor, subgroup_rows):
 def subgroup_in_param_coords(preimage: IsotropyDescriptor, ambient_rows):
     """Express subgroup basis rows given in ambient coordinates inside the
     parameter space of the lifted group."""
-    basis = preimage.group.complement_basis()
-    out = []
-    for row in ambient_rows:
-        coords = rl.lattice_coordinates(basis, row)
-        if coords is None:
-            raise ValueError("row does not lie in the lifted group's tangent lattice")
-        out.append(coords)
-    return rl.freeze(out)
+    coords = rl.lattice_coordinates(preimage.group.complement_basis(), ambient_rows)
+    if coords is None:
+        raise ValueError("row does not lie in the lifted group's tangent lattice")
+    return coords
 
 
 def complementary_subgroup(preimage: IsotropyDescriptor):

@@ -543,20 +543,25 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 @pytest.mark.parametrize("name", ["classical_t3", "twisted_unit_t3"])
 def test_the_harmonic_side_computes_each_map_quantity_once_per_op(monkeypatch,
                                                                   name, command):
+    # the traces are checked exactly, once, and no command builds the float
+    # frame pull-back, which only the form pull-back reads
     counts = {key: counted(monkeypatch, owner, key) for owner, key in (
         (rl, "char_poly"), (em, "harmonic_mode"),
-        (em, "_frame_pullback_matrix"))}
+        (em, "_check_exterior_traces"), (em, "_frame_pullback_matrix"))}
     path = str(SCENARIOS / f"{name}.scenario")
     assert cli.run(command, path, stream=io.StringIO()) == cli.EXIT_PASS
     assert {key: len(calls) for key, calls in counts.items()} == {
-        "char_poly": 1, "harmonic_mode": 1, "_frame_pullback_matrix": 1}
+        "char_poly": 1, "harmonic_mode": 1, "_check_exterior_traces": 1,
+        "_frame_pullback_matrix": 0}
 
 
-def test_an_empty_harmonic_space_builds_no_frame_pullback(monkeypatch):
-    calls = counted(monkeypatch, em, "_frame_pullback_matrix")
+def test_an_empty_harmonic_space_checks_no_traces(monkeypatch):
+    counts = {key: counted(monkeypatch, em, key) for key in (
+        "_check_exterior_traces", "_frame_pullback_matrix")}
     path = str(SCENARIOS / "twisted_halfweight_t2.scenario")
     assert cli.run("lhs", path, stream=io.StringIO()) == cli.EXIT_PASS
-    assert calls == []
+    assert {key: len(calls) for key, calls in counts.items()} == {
+        "_check_exterior_traces": 0, "_frame_pullback_matrix": 0}
 
 
 @pytest.mark.parametrize("name", ["twisted_unit_t3", "twisted_halfweight_t2"])

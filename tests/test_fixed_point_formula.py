@@ -24,6 +24,7 @@ from equilef.errors import (
     DeterminantUnderflow,
     FixedSetTooLarge,
     InfiniteFixedSet,
+    InternalCheckFailed,
     NonTransverse,
 )
 
@@ -44,7 +45,6 @@ T2_IRR = torus_model([(1, 0), (0, 1)], ("alpha",))
 T2_PROD = torus_model([(0,), (1,)])
 S5 = sphere_model([(0, 1), (1, 0), (2, 0)], ("tau",))
 S3_RAT = sphere_model([(1,), (2,)])
-S5_123 = sphere_model([(1,), (2,), (3,)])
 
 CLASSICAL = TorusMap(((2, 1, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))
 DOUBLING_T3 = TorusMap(((2, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
@@ -350,40 +350,32 @@ class TestSphereSmallTurns:
         assert abs(res.value.real - exact) <= 1e-13 * exact
         assert res.value.imag == 0.0
 
-    def test_frame_off_the_normal_planes_is_refused(self, monkeypatch):
-        # a conormal frame with one normal direction swapped for the orbit's
-        # tangent direction must stop the closed form from being used
-        def swapped(model, p):
-            Q = gm.sphere_conormal_frame(model, p).copy()
-            Q[:, 0] = gm.realify(1j * p.to_complex())
-            return Q
-        monkeypatch.setattr(fpf, "sphere_conormal_frame", swapped)
-        with pytest.raises(AssertionError, match="conormal frame"):
-            fpf.lefschetz_rhs(S3_RAT, SpherePhaseMap((Fraction(1, 100000), 0)),
-                              fibers="scalar")
+    def test_a_closure_that_does_not_turn_the_pole_is_refused(self, monkeypatch):
+        # with the closure's tangent rows zeroed at the support coordinate
+        # the orbit through the pole would be a point, whose conormal space
+        # is more than the normal coordinate planes
+        f = SpherePhaseMap((Fraction(1, 7), 0))
+        for orbit in fpf.find_fixed_orbits(S3_RAT, f):
+            assert orbit.isotropy.tangent_rows == ()
+            (j,) = orbit.base_point.support
+            rows = orbit.model.group.complement_basis()
+            assert fpf._sphere_normal_coords(orbit) == [1 - j]
+            zeroed = tuple(tuple(0 if l == j else a for l, a in enumerate(row))
+                           for row in rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(tg.SubtorusGroup, "complement_basis",
+                              lambda self: zeroed)
+                with pytest.raises(InternalCheckFailed,
+                                   match="normal coordinate planes"):
+                    fpf._sphere_normal_coords(orbit)
 
-    def test_frame_check_reads_only_the_spanned_planes(self, monkeypatch):
-        # any orthonormal basis of the normal planes passes: rotate the frame
-        f = SpherePhaseMap((Fraction(1, 7), Fraction(2, 5), Fraction(1, 11)))
-        plain = fpf.lefschetz_rhs(S5_123, f, fibers="scalar").value
-
-        def rotated(model, p):
-            # mix the first and last columns, which lie in different planes
-            Q = gm.sphere_conormal_frame(model, p)
-            c, s = math.cos(0.7), math.sin(0.7)
-            R = np.eye(Q.shape[1])
-            R[np.ix_([0, -1], [0, -1])] = [[c, -s], [s, c]]
-            return Q @ R
-        monkeypatch.setattr(fpf, "sphere_conormal_frame", rotated)
-        assert fpf.lefschetz_rhs(S5_123, f, fibers="scalar").value == plain
-
-    def test_one_frame_check_per_orbit_and_no_determinant(self, monkeypatch):
+    def test_one_conormal_check_per_orbit_and_no_determinant(self, monkeypatch):
         # weights (1, 1001): 1002 isotropy components over two orbits, two
-        # frame builds and no numeric determinant
+        # conormal checks and no numeric determinant
         builds, dets = [], []
-        frame, det = gm.sphere_conormal_frame, np.linalg.det
-        monkeypatch.setattr(fpf, "sphere_conormal_frame",
-                            lambda *a: builds.append(a) or frame(*a))
+        check, det = fpf._sphere_normal_coords, np.linalg.det
+        monkeypatch.setattr(fpf, "_sphere_normal_coords",
+                            lambda *a: builds.append(a) or check(*a))
         monkeypatch.setattr(np.linalg, "det", lambda *a: dets.append(a) or det(*a))
         res = fpf.lefschetz_rhs(sphere_model([(1,), (1001,)]),
                                 SpherePhaseMap((Fraction(1, 3), 0)), fibers="scalar")

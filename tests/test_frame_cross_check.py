@@ -1,9 +1,9 @@
-"""The harmonic side's float cross-check: the Householder frame, the
-partial-pivoting determinant, and the principal-minor traces of the frame
-pull-back that ``cohomology_action`` compares with the exact traces; and,
-on the same random equivariant maps, exact agreement of the two sides."""
+"""The harmonic side's frame: the Householder frame and the partial-pivoting
+determinant of the form pull-back; the exact cross-check of the exterior
+traces against the basic-mode lattice that ``cohomology_action`` runs, and
+mutants it must catch; and, on the same random equivariant maps, exact
+agreement of the two sides."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -91,22 +91,18 @@ class TestFloatDeterminant:
         assert em._float_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
         assert em._float_det([]) == 1.0
 
-    def test_principal_minor_sums_are_the_exterior_power_traces(self):
-        M = np.random.default_rng(5).normal(size=(4, 4)).tolist()
-        for q, trace in enumerate(em._principal_minor_sums(M)):
-            W = np.array(em._wedge_minors(M, q)[1])
-            assert abs(np.trace(W) - trace) < 1e-12 * max(1.0, abs(trace))
-
 
 @st.composite
 def equivariant_maps(draw, max_n=6, translated=False):
     """``(model, f)`` with ``A = I + X K`` for the integer kernel ``K`` of the
     flow's constraint rows (so ``K v = 0`` and ``A v = v``) and a random
-    integer ``X``; the translation is zero unless ``translated``."""
+    integer ``X``, whose entries are scaled by ``10^15`` in some maps; the
+    translation is zero unless ``translated``."""
     model = draw(flows(max_n))
     n = model.n
     K = rl.integer_kernel(model.v.constraint_rows(), n=n)
-    X = [[draw(st.integers(-2, 2)) for _ in K] for _ in range(n)]
+    scale = draw(st.sampled_from([1, 1, 10**15]))
+    X = [[scale * draw(st.integers(-2, 2)) for _ in K] for _ in range(n)]
     XK = rl.mat_mul(X, K) if K else [[0] * n for _ in range(n)]
     A = [[(i == j) + XK[i][j] for j in range(n)] for i in range(n)]
     c = [draw(small_rational) if translated else 0 for _ in range(n)]
@@ -124,8 +120,8 @@ def test_random_equivariant_maps_pass_the_cross_check(case):
 
 @pytest.mark.parametrize("a", [10**8, 10**9, -10**9, 10**12, 10**15, -10**15, 2**53])
 def test_large_entries_pass_the_cross_check(a):
-    # determinant 1 with entries near a: the float minor a - (a - 1) loses
-    # the determinant to cancellation, within the minor's Hadamard bound
+    # determinant 1 with entries near a, where a float minor a - (a - 1)
+    # would lose the determinant to cancellation; the integer check does not
     f = em.TorusMap(((a, 1, 0), (a - 1, 1, 0), (0, 0, 1)), (0, 0, 0))
     act = em.cohomology_action(T3_PROD, f)
     assert act.trace_integers == (1, a + 1, 1)
@@ -151,34 +147,43 @@ def test_both_sides_agree_exactly_on_random_maps(case):
     assert em.cohomology_action(model, f).lefschetz_exact == rhs.value_exact
 
 
-def test_dropping_one_principal_minor_is_caught(monkeypatch):
-    # the classical map's frame pull-back is [[2, 1], [1, 1]]: its four
-    # principal minors 1; 2, 1; 1 are all nonzero, so losing any one of them
-    # moves a degree's trace
-    original = em._minor
-    calls = []
-    monkeypatch.setattr(em, "_minor",
-                        lambda M, rows, cols: calls.append(rows) or original(M, rows, cols))
-    em.cohomology_action(T3_PROD, CLASSICAL)
-    assert calls == [I for q in range(3) for I in itertools.combinations(range(2), q)]
-    for dropped in range(len(calls)):
-        seen = []
-
-        def mutant(M, rows, cols):
-            seen.append(rows)
-            return 0.0 if len(seen) - 1 == dropped else original(M, rows, cols)
-        monkeypatch.setattr(em, "_minor", mutant)
-        with pytest.raises(InternalCheckFailed, match="frame pull-back disagrees"):
-            em.cohomology_action(T3_PROD, CLASSICAL)
+def classical_map():
+    """A fresh copy of the classical map, whose exterior traces are not yet
+    cached."""
+    return em.TorusMap(CLASSICAL.matrix, CLASSICAL.translation)
 
 
-@pytest.mark.parametrize("perturb", [
-    lambda det: det * (1 + 1e-6),
-    lambda det: det + 1e-6,
-    lambda det: -det,
-])
-def test_a_perturbed_determinant_is_caught(monkeypatch, perturb):
-    original = em._float_det
-    monkeypatch.setattr(em, "_float_det", lambda M: perturb(original(M)))
-    with pytest.raises(AssertionError, match="frame pull-back disagrees"):
+@pytest.mark.parametrize("i,j", [(1, 2), (1, 3), (2, 3)])
+def test_a_perturbed_char_poly_coefficient_is_caught(monkeypatch, i, j):
+    # moving one coefficient up and another down keeps the root at one, so
+    # the deflation succeeds and only the lattice identity can see it
+    original = rl.char_poly
+
+    def mutant(M):
+        coeffs = list(original(M))
+        coeffs[i] += 1
+        coeffs[j] -= 1
+        return tuple(coeffs)
+    monkeypatch.setattr(rl, "char_poly", mutant)
+    with pytest.raises(InternalCheckFailed, match="basic-mode lattice"):
+        em.cohomology_action(T3_PROD, classical_map())
+
+
+@pytest.mark.parametrize("dropped", [0, 1])
+def test_a_dropped_kernel_row_is_caught(monkeypatch, dropped):
+    original = em._basic_lattice
+    monkeypatch.setattr(em, "_basic_lattice", lambda model: tuple(
+        row for r, row in enumerate(original(model)) if r != dropped))
+    with pytest.raises(InternalCheckFailed, match="basic-mode lattice"):
         em.cohomology_action(T3_PROD, CLASSICAL)
+
+
+def test_a_wrong_trace_among_huge_entries_is_caught():
+    # a float principal minor of this map's frame pull-back reads 0.888
+    # against the exact 1 in degree 2, so a float check must allow an error
+    # of about 2e3 there; the integer identity sees a trace off by 1000
+    a = 10**15
+    f = em.TorusMap(((a, 1, 0), (a - 1, 1, 0), (0, 0, 1)), (0, 0, 0))
+    vars(f)["exterior_traces"] = (1, a + 1, 1 + 1000)
+    with pytest.raises(InternalCheckFailed, match="basic-mode lattice"):
+        em.cohomology_action(T3_PROD, f)

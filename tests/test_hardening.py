@@ -292,18 +292,17 @@ class TestChecksSurvivePythonO:
         ]
         assert found == []
 
-    def test_frame_cross_check_fires_under_python_O(self):
-        # a frame pull-back with its entries scaled by 2 must still be caught
-        # by the harmonic action's comparison with the exact exterior traces
+    def test_trace_cross_check_fires_under_python_O(self):
+        # exterior traces with the degree-2 one moved by one must still be
+        # caught by the harmonic action's integer check against the
+        # basic-mode lattice
         script = """
 import sys
 from fractions import Fraction
 from equilef import endomorphism as en, geometry_models as gm, torus_group as tg
 model = gm.FlatTorusModel(tg.SymbolicFrequency(((Fraction(0),),) * 2 + ((Fraction(1),),)))
 f = en.TorusMap(((2, 1, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))
-original = en._frame_pullback_matrix
-en._frame_pullback_matrix = lambda *args: [[2 * x for x in row]
-                                            for row in original(*args)]
+vars(f)["exterior_traces"] = (1, 3, 2)
 try:
     en.cohomology_action(model, f)
 except AssertionError as exc:
@@ -312,7 +311,7 @@ except AssertionError as exc:
         result = run_fresh("-O", "-c", script)
         assert result.returncode == 0, result.stderr[-2000:]
         assert result.stdout.strip() == (
-            "1 the frame pull-back disagrees with the exact exterior traces")
+            "1 the exterior traces disagree with the basic-mode lattice")
 
 
 def run_fresh(*args):
@@ -325,9 +324,10 @@ def run_fresh(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_flat_torus_commands_never_load_numpy():
-    # NumPy is imported where floats are the point (avcheck, the mollifier
-    # lab, the sphere frame), never by ``import equilef`` or a torus command
+def test_torus_commands_and_sphere_rhs_never_load_numpy():
+    # NumPy is imported where floats are the point (avcheck and the
+    # mollifier lab), never by ``import equilef``, a torus command or a
+    # sphere rhs, whose conormal check is exact
     script = """
 import io, json, sys
 import equilef
@@ -337,6 +337,9 @@ for name in ("classical_t3", "twisted_unit_t3"):
     for command in ("validate", "lhs", "rhs", "verify", "spectrum"):
         code = cli.run(command, f"scenarios/{name}.scenario", stream=io.StringIO())
         seen[f"{command} {name}"] = [code, "numpy" in sys.modules]
+for name in ("s3_rational", "s3_twisted", "s5_irrational"):
+    code = cli.run("rhs", f"scenarios/{name}.scenario", stream=io.StringIO())
+    seen[f"rhs {name}"] = [code, "numpy" in sys.modules]
 code = cli.run("avcheck", "scenarios/classical_t3.scenario", stream=io.StringIO())
 seen["avcheck classical_t3"] = [code, "numpy" in sys.modules]
 print(json.dumps(seen))
@@ -346,5 +349,7 @@ print(json.dumps(seen))
     seen = json.loads(result.stdout)
     assert seen.pop("import") is False
     assert seen.pop("avcheck classical_t3") == [cli.EXIT_PASS, True]
-    assert len(seen) == 10
+    # the irrational five-sphere has a fixed stratum: the finiteness gate
+    assert seen.pop("rhs s5_irrational") == [cli.EXIT_GATE, False]
+    assert len(seen) == 12
     assert all(outcome == [cli.EXIT_PASS, False] for outcome in seen.values()), seen

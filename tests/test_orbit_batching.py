@@ -343,9 +343,9 @@ def test_sphere_turns_are_evaluated_once_per_preimage_component(monkeypatch, twi
 
 def test_the_base_map_is_solved_once_per_rhs(monkeypatch):
     # c back-substitutions build the base-point operator of the
-    # c-dimensional base and c lattice-coordinate reads solve the base map's
-    # rows; the fixed-orbit congruences and the conormal determinant share
-    # that one base map
+    # c-dimensional base and one lattice-coordinate read solves all the base
+    # map's rows; the fixed-orbit congruences and the conormal determinant
+    # share that one base map
     solves = counted(monkeypatch, fpf.rl, "echelon_solve")
     reads = counted(monkeypatch, fpf.rl, "lattice_coordinates")
     model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 1)))
@@ -354,9 +354,25 @@ def test_the_base_map_is_solved_once_per_rhs(monkeypatch):
     rhs = fpf.lefschetz_rhs(model, f)
     assert rhs.value_exact is not None
     c = len(model.base_lattice)
-    assert (len(solves), len(reads)) == (c, c)
+    assert (len(solves), len(reads)) == (c, 1)
     info = gm.induced_base_map.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_the_base_map_takes_one_hermite_form_per_miss(monkeypatch):
+    # the rows of L A on the three-dimensional base of T^4 are all read off
+    # one Hermite form of L; a cache hit takes none
+    model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 0, 1)))
+    f = TorusMap(((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)),
+                 (0, 0, 0, 0))
+    clear_equilef_caches()
+    assert len(model.base_lattice) == 3
+    forms = counted(monkeypatch, fpf.rl, "hnf_with_transform")
+    first = gm.induced_base_map(model, f)
+    assert len(forms) == 1
+    assert gm.induced_base_map(model, f) == first
+    info = gm.induced_base_map.cache_info()
+    assert (info.misses, info.hits, len(forms)) == (1, 1, 1)
 
 
 @settings(max_examples=40, deadline=None,

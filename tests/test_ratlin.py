@@ -74,7 +74,7 @@ def test_integer_kernel_is_saturated():
         for x2 in range(-4, 5):
             for x3 in range(-4, 5):
                 if x1 + 2 * x2 + 3 * x3 == 0:
-                    assert rl.lattice_coordinates(K, (x1, x2, x3)) is not None
+                    assert rl.lattice_coordinates(K, [(x1, x2, x3)]) is not None
 
 
 def test_integer_kernel_rational_constraints():
@@ -326,8 +326,12 @@ def test_solve_rational_and_lattice_coordinates():
     x = rl.solve_rational(A, [Fraction(5), Fraction(6)])
     assert x == (Fraction(-4), Fraction(9, 2))
     basis = ((1, 0, 1), (0, 2, 1))
-    assert rl.lattice_coordinates(basis, (1, 2, 2)) == (1, 1)
-    assert rl.lattice_coordinates(basis, (0, 1, 1)) is None
+    assert rl.lattice_coordinates(basis, [(1, 2, 2)]) == ((1, 1),)
+    assert rl.lattice_coordinates(basis, [(0, 1, 1)]) is None
+    # several rows are read off one Hermite form; one row off the lattice
+    # refuses them all
+    assert rl.lattice_coordinates(basis, [(1, 2, 2), (0, 2, 1)]) == ((1, 1), (0, 1))
+    assert rl.lattice_coordinates(basis, [(1, 2, 2), (0, 1, 1)]) is None
 
 
 def _small_rationals():
@@ -400,7 +404,7 @@ def test_lattice_coordinates_match_brute_force(data):
     found = [y for y in itertools.product(range(-8, 9), repeat=r)
              if rl.vec_mat(y, basis) == x] if basis else ([()] if not any(x) else [])
     assert len(found) <= 1
-    assert rl.lattice_coordinates(basis, x) == (found[0] if found else None)
+    assert rl.lattice_coordinates(basis, [x]) == ((found[0],) if found else None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -436,7 +440,7 @@ def test_lattice_coordinates_in_mixed_bases_match_brute_force(data):
     found = [z for z in itertools.product(range(-2, 3), repeat=r)
              if rl.vec_mat(z, basis) == x]
     assert found == ([y] if not any(shifts) else [])
-    assert rl.lattice_coordinates(basis, x) == (found[0] if found else None)
+    assert rl.lattice_coordinates(basis, [x]) == ((found[0],) if found else None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -68,7 +68,7 @@ def test_relation_lattice_sphere_weights():
     assert rl.hnf([(0, -2, 1)]) == lat
     # brute-force oracle agrees
     for m in brute_force_kernel(v):
-        assert rl.lattice_coordinates(lat, m) is not None
+        assert rl.lattice_coordinates(lat, [m]) is not None
 
 
 def test_relation_lattice_rank_dimension_split():
@@ -231,7 +231,7 @@ def test_haar_quadrature_kills_nontrivial_characters():
     v = sym([(1,), (2,)])
     G = tg.closure_group(v)
     m = (1, 0)
-    assert rl.lattice_coordinates(G.relation_lattice, m) is None
+    assert rl.lattice_coordinates(G.relation_lattice, [m]) is None
     for N in (5, 8):
         total = sum(
             w * cmath.exp(2j * math.pi * float(sum(Fraction(mi) * x for mi, x in zip(m, p))))
