@@ -11,8 +11,10 @@ Run:  python3 demos/01_group_closures.py
 
 from fractions import Fraction
 
-from equilef import SymbolicFrequency, closure_group, haar_quadrature, sheet_count
-from equilef import SpherePoint, WeightedSphereModel, orbit_through
+from equilef import SymbolicFrequency, closure_group, haar_quadrature
+from equilef import (IsotropyDescriptor, SpherePoint, SubtorusGroup,
+                     WeightedSphereModel, orbit_through)
+from equilef.torus_group import sheet_count_rows
 
 print(__doc__)
 
@@ -48,18 +50,11 @@ print(f"orbit through (0,0,z3): dimension {pole.dim}, "
 print("  component representatives:",
       ", ".join("(" + ", ".join(str(x) for x in h) + ")" for h in iso.component_reps))
 print("sheets of the covering by the subgroup (0,1,2):",
-      sheet_count(((0, 1, 2),), pole))
+      sheet_count_rows(((0, 1, 2),), iso))
 print("sheets of the covering by the subgroup (1,1,2):",
-      sheet_count(((1, 1, 2),), pole))
+      sheet_count_rows(((1, 1, 2),), iso))
 
 # --- winding presentations count sheets on the parametrizing circle ----------
-from equilef.torus_group import trivial_isotropy
-
-
-class _FreeCircleOrbit:
-    dim = 1
-    isotropy = trivial_isotropy(1)
-
-
+free_circle = IsotropyDescriptor(SubtorusGroup(1), range(1))   # trivial isotropy
 print("doubled-weight circle (parametrized with winding two):",
-      sheet_count(((2,),), _FreeCircleOrbit()))
+      sheet_count_rows(((2,),), free_circle))

@@ -12,7 +12,6 @@ from .basic_complex import (
     apply_lie,
     apply_P,
     basic_spectrum,
-    harmonic_basis,
 )
 from .endomorphism import (
     BundleTwist,
@@ -21,7 +20,6 @@ from .endomorphism import (
     cohomology_action,
     harmonic_dimensions,
     heat_damped_traces,
-    pullback_on_forms,
     validate_equivariance,
 )
 from .errors import (
@@ -36,7 +34,6 @@ from .errors import (
     InternalCheckFailed,
     ModeBoxTooLarge,
     NonTransverse,
-    NotBasic,
     NotEquivariant,
     NotTransversal,
     OffManifold,
@@ -70,5 +67,4 @@ from .torus_group import (
     haar_quadrature,
     isotropy_preimage,
     relation_lattice,
-    sheet_count,
 )

@@ -26,7 +26,6 @@ constraint rows (an affine translate of it for twisted sections), and
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -300,20 +299,6 @@ def apply_P_composed(form: BasicForm) -> BasicForm:
     down = apply_D(apply_D_adjoint(form)) if form.degree > 0 else zero_form(form.model, form.degree)
     lie2 = apply_lie(apply_lie(form))
     return up.plus(down).plus(lie2, factor=-1.0)
-
-
-def harmonic_basis(model: FlatTorusModel, q: int):
-    """Orthonormal basis of the untwisted harmonic space in degree ``q``: the
-    constant frame forms, as sections that can be pulled back and paired.
-    Dimensions come from ``endomorphism.harmonic_dimensions``."""
-    n = model.n
-    if q < 0 or q > n - 1:
-        return []
-    zero = tuple(0 for _ in range(n))
-    return [
-        BasicForm(model, q, {(zero, I): 1.0}, basic_flag=True)
-        for I in itertools.combinations(range(n - 1), q)
-    ]
 
 
 def basic_spectrum(model: FlatTorusModel, cutoff: int):

@@ -23,7 +23,6 @@ Bareiss determinants at ``n`` integer points.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,6 @@ from . import basic_complex as bc
 from .errors import (
     GeneratorMismatch,
     InternalCheckFailed,
-    NotBasic,
     NotEquivariant,
 )
 from .geometry_models import FlatTorusModel, WeightedSphereModel
@@ -72,11 +70,6 @@ class TorusMap:
         """Turns ``m . c`` by which the translation rotates mode ``m``
         (exact, not reduced modulo one)."""
         return sum(Fraction(mi) * t for mi, t in zip(m, self.translation))
-
-    def apply(self, p):
-        x, D = rl.affine_numerators(self.matrix, [Fraction(x) for x in p],
-                                    self.translation)
-        return tuple(Fraction(a, D) for a in x)
 
     @cached_property
     def exterior_traces(self):
@@ -197,73 +190,6 @@ def _first_moved_coordinate(v: SymbolicFrequency, A):
     moved = [i for nums, _ in v.column_numerators
              for i, (a, x) in enumerate(zip(rl.mat_vec(A, nums), nums)) if a != x]
     return min(moved, default=None)
-
-
-def _frame_pullback_matrix(model, matrix):
-    """``B A^T B^T`` in floats, for the frame basis ``B``: the horizontal
-    restriction of ``A^T`` in frame coordinates, as a list of rows."""
-    basis = bc.frame_for(model).basis
-    # row i of B A^T is the i-th frame covector composed with A
-    pulled = [[bc._pair(covector, row) for row in matrix] for covector in basis]
-    return [[bc._pair(p, b) for b in basis] for p in pulled]
-
-
-def _float_det(M):
-    """Determinant of a small square float matrix (a list of rows) by
-    Gaussian elimination with partial pivoting; 1 for the empty matrix."""
-    a = [list(row) for row in M]
-    det = 1.0
-    for c in range(len(a)):
-        p = max(range(c, len(a)), key=lambda r: abs(a[r][c]))
-        if a[p][c] == 0.0:
-            return 0.0
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        pivot = a[c]
-        det *= pivot[c]
-        for row in a[c + 1:]:
-            factor = row[c] / pivot[c]
-            for j in range(c + 1, len(a)):
-                row[j] -= factor * pivot[j]
-    return det
-
-
-def _minor(M, rows, cols):
-    return _float_det([[M[i][j] for j in cols] for i in rows])
-
-
-def _wedge_minors(M, q):
-    """Matrix of the q-th exterior power over sorted index subsets, as a
-    list of rows: entry ``(J, I)`` is the minor of ``M`` on rows ``J`` and
-    columns ``I``."""
-    subsets = list(itertools.combinations(range(len(M)), q))
-    return subsets, [[_minor(M, J, I) for I in subsets] for J in subsets]
-
-
-def pullback_on_forms(f: TorusMap, u: bc.BasicForm) -> bc.BasicForm:
-    """Pull back a flow-annihilated form: modes map by ``A^T`` with a
-    character phase, frame covectors by the horizontal restriction of
-    ``A^T``."""
-    if not u.basic_flag:
-        raise NotBasic("pull-back is defined here only on flow-annihilated forms")
-    model = u.model
-    validate_equivariance(model, f)
-    Mf = _frame_pullback_matrix(model, f.matrix)
-    subsets, W = _wedge_minors(Mf, u.degree)
-    index = {I: i for i, I in enumerate(subsets)}
-    out = {}
-    for (m, I), c in u.coeffs.items():
-        mT = rl.vec_mat(m, f.matrix)
-        phase = cmath.exp(2j * math.pi * float(f.character(m)))
-        col = index[I]
-        for row, J in enumerate(subsets):
-            w = W[row][col]
-            if w == 0.0:
-                continue
-            key = (mT, J)
-            out[key] = out.get(key, 0.0) + c * phase * w
-    return bc.BasicForm(model, u.degree, out, basic_flag=True)
 
 
 def exact_exterior_traces(matrix):

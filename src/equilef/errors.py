@@ -32,10 +32,6 @@ class DegreeOverflow(EquilefError):
     """A form operation would exceed the top degree of the complex."""
 
 
-class NotBasic(EquilefError):
-    """An operation requires a form annihilated by the flow derivative."""
-
-
 class NonTransverse(EquilefError):
     """A fixed orbit fails the determinant transversality criterion."""
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -288,11 +288,6 @@ class IsotropyDescriptor:
                      for row in self.solution.free)
 
 
-def trivial_isotropy(ambient_dim):
-    """The trivial subgroup: every coordinate of the whole torus pinned."""
-    return IsotropyDescriptor(SubtorusGroup(ambient_dim), range(ambient_dim))
-
-
 def relation_lattice(v: SymbolicFrequency):
     """HNF basis of ``{m in Z^n : m . v = 0}``.
 
@@ -364,29 +359,6 @@ def isotropy_preimage(hat_group: SubtorusGroup,
     """Compute ``{g in hat_group : projection(g) in isotropy}``: the elements
     of the lifted group whose base coordinates ``isotropy.coords`` vanish."""
     return IsotropyDescriptor(hat_group, isotropy.coords)
-
-
-def sheet_count(G0, orbit):
-    """Number of sheets of the parametrized covering of an orbit by a
-    subgroup ``G0`` of the (lifted) closure group.
-
-    ``G0`` may be a :class:`SubtorusGroup` (parametrized by its complement
-    basis) or an explicit integer basis matrix, one row per parametrizing
-    circle; the rows need not be primitive, so winding presentations such as
-    ``t -> 2t`` are allowed.  The count is the number of parameter values
-    mapping the orbit's base point to itself, i.e. solutions of the
-    congruences placing the projected element inside the isotropy group.
-
-    Raises :class:`NotTransversal` when the subgroup meets the isotropy
-    preimage in positive dimension.
-    """
-    if isinstance(G0, SubtorusGroup):
-        rows = G0.complement_basis()
-    else:
-        rows = rl.freeze(G0)
-    if len(rows) != orbit.dim:
-        raise ValueError("subgroup dimension must equal the orbit dimension")
-    return sheet_count_rows(rows, orbit.isotropy)
 
 
 def sheet_count_rows(rows, isotropy: IsotropyDescriptor):

@@ -201,8 +201,8 @@ def test_criterion_6_sphere_example_facts():
         pole = gm.orbit_through(
             model, gm.SpherePoint((0, 0, 1), (0, 0, 0)))
         assert pole.isotropy.component_count == 2
-        assert tg.sheet_count(((0, 1, 2),), pole) == 2
-        assert tg.sheet_count(((1, 1, 2),), pole) == 2
+        assert tg.sheet_count_rows(((0, 1, 2),), pole.isotropy) == 2
+        assert tg.sheet_count_rows(((1, 1, 2),), pole.isotropy) == 2
 
 
 def test_criterion_7_transversality_gating():

@@ -1,4 +1,4 @@
-"""Equivariant maps: validation, pull-back, harmonic action, heat traces."""
+"""Equivariant maps: validation, harmonic action, heat traces."""
 
 import argparse
 import io
@@ -20,7 +20,7 @@ from equilef import endomorphism as em
 from equilef import geometry_models as gm
 from equilef import scenario_cli as cli
 from equilef import torus_group as tg
-from equilef.errors import NotBasic, NotEquivariant
+from equilef.errors import NotEquivariant
 
 
 def torus_model(entries, labels=()):
@@ -79,80 +79,15 @@ class TestValidation:
         em.validate_equivariance(T3_PROD, f)
 
 
-class TestPullback:
-    def test_constant_one_form_classical(self):
-        # pulling a constant frame covector xi back by A = [[2,1],[1,1]] (+) [1]
-        # gives the covector xi o A, e.g. dx1 -> 2 dx1 + dx2
-        basis = np.asarray(bc.frame_for(T3_PROD).basis)
-        u = bc.BasicForm(T3_PROD, 1, {((0, 0, 0), (0,)): 1.0})
-        pu = em.pullback_on_forms(CLASSICAL, u)
-        vec = np.zeros(3)
-        for (m, I), c in pu.coeffs.items():
-            assert m == (0, 0, 0)
-            vec += np.real(c) * basis[I[0]]
-        expected = basis[0] @ np.array(CLASSICAL.matrix, dtype=float)
-        assert np.allclose(vec, expected, atol=1e-12)
-        # and the specific classical value for dx1 regardless of frame order
-        dx1 = np.array([1.0, 0.0, 0.0])
-        coeff = basis @ dx1
-        pulled = sum(
-            coeff[k] * (basis[k] @ np.array(CLASSICAL.matrix, dtype=float))
-            for k in range(2)
-        )
-        assert np.allclose(pulled, [2, 1, 0], atol=1e-12)
-
-    def test_constant_one_form_non_symmetric(self):
-        # A is not symmetric, so xi o A (row 0 of A for xi = dx1) differs
-        # from A xi (column 0): dx1 -> 2 dx1 + dx2
-        f = em.TorusMap(((2, 1, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
-        basis = np.asarray(bc.frame_for(T3_PROD).basis)
-        A = np.array(f.matrix, dtype=float)
-        Mf = np.array(em._frame_pullback_matrix(T3_PROD, f.matrix))
-        assert np.allclose(Mf, basis @ A.T @ basis.T, atol=1e-12)
-        u = bc.BasicForm(T3_PROD, 1, {((0, 0, 0), (0,)): 1.0})
-        pu = em.pullback_on_forms(f, u)
-        assert set(pu.coeffs) == {((0, 0, 0), (0,)), ((0, 0, 0), (1,))}
-        assert abs(pu.coeffs[((0, 0, 0), (0,))] - 2) < 1e-12
-        assert abs(pu.coeffs[((0, 0, 0), (1,))] - 1) < 1e-12
-
-    def test_translation_acts_by_character(self):
-        g = (0, Fraction(1, 4), Fraction(1, 3))
-        f = em.TorusMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), g)
-        m = (1, 0, 0)
-        u = bc.BasicForm(T3_MIX, 0, {(m, ()): 1.0})
-        pu = em.pullback_on_forms(f, u)
-        c = pu.coeffs[(m, ())]
-        expected = np.exp(2j * np.pi * float(sum(Fraction(mi) * gi for mi, gi in zip(m, g))))
-        assert abs(c - expected) < 1e-12
-        assert abs(abs(c) - 1.0) < 1e-12
-
-    def test_requires_basic(self):
-        u = bc.BasicForm(T2_IRR, 0, {((1, 0), ()): 1.0})
-        with pytest.raises(NotBasic):
-            em.pullback_on_forms(em.TorusMap(((1, 0), (0, 1)), (0, 0)), u)
-
-    def test_cochain_property_on_random_basic_forms(self):
-        rng = np.random.default_rng(31)
-        modes = [m for m in bc.basic_modes(T3_MIX, 3)]
-        for _ in range(20):
-            coeffs = {}
-            for _ in range(4):
-                m = modes[int(rng.integers(0, len(modes)))]
-                coeffs[(m, ())] = complex(rng.normal(), rng.normal())
-            u = bc.BasicForm(T3_MIX, 0, coeffs, basic_flag=True)
-            lhs = bc.apply_D(em.pullback_on_forms(DOUBLING, u))
-            rhs = em.pullback_on_forms(DOUBLING, bc.apply_D(u))
-            assert lhs.plus(rhs, factor=-1.0).norm() <= 1e-12 * max(1.0, u.norm())
-
-    def test_result_is_basic(self):
-        u = bc.BasicForm(T3_MIX, 0, {((2, 0, 0), ()): 1.0})
-        assert em.pullback_on_forms(DOUBLING, u).basic_flag
-
-
 def exterior_power(model, f, q):
-    """The q-th exterior power of the frame pull-back, as
-    ``pullback_on_forms`` builds it."""
-    return np.array(em._wedge_minors(em._frame_pullback_matrix(model, f.matrix), q)[1])
+    """The q-th exterior power of the horizontal restriction ``B A^T B^T``
+    of ``A^T`` in the frame basis ``B``, built with NumPy: entry ``(J, I)``
+    is the minor on rows ``J`` and columns ``I``."""
+    B = np.asarray(bc.frame_for(model).basis)
+    M = B @ np.array(f.matrix, dtype=float).T @ B.T
+    subsets = list(itertools.combinations(range(model.n - 1), q))
+    return np.array([[np.linalg.det(M[np.ix_(J, I)]) for I in subsets]
+                     for J in subsets])
 
 
 class TestCohomologyAction:
@@ -243,21 +178,14 @@ class TestCochainScope:
 
 
 class TestHarmonicCompressionRoute:
-    def test_matrices_match_direct_pullback_projection(self):
-        # independent route: pull back each harmonic basis form and read off
-        # the zero-mode block, entry by entry
+    def test_traces_match_the_frame_exterior_powers(self):
+        # independent route: the trace of each exterior power of the float
+        # frame restriction of A^T against the exact fiber traces
         for model, f in ((T3_PROD, CLASSICAL), (T3_MIX, DOUBLING)):
             act = em.cohomology_action(model, f)
+            assert act.phase_turns == 0
             for q in range(model.n):
-                basis = bc.harmonic_basis(model, q)
-                M = np.zeros((len(basis), len(basis)), dtype=complex)
-                for j, u in enumerate(basis):
-                    pu = em.pullback_on_forms(f, u)
-                    for i, w in enumerate(basis):
-                        M[i, j] = bc.inner_product(pu, w)
-                assert act.phase_turns == 0
                 W = exterior_power(model, f, q)
-                assert np.allclose(M, W, atol=1e-10), (q, M)
                 assert abs(np.trace(W) - act.trace_integers[q]) < 1e-9
 
 
@@ -298,24 +226,27 @@ class TestHeatTraces:
 
 
 class TestHeatTraceMatrixOracle:
-    def test_per_degree_traces_match_explicit_matrix_trace(self):
-        # assemble the damped pull-back matrix over an explicit orthonormal
-        # basis of flow-annihilated sections and trace it directly
-        model, f, cutoff, s = T3_PROD, CLASSICAL, 2, 0.7
-        for q in range(3):
-            keys = [
-                (m, I)
-                for m in bc.basic_modes(model, cutoff)
-                for I in itertools.combinations(range(2), q)
-            ]
-            index = {key: i for i, key in enumerate(keys)}
-            trace = 0.0 + 0.0j
-            for key, j in index.items():
-                u = bc.BasicForm(model, q, {key: 1.0}, basic_flag=True)
-                pu = em.pullback_on_forms(f, u)
-                diag = pu.coeffs.get(key, 0.0)
-                lam = bc.mode_eigenvalue(key[0])
-                trace += diag * math.exp(-s * lam)
+    @pytest.mark.parametrize("model,f", [
+        (T3_PROD, CLASSICAL),
+        (T3_PROD, em.TorusMap(((1, 0, 0), (0, 2, 0), (0, 0, 1)),
+                              (Fraction(1, 3), 0, 0))),
+    ], ids=["classical", "translated_diagonal"])
+    def test_per_degree_traces_match_the_damped_diagonal(self, model, f):
+        # the pull-back sends mode m to A^T m, so its diagonal over the
+        # flow-annihilated sections within the cutoff lives on the modes A^T
+        # fixes, each carrying its character phase times the exterior power
+        # of the frame restriction; damp each such mode and sum
+        cutoff, s = 2, 0.01
+        A = np.array(f.matrix)
+        fixed = [m for m in bc.basic_modes(model, cutoff)
+                 if np.array_equal(A.T @ np.array(m), np.array(m))]
+        for q in range(model.n):
+            fiber = np.trace(exterior_power(model, f, q))
+            trace = sum(
+                np.exp(2j * np.pi * float(sum(Fraction(mi) * c for mi, c in
+                                              zip(m, f.translation))))
+                * fiber * math.exp(-s * 4 * math.pi**2 * sum(x * x for x in m))
+                for m in fixed)
             expected = em.heat_damped_traces(model, f, s, cutoff)[q]
             assert abs(trace - expected) < 1e-10, (q, trace, expected)
 
@@ -543,25 +474,21 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 @pytest.mark.parametrize("name", ["classical_t3", "twisted_unit_t3"])
 def test_the_harmonic_side_computes_each_map_quantity_once_per_op(monkeypatch,
                                                                   name, command):
-    # the traces are checked exactly, once, and no command builds the float
-    # frame pull-back, which only the form pull-back reads
+    # the traces are checked exactly, once
     counts = {key: counted(monkeypatch, owner, key) for owner, key in (
         (rl, "char_poly"), (em, "harmonic_mode"),
-        (em, "_check_exterior_traces"), (em, "_frame_pullback_matrix"))}
+        (em, "_check_exterior_traces"))}
     path = str(SCENARIOS / f"{name}.scenario")
     assert cli.run(command, path, stream=io.StringIO()) == cli.EXIT_PASS
     assert {key: len(calls) for key, calls in counts.items()} == {
-        "char_poly": 1, "harmonic_mode": 1, "_check_exterior_traces": 1,
-        "_frame_pullback_matrix": 0}
+        "char_poly": 1, "harmonic_mode": 1, "_check_exterior_traces": 1}
 
 
 def test_an_empty_harmonic_space_checks_no_traces(monkeypatch):
-    counts = {key: counted(monkeypatch, em, key) for key in (
-        "_check_exterior_traces", "_frame_pullback_matrix")}
+    calls = counted(monkeypatch, em, "_check_exterior_traces")
     path = str(SCENARIOS / "twisted_halfweight_t2.scenario")
     assert cli.run("lhs", path, stream=io.StringIO()) == cli.EXIT_PASS
-    assert {key: len(calls) for key, calls in counts.items()} == {
-        "_check_exterior_traces": 0, "_frame_pullback_matrix": 0}
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["twisted_unit_t3", "twisted_halfweight_t2"])

@@ -226,7 +226,7 @@ class TestTorusContributions:
 
     def test_random_sheared_maps_on_mixed_direction(self):
         # v = (0, 1, alpha): equivariant maps have free first column; the
-        # shear entries exercise the frame pull-back away from the product
+        # shear entries exercise the harmonic side away from the product
         rng = np.random.default_rng(321)
         found = 0
         while found < 12:

@@ -1,8 +1,7 @@
-"""The harmonic side's frame: the Householder frame and the partial-pivoting
-determinant of the form pull-back; the exact cross-check of the exterior
-traces against the basic-mode lattice that ``cohomology_action`` runs, and
-mutants it must catch; and, on the same random equivariant maps, exact
-agreement of the two sides."""
+"""The harmonic side's Householder frame; the exact cross-check of the
+exterior traces against the basic-mode lattice that ``cohomology_action``
+runs, and mutants it must catch; and, on the same random equivariant maps,
+exact agreement of the two sides."""
 
 from fractions import Fraction
 
@@ -74,22 +73,6 @@ class TestFrame:
         frame = bc.frame_for(T3_PROD)
         assert frame.theta == (0.0, 0.0, 1.0)
         assert frame.basis == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-
-
-class TestFloatDeterminant:
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
-        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
-        min_size=n, max_size=n)))
-    def test_agrees_with_numpy(self, M):
-        want = np.linalg.det(np.array(M, dtype=float).reshape(len(M), len(M)))
-        got = em._float_det([[float(x) for x in row] for row in M])
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
-
-    def test_needs_a_row_swap_and_finds_singular_matrices(self):
-        assert em._float_det([[0.0, 1.0], [1.0, 0.0]]) == -1.0
-        assert em._float_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
-        assert em._float_det([]) == 1.0
 
 
 @st.composite
@@ -179,7 +162,7 @@ def test_a_dropped_kernel_row_is_caught(monkeypatch, dropped):
 
 
 def test_a_wrong_trace_among_huge_entries_is_caught():
-    # a float principal minor of this map's frame pull-back reads 0.888
+    # a float principal minor of this map's frame restriction reads 0.888
     # against the exact 1 in degree 2, so a float check must allow an error
     # of about 2e3 there; the integer identity sees a trace off by 1000
     a = 10**15

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from equilef import _ratlin as rl
 from equilef import geometry_models as gm
 from equilef import torus_group as tg
-from equilef.endomorphism import TorusMap
 from equilef.errors import OffManifold
 
 
@@ -245,11 +244,12 @@ def test_torus_orbit_base_points_match_the_fraction_solve(data, model):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_torus_map_apply_matches_fraction_arithmetic(data):
+def test_affine_numerators_match_fraction_arithmetic(data):
+    # the integer step of a torus map x -> A x + c (mod 1)
     n = data.draw(st.integers(1, 4))
     A = [[data.draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)]
-    f = TorusMap(A, [data.draw(rationals()) for _ in range(n)])
+    c = [data.draw(rationals()) for _ in range(n)]
     p = [data.draw(rationals()) for _ in range(n)]
-    assert f.apply(p) == rl.vec_mod1(tuple(
-        sum(a * x for a, x in zip(row, p)) + t
-        for row, t in zip(f.matrix, f.translation)))
+    nums, D = rl.affine_numerators(A, p, c)
+    assert tuple(Fraction(a, D) for a in nums) == rl.vec_mod1(tuple(
+        sum(a * x for a, x in zip(row, p)) + t for row, t in zip(A, c)))

@@ -266,7 +266,7 @@ def test_isotropy_descriptor_components():
 
 
 def test_trivial_isotropy():
-    iso = tg.trivial_isotropy(3)
+    iso = tg.IsotropyDescriptor(tg.SubtorusGroup(3), range(3))
     assert iso.component_count == 1 and iso.dim == 0
     assert iso.component_reps == ((0, 0, 0),)
 
@@ -282,34 +282,28 @@ def test_isotropy_preimage_components():
         assert Ghat.contains(pt)
 
 
-class _OrbitStub:
-    def __init__(self, dim, isotropy):
-        self.dim = dim
-        self.isotropy = isotropy
-
-
 def test_sheet_count_s5_transversal_circle():
     # any 1-dim subgroup transversal to the isotropy preimage of the
     # weight-(tau,1,2) pole orbit meets it in exactly two elements
-    orbit = _OrbitStub(1, _s5_isotropy_at_pole())
+    iso = _s5_isotropy_at_pole()
     # subgroup {(0, t, 2t)} in ambient coordinates
-    assert tg.sheet_count(((0, 1, 2),), orbit) == 2
+    assert tg.sheet_count_rows(((0, 1, 2),), iso) == 2
     # a different transversal line gives the same count
-    assert tg.sheet_count(((1, 1, 2),), orbit) == 2
+    assert tg.sheet_count_rows(((1, 1, 2),), iso) == 2
 
 
 def test_sheet_count_free_orbit_full_group():
     v = sym([(1, 0), (0, 1)], ("alpha",))
     G = tg.closure_group(v)
-    orbit = _OrbitStub(2, tg.trivial_isotropy(2))
-    assert tg.sheet_count(G, orbit) == 1
+    trivial = tg.IsotropyDescriptor(tg.SubtorusGroup(2), range(2))
+    assert tg.sheet_count_rows(G.complement_basis(), trivial) == 1
 
 
 def test_sheet_count_doubled_circle():
     # z -> e^{2it} z: parametrizing circle winds twice around the group;
     # kernel has two elements (t = 0 and t = pi on the parametrizing circle)
-    orbit = _OrbitStub(1, tg.trivial_isotropy(1))
-    assert tg.sheet_count(((2,),), orbit) == 2
+    trivial = tg.IsotropyDescriptor(tg.SubtorusGroup(1), range(1))
+    assert tg.sheet_count_rows(((2,),), trivial) == 2
     # brute-force oracle on a fine grid
     hits = [k for k in range(64) if (2 * Fraction(k, 64)) % 1 == 0]
     assert len(hits) == 2
@@ -317,10 +311,9 @@ def test_sheet_count_doubled_circle():
 
 def test_sheet_count_not_transversal():
     iso = _s5_isotropy_at_pole()
-    orbit = _OrbitStub(1, iso)
     # the subgroup {(t, 0, 0)} lies inside the isotropy preimage
     with pytest.raises(NotTransversal):
-        tg.sheet_count(((1, 0, 0),), orbit)
+        tg.sheet_count_rows(((1, 0, 0),), iso)
 
 
 def test_haar_factor_choice_invariance():
@@ -329,12 +322,11 @@ def test_haar_factor_choice_invariance():
     Ghat = tg.closure_group(v)
     iso = _s5_isotropy_at_pole()
     pre = tg.isotropy_preimage(Ghat, iso)
-    orbit = _OrbitStub(1, iso)
     ratios = set()
     for ambient_rows in (((0, 1, 2),), ((1, 1, 2),), ((0, 2, 4),)):
         rows = tg.subgroup_in_param_coords(pre, ambient_rows)
         mass = tg.haar_factor(pre, rows)
-        sheets = tg.sheet_count(ambient_rows, orbit)
+        sheets = tg.sheet_count_rows(ambient_rows, iso)
         ratios.add(Fraction(mass, sheets))
     assert len(ratios) == 1
 

@@ -6,16 +6,17 @@ reaches on the committed flat-torus scenarios, and the functions both reach.
 The harmonic side is ``scenario_cli._lhs_sections`` and the localized side
 ``scenario_cli._rhs_sections``.  Each side runs on a freshly loaded scenario
 with every functools cache in ``equilef`` emptied first, under
-``sys.setprofile``: a function counts when a call enters code defined in an
-``equilef`` module.  Only named functions count; comprehensions, generator
-expressions, lambdas and the methods ``dataclasses`` generates do not.
-Scenarios that do not parse, and sphere scenarios (which have no harmonic
-side), are skipped; a side that stops on a documented error still counts
-what it reached.
+:func:`reaching`.  Scenarios that do not parse, and sphere scenarios (which
+have no harmonic side), are skipped; a side that stops on a documented error
+still counts what it reached.
+
+:func:`reaching` traces any call; ``tests/test_reached_set.py`` uses it to
+pin the functions the commands reach.
 """
 
 import pathlib
 import sys
+from contextlib import contextmanager
 
 from equilef import scenario_cli as cli
 from equilef.errors import EquilefError
@@ -23,7 +24,7 @@ from equilef.errors import EquilefError
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _clear_caches():
+def clear_caches():
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "equilef" or name.startswith("equilef.")):
             continue
@@ -32,11 +33,13 @@ def _clear_caches():
                 value.cache_clear()
 
 
-def reached(side, path):
-    """The qualified names of the equilef functions ``side`` calls on the
-    scenario at ``path``, loaded afresh with every cache emptied."""
-    scenario = cli.load_scenario(path)
-    _clear_caches()
+@contextmanager
+def reaching():
+    """Collect, in the set it yields, the qualified names
+    (``equilef.<module>.<qualname>``) of the equilef functions entered while
+    the block runs, under ``sys.setprofile``.  Only named functions count;
+    comprehensions, generator expressions, lambdas and the methods
+    ``dataclasses`` generates do not."""
     seen = set()
 
     def profile(frame, event, arg):
@@ -51,11 +54,22 @@ def reached(side, path):
 
     sys.setprofile(profile)
     try:
-        side(scenario)
-    except EquilefError:
-        pass
+        yield seen
     finally:
         sys.setprofile(None)
+
+
+def reached(side, path):
+    """The qualified names of the equilef functions ``side`` calls on the
+    scenario at ``path``, loaded afresh with every cache emptied; the load
+    itself is not traced."""
+    scenario = cli.load_scenario(path)
+    clear_caches()
+    with reaching() as seen:
+        try:
+            side(scenario)
+        except EquilefError:
+            pass
     return seen
 
 
