@@ -1,4 +1,5 @@
-"""The horizontal complex: differential, ellipticity, spectra."""
+"""The horizontal complex: differential, ellipticity, harmonic spaces,
+spectra."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equilef import basic_complex as bc
+from equilef import endomorphism as em
 from equilef import geometry_models as gm
 from equilef import torus_group as tg
 from equilef.errors import DegreeOverflow
@@ -167,6 +169,52 @@ class TestEllipticOperator:
         a = bc.apply_lie(bc.apply_P(u))
         b = bc.apply_P(bc.apply_lie(u))
         assert a.plus(b, factor=-1.0).norm() < 1e-9 * max(u.norm(), 1.0)
+
+
+def constant_frame_forms(model, q):
+    """The constant frame forms of degree ``q``, one per sorted index set of
+    the ``n - 1`` frame covectors: the untwisted harmonic space."""
+    zero = tuple(0 for _ in range(model.n))
+    return [bc.BasicForm(model, q, {(zero, I): 1.0}, basic_flag=True)
+            for I in itertools.combinations(range(model.n - 1), q)]
+
+
+class TestHarmonicSpaces:
+    def test_dimensions_binomial(self):
+        assert em.harmonic_dimensions(T3) == (1, 2, 1)
+        assert em.harmonic_dimensions(T2_IRR) == (1, 1)
+        assert em.harmonic_dimensions(T3_PROD) == (1, 2, 1)
+        for model in (T3, T2_IRR, T3_PROD):
+            forms = [constant_frame_forms(model, q) for q in range(model.n)]
+            assert tuple(map(len, forms)) == em.harmonic_dimensions(model)
+            for u in itertools.chain.from_iterable(forms):
+                assert bc.apply_P(u).coeffs == {}
+
+    def test_brute_force_null_space_oracle(self):
+        # assemble the elliptic operator on all basic modes by explicit
+        # composition and count its null space numerically
+        model = T3
+        cutoff = 2
+        for q in range(3):
+            basis_keys = [
+                (m, I)
+                for m in bc.basic_modes(model, cutoff)
+                for I in itertools.combinations(range(2), q)
+            ]
+            index = {key: i for i, key in enumerate(basis_keys)}
+            P = np.zeros((len(basis_keys), len(basis_keys)), dtype=complex)
+            for key, j in index.items():
+                u = bc.BasicForm(model, q, {key: 1.0}, basic_flag=True)
+                for key2, c in bc.apply_P_composed(u).coeffs.items():
+                    P[index[key2], j] = c
+            null_dim = sum(1 for s in np.linalg.svd(P, compute_uv=False) if s < 1e-8)
+            assert null_dim == math.comb(2, q)
+
+    def test_harmonic_forms_are_orthonormal(self):
+        basis = constant_frame_forms(T3, 1)
+        for i, u in enumerate(basis):
+            for j, w in enumerate(basis):
+                assert abs(bc.inner_product(u, w) - (i == j)) < 1e-12
 
 
 class TestEigenComplexes:

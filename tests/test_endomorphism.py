@@ -90,6 +90,116 @@ def exterior_power(model, f, q):
                      for J in subsets])
 
 
+def damped(modes, s):
+    """``sum exp(-s 4 pi^2 |m|^2)`` over ``modes``."""
+    return sum(math.exp(-s * 4 * math.pi**2 * sum(x * x for x in m))
+               for m in modes)
+
+
+def pull_back(f, u):
+    """``f^* u`` for a flow-annihilated form ``u``, in floats: mode ``m``
+    goes to ``A^T m`` turned by its character, frame index set ``I`` to
+    column ``I`` of :func:`exterior_power`."""
+    subsets = list(itertools.combinations(range(u.model.n - 1), u.degree))
+    W = exterior_power(u.model, f, u.degree)
+    out = {}
+    for (m, I), c in u.coeffs.items():
+        key = rl.vec_mat(m, f.matrix)
+        turned = c * np.exp(2j * np.pi * float(f.character(m)))
+        for row, J in enumerate(subsets):
+            out[(key, J)] = out.get((key, J), 0.0) + turned * W[row, subsets.index(I)]
+    return bc.BasicForm(u.model, u.degree, out, basic_flag=True)
+
+
+class TestPullback:
+    # the pull-back sends mode m to A^T m turned by its character m . c, and
+    # a frame covector xi to xi o A; the harmonic side and the heat traces
+    # are its exact traces
+
+    def test_constant_one_form_classical(self):
+        # pulling a constant frame covector back by A = [[2,1],[1,1]] (+) [1]
+        # gives xi o A, e.g. dx1 -> 2 dx1 + dx2.  A^T fixes no basic mode
+        # but zero, so the damped traces are the harmonic 1, 3, 1 at every s
+        assert np.allclose(exterior_power(T3_PROD, CLASSICAL, 1)[:, 0], [2, 1])
+        act = em.cohomology_action(T3_PROD, CLASSICAL)
+        assert act.trace_integers == (1, 3, 1)
+        for s in (0.001, 0.1):
+            traces = em.heat_damped_traces(T3_PROD, CLASSICAL, s, cutoff=6)
+            for t, k in zip(traces, act.trace_integers):
+                assert abs(t - k) < 1e-12
+
+    def test_cochain_property_on_random_basic_forms(self):
+        # the pull-back the exact traces compress commutes with the
+        # differential on flow-annihilated forms, here with a translation
+        f = em.TorusMap(DOUBLING.matrix, (Fraction(1, 3), 0, 0))
+        assert em.validate_equivariance(T3_MIX, f).cochain_on_basic
+        rng = np.random.default_rng(31)
+        modes = bc.basic_modes(T3_MIX, 3)
+        for q in range(2):
+            for _ in range(10):
+                coeffs = {}
+                for _ in range(4):
+                    m = modes[int(rng.integers(0, len(modes)))]
+                    I = tuple(sorted(rng.choice(2, size=q, replace=False)))
+                    coeffs[(m, tuple(int(i) for i in I))] = complex(
+                        rng.normal(), rng.normal())
+                u = bc.BasicForm(T3_MIX, q, coeffs, basic_flag=True)
+                lhs = bc.apply_D(pull_back(f, u))
+                rhs = pull_back(f, bc.apply_D(u))
+                assert lhs.norm() > 0
+                assert lhs.plus(rhs, factor=-1.0).norm() <= 1e-12 * max(1.0, u.norm())
+
+    def test_constant_one_form_non_symmetric(self):
+        # A is not symmetric, so xi o A (row 0 of A for xi = dx1) differs
+        # from A xi (column 0): dx1 -> 2 dx1 + dx2.  On modes the same A^T
+        # fixes (0, k, 0), where A would fix (k, -k, 0)
+        f = em.TorusMap(((2, 1, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
+        assert bc.frame_for(T3_PROD).basis == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        assert np.allclose(exterior_power(T3_PROD, f, 1)[:, 0], [2, 1])
+        act = em.cohomology_action(T3_PROD, f)
+        assert act.trace_integers == (1, 3, 2)   # 1, trace, det of [[2, 0], [1, 1]]
+        cutoff, s = 3, 0.01
+        A = np.array(f.matrix)
+        modes = bc.basic_modes(T3_PROD, cutoff)
+        by_transpose = [m for m in modes if np.array_equal(A.T @ m, m)]
+        by_matrix = [m for m in modes if np.array_equal(A @ m, m)]
+        assert by_transpose == [(0, k, 0) for k in range(-cutoff, cutoff + 1)]
+        assert by_matrix == [(k, -k, 0) for k in range(-cutoff, cutoff + 1)]
+        traces = em.heat_damped_traces(T3_PROD, f, s, cutoff)
+        for q, t in enumerate(traces):
+            assert abs(t - act.trace_integers[q] * damped(by_transpose, s)) < 1e-10
+            assert abs(t - act.trace_integers[q] * damped(by_matrix, s)) > 1e-3
+
+    def test_translation_acts_by_character(self):
+        # a pure translation fixes every mode and turns mode m by m . c, so
+        # each degree's damped trace is binom(2, q) times the damped sum of
+        # the characters over the basic modes (k, 0, 0) of T3_MIX
+        c = (Fraction(1, 4), 0, Fraction(1, 3))
+        f = em.TorusMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), c)
+        assert f.character((1, 0, 0)) == Fraction(1, 4)
+        assert f.character((2, 5, 3)) == Fraction(3, 2)     # not reduced mod 1
+        cutoff, s = 3, 0.01
+        modes = bc.basic_modes(T3_MIX, cutoff)
+        assert modes == tuple((k, 0, 0) for k in range(-cutoff, cutoff + 1))
+        turned = sum(np.exp(2j * np.pi * float(f.character(m))) * damped([m], s)
+                     for m in modes)
+        assert abs(turned - damped(modes, s)) > 0.1
+        traces = em.heat_damped_traces(T3_MIX, f, s, cutoff)
+        for q, t in enumerate(traces):
+            assert abs(t - math.comb(2, q) * turned) < 1e-10
+
+    def test_result_is_basic(self):
+        # the pull-back keeps flow-annihilated forms flow-annihilated: for
+        # every map the check admits, A^T maps basic modes to basic modes
+        shear = em.TorusMap(((3, 0, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))
+        for model, f in ((T3_MIX, DOUBLING), (T3_MIX, shear), (T3_PROD, CLASSICAL)):
+            assert em.validate_equivariance(model, f).cochain_on_basic
+            modes = bc.basic_modes(model, 3)
+            assert len(modes) > 1
+            for m in modes:
+                assert bc.is_basic_mode(model, rl.vec_mat(m, f.matrix))
+
+
 class TestCohomologyAction:
     def test_classical_alternating_trace(self):
         act = em.cohomology_action(T3_PROD, CLASSICAL)

@@ -111,7 +111,12 @@ def run(command, path, json_path):
     return cli.run(command, str(path), options, stream), stream.getvalue()
 
 
-def test_the_unreached_functions_are_the_allowlisted_ones(tmp_path):
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """The functions every command reaches on every committed scenario and
+    on the two error inputs, with the exit code and report of each error
+    input."""
+    tmp_path = tmp_path_factory.mktemp("reached")
     truncated = tmp_path / "truncated.scenario"
     truncated.write_text(TRUNCATED)
     too_many = tmp_path / "too_many_orbits.scenario"
@@ -121,13 +126,25 @@ def test_the_unreached_functions_are_the_allowlisted_ones(tmp_path):
         for path in sorted((ROOT / "scenarios").glob("*.scenario")):
             for command in sorted(cli.COMMANDS):
                 run(command, path, json_path)
-        parse_code, parse_text = run("validate", truncated, json_path)
-        orbits_code, orbits_text = run("rhs", too_many, json_path)
-    assert parse_code == cli.EXIT_USAGE
-    assert parse_text.startswith("parse error at line 1")
-    assert orbits_code == cli.EXIT_DISCREPANCY
-    assert orbits_text.startswith("error: the map has 1002001 fixed orbits")
+        parse = run("validate", truncated, json_path)
+        orbits = run("rhs", too_many, json_path)
+    return reached, parse, orbits
 
+
+def test_a_truncated_scenario_is_a_parse_error(traced):
+    code, text = traced[1]
+    assert code == cli.EXIT_USAGE
+    assert text.startswith("parse error at line 1")
+
+
+def test_too_many_fixed_orbits_stop_the_localized_side(traced):
+    code, text = traced[2]
+    assert code == cli.EXIT_DISCREPANCY
+    assert text.startswith("error: the map has 1002001 fixed orbits")
+
+
+def test_the_unreached_functions_are_the_allowlisted_ones(traced):
+    reached = traced[0]
     wrapped = {f"equilef.{module}.{name}"
                for module, names in traced_layers().items() for name in names}
     allowed = {f"equilef.{name}" for names in UNREACHED.values() for name in names}
@@ -135,3 +152,17 @@ def test_the_unreached_functions_are_the_allowlisted_ones(tmp_path):
     unreached = defined_functions() - reached - wrapped
     assert unreached == allowed, (sorted(unreached - allowed),
                                   sorted(allowed - unreached))
+
+
+def test_the_tracer_sees_the_parse_and_stops_at_the_block_end():
+    # the tracer is on before the scenario loads, so the parse path counts,
+    # and off after the block, so a later call does not
+    path = ROOT / "scenarios" / "classical_t3.scenario"
+    with side_routes.reaching() as reached:
+        cli.load_scenario(path)
+    assert {"equilef.scenario_cli.load_scenario",
+            "equilef.scenario_cli.parse_scenario"} <= reached
+    assert "equilef.scenario_cli.cmd_validate" not in reached
+    before = set(reached)
+    cli.load_scenario(path)
+    assert reached == before
