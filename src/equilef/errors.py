@@ -35,11 +35,6 @@ class DegreeOverflow(EquilefError):
 class NonTransverse(EquilefError):
     """A fixed orbit fails the determinant transversality criterion."""
 
-    def __init__(self, message, orbit=None, component=None):
-        super().__init__(message)
-        self.orbit = orbit
-        self.component = component
-
 
 class DeterminantUnderflow(EquilefError):
     """A certified-nonzero conormal determinant is too small for its

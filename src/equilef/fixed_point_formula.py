@@ -14,10 +14,10 @@ On flat tori every ingredient is exact: fixed orbits come from integer
 congruences (finitely many iff the base map minus identity is invertible),
 conormal determinants are integer determinants, fiber traces are elementary
 symmetric integers, and twist phases are rational turns.  On weighted
-spheres the conormal space at a fixed pole is the product of the normal
-coordinate planes, which an exact check certifies once per orbit, so
-each isotropy component's determinant is a product of plane rotations minus
-the identity: an exact rational zero-test and a closed-form float value.
+spheres one exact test, that no coordinate-pair stratum is fixed orbitwise,
+decides transversality for the fixed set and for each orbit, and each
+isotropy component's determinant is a closed-form product of plane
+rotations minus the identity on the normal coordinate planes.
 """
 
 from __future__ import annotations
@@ -130,33 +130,42 @@ def _torus_fixed_orbits(model: FlatTorusModel, f: TorusMap):
     if sol is None:
         return []
     if not sol.is_finite:
+        # a square system with a free solution direction has determinant 0
         raise InfiniteFixedSet(
             "the induced base map fixes a positive-dimensional set "
-            f"(det of base map minus identity is {rl.det_int(M)})"
+            "(det of base map minus identity is 0)"
         )
     if sol.count > rl.TORSION_LIMIT:
         raise FixedSetTooLarge(sol.count, rl.TORSION_LIMIT)
     return torus_orbits(model, *sol.point_numerators())
 
 
+def _fixed_pair(model: WeightedSphereModel, phases, pairs):
+    """The first coordinate pair of ``pairs`` whose stratum the phase map
+    fixes orbitwise, or ``None``: the pair's phases lie in the closure of
+    the flow projected to it, tested exactly on every relation among the
+    pair's weights."""
+    for pair in pairs:
+        LS = model.restricted_group(pair).relation_lattice
+        phi_S, D = rl.numerators([phases[j] for j in pair])
+        if all(sum(m * p for m, p in zip(row, phi_S)) % D == 0 for row in LS):
+            return pair
+    return None
+
+
 def _sphere_fixed_orbits(model: WeightedSphereModel, f: SpherePhaseMap):
     k = model.k
-    phases = f.phases
     # Pairs suffice: the projection of the closure to a pair of coordinates
     # is the closure of the projection, so the relations on a pair lie in
     # those of every larger support containing it, and a stratum fixed
     # orbitwise fixes each pair inside it.  The first fixed stratum of the
     # all-sizes scan, smallest size first, is therefore always a pair.
-    for support in itertools.combinations(range(k), 2):
-        LS = model.restricted_group(support).relation_lattice
-        phi_S, D = rl.numerators([phases[j] for j in support])
-        fixes = all(sum(m * p for m, p in zip(row, phi_S)) % D == 0
-                    for row in LS)
-        if fixes:
-            raise InfiniteFixedSet(
-                f"the stratum supported on coordinates {support} is fixed "
-                "orbitwise and carries a positive-dimensional moduli family"
-            )
+    pair = _fixed_pair(model, f.phases, itertools.combinations(range(k), 2))
+    if pair is not None:
+        raise InfiniteFixedSet(
+            f"the stratum supported on coordinates {pair} is fixed "
+            "orbitwise and carries a positive-dimensional moduli family"
+        )
     orbits = []
     for j in range(k):
         moduli = tuple(Fraction(int(i == j)) for i in range(k))
@@ -179,58 +188,48 @@ def _sphere_rotation_turns(shift, S, h, H):
     return tuple((a * s - b * t) % D for a, b in zip(shift, h)), D
 
 
-def _sphere_normal_coords(orbit: ClosedOrbit):
-    """The coordinates off a sphere orbit's support, after the checks every
-    isotropy component shares: the stratum has no moduli, and the identity
-    component sweeps no rotation angle through zero.  Then the orbit runs
-    through a coordinate point ``e_j``, where the radial vector lies in plane
-    ``j``, and so does every closure tangent vector; the conormal space is
-    exactly the planes of the other coordinates when some closure tangent
-    row is nonzero at ``j``, which is checked exactly.  That is what lets
-    :func:`_sphere_component_det` read the determinant off the turns.  Runs
-    once per orbit."""
-    support = orbit.base_point.support
-    if len(support) > 1:
-        # moduli directions inside the stratum are fixed by any phase map
+def _sphere_normal_coords(orbit: ClosedOrbit, phases):
+    """The coordinates off a sphere orbit's support, after the one
+    transversality test, which covers every isotropy component: no stratum
+    on a coordinate pair meeting the support is fixed orbitwise.  A
+    correction ``g`` with ``g_j = -phi_j`` turns coordinate ``l`` by zero
+    exactly when ``(phi_j, phi_l)`` lies in the pair's closure (the
+    projection of a closure is the closure of the projection), and an
+    isotropy circle that sweeps ``l`` makes that closure the whole 2-torus.
+    Then the orbit runs through a coordinate point ``e_j``, where the radial
+    vector lies in plane ``j``, and so does every closure tangent vector;
+    the conormal space is exactly the planes of the other coordinates when
+    some closure tangent row is nonzero at ``j``, which is checked exactly.
+    That is what lets :func:`_sphere_component_det` read the determinant
+    off the turns.  Runs once per orbit."""
+    model, support = orbit.model, orbit.base_point.support
+    pair = _fixed_pair(model, phases, (
+        p for p in itertools.combinations(range(model.k), 2)
+        if any(j in support for j in p)))
+    if pair is not None:
         raise NonTransverse(
-            "stratum moduli directions are fixed (determinant vanishes)",
-            orbit=orbit,
-        )
-    normal = [l for l in range(orbit.model.k) if l not in support]
-    for row in orbit.isotropy.tangent_rows:
-        for l in normal:
-            if row[l] != 0:
-                raise NonTransverse(
-                    "rotation angle sweeps through zero along an isotropy "
-                    f"component (coordinate {l})",
-                    orbit=orbit,
-                )
+            f"the stratum supported on coordinates {pair}, which meets the "
+            f"orbit's support {support}, is fixed orbitwise, so the conormal "
+            "determinant vanishes on some isotropy component")
     if len(support) != 1 or not any(
-            row[support[0]] for row in orbit.model.group.complement_basis()):
+            row[support[0]] for row in model.group.complement_basis()):
         raise InternalCheckFailed(
             "the conormal space is not the normal coordinate planes")
-    return normal
+    return [l for l in range(model.k) if l not in support]
 
 
-def _sphere_component_det(orbit: ClosedOrbit, normal, turns, D, component):
+def _sphere_component_det(orbit: ClosedOrbit, normal, turns, D):
     """Conormal determinant of the corrected phase map on one isotropy
-    component with rotation ``turns`` (numerators over ``D``): after the
-    exact zero test ``turn % D == 0`` on each coordinate off the support,
-    one plane rotation minus the identity, ``4 sin^2(pi theta_l)``, per such
-    coordinate, evaluated on the exact centred turn ``theta_l -
+    component with rotation ``turns`` (numerators over ``D``): one plane
+    rotation minus the identity, ``4 sin^2(pi theta_l)``, per coordinate
+    off the support, evaluated on the exact centred turn ``theta_l -
     round(theta_l)`` so that small turns do not cancel.  It is the
     determinant on the normal coordinate planes, which
-    :func:`_sphere_normal_coords` certified to be the conormal space, and the
-    value both the term and the certificate read.
-    Raises :class:`DeterminantUnderflow` when the nonzero determinant is too
-    small for its reciprocal to be a float."""
-    for l in normal:
-        if turns[l] % D == 0:
-            raise NonTransverse(
-                f"coordinate {l} is fixed by the corrected map",
-                orbit=orbit,
-                component=component,
-            )
+    :func:`_sphere_normal_coords` certified to be the conormal space and to
+    turn on every component, and the value both the term and the
+    certificate read.
+    Raises :class:`DeterminantUnderflow` when the determinant is too small
+    for its reciprocal to be a float."""
     # turns lie in [0, D); a half turn stays +1/2, as round() takes it to 0
     centred = {l: (turns[l] if 2 * turns[l] <= D else turns[l] - D) / D
                for l in normal}
@@ -245,16 +244,17 @@ def _sphere_component_det(orbit: ClosedOrbit, normal, turns, D, component):
     return det_val
 
 
-def check_transversality(orbit: ClosedOrbit, f, g0=None) -> TransversalityCertificate:
+def check_transversality(orbit: ClosedOrbit, f) -> TransversalityCertificate:
     """Certify that the correction-composed map minus the identity is
     invertible on the conormal space, for every admissible correction.
 
     The correction is only determined modulo the isotropy group, so the
-    determinant must be nonzero along every isotropy component; on
-    positive-dimensional components the rotation angles sweep whole circles,
-    which is an exact linear condition.  It is the certificate the orbit's
-    untwisted scalar term is built with, from the same per-component pass."""
-    return orbit_contribution(orbit, f, fibers="scalar", g0=g0).certificate
+    determinant must be nonzero along every isotropy component: on a torus
+    every component has ``det(A_bar - I)``, and on a sphere one exact
+    pair-stratum test covers them all (:func:`_sphere_normal_coords`).  It
+    is the certificate the orbit's untwisted scalar term is built with,
+    from the same per-component pass."""
+    return orbit_contribution(orbit, f, fibers="scalar").certificate
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ class _MapContext:
             support = orbit.base_point.support
             g0 = group.element_with(support, [-self.f.phases[j] for j in support])
         if g0 is None:
-            raise NonTransverse("orbit is not actually fixed by the map", orbit=orbit)
+            raise NonTransverse("orbit is not actually fixed by the map")
         return g0
 
     def isotropy_type(self, isotropy) -> _IsotropyType:
@@ -432,18 +432,16 @@ class _MapContext:
 
 def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
                        twist: BundleTwist | None = None,
-                       subgroup_rows=None, g0=None,
-                       isotropy_resolution: int | None = None) -> OrbitContribution:
+                       subgroup_rows=None, g0=None) -> OrbitContribution:
     """Evaluate one orbit's trace contribution.
 
     ``subgroup_rows`` (rows in the lifted group's ambient torus) override the
     canonical complementary subgroup, for choice-invariance checks.  ``g0``
     overrides the group correction (valid corrections differ by isotropy
-    elements).  ``isotropy_resolution`` switches the isotropy average to Haar
-    quadrature along the components instead of the exact per-component sum;
-    the two must agree on transverse scenarios."""
+    elements).  Raises :class:`NonTransverse` when the orbit is not fixed
+    or not transverse, which only an orbit built by the caller can be."""
     context = _MapContext(orbit.model, f, fibers, twist, subgroup_rows)
-    return _contribution(orbit, g0, isotropy_resolution, context)
+    return _contribution(orbit, g0, None, context)
 
 
 def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
@@ -461,11 +459,9 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         det = context.torus_det
         if det == 0:
             raise NonTransverse(
-                "base map minus identity vanishes on the conormal space",
-                orbit=orbit,
-            )
+                "base map minus identity vanishes on the conormal space")
     else:
-        normal = _sphere_normal_coords(orbit)
+        normal = _sphere_normal_coords(orbit, f.phases)
     typ = context.isotropy_type(orbit.isotropy)
     pre = typ.pre
     fiber_idx = range(n, hat.ambient_dim)
@@ -481,7 +477,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         shift, S = rl.numerators((*f.phases, *g0))
         shift = tuple(a + b for a, b in zip(shift[:n], shift[n:]))
 
-    def component(t, T, index=None):
+    def component(t, T):
         """``(phase, det, exact det)`` at the preimage element with
         parameters ``t / T`` (integer numerators ``t``); an untwisted torus
         orbit reads nothing at ``t``.  The twist phase is a float in turns,
@@ -497,10 +493,10 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         if torus:
             return phase, float(det), det
         turns, D = _sphere_rotation_turns(shift, S, h[:n], T)
-        return phase, _sphere_component_det(orbit, normal, turns, D, index), None
+        return phase, _sphere_component_det(orbit, normal, turns, D), None
 
     reps, T = pre.solution.torsion_numerators()
-    comps = tuple(component(t, T, index) for index, t in enumerate(reps))
+    comps = tuple(component(t, T) for t in reps)
     if torus:
         cert = TransversalityCertificate(orbit, g0, *context.torus_dets)
     else:
@@ -550,9 +546,12 @@ def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
     over one common denominator) and one pass over its preimage components,
     which yields its certificate and its per-component data, and the
     per-degree assembly is built once per distinct component data.
-    Raises :class:`InfiniteFixedSet`, :class:`FixedSetTooLarge` or
-    :class:`NonTransverse` before any value is produced when the hypotheses
-    fail."""
+    ``isotropy_resolution`` cross-checks each orbit's exact isotropy average
+    against Haar quadrature along the components on a grid of that
+    resolution.  Raises :class:`InfiniteFixedSet` or
+    :class:`FixedSetTooLarge` before any value is produced when the
+    hypotheses fail; every orbit it lists passes the per-orbit
+    transversality tests."""
     orbits = find_fixed_orbits(model, f)
     context = _MapContext(model, f, fibers, twist, None)
     contributions = [_contribution(orbit, None, isotropy_resolution, context)

@@ -359,7 +359,7 @@ class TestSphereSmallTurns:
             assert orbit.isotropy.tangent_rows == ()
             (j,) = orbit.base_point.support
             rows = orbit.model.group.complement_basis()
-            assert fpf._sphere_normal_coords(orbit) == [1 - j]
+            assert fpf._sphere_normal_coords(orbit, f.phases) == [1 - j]
             zeroed = tuple(tuple(0 if l == j else a for l, a in enumerate(row))
                            for row in rows)
             with monkeypatch.context() as patch:
@@ -367,7 +367,7 @@ class TestSphereSmallTurns:
                               lambda self: zeroed)
                 with pytest.raises(InternalCheckFailed,
                                    match="normal coordinate planes"):
-                    fpf._sphere_normal_coords(orbit)
+                    fpf._sphere_normal_coords(orbit, f.phases)
 
     def test_one_conormal_check_per_orbit_and_no_determinant(self, monkeypatch):
         # weights (1, 1001): 1002 isotropy components over two orbits, two
@@ -494,30 +494,59 @@ def test_sphere_gate_scans_pairs_to_the_same_verdict(case):
         "and carries a positive-dimensional moduli family")
 
 
+def sphere_twists(model):
+    """No twist, or a line-bundle weight ``a + b tau`` (``a + b`` on a
+    rational model) over the model's generators."""
+    labels = model.weights.generator_labels
+    row = st.tuples(st.integers(0, 3), *[st.integers(0, 1)] * len(labels))
+    return st.none() | row.map(
+        lambda r: BundleTwist(tg.SymbolicFrequency((r,), labels)))
+
+
+def deleted_pole_gates(orbit, f, twist):
+    """Whether the per-orbit sphere gates that the pair-stratum test
+    replaced refuse the orbit: a support of two or more coordinates, an
+    isotropy circle that sweeps a normal coordinate, or a component of the
+    isotropy preimage in the (twisted) lift on which the corrected map turns
+    a normal coordinate by a whole number of turns."""
+    model = orbit.model
+    support = orbit.base_point.support
+    if len(support) > 1:
+        return True
+    normal = [l for l in range(model.k) if l not in support]
+    if any(row[l] for row in orbit.isotropy.tangent_rows for l in normal):
+        return True
+    hat = (model.group if twist is None
+           else tg.closure_group(model.weights, twist.weight))
+    reps, T = tg.isotropy_preimage(hat, orbit.isotropy).solution.torsion_numerators()
+    g0 = model.group.element_with(support, [-f.phases[j] for j in support])
+    for t in reps:
+        h = hat.element_numerators(t, T)
+        if any((f.phases[l] + g0[l] - Fraction(h[l], T)).denominator == 1
+               for l in normal):
+            return True
+    return False
+
+
 @settings(max_examples=150, deadline=None)
-@given(sphere_phase_maps(irrational=st.just(False)))
-def test_sphere_pole_gate_is_the_pair_stratum_gate(case):
-    # with integer weights, the corrected map on pole j fixes coordinate l
-    # on some isotropy component exactly when b' phi_j - a' phi_l is an
-    # integer, (a', b') = (w_j, w_l) / gcd, which is the condition that the
-    # pair stratum {j, l} is fixed orbitwise: the per-component gate never
-    # refuses a map the stratum gate lets through
+@given(sphere_phase_maps(), st.data())
+def test_sphere_pole_gate_is_the_pair_stratum_gate(case, data):
+    # a pole's one gate, no fixed pair stratum through it, refuses exactly
+    # the orbits that the support, isotropy-sweep and per-component gates
+    # refused, on irrational weights and twisted lifts too
     model, f = case
-    w = [int(row[0]) for row in model.weights.coeffs]
+    twist = data.draw(sphere_twists(model))
     for j in range(model.k):
-        fixed_pair = False
-        for l in range(model.k):
-            g = math.gcd(w[j], w[l])
-            turn = (w[l] // g) * f.phases[j] - (w[j] // g) * f.phases[l]
-            fixed_pair |= l != j and turn.denominator == 1
         pole = gm.SpherePoint(tuple(int(i == j) for i in range(model.k)),
                               (0,) * model.k)
         orbit = gm.orbit_through(model, pole)
-        if fixed_pair:
-            with pytest.raises(NonTransverse):
-                fpf.check_transversality(orbit, f)
+        if deleted_pole_gates(orbit, f, twist):
+            with pytest.raises(NonTransverse, match="is fixed orbitwise"):
+                fpf.orbit_contribution(orbit, f, fibers="scalar", twist=twist)
         else:
-            fpf.check_transversality(orbit, f)
+            contrib = fpf.orbit_contribution(orbit, f, fibers="scalar",
+                                             twist=twist)
+            assert all(d > 0 for d in contrib.certificate.dets)
 
 
 class TestEqualityIsNotVacuous:

@@ -39,10 +39,9 @@ pytestmark = pytest.mark.skipif(
 
 UNREACHED = {
     "the command-line entry and its error paths, which other malformed "
-    "inputs reach, and NonTransverse, whose sphere gates the stratum gate "
-    "pre-empts on every input a command takes": (
+    "inputs reach": (
         "scenario_cli.main", "scenario_cli._Parser.error",
-        "scenario_cli._path_to", "errors.NonTransverse.__init__"),
+        "scenario_cli._path_to"),
     "the torus branch of orbit_through, which checks points passed in from "
     "outside; the commands build torus orbits with torus_orbits": (
         "geometry_models._torus_orbit", "geometry_models._exact_vector"),

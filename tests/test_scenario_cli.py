@@ -110,14 +110,20 @@ class TestRhs:
         assert "0.25" in text
         assert "lifted" in text  # the lifted group is serialized
 
-    def test_determinant_too_small_to_invert_exits_1(self, tmp_path):
+    def test_determinant_too_small_to_invert_exits_1(self, tmp_path, capsys):
+        # the one per-component error a sphere command can reach: phases
+        # (1/10^200, 0) on S^3 pass the pair-stratum gate, and the pole with
+        # support (0,) turns coordinate 1 by -2/10^200
         doc = json.loads((SCENARIOS / "s3_rational.scenario").read_text())
         doc["map"]["phases"] = ["1/1" + "0" * 200, "0"]
-        code, text = run_doc(tmp_path, "rhs", doc)
+        path = tmp_path / "underflow.scenario"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["rhs", str(path)])
         assert code == cli.EXIT_DISCREPANCY
-        assert text.startswith("error: the conormal determinant 0 of the orbit "
-                               "with support (0,) ")
-        assert "(coordinate 1 " in text
+        assert capsys.readouterr() == (
+            "error: the conormal determinant 0 of the orbit with support (0,) "
+            "is too small to invert in floating point (coordinate 1 turns by "
+            "-2e-200)\n", "")
 
     def test_an_exact_value_too_long_to_print_exits_1(self, tmp_path):
         # each translation is accepted (1453 characters), but (A - I)^-1
