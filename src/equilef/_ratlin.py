@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import InternalCheckFailed, TorsionTooLarge
 
@@ -79,7 +80,7 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, x):
-    return tuple(sum(a * xi for a, xi in zip(row, x)) for row in A)
+    return tuple(sum(map(mul, row, x)) for row in A)
 
 
 def vec_mat(x, A):
@@ -108,16 +109,6 @@ def numerators(x):
             D = math.lcm(D, q.denominator)
     return tuple(q * D if type(q) is int else q.numerator * (D // q.denominator)
                  for q in x), D
-
-
-def affine_numerators(A, x, c):
-    """``A x + c (mod 1)`` for an integer matrix ``A`` and rational vectors
-    ``x`` and ``c``, as one integer affine step: ``(numerators, D)`` over
-    the common denominator ``D`` of ``x`` and ``c``."""
-    nums, D = numerators((*x, *c))
-    x, c = nums[:len(x)], nums[len(x):]
-    return tuple((sum(a * xi for a, xi in zip(row, x)) + ci) % D
-                 for row, ci in zip(A, c)), D
 
 
 def _row_axpy(rows, i, j, q):
@@ -376,7 +367,7 @@ class CongruenceSolution:
     def is_finite(self):
         return len(self.free) == 0
 
-    @property
+    @cached_property
     def torsion_count(self):
         return math.prod(di for _, di in self._axes)
 

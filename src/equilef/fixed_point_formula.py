@@ -27,6 +27,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from . import _ratlin as rl
 from . import torus_group as tg
@@ -53,18 +55,28 @@ from .geometry_models import (
     torus_orbits,
 )
 
+
+def _g0_view(self):
+    """The group correction ``g0`` as ``Fraction``s, built when read."""
+    g, D = self.g0_numerators
+    return tuple(Fraction(a, D) for a in g)
+
+
 @dataclass(frozen=True)
 class TransversalityCertificate:
     """Nonvanishing of the conormal determinants, from the pass that builds
     the orbit's term: ``det(A_bar - I)`` on a torus, one closed-form value
     ``prod 4 sin^2(pi theta_l)`` per isotropy-preimage component on a sphere
     (the value the term divides by).  ``dets_exact`` holds exact values where
-    available (always on tori; ``None`` entries on spheres carry only floats)."""
+    available (always on tori; ``None`` entries on spheres carry only floats).
+    ``g0_numerators`` is the group correction as ``(numerators, D)``."""
 
     orbit: ClosedOrbit
-    g0: tuple
+    g0_numerators: tuple
     dets: tuple            # floats, one per preimage component on a sphere
     dets_exact: tuple      # Fractions or None, parallel to dets
+
+    g0 = cached_property(_g0_view)
 
 
 @dataclass(frozen=True)
@@ -80,11 +92,13 @@ class PerDegreeData:
 @dataclass(frozen=True)
 class OrbitContribution:
     orbit: ClosedOrbit
-    g0: tuple
+    g0_numerators: tuple   # (numerators, D), as on the certificate
     certificate: TransversalityCertificate
     per_degree: tuple
     total: complex
     total_exact: Fraction | None
+
+    g0 = cached_property(_g0_view)
 
 
 @dataclass(frozen=True)
@@ -188,10 +202,12 @@ def _sphere_rotation_turns(shift, S, h, H):
     return tuple((a * s - b * t) % D for a, b in zip(shift, h)), D
 
 
-def _sphere_normal_coords(orbit: ClosedOrbit, phases):
+def _sphere_normal_coords(orbit: ClosedOrbit, phases, pairs_passed=False):
     """The coordinates off a sphere orbit's support, after the one
     transversality test, which covers every isotropy component: no stratum
-    on a coordinate pair meeting the support is fixed orbitwise.  A
+    on a coordinate pair meeting the support is fixed orbitwise
+    (``pairs_passed`` says every pair has passed it already, in
+    :func:`find_fixed_orbits`).  A
     correction ``g`` with ``g_j = -phi_j`` turns coordinate ``l`` by zero
     exactly when ``(phi_j, phi_l)`` lies in the pair's closure (the
     projection of a closure is the closure of the projection), and an
@@ -203,7 +219,7 @@ def _sphere_normal_coords(orbit: ClosedOrbit, phases):
     That is what lets :func:`_sphere_component_det` read the determinant
     off the turns.  Runs once per orbit."""
     model, support = orbit.model, orbit.base_point.support
-    pair = _fixed_pair(model, phases, (
+    pair = None if pairs_passed else _fixed_pair(model, phases, (
         p for p in itertools.combinations(range(model.k), 2)
         if any(j in support for j in p)))
     if pair is not None:
@@ -292,12 +308,15 @@ class _IsotropyType:
     """The part of an orbit's term fixed by its isotropy type: the isotropy
     preimage in the lifted closure, the Haar mass and sheet count of the
     complementary subgroup, and whether the twist character integrates to
-    zero along the preimage's identity component."""
+    zero along the preimage's identity component.  On an untwisted torus
+    every component of every orbit reads the same ``(phase, det, exact
+    det)``, so that tuple is built here once."""
 
     pre: tg.IsotropyDescriptor
     mass: Fraction
     sheets: int
     char_zero: bool
+    comps: tuple | None    # the component data, when no orbit changes it
 
 
 class _MapContext:
@@ -306,13 +325,18 @@ class _MapContext:
     one :class:`_IsotropyType` per isotropy type met, and the per-degree
     assembly of each distinct (isotropy type, component data) pair.  Lives
     for one ``lefschetz_rhs`` or lone ``orbit_contribution`` call; nothing in
-    it reaches the harmonic side."""
+    it reaches the harmonic side.  ``pairs_passed`` records that every
+    coordinate pair of a sphere has passed the pair-stratum test, as
+    :func:`find_fixed_orbits` certifies before ``lefschetz_rhs`` builds the
+    context, so no orbit tests its pairs again."""
 
-    def __init__(self, model, f, fibers, twist, subgroup_rows):
+    def __init__(self, model, f, fibers, twist, subgroup_rows,
+                 pairs_passed=False):
         self.model = model
         self.f = f
         self.twist = twist
         self.subgroup_rows = subgroup_rows
+        self.pairs_passed = pairs_passed
         self.traces = _fiber_traces(model, f, fibers)
         self.scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
         self.torus = isinstance(model, FlatTorusModel)
@@ -325,32 +349,42 @@ class _MapContext:
             det = self.torus_det = rl.det_int(_base_minus_identity(model, f)[0])
             self.I_minus_A = [[(i == j) - a for j, a in enumerate(row)]
                               for i, row in enumerate(f.matrix)]
-            self.minus_c = [-t for t in f.translation]
+            c, self.c_den = rl.numerators(f.translation)
+            self.minus_c = [-a for a in c]
             # an untwisted torus orbit's one component, and the exact and
             # float determinant every certificate records
             self.torus_component = (0.0, float(det), det)
             self.torus_dets = (float(det),), (Fraction(det),)
+        else:
+            self.phases = rl.numerators(f.phases)
         self._types = {}
         self._terms = {}
 
     def group_correction(self, orbit: ClosedOrbit):
         """An element ``g0`` of the closure group making ``a_{g0} o f`` the
-        identity on the orbit (determined modulo the isotropy group):
-        ``(I - A) p0 - c (mod 1)`` on a torus, computed and tested for
-        membership (``L g0 = 0 mod D``) in numerators over one denominator
-        ``D``, and made ``Fraction``s only once it passes."""
+        identity on the orbit (determined modulo the isotropy group), as
+        ``(numerators, D)``.  On a torus it is ``(I - A) p0 - c (mod 1)``,
+        one integer affine step on the orbit's base-point numerators over
+        ``D``, the lcm of their denominator and that of ``c``, with its
+        membership ``L g0 = 0 (mod D)`` tested on those numerators; on a
+        sphere, a closure element equal to ``-phases`` on the support."""
         group = self.model.group
         if self.torus:
-            g, D = rl.affine_numerators(self.I_minus_A, orbit.base_point,
-                                        self.minus_c)
-            g0 = tuple(Fraction(a, D) for a in g) \
-                if group.contains_numerators(g, D) else None
+            x, P, C = orbit.point, orbit.point_den, self.c_den
+            D = math.lcm(P, C)
+            s, t = D // P, D // C
+            g = tuple((sum(map(mul, row, x)) * s + ci * t) % D
+                      for row, ci in zip(self.I_minus_A, self.minus_c))
+            if group.contains_numerators(g, D):
+                return g, D
         else:
             support = orbit.base_point.support
-            g0 = group.element_with(support, [-self.f.phases[j] for j in support])
-        if g0 is None:
-            raise NonTransverse("orbit is not actually fixed by the map")
-        return g0
+            sol = group.parameters_with(
+                support, [-self.f.phases[j] for j in support])
+            if sol is not None:
+                t, D = sol.particular_numerators()
+                return group.element_numerators(t, D), D
+        raise NonTransverse("orbit is not actually fixed by the map")
 
     def isotropy_type(self, isotropy) -> _IsotropyType:
         found = self._types.get(isotropy)
@@ -427,7 +461,9 @@ class _MapContext:
             any(row[j] != 0 for j in range(n, hat.ambient_dim))
             for row in pre.tangent_rows
         )
-        return _IsotropyType(pre, mass, sheets, char_zero)
+        comps = ((self.torus_component,) * pre.component_count
+                 if self.torus and self.twist is None else None)
+        return _IsotropyType(pre, mass, sheets, char_zero, comps)
 
 
 def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
@@ -441,6 +477,8 @@ def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
     elements).  Raises :class:`NonTransverse` when the orbit is not fixed
     or not transverse, which only an orbit built by the caller can be."""
     context = _MapContext(orbit.model, f, fibers, twist, subgroup_rows)
+    if g0 is not None:
+        g0 = rl.numerators(g0)
     return _contribution(orbit, g0, None, context)
 
 
@@ -450,7 +488,6 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
     checks every isotropy component shares, one pass over the preimage
     components builds both the certificate and the per-component data of
     the assembly; the optional quadrature cross-check runs last."""
-    model = orbit.model
     f, twist, hat, n = context.f, context.twist, context.hat, context.n
     torus = context.torus
     if g0 is None:
@@ -461,42 +498,47 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
             raise NonTransverse(
                 "base map minus identity vanishes on the conormal space")
     else:
-        normal = _sphere_normal_coords(orbit, f.phases)
+        normal = _sphere_normal_coords(orbit, f.phases, context.pairs_passed)
     typ = context.isotropy_type(orbit.isotropy)
     pre = typ.pre
-    fiber_idx = range(n, hat.ambient_dim)
-    if twist is not None:
-        lift = hat.parameters_with(range(n), g0)
-        if lift is None:
-            raise InternalCheckFailed("group correction fails to lift")
-        t0, G = lift.particular_numerators()
-        ghat0 = hat.element_numerators(t0, G)
-        g_fiber = sum(ghat0[j] for j in fiber_idx)
-    if not torus:
-        # the numerators of f.phases + g0, which every component's turns shift
-        shift, S = rl.numerators((*f.phases, *g0))
-        shift = tuple(a + b for a, b in zip(shift[:n], shift[n:]))
-
-    def component(t, T):
-        """``(phase, det, exact det)`` at the preimage element with
-        parameters ``t / T`` (integer numerators ``t``); an untwisted torus
-        orbit reads nothing at ``t``.  The twist phase is a float in turns,
-        the only form the term reads."""
-        if torus and twist is None:
-            return context.torus_component
-        h = hat.element_numerators(t, T)
-        phase = 0.0
+    comps = typ.comps
+    if comps is None or isotropy_resolution is not None:
+        g, Dg = g0
+        fiber_idx = range(n, hat.ambient_dim)
         if twist is not None:
-            L = math.lcm(T, G)
-            phase = (sum(h[j] for j in fiber_idx) * (L // T)
-                     - g_fiber * (L // G)) % L / L
-        if torus:
-            return phase, float(det), det
-        turns, D = _sphere_rotation_turns(shift, S, h[:n], T)
-        return phase, _sphere_component_det(orbit, normal, turns, D), None
+            lift = hat.parameters_with(range(n), [Fraction(a, Dg) for a in g])
+            if lift is None:
+                raise InternalCheckFailed("group correction fails to lift")
+            t0, G = lift.particular_numerators()
+            ghat0 = hat.element_numerators(t0, G)
+            g_fiber = sum(ghat0[j] for j in fiber_idx)
+        if not torus:
+            # the numerators of f.phases + g0, which every component's turns
+            # shift
+            phi, P = context.phases
+            S = math.lcm(P, Dg)
+            shift = tuple(a * (S // P) + b * (S // Dg) for a, b in zip(phi, g))
 
-    reps, T = pre.solution.torsion_numerators()
-    comps = tuple(component(t, T) for t in reps)
+        def component(t, T):
+            """``(phase, det, exact det)`` at the preimage element with
+            parameters ``t / T`` (integer numerators ``t``); an untwisted
+            torus orbit reads nothing at ``t``.  The twist phase is a float
+            in turns, the only form the term reads."""
+            if torus and twist is None:
+                return context.torus_component
+            h = hat.element_numerators(t, T)
+            phase = 0.0
+            if twist is not None:
+                L = math.lcm(T, G)
+                phase = (sum(h[j] for j in fiber_idx) * (L // T)
+                         - g_fiber * (L // G)) % L / L
+            if torus:
+                return phase, float(det), det
+            turns, D = _sphere_rotation_turns(shift, S, h[:n], T)
+            return phase, _sphere_component_det(orbit, normal, turns, D), None
+
+        reps, T = pre.solution.torsion_numerators()
+        comps = tuple(component(t, T) for t in reps)
     if torus:
         cert = TransversalityCertificate(orbit, g0, *context.torus_dets)
     else:
@@ -528,7 +570,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
             )
     return OrbitContribution(
         orbit=orbit,
-        g0=g0,
+        g0_numerators=g0,
         certificate=cert,
         per_degree=per_degree,
         total=total,
@@ -553,7 +595,7 @@ def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
     hypotheses fail; every orbit it lists passes the per-orbit
     transversality tests."""
     orbits = find_fixed_orbits(model, f)
-    context = _MapContext(model, f, fibers, twist, None)
+    context = _MapContext(model, f, fibers, twist, None, pairs_passed=True)
     contributions = [_contribution(orbit, None, isotropy_resolution, context)
                      for orbit in orbits]
     total = sum(c.total for c in contributions)

@@ -109,8 +109,9 @@ class WeightedSphereModel:
 
 @dataclass(frozen=True, eq=False)
 class ClosedOrbit:
-    """A group-orbit closure as exact data: canonical base point, dimension,
-    isotropy descriptor and identifier.
+    """A group-orbit closure as exact data: dimension and isotropy
+    descriptor here, and in each model's subclass a canonical base point
+    (``base_point``) and identifier (``key``).
 
     ``key`` determines the orbit; two orbits of the same model are equal iff
     their keys are.  No frame is stored: on a torus the conormal covectors
@@ -119,10 +120,8 @@ class ClosedOrbit:
     checks exactly against the closure's tangent rows."""
 
     model: object
-    base_point: object
     dim: int
     isotropy: tg.IsotropyDescriptor
-    key: tuple
 
     def __eq__(self, other):
         return (
@@ -133,6 +132,38 @@ class ClosedOrbit:
 
     def __hash__(self):
         return hash((self.model, self.key))
+
+
+@dataclass(frozen=True, eq=False)
+class TorusOrbit(ClosedOrbit):
+    """A torus orbit closure held in integers: the base point is ``point``
+    over ``point_den`` (numerators in ``[0, point_den)``), and the base
+    coordinates ``L x (mod 1)`` are ``level`` over ``level_den``.
+    ``base_point`` and ``key`` are their ``Fraction`` views, built when
+    read; the key is canonical, so orbits built over different denominators
+    compare and hash equal."""
+
+    point: tuple
+    point_den: int
+    level: tuple
+    level_den: int
+
+    @cached_property
+    def base_point(self):
+        return tuple(Fraction(a, self.point_den) for a in self.point)
+
+    @cached_property
+    def key(self):
+        return ("torus", tuple(Fraction(a, self.level_den) for a in self.level))
+
+
+@dataclass(frozen=True, eq=False)
+class SphereOrbit(ClosedOrbit):
+    """A sphere orbit closure: its canonical point and its key, the support,
+    the moduli and the phase residue under the restricted closure."""
+
+    base_point: SpherePoint
+    key: tuple
 
 
 def _exact_vector(p, n):
@@ -180,8 +211,9 @@ def torus_orbits(model: FlatTorusModel, levels, D) -> list:
     by back-substitution of the unit levels on the HNF basis ``L``; every
     column is over the same denominator ``E``, the product of the pivots,
     and each level's numerators are mapped through it in integers over
-    ``D E``.  The dimension and the (trivial) isotropy are the same for
-    every orbit and built once."""
+    ``D E``.  Each orbit keeps those numerators and its level's; no
+    ``Fraction`` is built.  The dimension and the (trivial) isotropy are
+    the same for every orbit and built once."""
     L = model.base_lattice
     dim = model.group.dim
     isotropy = tg.IsotropyDescriptor(model.group, range(model.n))
@@ -190,13 +222,9 @@ def torus_orbits(model: FlatTorusModel, levels, D) -> list:
     solve = [[x[i] for x, _ in columns] for i in range(model.n)]    # over E
     DE = D * E
     return [
-        ClosedOrbit(
-            model=model,
-            base_point=tuple(Fraction(a % DE, DE) for a in rl.mat_vec(solve, level)),
-            dim=dim,
-            isotropy=isotropy,
-            key=("torus", tuple(Fraction(a, D) for a in level)),
-        )
+        TorusOrbit(model, dim, isotropy,
+                   tuple(a % DE for a in rl.mat_vec(solve, level)), DE,
+                   level, D)
         for level in levels
     ]
 
@@ -224,11 +252,11 @@ def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
     for idx, j in enumerate(support):
         phases[j] = theta_canon[idx]
     base_point = SpherePoint(p.moduli_sq, tuple(phases))
-    return ClosedOrbit(
+    return SphereOrbit(
         model=model,
-        base_point=base_point,
         dim=GS.dim,
         isotropy=tg.IsotropyDescriptor(model.group, support),
+        base_point=base_point,
         key=("sphere", support, p.moduli_sq, phase_coords),
     )
 

@@ -468,15 +468,25 @@ def _complex_str(z):
     return f"{_fs(z.real)}{'+' if z.imag >= 0 else '-'}{_fs(abs(z.imag))}i"
 
 
-def _frac_str(q):
-    """A ``Fraction`` or ``int`` as report text, or a typed error if too long."""
-    if q is None:
-        return None
+def _ratio_strs(nums, D):
+    """Each ``a / D`` (integers, ``D > 0``) as ``str(Fraction(a, D))`` prints
+    it, with one ``gcd`` per entry, or a typed error if one has more digits
+    than the interpreter prints: every exact rational of a report passes
+    here."""
     try:
-        return str(q)
+        out = []
+        for a in nums:
+            g = math.gcd(a, D)
+            out.append(str(a // g) if g == D else f"{a // g}/{D // g}")
+        return out
     except ValueError:
         raise EquilefError("an exact value in the report has more than "
                            f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _frac_str(q):
+    """A ``Fraction`` or ``int`` (or ``None``) as report text."""
+    return None if q is None else _ratio_strs((q.numerator,), q.denominator)[0]
 
 
 def _term_json(contrib, terms):
@@ -508,9 +518,11 @@ def _term_json(contrib, terms):
 
 
 def _orbit_json(contrib, terms):
+    """An orbit's report entry; a torus base point and every ``g0`` are
+    printed from their integer numerators."""
     orbit = contrib.orbit
     if isinstance(orbit.model, FlatTorusModel):
-        location = {"base_point": [_frac_str(x) for x in orbit.base_point]}
+        location = {"base_point": _ratio_strs(orbit.point, orbit.point_den)}
     else:
         bp = orbit.base_point
         location = {
@@ -522,7 +534,7 @@ def _orbit_json(contrib, terms):
         "location": location,
         "dim": orbit.dim,
         "isotropy_components": orbit.isotropy.component_count,
-        "g0": [_frac_str(x) for x in contrib.g0],
+        "g0": _ratio_strs(*contrib.g0_numerators),
         **_term_json(contrib, terms),
         "transversality": "certified",
     }
@@ -557,7 +569,7 @@ def _node_lines(node, indent, memo):
     push = lines.append
     deeper = indent + "   "
     if isinstance(node, dict):
-        width = max((len(str(k)) for k in node), default=0)
+        width = max(map(len, map(str, node)), default=0)
         for key, val in node.items():
             if isinstance(val, (dict, list)):
                 push(f"{indent}{key}:")
@@ -574,48 +586,60 @@ def _node_lines(node, indent, memo):
     return lines
 
 
-def _json_scalar(node):
-    """A leaf as ``json.dumps`` writes it (``NaN``/``Infinity`` included)."""
-    if isinstance(node, str):
-        return _json_str(node)
-    if node is None:
-        return "null"
-    if node is True:
-        return "true"
-    if node is False:
-        return "false"
-    if isinstance(node, int):
-        return int.__repr__(node)
-    if isinstance(node, float):
-        if node != node:
-            return "NaN"
-        if math.isinf(node):
-            return "Infinity" if node > 0 else "-Infinity"
-        return float.__repr__(node)
-    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_text(report):
     """``json.dumps(report, indent=2)``, byte for byte, with each container's
     text built once per (object, depth): a sub-object many orbits share is
-    serialized once at each depth it sits at."""
+    serialized once at each depth it sits at.  A member of exact type
+    ``str``, ``float``, ``int``, ``bool`` or ``None`` is written inline;
+    any other value, subclasses included, takes the ``isinstance`` route of
+    ``write``, as in ``json.dumps``."""
     memo = {}
 
     def write(node, level):
-        if not isinstance(node, (dict, list, tuple)):
-            return _json_scalar(node)
+        if isinstance(node, dict):
+            values = node.values()
+            brackets = "{}"
+        elif isinstance(node, (list, tuple)):
+            values = node
+            brackets = "[]"
+        elif isinstance(node, str):
+            return _json_str(node)
+        elif node is None or node is True or node is False:
+            return _JSON_WORDS[node]
+        elif isinstance(node, int):
+            return int.__repr__(node)
+        elif isinstance(node, float):
+            text = float.__repr__(node)
+            return _FLOAT_WORDS.get(text, text)
+        else:
+            raise TypeError(f"Object of type {type(node).__name__} "
+                            "is not JSON serializable")
         slot = (id(node), level)
         text = memo.get(slot)
         if text is not None:
             return text
-        if isinstance(node, dict):
+        items = []
+        push = items.append
+        for value in values:
+            kind = type(value)
+            if kind is str:
+                push(_json_str(value))
+            elif kind is float:
+                text = float.__repr__(value)
+                push(_FLOAT_WORDS.get(text, text))
+            elif kind is int:
+                push(int.__repr__(value))
+            elif value is None or kind is bool:
+                push(_JSON_WORDS[value])
+            else:
+                push(write(value, level + 1))
+        if brackets == "{}":
             # report keys are strings; any other key is a TypeError here
-            items = [f"{_json_str(k)}: {write(v, level + 1)}"
-                     for k, v in node.items()]
-            brackets = "{}"
-        else:
-            items = [write(v, level + 1) for v in node]
-            brackets = "[]"
+            items = [f"{_json_str(k)}: {text}" for k, text in zip(node, items)]
         if items:
             inner = "\n" + "  " * (level + 1)
             text = (brackets[0] + inner + ("," + inner).join(items)

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import _ratlin as rl
 from .errors import GeneratorMismatch, InternalCheckFailed, NotTransversal
@@ -229,7 +230,7 @@ class SubtorusGroup:
     def contains_numerators(self, x, D):
         """Whether the point ``x / D`` lies in the group, tested as
         ``L x = 0 (mod D)`` on its integer numerators ``x``."""
-        return all(sum(m * a for m, a in zip(row, x)) % D == 0
+        return all(sum(map(mul, row, x)) % D == 0
                    for row in self.relation_lattice)
 
 

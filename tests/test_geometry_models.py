@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from equilef import _ratlin as rl
+from equilef import fixed_point_formula as fpf
 from equilef import geometry_models as gm
+from equilef import scenario_cli as cli
 from equilef import torus_group as tg
-from equilef.errors import OffManifold
+from equilef.errors import InfiniteFixedSet, OffManifold
+from test_frame_cross_check import equivariant_maps
 
 
 def torus_model(entries, labels=()):
@@ -242,14 +245,40 @@ def test_torus_orbit_base_points_match_the_fraction_solve(data, model):
         assert rl.vec_mod1(rl.mat_vec(L, orbit.base_point)) == rl.vec_mod1(level)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_affine_numerators_match_fraction_arithmetic(data):
-    # the integer step of a torus map x -> A x + c (mod 1)
-    n = data.draw(st.integers(1, 4))
-    A = [[data.draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)]
-    c = [data.draw(rationals()) for _ in range(n)]
-    p = [data.draw(rationals()) for _ in range(n)]
-    nums, D = rl.affine_numerators(A, p, c)
-    assert tuple(Fraction(a, D) for a in nums) == rl.vec_mod1(tuple(
-        sum(a * x for a, x in zip(row, p)) + t for row, t in zip(A, c)))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(equivariant_maps(max_n=4, translated=True))
+def test_integer_orbit_path_matches_fraction_arithmetic(case):
+    # each listed orbit's base point, key and g0, held and printed from
+    # integer numerators, against Fractions computed here: the levels solve
+    # (A_bar - I) x = -c_bar (mod 1), p0 is the canonical solve of a level,
+    # and g0 = (I - A) p0 - c (mod 1) lies in the closure
+    model, f = case
+    M, c_bar = fpf._base_minus_identity(model, f)
+    assume(abs(rl.det_int(M)) <= 100)
+    try:
+        rhs = fpf.lefschetz_rhs(model, f)
+    except InfiniteFixedSet:
+        assume(False)
+    L = model.base_lattice
+    sol = rl.solve_congruences(M, [-x for x in c_bar], len(M))
+    levels = sol.points() if sol is not None else []
+    assert len(levels) == len(rhs.contributions)
+    for level, contrib in zip(levels, rhs.contributions):
+        assert all((sum(m * x for m, x in zip(row, level)) + cb).denominator == 1
+                   for row, cb in zip(M, c_bar))
+        p0 = gm._solve_from_level(L, level, model.n)
+        g0 = rl.vec_mod1(tuple(
+            x - sum(a * y for a, y in zip(row, p0)) - t
+            for x, row, t in zip(p0, f.matrix, f.translation)))
+        orbit = contrib.orbit
+        assert orbit.key == ("torus", level)
+        assert orbit.base_point == p0
+        assert contrib.g0 == contrib.certificate.g0 == g0
+        assert model.group.contains(g0)
+        # the same orbit through its base point, over other denominators
+        again = gm.orbit_through(model, p0)
+        assert again == orbit and hash(again) == hash(orbit)
+        entry = cli._orbit_json(contrib, {})
+        assert entry["location"]["base_point"] == [str(x) for x in p0]
+        assert entry["g0"] == [str(x) for x in g0]

@@ -59,7 +59,10 @@ UNREACHED = {
         "averaging.average_quadrature",
         "torus_group.subgroup_in_param_coords",
         "endomorphism.harmonic_dimensions"),
-    "Fraction views that tests read as oracles": (
+    "Fraction views that tests read as oracles; the reports print torus "
+    "base points and every g0 from their integer numerators": (
+        "geometry_models.TorusOrbit.base_point",
+        "geometry_models.TorusOrbit.key", "fixed_point_formula._g0_view",
         "torus_group.SymbolicFrequency.rational",
         "_ratlin.CongruenceSolution.particular",
         "_ratlin.CongruenceSolution.points",

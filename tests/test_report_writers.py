@@ -5,10 +5,13 @@
 exactly what the straightforward recursive renderer below writes, on drawn
 trees: nested and empty containers, awkward strings and keys (report keys
 are strings; any other key is a ``TypeError``), huge integers,
-signed zeros and non-finite floats, and sub-objects reused at several depths
-(which both writers memoize by object and depth).
+signed zeros and non-finite floats, subclasses of the leaf and container
+types (which the JSON writer does not write inline), and sub-objects reused
+at several depths (which both writers memoize by object and depth).
 """
 
+import collections
+import enum
 import io
 import json
 import pathlib
@@ -28,6 +31,31 @@ TEXT = st.text(
     ),
     max_size=8,
 )
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 10**30
+
+
+class Text(str):
+    def __repr__(self):
+        return f"Text({str.__repr__(self)})"
+
+
+class Real(float):
+    def __repr__(self):
+        return f"Real({float.__repr__(self)})"
+
+
+# subclasses of the leaf types take the JSON writer's isinstance route, which
+# writes them as json.dumps does, through the base type's methods, not
+# through their own repr
+SUBCLASSED = st.one_of(
+    st.sampled_from(list(Level)),
+    st.builds(Text, TEXT),
+    st.builds(Real, st.floats(allow_nan=True, allow_infinity=True)),
+)
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -37,6 +65,7 @@ SCALARS = st.one_of(
     st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
                      1e-320, 1.0000000000000002]),
     TEXT,
+    SUBCLASSED,
 )
 TREES = st.recursive(
     SCALARS,
@@ -44,6 +73,7 @@ TREES = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
         st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(TEXT, children, max_size=3).map(collections.OrderedDict),
     ),
     max_leaves=24,
 )
