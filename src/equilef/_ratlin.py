@@ -426,48 +426,61 @@ class CongruenceSolution:
         return [tuple(a % D for a in r) for r in reps]
 
 
-def solve_congruences(A, b, d=None):
-    """Solve ``A t = b (mod 1)`` for ``t`` in the d-torus.
+class CongruenceSystem:
+    """The left-hand side ``A`` of ``A t = b (mod 1)`` on the d-torus,
+    factored once: its Smith form ``D = S A T`` and what follows from it
+    alone (the torsion axes and the free directions).  :meth:`solve` then
+    takes any right-hand side ``b``.
 
-    ``A``: integer k x d matrix (rows); ``b``: rationals of length k.  The
-    width ``d`` is read from ``A``; an empty system (``k = 0``) needs it
-    passed and is solved by the whole torus.
-    With ``D = S A T`` (Smith), ``c = S b`` over the denominator ``E`` of
-    ``b`` is unsolvable where a zero diagonal entry meets ``c_i % E != 0``,
-    and ``t = T u`` with ``u_i = c_i / (E d_i)`` otherwise, all in integer
-    numerators over ``E * lcm(Smith entries)``.
-    Returns a :class:`CongruenceSolution`, or ``None`` when unsolvable.
-    """
-    k = len(A)
-    if k:
-        d = len(A[0])
-    elif d is None:
-        raise ValueError("an empty system needs the torus dimension d")
-    else:
-        return CongruenceSolution((0,) * d, 1, [], identity_rows(d),
-                                  freeze(identity_rows(d)))
-    b, E = numerators(b)
-    Dg, S, T = snf_with_transforms(A)
-    c = mat_vec(S, b)
-    diag = [Dg[i][i] if i < d else 0 for i in range(k)]
-    if any(di == 0 and ci % E for di, ci in zip(diag, c)):
-        return None
-    D = E * math.lcm(*(di for di in diag if di))
-    u = [0] * d
-    for i, (di, ci) in enumerate(zip(diag, c)):
-        if di:
-            u[i] = ci * (D // (E * di))
-    particular = tuple(a % D for a in mat_vec(T, u))
-    torsion_axes = []
-    free_idx = []
-    for i in range(d):
-        di = diag[i] if i < k else 0
-        if di == 0:
-            free_idx.append(i)
-        elif di > 1:
-            torsion_axes.append((i, di))
-    free = freeze([tuple(T[r][i] for r in range(d)) for i in free_idx])
-    return CongruenceSolution(particular, D, torsion_axes, T, free)
+    ``A``: integer k x d matrix (rows).  The width ``d`` is read from ``A``;
+    an empty system (``k = 0``) needs it passed and is solved by the whole
+    torus."""
+
+    def __init__(self, A, d=None):
+        k = len(A)
+        if k:
+            d = len(A[0])
+        elif d is None:
+            raise ValueError("an empty system needs the torus dimension d")
+        self.d = d
+        if not k:
+            self.S, self.T = (), identity_rows(d)
+            self.diag, self.lcm, self.axes = (), 1, ()
+            self.free = freeze(identity_rows(d))
+            return
+        Dg, self.S, self.T = snf_with_transforms(A)
+        diag = self.diag = [Dg[i][i] if i < d else 0 for i in range(k)]
+        self.lcm = math.lcm(*(di for di in diag if di))
+        self.axes = tuple((i, diag[i]) for i in range(min(k, d)) if diag[i] > 1)
+        self.free = freeze([tuple(row[i] for row in self.T)
+                            for i in range(d) if i >= k or diag[i] == 0])
+
+    def solve(self, b):
+        """The solutions for the rationals ``b`` (length k): with
+        ``c = S b`` over the denominator ``E`` of ``b``, unsolvable where a
+        zero diagonal entry meets ``c_i % E != 0``, and ``t = T u`` with
+        ``u_i = c_i / (E d_i)`` otherwise, all in integer numerators over
+        ``E * lcm(Smith entries)``.  Returns a :class:`CongruenceSolution`,
+        or ``None`` when unsolvable."""
+        if not self.diag:
+            return CongruenceSolution((0,) * self.d, 1, [], self.T, self.free)
+        b, E = numerators(b)
+        c = mat_vec(self.S, b)
+        if any(di == 0 and ci % E for di, ci in zip(self.diag, c)):
+            return None
+        D = E * self.lcm
+        u = [0] * self.d
+        for i, (di, ci) in enumerate(zip(self.diag, c)):
+            if di:
+                u[i] = ci * (D // (E * di))
+        particular = tuple(a % D for a in mat_vec(self.T, u))
+        return CongruenceSolution(particular, D, self.axes, self.T, self.free)
+
+
+def solve_congruences(A, b, d=None):
+    """Solve ``A t = b (mod 1)`` for ``t`` in the d-torus: one
+    :class:`CongruenceSystem` (the Smith form of ``A``) solved once."""
+    return CongruenceSystem(A, d).solve(b)
 
 
 def det_int(M):

@@ -321,7 +321,8 @@ class _IsotropyType:
 
 class _MapContext:
     """The one owner of the map-level objects, each built once: the fiber
-    traces, the lifted closure, on a torus ``I - A`` and ``det(A_bar - I)``,
+    traces, the lifted closure (and, twisted, the Smith form of the lift of
+    ``g0`` into it), on a torus ``I - A`` and ``det(A_bar - I)``,
     one :class:`_IsotropyType` per isotropy type met, and the per-degree
     assembly of each distinct (isotropy type, component data) pair.  Lives
     for one ``lefschetz_rhs`` or lone ``orbit_contribution`` call; nothing in
@@ -359,6 +360,14 @@ class _MapContext:
             self.phases = rl.numerators(f.phases)
         self._types = {}
         self._terms = {}
+
+    @cached_property
+    def lift_system(self):
+        """The congruences for the lifted closure's elements over given base
+        coordinates, with the Smith form of their rows built once per map:
+        each orbit's twisted lift of ``g0`` solves it for its own ``g0``."""
+        return rl.CongruenceSystem(self.hat.coordinate_rows(range(self.n)),
+                                   self.hat.dim)
 
     def group_correction(self, orbit: ClosedOrbit):
         """An element ``g0`` of the closure group making ``a_{g0} o f`` the
@@ -506,7 +515,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         g, Dg = g0
         fiber_idx = range(n, hat.ambient_dim)
         if twist is not None:
-            lift = hat.parameters_with(range(n), [Fraction(a, Dg) for a in g])
+            lift = context.lift_system.solve([Fraction(a, Dg) for a in g])
             if lift is None:
                 raise InternalCheckFailed("group correction fails to lift")
             t0, G = lift.particular_numerators()

@@ -192,14 +192,19 @@ class SubtorusGroup:
         isomorphism from the dim-torus onto the group."""
         return _complement_basis(self.relation_lattice, self.ambient_dim)
 
+    def coordinate_rows(self, coords):
+        """The congruence rows on the parameters ``t`` that read the
+        coordinates ``coords`` of the element ``t @ complement_basis()``."""
+        C = self.complement_basis()
+        return [[row[j] for row in C] for j in coords]
+
     def parameters_with(self, coords, values):
         """The parameters ``t`` whose element ``t @ complement_basis()`` has
         coordinates ``coords`` equal to ``values`` modulo one, as a
         :class:`~equilef._ratlin.CongruenceSolution`, or ``None`` when no
         element of the group has them."""
-        C = self.complement_basis()
-        A = [[row[j] for row in C] for j in coords]
-        return rl.solve_congruences(A, values, self.dim)
+        return rl.solve_congruences(self.coordinate_rows(coords), values,
+                                    self.dim)
 
     def element_numerators(self, t, D):
         """The group element with parameters ``t / D`` as numerators over
@@ -358,7 +363,12 @@ def haar_quadrature(group: SubtorusGroup, resolution: int):
 def isotropy_preimage(hat_group: SubtorusGroup,
                       isotropy: IsotropyDescriptor) -> IsotropyDescriptor:
     """Compute ``{g in hat_group : projection(g) in isotropy}``: the elements
-    of the lifted group whose base coordinates ``isotropy.coords`` vanish."""
+    of the lifted group whose base coordinates ``isotropy.coords`` vanish.
+    Untwisted, the lifted group is the isotropy's own group, and the
+    preimage is the isotropy itself, so its one congruence system is solved
+    once."""
+    if hat_group is isotropy.group:
+        return isotropy
     return IsotropyDescriptor(hat_group, isotropy.coords)
 
 

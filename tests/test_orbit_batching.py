@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import io
 import json
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from equilef import torus_group as tg
 from equilef.endomorphism import (BundleTwist, SpherePhaseMap, TorusMap,
                                   exact_exterior_traces)
 from equilef.errors import InfiniteFixedSet, NonTransverse
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def torus_doc(name, matrix, translation, twist_weight=None):
@@ -150,6 +153,50 @@ def clear_equilef_caches():
         for value in vars(module).values():
             if hasattr(value, "cache_info") and callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_twisted_map_runs_one_smith_form_whatever_its_orbit_count(
+        monkeypatch, k):
+    # each orbit's lift of g0 into the lifted closure solves the one system
+    # of the lift's first n coordinates, factored once per map: the Smith
+    # forms are those of the fixed-orbit congruences, the isotropy
+    # preimage, the sheet count and the lift, for 1, 4 or 16 orbits
+    scenario = cli.load_scenario(SCENARIOS / "twisted_unit_t3.scenario")
+    f = TorusMap(((k, 0, 0), (0, k, 0), (0, 0, 1)), scenario.map.translation)
+    calls = []
+    original = fpf.rl.snf_with_transforms
+
+    def counting(M):
+        calls.append(M)
+        return original(M)
+    monkeypatch.setattr(fpf.rl, "snf_with_transforms", counting)
+    clear_equilef_caches()
+    rhs = fpf.lefschetz_rhs(scenario.model, f, twist=scenario.twist)
+    assert len(rhs.contributions) == (k - 1) ** 2
+    assert len(calls) == 4
+
+
+def test_an_untwisted_map_solves_each_isotropy_system_once(monkeypatch):
+    # untwisted, the lifted closure is the model's group and the isotropy
+    # preimage is the orbit's own isotropy, so the report's component count
+    # and the term read one solution
+    seen = []
+    original = tg.SubtorusGroup.parameters_with
+
+    def counting(group, coords, values):
+        seen.append((id(group), tuple(coords), tuple(values)))
+        return original(group, coords, values)
+    monkeypatch.setattr(tg.SubtorusGroup, "parameters_with", counting)
+    for name in ("classical_t3", "diag23_t3", "negation_t4"):
+        seen.clear()
+        clear_equilef_caches()
+        scenario = cli.load_scenario(SCENARIOS / f"{name}.scenario")
+        rhs, _ = cli._rhs_sections(scenario)
+        orbit = rhs.contributions[0].orbit
+        assert tg.isotropy_preimage(scenario.model.group,
+                                    orbit.isotropy) is orbit.isotropy
+        assert len(seen) == len(set(seen)) == 1, name
 
 
 def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):

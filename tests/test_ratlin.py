@@ -514,3 +514,25 @@ def test_integer_solutions_match_the_smith_route(data):
         assert all(type(a) is int for a in offset)
         assert rl.mat_vec(C, offset) == tuple(b)
         assert kernel == rl.integer_kernel(C)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_factored_system_solves_as_separate_solves_do(data):
+    # the Smith form of A is built once and solved for several right-hand
+    # sides; each solution equals a solve of its own, numerators, torsion
+    # axes and free directions alike
+    k = data.draw(st.integers(0, 3), label="k")
+    d = data.draw(st.integers(0 if k == 0 else 1, 3), label="d")
+    A = [[data.draw(st.integers(-4, 4)) for _ in range(d)] for _ in range(k)]
+    system = rl.CongruenceSystem(A, d)
+    for _ in range(3):
+        b = [Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 6)))
+             for _ in range(k)]
+        shared, alone = system.solve(b), rl.solve_congruences(A, b, d)
+        assert (shared is None) == (alone is None)
+        if alone is not None:
+            assert shared.particular_numerators() == alone.particular_numerators()
+            assert shared.free == alone.free
+            assert shared.torsion_count == alone.torsion_count
+            assert shared.torsion_numerators() == alone.torsion_numerators()
