@@ -455,16 +455,15 @@ class CongruenceSystem:
         self.free = freeze([tuple(row[i] for row in self.T)
                             for i in range(d) if i >= k or diag[i] == 0])
 
-    def solve(self, b):
-        """The solutions for the rationals ``b`` (length k): with
-        ``c = S b`` over the denominator ``E`` of ``b``, unsolvable where a
-        zero diagonal entry meets ``c_i % E != 0``, and ``t = T u`` with
-        ``u_i = c_i / (E d_i)`` otherwise, all in integer numerators over
-        ``E * lcm(Smith entries)``.  Returns a :class:`CongruenceSolution`,
-        or ``None`` when unsolvable."""
+    def solve(self, b, E):
+        """The solutions for the rationals ``b / E`` (integer numerators
+        ``b``, length k, over any ``E > 0``): with ``c = S b``, unsolvable
+        where a zero diagonal entry meets ``c_i % E != 0``, and ``t = T u``
+        with ``u_i = c_i / (E d_i)`` otherwise, all in integer numerators
+        over ``E * lcm(Smith entries)``.  Returns a
+        :class:`CongruenceSolution`, or ``None`` when unsolvable."""
         if not self.diag:
             return CongruenceSolution((0,) * self.d, 1, [], self.T, self.free)
-        b, E = numerators(b)
         c = mat_vec(self.S, b)
         if any(di == 0 and ci % E for di, ci in zip(self.diag, c)):
             return None
@@ -480,7 +479,7 @@ class CongruenceSystem:
 def solve_congruences(A, b, d=None):
     """Solve ``A t = b (mod 1)`` for ``t`` in the d-torus: one
     :class:`CongruenceSystem` (the Smith form of ``A``) solved once."""
-    return CongruenceSystem(A, d).solve(b)
+    return CongruenceSystem(A, d).solve(*numerators(b))
 
 
 def det_int(M):

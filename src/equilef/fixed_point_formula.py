@@ -515,7 +515,7 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         g, Dg = g0
         fiber_idx = range(n, hat.ambient_dim)
         if twist is not None:
-            lift = context.lift_system.solve([Fraction(a, Dg) for a in g])
+            lift = context.lift_system.solve(g, Dg)
             if lift is None:
                 raise InternalCheckFailed("group correction fails to lift")
             t0, G = lift.particular_numerators()

@@ -30,10 +30,8 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
@@ -491,269 +489,122 @@ def _frac_str(q):
     return None if q is None else _ratio_strs((q.numerator,), q.denominator)[0]
 
 
-def _term_json(contrib, terms):
-    """An orbit's term entries, built once per distinct term: orbits whose
-    assembly is shared (one ``contrib.per_degree`` object, see
-    ``fixed_point_formula._MapContext.assembled``) share these objects, so
-    the report writers render them once.  ``terms`` lives for one report,
-    while every contribution (and so every key's object) is alive."""
+def _term_json(contrib):
+    """An orbit class's term entries: those of its first orbit."""
     per_degree = contrib.per_degree
-    found = terms.get(id(per_degree))
-    if found is None:
-        found = terms[id(per_degree)] = {
-            "sheets": per_degree[0].sheets,
-            "haar_factor": _frac_str(per_degree[0].haar_factor),
-            "per_degree": [
-                {
-                    "q": pd.degree,
-                    "trace": _complex(pd.trace_value),
-                    "det": _f(pd.det_value),
-                    "abs_det": _f(abs(pd.det_value)),
-                    "isotropy_integral": _complex(pd.isotropy_integral),
-                }
-                for pd in per_degree
-            ],
-            "contribution": _complex(contrib.total),
-            "contribution_exact": _frac_str(contrib.total_exact),
-        }
-    return found
-
-
-def _orbit_json(contrib, terms):
-    """An orbit's report entry; a torus base point and every ``g0`` are
-    printed from their integer numerators."""
-    orbit = contrib.orbit
-    if isinstance(orbit.model, FlatTorusModel):
-        location = {"base_point": _ratio_strs(orbit.point, orbit.point_den)}
-    else:
-        bp = orbit.base_point
-        location = {
-            "support": list(bp.support),
-            "moduli_sq": [_frac_str(x) for x in bp.moduli_sq],
-            "phases": [_frac_str(x) for x in bp.phases],
-        }
     return {
-        "location": location,
-        "dim": orbit.dim,
-        "isotropy_components": orbit.isotropy.component_count,
-        "g0": _ratio_strs(*contrib.g0_numerators),
-        **_term_json(contrib, terms),
-        "transversality": "certified",
+        "sheets": per_degree[0].sheets,
+        "haar_factor": _frac_str(per_degree[0].haar_factor),
+        "per_degree": [
+            {
+                "q": pd.degree,
+                "trace": _complex(pd.trace_value),
+                "det": _f(pd.det_value),
+                "abs_det": _f(abs(pd.det_value)),
+                "isotropy_integral": _complex(pd.isotropy_integral),
+            }
+            for pd in per_degree
+        ],
+        "contribution": _complex(contrib.total),
+        "contribution_exact": _frac_str(contrib.total_exact),
     }
 
 
-class _OrbitRows(list):
-    """The ``fixed_orbits`` rows of a report, a list of plain dicts.  The
-    rows of one orbit class differ only in the string lists of their holes
-    (``HOLES``: ``location.base_point`` and ``g0``), so the report writers
-    may write a class's rows from one layout (:func:`_row_texts`)."""
-
-    #: the hole tree: ``None`` marks a hole list, a dict the keys below one
-    HOLES = {"location": {"base_point": None}, "g0": None}
-
-
-def _row_class(row, holes, strings, shapes):
-    """The class of a marked list's row, or ``None`` when the row takes the
-    generic walk (a row that holds no hole does).  Two rows are of one class
-    when they hold the same key objects in the same order, the same value
-    objects off the hole tree ``holes``, hole lists (of ``str``) of the same
-    lengths, and dicts of one class where the tree goes deeper, so that they
-    differ only in their hole strings; these are appended to ``strings`` in
-    the order the writers visit them.  ``shapes`` numbers each (hole tree,
-    key sequence) met and keeps its holes' positions."""
-    if type(row) is not dict:
-        return None
-    names = (id(holes), *map(id, row))
-    shape = shapes.get(names)
-    if shape is None:
-        keys = [*row]
-        shape = shapes[names] = (len(shapes), sorted(
-            (keys.index(name) + 1, name, sub)
-            for name, sub in holes.items() if name in row))
-    number, where = shape
-    if not where:
-        return None
-    key = [number, *map(id, row.values())]
-    for i, name, sub in where:
-        value = row[name]
-        if sub is None:
-            if type(value) is not list:
-                return None
-            try:
-                "".join(value)      # every hole string a str
-            except TypeError:
-                return None
-            strings += value
-            key[i] = len(value)
-        else:
-            key[i] = _row_class(value, sub, strings, shapes)
-            if key[i] is None:
-                return None
-    return tuple(key)
+def _member_strings(contrib):
+    """An orbit's own fields, each one space-separated string: ``base_point``
+    and ``g0`` on a torus, ``support``, ``moduli_sq``, ``phases`` and ``g0``
+    on a sphere.  A torus base point and every ``g0`` are printed from their
+    integer numerators."""
+    orbit = contrib.orbit
+    if isinstance(orbit.model, FlatTorusModel):
+        fields = {"base_point": " ".join(_ratio_strs(orbit.point, orbit.point_den))}
+    else:
+        bp = orbit.base_point
+        fields = {"support": " ".join(map(str, bp.support)),
+                  "moduli_sq": " ".join(map(_frac_str, bp.moduli_sq)),
+                  "phases": " ".join(map(_frac_str, bp.phases))}
+    fields["g0"] = " ".join(_ratio_strs(*contrib.g0_numerators))
+    return fields
 
 
-def _probe(row, holes, marks):
-    """A copy of ``row`` whose hole lists hold the next strings of the
-    iterator ``marks`` instead of their own."""
-    probe = {}
-    for name, value in row.items():
-        sub = holes.get(name, False)
-        if sub is None:
-            value = [next(marks) for _ in value]
-        elif sub is not False:
-            value = _probe(value, sub, marks)
-        probe[name] = value
-    return probe
+def _orbit_classes(contributions):
+    """The fixed orbits as orbit classes, in the order of their first
+    orbits.  Orbits are of one class when they share ``dim``,
+    ``isotropy_components`` and their term: one ``contrib.per_degree``
+    object (see ``fixed_point_formula._MapContext.assembled``), alive while
+    ``contributions`` is.  A class holds those fields once, its ``count``,
+    and ``members``: per field of :func:`_member_strings`, one string per
+    orbit, in enumeration order."""
+    classes = {}
+    for contrib in contributions:
+        orbit = contrib.orbit
+        components = orbit.isotropy.component_count
+        key = orbit.dim, components, id(contrib.per_degree)
+        strings = _member_strings(contrib)
+        entry = classes.get(key)
+        if entry is None:
+            entry = classes[key] = {
+                "count": 0,
+                "dim": orbit.dim,
+                "isotropy_components": components,
+                **_term_json(contrib),
+                "transversality": "certified",
+                "members": {field: [] for field in strings},
+            }
+        entry["count"] += 1
+        members = entry["members"]
+        for field, text in strings.items():
+            members[field].append(text)
+    return list(classes.values())
 
 
-def _layout(row, count, render, encode, memo):
-    """The text of ``row``'s class as a list whose odd slots take its
-    ``count`` encoded hole strings, or ``[]`` when none can be made: the
-    generic walk ``render`` writes a probe row whose hole strings are
-    NUL-marked, and the text is cut where each ``encode``-d mark stands (it
-    must stand there once).  The probe stays in ``memo``, whose slots key on
-    ``id``, so that no later node takes its id."""
-    marks = [f"\x00{i}\x00" for i in range(count)]
-    probe = _probe(row, _OrbitRows.HOLES, iter(marks))
-    memo[id(probe), None] = probe
-    rest = render(probe)
-    pieces = []
-    for mark in map(encode, marks):
-        head, found, rest = rest.partition(mark)
-        if not found or mark in rest:
-            return []
-        pieces += head, None
-    pieces.append(rest)
-    return pieces
-
-
-def _row_classes(rows):
-    """Each row's class, as a number, and hole strings (see
-    :func:`_row_class`); the class is ``None`` for a row outside a class and
-    for the one row of a class.  Each class key is hashed once."""
-    shapes = {}
-    numbers = {}
-    found = []
-    for row in rows:
-        strings = []
-        key = _row_class(row, _OrbitRows.HOLES, strings, shapes)
-        found.append((None if key is None
-                      else numbers.setdefault(key, len(numbers)), strings))
-    sizes = Counter(number for number, _ in found)
-    return [(number if number is not None and sizes[number] > 1 else None,
-             strings) for number, strings in found]
-
-
-def _row_texts(rows, render, encode, memo):
-    """For each row of the marked list ``rows``, its text at the depth
-    ``render`` (the generic walk) writes at, or ``None`` where the caller
-    writes the row by the generic walk, as it does every row that shares no
-    class with another (:func:`_row_classes`).  A class of two rows or more
-    is laid out once, at its first row, and each of its rows is its layout
-    with the row's own ``encode``-d hole strings put in.  The rows' classes
-    are found once per report: ``memo[None]``, which both writers of a
-    report may share, keeps them by list."""
-    if len(rows) < 2:
-        return [None] * len(rows)
-    classes = memo.setdefault(None, {})
-    found = classes.get(id(rows))
-    if found is None:
-        found = classes[id(rows)] = _row_classes(rows)
-    layouts = {}
-    texts = []
-    for row, (key, strings) in zip(rows, found):
-        text = None
-        if key is not None:
-            layout = layouts.get(key)
-            if layout is None:
-                layout = layouts[key] = _layout(row, len(strings), render,
-                                                encode, memo)
-            if layout:
-                pieces = layout.copy()
-                pieces[1::2] = map(encode, strings)
-                text = "".join(pieces)
-        texts.append(text)
-    return texts
-
-
-def _render_text(report, classes=None):
-    """The text report; ``classes`` as for :func:`_json_text`."""
+def _render_text(report):
+    """The text report."""
     lines = []
     push = lines.append
     tool = report["tool"]
     push(f"equilef {report['command']} report (version {tool['version']})")
     push(f"scenario: {report['scenario_name']}")
-    memo = {None: {} if classes is None else classes}
     for section, content in report.items():
         if section in ("tool", "command", "scenario_name", "scenario"):
             continue
         push(f"-- {section}")
-        lines += _node_lines(content, "   ", memo)
+        _node_lines(content, "   ", push)
     return "\n".join(lines) + "\n"
 
 
-def _node_lines(node, indent, memo):
-    """The text lines of one report node, built once per (object, indent)
-    within one report (``memo``): a sub-object many orbits share is laid out
-    once at each depth it sits at.  In a marked row list (:class:`_OrbitRows`)
-    each orbit class of two rows or more is laid out once, through this
-    walk, and each of its rows is that layout, lines joined, with the row's
-    own hole strings put in (:func:`_row_texts`)."""
+def _node_lines(node, indent, push):
+    """Push the text lines of one report node."""
     if not isinstance(node, (dict, list)):
-        return [f"{indent}{node}"]
-    slot = (id(node), indent)
-    lines = memo.get(slot)
-    if lines is not None:
-        return lines
-    lines = memo[slot] = []
-    push = lines.append
+        push(f"{indent}{node}")
+        return
     deeper = indent + "   "
     if isinstance(node, dict):
         width = max(map(len, map(str, node)), default=0)
         for key, val in node.items():
             if isinstance(val, (dict, list)):
                 push(f"{indent}{key}:")
-                lines += _node_lines(val, deeper, memo)
+                _node_lines(val, deeper, push)
             else:
                 push(f"{indent}{str(key).ljust(width)} : {val}")
     else:
-        texts = (_row_texts(node, partial(_joined_lines, indent=deeper,
-                                          memo=memo), format, memo)
-                 if type(node) is _OrbitRows else ())
         for i, val in enumerate(node):
-            if texts and texts[i] is not None:
+            if isinstance(val, (dict, list)):
                 push(f"{indent}[{i}]")
-                push(texts[i])
-            elif isinstance(val, (dict, list)):
-                push(f"{indent}[{i}]")
-                lines += _node_lines(val, deeper, memo)
+                _node_lines(val, deeper, push)
             else:
                 push(f"{indent}[{i}] {val}")
-    return lines
-
-
-def _joined_lines(node, indent, memo):
-    """The text lines of one report node as one string."""
-    return "\n".join(_node_lines(node, indent, memo))
 
 
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_text(report, classes=None):
-    """``json.dumps(report, indent=2)``, byte for byte, with each container's
-    text built once per (object, depth): a sub-object many orbits share is
-    serialized once at each depth it sits at.  A member of exact type
-    ``str``, ``float``, ``int``, ``bool`` or ``None`` is written inline;
-    any other value, subclasses included, takes the ``isinstance`` route of
-    ``write``, as in ``json.dumps``.  In a marked row list
-    (:class:`_OrbitRows`) each orbit class of two rows or more is serialized
-    once, through ``write``, and each of its rows is that text with the
-    row's own encoded hole strings put in (:func:`_row_texts`).  A
-    ``classes`` dict passed to both writers of one report keeps the rows'
-    classes, so that they are found once."""
-    memo = {None: {} if classes is None else classes}
+def _json_text(report):
+    """``json.dumps(report, indent=2)``, byte for byte.  A member of exact
+    type ``str``, ``float``, ``int``, ``bool`` or ``None`` is written
+    inline; any other value, subclasses included, takes the ``isinstance``
+    route of ``write``, as in ``json.dumps``."""
 
     def write(node, level):
         if isinstance(node, dict):
@@ -774,43 +625,29 @@ def _json_text(report, classes=None):
         else:
             raise TypeError(f"Object of type {type(node).__name__} "
                             "is not JSON serializable")
-        slot = (id(node), level)
-        text = memo.get(slot)
-        if text is not None:
-            return text
-        if brackets == "[]" and type(node) is _OrbitRows:
-            items = _row_texts(node, partial(write, level=level + 1),
-                               _json_str, memo)
-            for i, text in enumerate(items):
-                if text is None:
-                    items[i] = write(node[i], level + 1)
-        else:
-            items = []
-            push = items.append
-            for value in values:
-                kind = type(value)
-                if kind is str:
-                    push(_json_str(value))
-                elif kind is float:
-                    text = float.__repr__(value)
-                    push(_FLOAT_WORDS.get(text, text))
-                elif kind is int:
-                    push(int.__repr__(value))
-                elif value is None or kind is bool:
-                    push(_JSON_WORDS[value])
-                else:
-                    push(write(value, level + 1))
+        items = []
+        push = items.append
+        for value in values:
+            kind = type(value)
+            if kind is str:
+                push(_json_str(value))
+            elif kind is float:
+                text = float.__repr__(value)
+                push(_FLOAT_WORDS.get(text, text))
+            elif kind is int:
+                push(int.__repr__(value))
+            elif value is None or kind is bool:
+                push(_JSON_WORDS[value])
+            else:
+                push(write(value, level + 1))
         if brackets == "{}":
             # report keys are strings; any other key is a TypeError here
             items = [f"{_json_str(k)}: {text}" for k, text in zip(node, items)]
-        if items:
-            inner = "\n" + "  " * (level + 1)
-            text = (brackets[0] + inner + ("," + inner).join(items)
-                    + "\n" + "  " * level + brackets[1])
-        else:
-            text = brackets
-        memo[slot] = text
-        return text
+        if not items:
+            return brackets
+        inner = "\n" + "  " * (level + 1)
+        return (brackets[0] + inner + ("," + inner).join(items)
+                + "\n" + "  " * level + brackets[1])
 
     return write(report, 0)
 
@@ -903,7 +740,6 @@ def _rhs_sections(scenario):
     fibers = "de_rham" if isinstance(scenario.model, FlatTorusModel) else "scalar"
     rhs = fpf.lefschetz_rhs(scenario.model, scenario.map, fibers=fibers,
                             twist=scenario.twist)
-    terms = {}
     return rhs, {
         "fibers": fibers,
         "groups": _group_section(scenario),
@@ -913,13 +749,13 @@ def _rhs_sections(scenario):
                            "|det of stacked tangent/complement bases| in unit-"
                            "covolume parameter coordinates (choice-invariant "
                            "through mass/sheets)",
-            "sphere_slices": "transversality along isotropy components is "
-                             "decided by exact rotation-angle sweeps at the "
-                             "base point; no geodesic slice is materialized",
+            "sphere_slices": "transversality is decided by an exact pair-"
+                             "stratum test: no coordinate pair meeting the "
+                             "support spans a stratum fixed orbitwise; no "
+                             "geodesic slice is materialized",
         },
         "orbit_count": len(rhs.contributions),
-        "fixed_orbits": _OrbitRows(_orbit_json(c, terms)
-                                   for c in rhs.contributions),
+        "fixed_orbits": _orbit_classes(rhs.contributions),
         "value": _complex(rhs.value),
         "value_text": _complex_str(rhs.value),
         "exact": _frac_str(rhs.value_exact),
@@ -1071,15 +907,14 @@ class _Parser(argparse.ArgumentParser):
 def _emit(report, options, stream):
     """Write the JSON report (when asked for) and then the text report: an
     unwritable ``--json`` path is a usage error before any report text."""
-    classes = {}
     if options.json_path:
-        text = _json_text(report, classes) + "\n"
+        text = _json_text(report) + "\n"
         try:
             with open(options.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise _UsageError(f"cannot write JSON report: {exc}")
-    stream.write(_render_text(report, classes))
+    stream.write(_render_text(report))
 
 
 def run(command: str, scenario_file: str, argv_options=None,

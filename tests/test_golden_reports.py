@@ -9,6 +9,8 @@ Reports are deterministic byte for byte, so any change to a mode set, a
 spectrum table, a heat trace or a fixed-orbit contribution (sphere conormal
 determinants included) shows up here.  A digest may only be
 refreshed together with a note in CHANGES.md saying why the report changed.
+The orbit-class listing of the ``rhs`` reports is checked against the
+per-orbit data of the localized side as well.
 """
 
 import argparse
@@ -17,9 +19,14 @@ import io
 import json
 import pathlib
 
+from fractions import Fraction
+
 import pytest
 
+from equilef import fixed_point_formula as fpf
 from equilef import scenario_cli as cli
+from equilef.errors import EquilefError
+from equilef.geometry_models import FlatTorusModel
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -41,21 +48,21 @@ GOLDEN = {
     ("avcheck", "twisted_unit_t3"): (0, "95954c978dbb869a170d47d1d8e7042a182b5d7f0c2be8f4a88b2e65ca7dd760", "7758f822777d2507ba662f13601c6686d117daf6a7ff188dae634e24e414f7b1"),
     ("rhs", "bad_float"): (64, "7fdbdabce88f3fd363149f259bd81a3ac58cc69e3ce73807849691e7d394d274", None),
     ("rhs", "bad_matrix"): (1, "4ea01ed8b3bd2d6468a02215d4b8f22414a05f8553a04298add00cff04da534d", None),
-    ("rhs", "classical_t3"): (0, "449f2a0693e139447d1815507d880e0832e2811766bd02568572e7d44dcbe437", "8ab2255d42126a339a43554c3b28d8113dffd840bc7830241ef1f5fa56537927"),
-    ("rhs", "diag23_t3"): (0, "2858093005df9927eaf66d1327baec0466f2ae4d7bd83199f298e8bda0313379", "c1387e4cfc7a67feb4b1021aa24309f383bfc921d7b56fb4b0988160878e733a"),
-    ("rhs", "doubling_t3"): (0, "fbfcf62fc79fc45e938b4981e49750f20d714ddb66865e849668fb543ae8e3d4", "cd55ea9e253ea3aa34e263e9773b7f9828f5e4cb29650da1c627d0de41669762"),
-    ("rhs", "identity_irrational_t2"): (0, "d11cdfab851121ff36c991f9bfd20592eb0b7b4edaa74d6a94ee1881f46263ba", "b5c0318d07b6266a1ccf61ddc6ae3d07d06d48fdd84864884c9d643218fe0041"),
-    ("rhs", "mollifier_doubling_t2"): (0, "a40a9478e85597d758e0d19d8d429d76f1d18d32106dcea6abab6389bd00c3b1", "02e9e035f392996f9911f9b0c6ba039bd061de46e754c5f9126c69eb4f366119"),
-    ("rhs", "mollifier_tripling_t2"): (0, "e659218317d2c255ba964f66a8ff30ca38c704c59cc426445113eae165997086", "ef1d7072d7249ef7da918ffdc966d9042b58ed58465110d191fb1df53b62600f"),
-    ("rhs", "negation_t4"): (0, "8a4afe3ac3c22795820f95d4ed3dfb0680d3c131664c36cc95e1637e2a493dc8", "5376a57a0a33f045fdae533aacfa4a9c6a7dfa2506b840bcf9a850efe988eca1"),
-    ("rhs", "nofix_translation_t3"): (0, "e4c617a5410bf9278d75aab874efa1d5e8d1927b4821900ee2c3befef0279b4a", "231634bdc381e4884bb7d1bf29035d566b8813c42f855d695f89fcfcf73d55ef"),
-    ("rhs", "s3_rational"): (0, "afbe4c68905bb4cfd38b5b9eb834a965fd760491ea2c2619948acb34e282b9ab", "ecb830d151307a70a675aaaa251582c777f43c40fcb4c38ff53322b67217062b"),
-    ("rhs", "s3_twisted"): (0, "48decb2a08b8638271b308956c34dc0d88270fd0e41d8906235ce76b13324813", "ccc171bae236c2db1db8da3ee65f342062e67539cc2898593682357ade35ba5a"),
+    ("rhs", "classical_t3"): (0, "00fd55d658d6a1e01530ee6ff2e261e1f48de033d2eb67f83853e185e2c1da7b", "7ab563c667fad5ee31dd7395eb152d7eca2ac347c28b90bdb445605c75d660cf"),
+    ("rhs", "diag23_t3"): (0, "818a03dc1463b9d202ee24a4bc93f8901d9765162408d94066f66dcef51230b9", "87246ec34825cee0ddf02d7cf2a6934c0bcd34fa6f207628c3161bf17ee9bfb5"),
+    ("rhs", "doubling_t3"): (0, "b62101005a23235706d1fb7b2995d587ed262c89575d877febd3332162e514c1", "edc5c530e85cd024611e148db1ef0b850328151f92d9d24afc0e7ea6456c5247"),
+    ("rhs", "identity_irrational_t2"): (0, "2099b1cd792a1ae0e22b57e92834ba87e9f54363b245007a5c1312a11ac22bea", "7d03ff812603761664d5ee0645a2f5c9cd2de10454793a4ba9421c95bd52780f"),
+    ("rhs", "mollifier_doubling_t2"): (0, "502c895e69ad69b5c511af3fec07da37a1b005c29be279f0758b2becd2db1a64", "e0f20f86ee310d9e64aaf8ea3543f82fdd62e2fc52e142be35993193ea35665a"),
+    ("rhs", "mollifier_tripling_t2"): (0, "07a86e2fef34478551d624d6ca9fe34161c011762a509f976b4c0d527478ab06", "bf94d9fb48f050657f19afb221bf624fbea2e85c22253965351d12181eeb897c"),
+    ("rhs", "negation_t4"): (0, "5f0c608b7fa679decaecf671870314a5e6272b888e377dc552b7bc45e4c58858", "3e3d71a8b9aac4103204410ac2820fa989617a5810b059fcd1212b171c6c998a"),
+    ("rhs", "nofix_translation_t3"): (0, "b144f304d27ccc9b46d7c685aee37442418af240f4906830059cfca4f8460d82", "601fdf7e4ce7d4ca0724b8574cb20b5eb8cc604ac3d237e25edbc76c9db15d29"),
+    ("rhs", "s3_rational"): (0, "3e7fdcaadf839d03847fa1f20a55dbcbe45cb1512b1b751ae253262170db55d7", "305d3be78202cf9406e7ec8e6a3e64344f248c392711a6224e251c1ac85534ec"),
+    ("rhs", "s3_twisted"): (0, "f6b5fec908cc53b132f56fc337a632111b8ea31cc2150aac778ecbfcc0f1ec26", "d21fcc9d2d09a297bd6372beb186ca62ae3c5f37731c0fa907a095bd48b6e5a1"),
     ("rhs", "s5_irrational"): (2, "466728363f712d752e733b0d78b0f4e549cf095ada26cfe55d42667b4f78f167", None),
-    ("rhs", "shifted_classical_t3"): (0, "4960ab620aa540be26f285e1d3c59ed368013766c965a425ac9bfb34add1e418", "92a7d5205962ad3eb212f6582fb24023fb91650d7fad12700cab3ff1c47c93dc"),
+    ("rhs", "shifted_classical_t3"): (0, "620c686cd8adf4b5d15dd189d1d4e2f0fc89d22991c33cdc5b7f142c8c3548e4", "ec81bed76c4acce51a0c4dd0384c43236ee4cf05624945cf8f366091c619d857"),
     ("rhs", "translation_only_t3"): (2, "ad8ffc24fcfb3a13343a43abde2b4518f67acdd78b1fab9c0fff802e75006bdc", None),
-    ("rhs", "twisted_halfweight_t2"): (0, "3fb27d5942bdf71331fa6ba36fccd1cf5340985c5f29fe778ae6917c7999d6e5", "468b1091e53c6f7c97a0b3b7741044754e91646a74b4cdacf9f4a61eddc3eb90"),
-    ("rhs", "twisted_unit_t3"): (0, "a35475a6cdf70cc78c17cb96ba599749f7ca16364770d5e77abda5959796f525", "f9dffa9da150daa9bacee20ba896d560a9f1c7f278d769c79b455c7dad5568ff"),
+    ("rhs", "twisted_halfweight_t2"): (0, "5610b2663437b16e14078a1a7d91cf9d29ae73088759cb06a2c81d0fde7d56f4", "7ccb3b5d2d888d7fdba9f0a50d4b7aa0a3be169f90f7888700e4bce1aee31a64"),
+    ("rhs", "twisted_unit_t3"): (0, "0c7c11ce7c0e094481a94d66943bfc5eb8aca411e0dce42e8f01671b27c7d8f9", "ff46a6e8bb43a126e88736425bbfdff37eeca64b43893d0b9dab63da30513e26"),
     ("spectrum", "bad_float"): (64, "7fdbdabce88f3fd363149f259bd81a3ac58cc69e3ce73807849691e7d394d274", None),
     ("spectrum", "bad_matrix"): (0, "462991136f83fdfeb0863846973e9b98fe542d937e3dd9b8929ba5df1cd3c647", "e6ca70d63275d5a669bac99ec0c3be9dcedcc43991de5d64e06e10692e65d058"),
     ("spectrum", "classical_t3"): (0, "347dea043453d5096b15b6eadd95af88d299fb192edf04193c42a9e989637a63", "e0b9d855330a5469704733bdf1405038673c0ef9e6684b5c8e24dac60acbd59c"),
@@ -72,18 +79,18 @@ GOLDEN = {
     ("spectrum", "twisted_unit_t3"): (0, "46b5701f8b721d0211dfde8083ddc24c0e4ebd72bb85ead0f36aac2dcdbc435b", "7db87ccaf87fc66a95668f12c3e93be8b936806d7343b5fa5bb20fea8a54b5d4"),
     ("verify", "bad_float"): (64, "7fdbdabce88f3fd363149f259bd81a3ac58cc69e3ce73807849691e7d394d274", None),
     ("verify", "bad_matrix"): (1, "4ea01ed8b3bd2d6468a02215d4b8f22414a05f8553a04298add00cff04da534d", None),
-    ("verify", "classical_t3"): (0, "ed5443764d91ec4fa60ce079a33e09ad415173bc73f858de269995b02ce10a55", "7212ac69ab8ebe0349bc61439bb17b6822bc70e105c9abfcf7e7d77873cc74ae"),
-    ("verify", "diag23_t3"): (0, "ed8ab529bbd85431e56e7a745540afcdd9f4dd564c231326724ceab956cae09c", "1488a2b5ba1354c7bd254bc51e42796fc881b5f00ff1dd39c5de9850b14619f9"),
-    ("verify", "doubling_t3"): (0, "774c01aa1400a2286f94e189e55fe8b99cfb2a5fa62e478bc25ee367a13d5270", "e5b31802b0938f04c46d85e732e1fc76eb07dc7265cc83cf5ee8f9e5486c9142"),
-    ("verify", "identity_irrational_t2"): (0, "0878bc807814e34d85b951670761d2e2bd3aab3324b8a4838202596b85d246d1", "2ce504767e523fb45aed0ddb06f4375f86c0485ae8cd5902ac42d008631e9538"),
-    ("verify", "mollifier_doubling_t2"): (0, "bc1421202e821ae62009761f50d2d540d2069d5b173146c2832a3ef0b8e10023", "00ad2599fa045a62c2910e0e126a1930e4e3ff857fcd369124230bad5d89060b"),
-    ("verify", "mollifier_tripling_t2"): (0, "a3a4a822b758aca13e7c0be038f0f5fcd4ce40899ac81556045fe514b8add430", "8158c8e5c31e7d51c8c7197d1ed865fcac94b8536545a3497cda9a6e52f43a4d"),
-    ("verify", "negation_t4"): (0, "7bd7f42e1d0ad608e993d2e227078cf85927955997a513ce9de8bcfab3e23f23", "a3c4dcea919f9ac259ea6b60bf44e2e8794b0a9db349ff9b65d0f5f543507942"),
-    ("verify", "nofix_translation_t3"): (0, "de2b864cc93b5fbec2d51dd0b5eaa09f1b1487a522ed4c5400c7b0e1776a1998", "fd96a60d8ee6fd7f707827d4286ffaaf7bd83b8cd60dc2f283cdc754c35ac97e"),
-    ("verify", "shifted_classical_t3"): (0, "42a8ead7ec9cc8c1423d2793b58601a1dce6598ce56499c9004184c2d7b58886", "9912353a038e52ee4e78d0d25ba79f5209f47c0013034c0e99e1d9f17975d9f7"),
+    ("verify", "classical_t3"): (0, "c87c3c70c930245cab18c0d6c1cc0fbfe5f8b0fa3551e10525df0c69e91277ad", "75a5f5cdab762b5a0496fac29b20dce842a6f70590258915437a4fd1f0ae2682"),
+    ("verify", "diag23_t3"): (0, "7c5bbfc7c641be6733fd9c3190fa7b76382530963acb68e11c8d914fad61a583", "79f96ce37ada26a3d77bbe7fbd63def31f38db6a012d386979ed018003f7b940"),
+    ("verify", "doubling_t3"): (0, "fc2e4e5670d22d6d0a6981b0b66297f733159b5231949f38a57ffd26f2676b57", "0f2c3144e4226d1a38743b85272606e3ee9f51ea61ef73bf41c710658961ddda"),
+    ("verify", "identity_irrational_t2"): (0, "ccec05a0cdb8b19e5d0477622cd2155f255024a3a344c1db9c816836c0e4c205", "21828f834b73a4f4df1b7d57c657399cc24245306dcf14b3fca539ffb66afdb7"),
+    ("verify", "mollifier_doubling_t2"): (0, "01e290f5d50d0b0be5eeb0cdaf2f54f7f7a12d00cb7a1b7d4f4eda2284cb386a", "7e0f591eea04153366dbe9e4b866ba301461ee7a60458518d3d26cc488e81e71"),
+    ("verify", "mollifier_tripling_t2"): (0, "4a3f459c571bea3c5ed9485320bc020e3c9fb8e3b18217b3baffcb5fce33f8f6", "aa9cd9c86e446cccf8ca8b227c4a208d68ce9c8f7478946d214a7f85cda1f93b"),
+    ("verify", "negation_t4"): (0, "c90aab5e6a6b9ce07d30af9338ff25ffe67f24ba68be44926ad948fc00937e87", "e325a0216a3a388d9a6090647bdc9790bc3896b55ecea01ca7e0d0e7e4bdf813"),
+    ("verify", "nofix_translation_t3"): (0, "666f46b229a2e25ac113b328d66d8eb661a900f28270ca6f7182690872d9c0cf", "334e989b41be3c02eb9f0f4123c8b64f90635b002b913079726e5e4de42d4ede"),
+    ("verify", "shifted_classical_t3"): (0, "a8baa1b97c613857254cc846fd1c01c38b371da4d5cb9ecd57741bd3246a5e01", "e10c277a786a0a8b5d08d6cf507c2fcfc6bd058089715c51efea47c5f63e711f"),
     ("verify", "translation_only_t3"): (2, "ad8ffc24fcfb3a13343a43abde2b4518f67acdd78b1fab9c0fff802e75006bdc", None),
-    ("verify", "twisted_halfweight_t2"): (0, "34637f7042bddc87c2a2363d45689bd96e928f86bdd83cc47e204e9b78af4a30", "fa8093b24adb552b78e56b93de9e5db606545595e6714f87d651703c14a8b2e6"),
-    ("verify", "twisted_unit_t3"): (0, "e7340567fd2bc509af2ac098074a653a060c3224958807e973e5847bc6a8f94c", "b319302dc0378660d84a5f99de3355d993b48a091eca9d89758958795dd15d82"),
+    ("verify", "twisted_halfweight_t2"): (0, "e4dc0a8edfcc34ffc483d08bef8df3bb33e0c68d37bf5fd52a6dbb594ee065d9", "1fec1bc7c76d7f25e67a6f82af68ad59dcfc6739411ae2ff589bb58ae8768b72"),
+    ("verify", "twisted_unit_t3"): (0, "a9c2bd85ebb9e8c9ad153b7f2c2dd21c93c60252d818c9200f556ef324ea5288", "a87767ed561fbfb8d01645c1a68312f445bdc1f51ff1308f12931bd26acfaae6"),
 }
 
 
@@ -143,10 +150,11 @@ def diag_doc(k):
 
 
 # 100 orbits, pinned before the report writers shared the orbits' term
-# entries and memoized repeated sub-objects
+# entries and memoized repeated sub-objects; refreshed when ``fixed_orbits``
+# became a list of orbit classes (one class here, its 100 member strings)
 LARGE_GOLDEN = {
-    "rhs": (0, "120e6c181bf05647cfabf082de3222e14fd03830eacd4d9a0fad02f962756c3c", "da17f324cdaa82f1827469daf55219242366efae41e0d4781361994a162ce467"),
-    "verify": (0, "955a5e036aa90048c55e89148a076ec0285c8b4ed7a55272a62ab0a72b8ab725", "dbf56350b6a8da89e02510ceff816999ab81d68991e412748c67f2378671b3a7"),
+    "rhs": (0, "b47ed11894da0d861613ec07a163ea9c7529ba44265a41712e6a006cfaaec816", "723106fe7b88e4861861551ea9639e9471c2b2defa6eed1c5531ad34cd4a0138"),
+    "verify": (0, "77207f64a0edb7b3c8b3e554bd510f561045a3573600cf6f87fb384c75c33274", "125cc2db93d0a7d0b812be883e63d9b8c2eeb991f8a56f91ca3681741e8aa7a7"),
 }
 
 
@@ -188,3 +196,79 @@ def test_term_entries_are_built_per_distinct_term(monkeypatch, tmp_path):
         assert json.loads(blob)["rhs"]["orbit_count"] == (k - 1) ** 2
         counts[k] = len(calls)
     assert counts[3] == counts[11]
+
+
+def class_listing_cases():
+    """``(name, scenario document)`` of every committed scenario, of
+    diag(k, k, 1) at k = 3 and 11, and of a twisted map whose three orbits
+    share ``dim`` and isotropy but not their twist phase (three classes)."""
+    cases = [(name, json.loads((SCENARIOS / f"{name}.scenario").read_text()))
+             for name in all_scenarios()]
+    twisted = {**diag_doc(2), "name": "twisted_phases_t3",
+               "map": {"matrix": [[2, 0, 0], [0, 4, 0], [1, 1, 1]]},
+               "twist": {"weight": "1/2"}}
+    return cases + [(f"diag_{k}", diag_doc(k)) for k in (3, 11)] \
+        + [("twisted_phases_t3", twisted)]
+
+
+def test_orbit_classes_list_the_orbits_of_the_localized_side(tmp_path):
+    """Each class's ``count`` and member lists agree with the report's
+    totals, and its member strings are, in enumeration order, those of the
+    orbits ``lefschetz_rhs`` lists with that class's data."""
+    checked = 0
+    for name, doc in class_listing_cases():
+        scenario_path = tmp_path / f"{name}.scenario"
+        scenario_path.write_text(json.dumps(doc))
+        try:
+            scenario = cli.load_scenario(scenario_path)
+            torus = isinstance(scenario.model, FlatTorusModel)
+            rhs = fpf.lefschetz_rhs(scenario.model, scenario.map,
+                                    fibers="de_rham" if torus else "scalar",
+                                    twist=scenario.twist)
+        except EquilefError:
+            continue        # a schema or gate failure lists no orbit
+        code, _, blob = run_doc("rhs", doc, tmp_path)
+        assert code == cli.EXIT_PASS
+        report = json.loads(blob)["rhs"]
+        classes = report["fixed_orbits"]
+        assert sum(c["count"] for c in classes) == report["orbit_count"] \
+            == len(rhs.contributions)
+        for c in classes:
+            assert all(len(column) == c["count"]
+                       for column in c["members"].values())
+        if report["exact"] is not None:
+            assert sum(c["count"] * Fraction(c["contribution_exact"])
+                       for c in classes) == Fraction(report["exact"])
+        # each orbit takes the next member of the first class with its data
+        taken = [0] * len(classes)
+        for contrib in rhs.contributions:
+            orbit = contrib.orbit
+            i = next(i for i, c in enumerate(classes)
+                     if taken[i] < c["count"]
+                     and c["dim"] == orbit.dim
+                     and c["isotropy_components"]
+                     == orbit.isotropy.component_count
+                     and c["contribution_exact"] == (
+                         None if contrib.total_exact is None
+                         else str(contrib.total_exact))
+                     and complex(c["contribution"]["re"],
+                                 c["contribution"]["im"])
+                     == complex(float(f"{contrib.total.real:.12g}"),
+                                float(f"{contrib.total.imag:.12g}")))
+            if torus:
+                expected = {"base_point": orbit.base_point}
+            else:
+                point = orbit.base_point
+                expected = {"support": point.support,
+                            "moduli_sq": point.moduli_sq,
+                            "phases": point.phases}
+            expected["g0"] = contrib.g0
+            members = classes[i]["members"]
+            assert list(members) == list(expected)
+            for field, values in expected.items():
+                assert members[field][taken[i]] == " ".join(map(str, values))
+            taken[i] += 1
+        assert taken == [c["count"] for c in classes]
+        checked += 1
+    # all but bad_float, bad_matrix, s5_irrational and translation_only_t3
+    assert checked == 16

@@ -65,14 +65,16 @@ CASES = {
 # (command, case) -> (exit code, text sha256, json sha256), captured before
 # the map-level data was shared between orbits; the two ``verify`` digests
 # were refreshed when the heat sweep took the exact integer fiber traces
-# (``heat_traces.max_drift`` went to 0.0, nothing else moved)
+# (``heat_traces.max_drift`` went to 0.0, nothing else moved); all six were
+# refreshed when ``fixed_orbits`` became a list of orbit classes and the
+# ``sphere_slices`` convention named the pair-stratum test
 GOLDEN = {
-    ("rhs", "diag55_t3"): (0, "cf40a76dd9ac04c3c93e3a34bcdefdff4e1946d95e4739c02b4fcce2e303e44f", "104b7341c36bdf387662d4a931630f47d5d7d8b9c1f0cb18f83107331d62bcf8"),
-    ("verify", "diag55_t3"): (0, "78d68404445916e2057b2d182385798a9e0d0b545b04447cc50abacb9dbcccbc", "e1aa3897f0511611e34282f25daef992f83266928649aa35f099a87f1730647e"),
-    ("rhs", "twisted_shear_t3"): (0, "4e9da651876826af350b7c0f8937080c65f07c8e30f8741f623c95251404cf5f", "eb7f0b2ca1205d7c4890c69d2556f37292e6ca51aaa35fd4e6dc228963ecd955"),
-    ("verify", "twisted_shear_t3"): (0, "1cdbc381448455493d8d282c35197916c6525770676b08b81206577eed1807fe", "080c2d92bd8621d04809688a8df3a9f2557e46ed787d59618972a1a9a95ea7df"),
-    ("rhs", "two_factors_t4"): (0, "2cd04f011ad642ac71b8037492e69d82c0b55ea9bf18344e4924c68e147b3fbe", "1bb1631a9ccc0261e6bf6d4f6fa059fd2ddd225fba4bcf13eeeacabc2819d171"),
-    ("verify", "two_factors_t4"): (0, "99f790daa91e5675e708251798628cf735095f7c3e0f6e665083e86ae0916dc2", "5cbd9577e35cf69fed600cf8c413eba48d376ebb0067c9bdf9944ba9fcded01d"),
+    ("rhs", "diag55_t3"): (0, "da7313a2b05ed13adaf4641994b2511fb19c950ea8780b997c7819933a696134", "276a6f455dde29b46f8afb9951e6777ffd7c644b3c56ee8f05360f5e09ca6ab6"),
+    ("verify", "diag55_t3"): (0, "b836f90009567ad676048748bfa83ed2e56155e01773126f3af04a4ed1b4b374", "d874025b290dc131a42db85e7109a0d338737255d0668a0ba6a3baa32c95ed5e"),
+    ("rhs", "twisted_shear_t3"): (0, "74cb1add2383438f9911dec6fb5ea92f4286e2100c81d95867539dedf022c4d5", "4f492f517f2b3af14567b728463802cca02ce54972fa23e7531b07feb4bdeb2e"),
+    ("verify", "twisted_shear_t3"): (0, "93d06c865eeb8b62174fdbae368fd29bd901e6162f0b0581057686cb68a28c0b", "26d2213d8be6efc36f06cf5443e2c1bb4900f2e91739d13c007078e89ee96de6"),
+    ("rhs", "two_factors_t4"): (0, "b310ed8dfe217ac2c175101403c920f3ec5c529fb53b83cefa5b09afde27bfae", "0faa71cb398795999ca9868e73512a571fc3e2f98c783e564879fd83ab082f16"),
+    ("verify", "two_factors_t4"): (0, "6454b1d404e2f96bc1c17aa6fe438788ad6fc46c3f8a0767c633cfa9cee879ef", "222138b318257c6afcb39ba42e54bcedbaa8dfcc3ec36db5226a74d836c21e37"),
 }
 
 

@@ -529,10 +529,34 @@ def test_one_factored_system_solves_as_separate_solves_do(data):
     for _ in range(3):
         b = [Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 6)))
              for _ in range(k)]
-        shared, alone = system.solve(b), rl.solve_congruences(A, b, d)
+        shared = system.solve(*rl.numerators(b))
+        alone = rl.solve_congruences(A, b, d)
         assert (shared is None) == (alone is None)
         if alone is not None:
             assert shared.particular_numerators() == alone.particular_numerators()
             assert shared.free == alone.free
             assert shared.torsion_count == alone.torsion_count
             assert shared.torsion_numerators() == alone.torsion_numerators()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_numerator_solve_equals_the_fraction_solve(data):
+    # numerators over any common denominator, reduced or not (a group
+    # correction's denominator is not always the least one), give the
+    # solution rationals of the Fraction route: its particular solution,
+    # torsion translates, free directions and, for a finite set, every point
+    k = data.draw(st.integers(0, 3), label="k")
+    d = data.draw(st.integers(0 if k == 0 else 1, 3), label="d")
+    A = [[data.draw(st.integers(-4, 4)) for _ in range(d)] for _ in range(k)]
+    E = data.draw(st.integers(1, 12), label="E")
+    b = [data.draw(st.integers(-30, 30)) for _ in range(k)]
+    by_numerators = rl.CongruenceSystem(A, d).solve(b, E)
+    by_fractions = rl.solve_congruences(A, [Fraction(a, E) for a in b], d)
+    assert (by_numerators is None) == (by_fractions is None)
+    if by_fractions is not None:
+        assert by_numerators.particular == by_fractions.particular
+        assert by_numerators.free == by_fractions.free
+        assert by_numerators.torsion_reps == by_fractions.torsion_reps
+        if by_fractions.is_finite:
+            assert by_numerators.points() == by_fractions.points()

@@ -6,14 +6,11 @@ exactly what the straightforward recursive renderer below writes, on drawn
 trees: nested and empty containers, awkward strings and keys (report keys
 are strings; any other key is a ``TypeError``), huge integers,
 signed zeros and non-finite floats, subclasses of the leaf and container
-types (which the JSON writer does not write inline), sub-objects reused
-at several depths (which both writers memoize by object and depth), and
-marked orbit-row lists (``scenario_cli._OrbitRows``), whose rows of one
-class both writers write from one layout.
+types (which the JSON writer does not write inline), and sub-objects
+reused at several depths; and on the reports of commands.
 """
 
 import collections
-import copy
 import enum
 import io
 import json
@@ -97,66 +94,8 @@ def shared_trees(draw):
     ]))
 
 
-# strings the layouts mark their holes with, and others that look like a
-# template's field or an escape
-MARKLIKE = ["\x000\x00", "\x001\x00", "\x002\x00", "{}", "0", '"\\u0000']
-HOLE_TEXT = st.one_of(TEXT, st.sampled_from(MARKLIKE))
-# an equal value that the writers print otherwise
-EQUAL_OTHER = {0.0: -0.0, 1: True}
-
-
-@st.composite
-def orbit_rows(draw):
-    """A marked row list of interleaved classes, one-row classes among
-    them.  A class is a key order and the shared values of its rows; a row
-    draws its own hole strings (some need JSON escapes, some equal a mark or
-    another hole's text) and sometimes hole lists of other lengths or a
-    shared value that is equal to the class's but a different object (a
-    copy, or ``-0.0`` for ``0.0`` and ``True`` for ``1``)."""
-    classes = []
-    for _ in range(draw(st.integers(1, 3))):
-        shared = draw(st.dictionaries(
-            TEXT.filter(lambda k: k not in ("location", "g0")),
-            st.one_of(TREES, st.sampled_from(MARKLIKE + [0.0, 1])),
-            max_size=3))
-        order = draw(st.permutations(["location", "g0", *shared]))
-        beside = draw(st.one_of(st.none(), TREES))
-        lengths = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
-        classes.append((shared, order, beside, lengths))
-    rows = []
-    for c in draw(st.lists(st.integers(0, len(classes) - 1), max_size=8)):
-        shared, order, beside, lengths = classes[c]
-        if draw(st.integers(0, 5)) == 0:
-            lengths = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
-        values = dict(shared)
-        if shared and draw(st.integers(0, 5)) == 0:
-            key = draw(st.sampled_from(sorted(shared)))
-            value = shared[key]
-            values[key] = (EQUAL_OTHER.get(value, value)
-                           if type(value) in (float, int) else copy.deepcopy(value))
-        location = {"base_point": draw(st.lists(HOLE_TEXT, min_size=lengths[0],
-                                                max_size=lengths[0]))}
-        if beside is not None:
-            location["support"] = beside
-        values["location"] = location
-        values["g0"] = draw(st.lists(HOLE_TEXT, min_size=lengths[1],
-                                     max_size=lengths[1]))
-        rows.append({key: values[key] for key in order})
-    return cli._OrbitRows(rows)
-
-
-@st.composite
-def orbit_trees(draw):
-    """A report tree holding a marked row list, at one depth or two."""
-    rows = draw(orbit_rows())
-    return draw(st.sampled_from([
-        {"fixed_orbits": rows, "value": 1.0},
-        {"rhs": {"fixed_orbits": rows}, "again": [rows, {"deeper": rows}]},
-    ]))
-
-
 def reference_render(node, push, indent):
-    """The report text renderer without memoization."""
+    """The report text renderer, written out plainly."""
     if isinstance(node, dict):
         width = max((len(str(k)) for k in node), default=0)
         for key, val in node.items():
@@ -238,78 +177,10 @@ def test_reports_do_not_go_through_json_dumps(monkeypatch, tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["verdict"]["pass"]
 
 
-@SETTINGS
-@given(orbit_trees())
-def test_orbit_rows_are_written_as_the_generic_walk_writes_them(tree):
-    assert cli._json_text(tree) == json.dumps(tree, indent=2)
-    report = as_report(tree)
-    expected = json.dumps(report, indent=2), reference_text(report)
-    assert (cli._json_text(report), cli._render_text(report)) == expected
-    # the row classes shared by both writers, as a command's report is
-    # written
-    shared = {}
-    assert (cli._json_text(report, shared), cli._render_text(report, shared)) \
-        == expected
-
-
-def counted(monkeypatch, name):
-    calls = []
-    original = getattr(cli, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(cli, name, wrapper)
-    return calls
-
-
-def test_a_class_is_laid_out_once_and_only_when_it_has_a_second_row(monkeypatch):
-    term = {"per_degree": [{"q": 0, "trace": {"re": 1.0, "im": 0.0}}]}
-    other = {"per_degree": []}
-
-    def row(point, shared):
-        return {"location": {"base_point": point}, "dim": 1,
-                "g0": ["0", point[0]], **shared}
-
-    rows = cli._OrbitRows([
-        row(["1/3", "0"], term), row(["0", "1/2"], other),
-        row(["2/3", "0"], term), row(["5/6", "7/8"], {"term": term}),
-        row(["1/6", "1"], term), row(["0", "1"], other)])
-    report = as_report({"fixed_orbits": rows})
-    layouts = counted(monkeypatch, "_layout")
-    classes = counted(monkeypatch, "_row_class")
-    shared = {}
-    assert cli._json_text(report, shared) == json.dumps(report, indent=2)
-    assert cli._render_text(report, shared) == reference_text(report)
-    # the `term` and `other` classes, once per writer; the one-row class
-    # takes the generic walk; the rows are classified once for both writers
-    # (a row and its location)
-    assert [args[0] for args in layouts] == [rows[0], rows[1]] * 2
-    assert len(classes) == 2 * len(rows)
-    assert type(rows[0]) is dict
-
-
-def test_a_one_row_list_is_not_classified(monkeypatch):
-    classes = counted(monkeypatch, "_row_class")
-    rows = cli._OrbitRows([{"location": {"base_point": ["0"]}, "g0": ["0"]}])
-    report = as_report({"fixed_orbits": rows})
-    assert cli._render_text(report) == reference_text(report)
-    assert classes == []
-
-
 @pytest.mark.parametrize("name", ["negation_t4", "twisted_unit_t3",
                                   "s3_twisted"])
-def test_command_reports_equal_the_reference_writers(monkeypatch, name):
-    layouts = counted(monkeypatch, "_layout")
+def test_command_reports_equal_the_reference_writers(name):
     scenario = cli.load_scenario(SCENARIOS / f"{name}.scenario")
     report, _ = cli.cmd_rhs(scenario, None)
-    rows = report["rhs"]["fixed_orbits"]
-    assert type(rows) is cli._OrbitRows
-    assert all(type(row) is dict for row in rows)
-    shared = {}
-    assert cli._json_text(report, shared) == json.dumps(report, indent=2)
-    assert cli._render_text(report, shared) == reference_text(report)
-    # a torus class of several orbits is laid out once per writer; sphere
-    # rows hold no base point and take the generic walk
-    assert len(layouts) == {"negation_t4": 2, "twisted_unit_t3": 0,
-                            "s3_twisted": 0}[name]
+    assert cli._json_text(report) == json.dumps(report, indent=2)
+    assert cli._render_text(report) == reference_text(report)

@@ -14,8 +14,9 @@ cutoff 2.  That process calls ``scenario_cli.run("verify", ...)`` with
 ``equilef`` modules cleared before each call (the caches
 ``perfbench/spans.py`` finds), and reports the best time and
 its peak resident set.  The table gives, per count, the best seconds, that
-time per orbit and the peak RSS; the last line fits seconds against N by
-least squares and prints the slope in microseconds per orbit.
+time per orbit, the peak RSS and the bytes of the JSON and the text
+report; the last line fits seconds against N by least squares and prints
+the slope in microseconds per orbit.
 """
 
 import argparse
@@ -58,27 +59,32 @@ def scenario(orbits):
 
 
 def measure(orbits, repeat):
-    """Best seconds of ``repeat`` in-process ``verify --json`` calls and the
-    peak RSS in MB, in this process."""
+    """Best seconds of ``repeat`` in-process ``verify --json`` calls, the
+    peak RSS in MB, in this process, and the bytes of the JSON and the text
+    report."""
     from equilef import scenario_cli as cli
 
     caches = spans.discover_caches()
     with tempfile.TemporaryDirectory() as workdir:
         path = pathlib.Path(workdir) / "scaling.scenario"
         path.write_text(json.dumps(scenario(orbits)))
+        report = pathlib.Path(workdir) / "r.json"
         options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                     json_path=str(pathlib.Path(workdir) / "r.json"))
+                                     json_path=str(report))
         best = math.inf
         for _ in range(repeat):
             for cache in caches:
                 cache.cache_clear()
+            stream = io.StringIO()
             start = time.perf_counter()
-            code = cli.run("verify", str(path), options, io.StringIO())
+            code = cli.run("verify", str(path), options, stream)
             best = min(best, time.perf_counter() - start)
             if code != cli.EXIT_PASS:
                 raise SystemExit(f"verify exited {code} at {orbits} orbits")
+        json_bytes = report.stat().st_size
+    text_bytes = len(stream.getvalue().encode())
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return best, peak_mb
+    return best, peak_mb, json_bytes, text_bytes
 
 
 def main(argv=None):
@@ -91,18 +97,19 @@ def main(argv=None):
         print(json.dumps(measure(args.child, args.repeat)))
         return 0
     rows = []
-    print(f"{'orbits':>8} {'best s':>10} {'us/orbit':>10} {'peak MB':>9}")
+    print(f"{'orbits':>8} {'best s':>10} {'us/orbit':>10} {'peak MB':>9} "
+          f"{'JSON bytes':>11} {'text bytes':>11}")
     for orbits in args.orbits:
         out = subprocess.run(
             [sys.executable, __file__, "--child", str(orbits),
              "--repeat", str(args.repeat)],
             check=True, capture_output=True, text=True).stdout
-        best, peak_mb = json.loads(out.splitlines()[-1])
-        rows.append((orbits, best, peak_mb))
+        best, peak_mb, json_bytes, text_bytes = json.loads(out.splitlines()[-1])
+        rows.append((orbits, best))
         print(f"{orbits:>8} {best:>10.4f} {best / orbits * 1e6:>10.1f} "
-              f"{peak_mb:>9.1f}")
+              f"{peak_mb:>9.1f} {json_bytes:>11} {text_bytes:>11}")
     if len(rows) > 1:
-        counts, seconds, _ = zip(*rows)
+        counts, seconds = zip(*rows)
         slope = statistics.linear_regression(counts, seconds).slope
         print(f"fitted: {slope * 1e6:.1f} us per orbit")
     return 0
