@@ -272,3 +272,28 @@ def test_orbit_classes_list_the_orbits_of_the_localized_side(tmp_path):
         checked += 1
     # all but bad_float, bad_matrix, s5_irrational and translation_only_t3
     assert checked == 16
+
+
+def test_orbits_with_the_same_data_are_one_class(tmp_path):
+    """No two classes of a report hold the same shared fields: orbits that
+    share ``dim``, ``isotropy_components`` and their term are listed as one
+    class, so each report lists as few classes as the grouping allows."""
+    checked = 0
+    for name, doc in class_listing_cases():
+        scenario_path = tmp_path / f"{name}.scenario"
+        scenario_path.write_text(json.dumps(doc))
+        json_path = tmp_path / f"{name}.json"
+        options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
+                                     json_path=str(json_path))
+        if cli.run("rhs", str(scenario_path), options,
+                   io.StringIO()) != cli.EXIT_PASS:
+            continue        # a schema or gate failure lists no orbit
+        classes = json.loads(json_path.read_text())["rhs"]["fixed_orbits"]
+        shared = [json.dumps({k: v for k, v in c.items()
+                              if k not in ("count", "members")},
+                             sort_keys=True)
+                  for c in classes]
+        assert len(set(shared)) == len(shared), name
+        checked += 1
+    # all but bad_float, bad_matrix, s5_irrational and translation_only_t3
+    assert checked == 16
