@@ -32,8 +32,11 @@ The workhorses are
   ``E * lcm(Smith entries)``, ``E`` the denominator of ``b``;
 * ``echelon_solve`` -- the solution of a system in echelon form with
   non-pivot coordinates zero, by back-substitution in integers; applied to
-  a Hermite form it answers every rational solve (``solve_rational``) and
-  every lattice-coordinate read (``lattice_coordinates``);
+  a Hermite form it answers every lattice-coordinate read
+  (``lattice_coordinates``) and the orbit base points of
+  ``geometry_models``.  ``solve_rational`` wraps it for a general rational
+  system, but nothing in the package calls it: it is kept for its tests and
+  for the per-layer spans of ``perfbench/spans.py``, which name it;
 * ``lattice_box_points`` -- the points of an affine lattice
   ``offset + span_Z(basis)`` inside the sup-norm box, enumerated from the
   HNF basis by back-substitution (Fincke-Pohst style bounds), which is how

@@ -32,7 +32,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 from . import averaging as av
@@ -596,62 +595,6 @@ def _node_lines(node, indent, push):
                 push(f"{indent}[{i}] {val}")
 
 
-_JSON_WORDS = {None: "null", True: "true", False: "false"}
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(report):
-    """``json.dumps(report, indent=2)``, byte for byte.  A member of exact
-    type ``str``, ``float``, ``int``, ``bool`` or ``None`` is written
-    inline; any other value, subclasses included, takes the ``isinstance``
-    route of ``write``, as in ``json.dumps``."""
-
-    def write(node, level):
-        if isinstance(node, dict):
-            values = node.values()
-            brackets = "{}"
-        elif isinstance(node, (list, tuple)):
-            values = node
-            brackets = "[]"
-        elif isinstance(node, str):
-            return _json_str(node)
-        elif node is None or node is True or node is False:
-            return _JSON_WORDS[node]
-        elif isinstance(node, int):
-            return int.__repr__(node)
-        elif isinstance(node, float):
-            text = float.__repr__(node)
-            return _FLOAT_WORDS.get(text, text)
-        else:
-            raise TypeError(f"Object of type {type(node).__name__} "
-                            "is not JSON serializable")
-        items = []
-        push = items.append
-        for value in values:
-            kind = type(value)
-            if kind is str:
-                push(_json_str(value))
-            elif kind is float:
-                text = float.__repr__(value)
-                push(_FLOAT_WORDS.get(text, text))
-            elif kind is int:
-                push(int.__repr__(value))
-            elif value is None or kind is bool:
-                push(_JSON_WORDS[value])
-            else:
-                push(write(value, level + 1))
-        if brackets == "{}":
-            # report keys are strings; any other key is a TypeError here
-            items = [f"{_json_str(k)}: {text}" for k, text in zip(node, items)]
-        if not items:
-            return brackets
-        inner = "\n" + "  " * (level + 1)
-        return (brackets[0] + inner + ("," + inner).join(items)
-                + "\n" + "  " * level + brackets[1])
-
-    return write(report, 0)
-
-
 def _base_report(scenario: Scenario, command: str) -> dict:
     return {
         "tool": {"name": "equilef", "version": __version__,
@@ -908,7 +851,7 @@ def _emit(report, options, stream):
     """Write the JSON report (when asked for) and then the text report: an
     unwritable ``--json`` path is a usage error before any report text."""
     if options.json_path:
-        text = _json_text(report) + "\n"
+        text = json.dumps(report) + "\n"
         try:
             with open(options.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)

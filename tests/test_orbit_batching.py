@@ -51,7 +51,9 @@ CASES = {
     # 16 orbits: det(diag(4, 4)) on the base
     "diag55_t3": torus_doc(
         "diag55_t3", [[5, 0, 0], [0, 5, 0], [0, 0, 1]], ["0", "0", "0"]),
-    # 6 orbits with a twist; the twist phase differs from orbit to orbit
+    # 6 orbits with a twist; the shear's last row is the identity, so every
+    # g0 is (0, 0, 4/5): all six share one twist phase and one term, and
+    # the report lists them as one class of count 6
     "twisted_shear_t3": torus_doc(
         "twisted_shear_t3", [[3, 1, 0], [0, 4, 0], [0, 0, 1]],
         ["1/3", "0", "1/5"], twist_weight="1"),
@@ -67,14 +69,15 @@ CASES = {
 # were refreshed when the heat sweep took the exact integer fiber traces
 # (``heat_traces.max_drift`` went to 0.0, nothing else moved); all six were
 # refreshed when ``fixed_orbits`` became a list of orbit classes and the
-# ``sphere_slices`` convention named the pair-stratum test
+# ``sphere_slices`` convention named the pair-stratum test; the six JSON
+# digests were refreshed when the JSON file lost its indentation
 GOLDEN = {
-    ("rhs", "diag55_t3"): (0, "da7313a2b05ed13adaf4641994b2511fb19c950ea8780b997c7819933a696134", "276a6f455dde29b46f8afb9951e6777ffd7c644b3c56ee8f05360f5e09ca6ab6"),
-    ("verify", "diag55_t3"): (0, "b836f90009567ad676048748bfa83ed2e56155e01773126f3af04a4ed1b4b374", "d874025b290dc131a42db85e7109a0d338737255d0668a0ba6a3baa32c95ed5e"),
-    ("rhs", "twisted_shear_t3"): (0, "74cb1add2383438f9911dec6fb5ea92f4286e2100c81d95867539dedf022c4d5", "4f492f517f2b3af14567b728463802cca02ce54972fa23e7531b07feb4bdeb2e"),
-    ("verify", "twisted_shear_t3"): (0, "93d06c865eeb8b62174fdbae368fd29bd901e6162f0b0581057686cb68a28c0b", "26d2213d8be6efc36f06cf5443e2c1bb4900f2e91739d13c007078e89ee96de6"),
-    ("rhs", "two_factors_t4"): (0, "b310ed8dfe217ac2c175101403c920f3ec5c529fb53b83cefa5b09afde27bfae", "0faa71cb398795999ca9868e73512a571fc3e2f98c783e564879fd83ab082f16"),
-    ("verify", "two_factors_t4"): (0, "6454b1d404e2f96bc1c17aa6fe438788ad6fc46c3f8a0767c633cfa9cee879ef", "222138b318257c6afcb39ba42e54bcedbaa8dfcc3ec36db5226a74d836c21e37"),
+    ("rhs", "diag55_t3"): (0, "da7313a2b05ed13adaf4641994b2511fb19c950ea8780b997c7819933a696134", "dcc78111b4735ae03f09479245b0edf9bba9714f3046a199d288b23416db1aa2"),
+    ("verify", "diag55_t3"): (0, "b836f90009567ad676048748bfa83ed2e56155e01773126f3af04a4ed1b4b374", "287e24a2c8c3923f726db7052483849ba15d16848322731bec03db9df6909144"),
+    ("rhs", "twisted_shear_t3"): (0, "74cb1add2383438f9911dec6fb5ea92f4286e2100c81d95867539dedf022c4d5", "d1d3a11d66fc2fbdf59b79eb48fa4082d5358e9e20ed14ff587d157b5663a5a8"),
+    ("verify", "twisted_shear_t3"): (0, "93d06c865eeb8b62174fdbae368fd29bd901e6162f0b0581057686cb68a28c0b", "4459083f976d31776721764a7468faae910a7d5af39911eeedf414877765e71c"),
+    ("rhs", "two_factors_t4"): (0, "b310ed8dfe217ac2c175101403c920f3ec5c529fb53b83cefa5b09afde27bfae", "2e757da7949c9d6eccb93d90e8d2a3458efcba212591206e60ba2c20d3d64005"),
+    ("verify", "two_factors_t4"): (0, "6454b1d404e2f96bc1c17aa6fe438788ad6fc46c3f8a0767c633cfa9cee879ef", "1d3b0a647640be9588fab0e04716f3f68362fee2be99c893db1eb2d474b643f3"),
 }
 
 

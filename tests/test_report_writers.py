@@ -1,13 +1,11 @@
 """The report writers against plain references.
 
-``scenario_cli._json_text`` must write exactly what
-``json.dumps(report, indent=2)`` writes, and ``scenario_cli._render_text``
-exactly what the straightforward recursive renderer below writes, on drawn
-trees: nested and empty containers, awkward strings and keys (report keys
-are strings; any other key is a ``TypeError``), huge integers,
-signed zeros and non-finite floats, subclasses of the leaf and container
-types (which the JSON writer does not write inline), and sub-objects
-reused at several depths; and on the reports of commands.
+``scenario_cli._render_text`` must write exactly what the straightforward
+recursive renderer below writes, on drawn trees: nested and empty
+containers, awkward strings and keys, huge integers, signed zeros and
+non-finite floats, subclasses of the leaf and container types, and
+sub-objects reused at several depths; and on the reports of commands, whose
+``--json`` file must be ``json.dumps(report)`` and a newline.
 """
 
 import collections
@@ -48,9 +46,8 @@ class Real(float):
         return f"Real({float.__repr__(self)})"
 
 
-# subclasses of the leaf types take the JSON writer's isinstance route, which
-# writes them as json.dumps does, through the base type's methods, not
-# through their own repr
+# subclasses of the leaf types with their own repr, which the text renderer
+# writes through str() as the reference does
 SUBCLASSED = st.one_of(
     st.sampled_from(list(Level)),
     st.builds(Text, TEXT),
@@ -137,14 +134,6 @@ SETTINGS = settings(max_examples=300, deadline=None)
 
 @SETTINGS
 @given(st.one_of(TREES, shared_trees()))
-def test_json_writer_equals_json_dumps(tree):
-    assert cli._json_text(tree) == json.dumps(tree, indent=2)
-    report = as_report(tree)
-    assert cli._json_text(report) == json.dumps(report, indent=2)
-
-
-@SETTINGS
-@given(st.one_of(TREES, shared_trees()))
 def test_text_renderer_equals_reference(tree):
     report = as_report(tree)
     assert cli._render_text(report) == reference_text(report)
@@ -153,34 +142,19 @@ def test_text_renderer_equals_reference(tree):
 def test_shared_object_at_two_depths():
     shared = {"re": 1.0, "im": -0.0, "list": [1, [], {}]}
     tree = {"a": shared, "b": [shared, {"c": [shared]}], "d": {}}
-    assert cli._json_text(tree) == json.dumps(tree, indent=2)
     report = as_report(tree)
     assert cli._render_text(report) == reference_text(report)
 
 
-@pytest.mark.parametrize("bad", [{"x": {1, 2}}, [object()], {1: 2}])
-def test_unserializable_value_raises(bad):
-    with pytest.raises(TypeError):
-        cli._json_text(bad)
-
-
-def test_reports_do_not_go_through_json_dumps(monkeypatch, tmp_path):
-    def refuse(*args, **kwargs):
-        raise AssertionError("json.dumps called while writing a report")
-
-    monkeypatch.setattr(json, "dumps", refuse)
-    options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                     json_path=str(tmp_path / "r.json"))
-    code = cli.run("verify", str(SCENARIOS / "classical_t3.scenario"),
-                   options, io.StringIO())
-    assert code == cli.EXIT_PASS
-    assert json.loads((tmp_path / "r.json").read_text())["verdict"]["pass"]
-
-
 @pytest.mark.parametrize("name", ["negation_t4", "twisted_unit_t3",
                                   "s3_twisted"])
-def test_command_reports_equal_the_reference_writers(name):
-    scenario = cli.load_scenario(SCENARIOS / f"{name}.scenario")
-    report, _ = cli.cmd_rhs(scenario, None)
-    assert cli._json_text(report) == json.dumps(report, indent=2)
+def test_command_reports_equal_the_reference_writers(name, tmp_path):
+    path = str(SCENARIOS / f"{name}.scenario")
+    report, _ = cli.cmd_rhs(cli.load_scenario(path), None)
     assert cli._render_text(report) == reference_text(report)
+    json_path = tmp_path / "r.json"
+    options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
+                                     json_path=str(json_path))
+    stream = io.StringIO()
+    assert cli.run("rhs", path, options, stream) == cli.EXIT_PASS
+    assert json_path.read_text() == json.dumps(report) + "\n"
