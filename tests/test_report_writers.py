@@ -4,8 +4,8 @@
 recursive renderer below writes, on drawn trees: nested and empty
 containers, awkward strings and keys, huge integers, signed zeros and
 non-finite floats, subclasses of the leaf and container types, and
-sub-objects reused at several depths; and on the reports of commands, whose
-``--json`` file must be ``json.dumps(report)`` and a newline.
+sub-objects reused at several depths; and on the reports of every command,
+whose ``--json`` file must be ``json.dumps(report)`` and a newline.
 """
 
 import collections
@@ -158,3 +158,24 @@ def test_command_reports_equal_the_reference_writers(name, tmp_path):
     stream = io.StringIO()
     assert cli.run("rhs", path, options, stream) == cli.EXIT_PASS
     assert json_path.read_text() == json.dumps(report) + "\n"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("validate", "classical_t3"),
+    ("lhs", "classical_t3"),
+    ("verify", "classical_t3"),
+    ("spectrum", "classical_t3"),
+    ("avcheck", "classical_t3"),
+    ("mollifier", "mollifier_doubling_t2"),
+])
+def test_every_command_writes_json_dumps_of_its_report(command, name,
+                                                        tmp_path):
+    path = str(SCENARIOS / f"{name}.scenario")
+    json_path = tmp_path / "r.json"
+    options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
+                                     json_path=str(json_path))
+    report, code = cli.COMMANDS[command](cli.load_scenario(path), options)
+    stream = io.StringIO()
+    assert cli.run(command, path, options, stream) == code
+    assert json_path.read_text() == json.dumps(report) + "\n"
+    assert stream.getvalue() == cli._render_text(report)
