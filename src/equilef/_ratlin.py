@@ -41,6 +41,10 @@ The workhorses are
   ``offset + span_Z(basis)`` inside the sup-norm box, enumerated from the
   HNF basis by back-substitution (Fincke-Pohst style bounds), which is how
   flow-annihilated Fourier modes are listed;
+* ``lattice_box_norms`` -- the same descent with the branches that share
+  their unsettled coordinates merged, counting those points per squared
+  norm without listing one (a truncated theta series), which is how the
+  spectrum is tabled; its work is bounded before each level runs;
 * ``det_int`` and ``char_poly`` -- exact determinants (Bareiss) and
   characteristic polynomials (Faddeev-LeVerrier) of integer matrices.
 
@@ -55,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .errors import InternalCheckFailed, TorsionTooLarge
+from .errors import InternalCheckFailed, ModeBoxTooLarge, TorsionTooLarge
 
 
 def freeze(rows):
@@ -234,6 +238,57 @@ def lattice_box_points(basis, offset, cutoff):
 
     descend(0, list(offset))
     return tuple(out)
+
+
+#: the most norm-count updates ``lattice_box_norms`` will make: as many as a
+#: listing of 10^6 points has nodes in each of up to ten levels
+NORM_UPDATE_LIMIT = 10**7
+
+
+def lattice_box_norms(basis, offset, cutoff):
+    """Sorted ``(|x|^2, count)`` pairs over the points ``x`` of
+    ``offset + span_Z(basis)`` with sup-norm at most ``cutoff``: the
+    ``Counter`` of squared norms of ``lattice_box_points``, without listing
+    a point.
+
+    The descent is that of ``lattice_box_points``, but after basis row ``i``
+    every branch with the same unsettled tail ``x[p_{i+1}:]`` is merged into
+    one state holding ``{norm of the settled coordinates: count}``, since
+    the rest of the descent reads only the tail.  A level makes one update
+    per state, norm and coefficient, so it makes no more updates than the
+    listing has child nodes there.  That number is known before the level
+    runs; when the running total would pass ``NORM_UPDATE_LIMIT`` the count
+    raises :class:`ModeBoxTooLarge` instead."""
+    n = len(offset)
+    pivots = [next(j for j, a in enumerate(row) if a) for row in basis]
+    first = pivots[0] if pivots else n
+    if any(abs(a) > cutoff for a in offset[:first]):
+        return []
+    states = {tuple(offset[first:]): {sum(a * a for a in offset[:first]): 1}}
+    work = 0
+    for row, p, q in zip(basis, pivots, pivots[1:] + [n]):
+        piv, step, width = row[p], row[p:], q - p
+        work += sum(len(norms) * ((cutoff - tail[0]) // piv
+                                  + (cutoff + tail[0]) // piv + 1)
+                    for tail, norms in states.items())
+        if work > NORM_UPDATE_LIMIT:
+            raise ModeBoxTooLarge(
+                f"cutoff {cutoff} needs at least {work} norm-count updates, "
+                f"more than the {NORM_UPDATE_LIMIT} allowed")
+        merged = {}
+        for tail, norms in states.items():
+            for k in range(-((cutoff + tail[0]) // piv),
+                           (cutoff - tail[0]) // piv + 1):
+                y = [a + k * b for a, b in zip(tail, step)]
+                head = y[:width]
+                if any(abs(a) > cutoff for a in head):
+                    continue
+                add = sum(a * a for a in head)
+                target = merged.setdefault(tuple(y[width:]), {})
+                for norm, count in norms.items():
+                    target[norm + add] = target.get(norm + add, 0) + count
+        states = merged
+    return sorted(states.get((), {}).items())
 
 
 def integer_solutions(C, b):

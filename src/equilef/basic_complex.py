@@ -19,8 +19,10 @@ Whether a mode is annihilated by the flow derivative (``m . v = 0``) is
 decided exactly at the symbolic level; the frame itself is floating point.
 The annihilated modes within a cutoff are not found by testing the
 ``(2c+1)^n`` modes of the box: they form the integer kernel of the flow's
-constraint rows (an affine translate of it for twisted sections), and
-``lattice_modes`` lists that lattice's points in the box directly.
+constraint rows (an affine translate of it for twisted sections).  The heat
+sweep lists that lattice's points in the box directly (``lattice_modes``);
+the spectrum needs only how many lie on each norm, and ``basic_spectrum``
+counts them without listing one (``_ratlin.lattice_box_norms``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,13 +130,17 @@ def lattice_modes(model: FlatTorusModel, cutoff: int, weight=None, extra=()):
 @lru_cache(maxsize=None)
 def basic_modes(model: FlatTorusModel, cutoff: int):
     """All modes with sup-norm at most ``cutoff`` annihilated by the flow, in
-    lexicographic order: the relation lattice's points in the box."""
+    lexicographic order: the relation lattice's points in the box.
+
+    No command reaches it, since ``basic_spectrum`` counts norms without a
+    listing; tests and demos list basic modes with it."""
     return lattice_modes(model, cutoff)
 
 
-def mode_eigenvalue(m) -> float:
-    """Eigenvalue of the elliptic operator on mode ``m``: ``4 pi^2 |m|^2``."""
-    return 4.0 * math.pi**2 * float(sum(mi * mi for mi in m))
+def norm_eigenvalue(norm: int) -> float:
+    """Eigenvalue of the elliptic operator on a mode of integer norm
+    ``|m|^2 = norm``: ``4 pi^2 |m|^2``."""
+    return 4.0 * math.pi**2 * float(norm)
 
 
 class BasicForm:
@@ -285,7 +290,7 @@ def apply_P(form: BasicForm) -> BasicForm:
     (the horizontal Koszul identity plus the squared flow rate recombine into
     the full mode norm)."""
     out = {
-        (m, I): mode_eigenvalue(m) * c
+        (m, I): norm_eigenvalue(sum(mi * mi for mi in m)) * c
         for (m, I), c in form.coeffs.items()
     }
     return BasicForm(form.model, form.degree, out, basic_flag=form.basic_flag)
@@ -305,14 +310,18 @@ def basic_spectrum(model: FlatTorusModel, cutoff: int):
     """Sorted ``(eigenvalue, mode count)`` table of the elliptic operator on
     the flow-annihilated modes within the truncation.
 
-    One pass over ``basic_modes`` counts the exact integer norms ``|m|^2``;
-    each norm class is evaluated once by ``mode_eigenvalue`` and rounded to
-    12 places.  Distinct norms give eigenvalues at least ``4 pi^2`` apart, so
-    these are exactly the classes of rounding each mode's eigenvalue.  In
-    degree ``q`` every mode carries a fiber of rank ``C(n-1, q)``, so that
-    degree's multiplicities are the counts times the binomial."""
-    modes = basic_modes(model, cutoff)
-    norms = [sum(mi * mi for mi in m) for m in modes]
-    representative = dict(zip(norms, modes))
-    return [(round(mode_eigenvalue(representative[norm]), 12), count)
-            for norm, count in sorted(Counter(norms).items())]
+    The modes are the relation lattice's points in the box, and the table
+    needs only how many lie on each integer norm ``|m|^2``, which
+    ``_ratlin.lattice_box_norms`` counts without listing one (a truncated
+    theta series).  Each norm class is evaluated once by ``norm_eigenvalue``
+    and rounded to 12 places.  Distinct norms give eigenvalues at least
+    ``4 pi^2`` apart, so these are exactly the classes of rounding each
+    mode's eigenvalue.  In degree ``q`` every mode carries a fiber of rank
+    ``C(n-1, q)``, so that degree's multiplicities are the counts times the
+    binomial.  Raises :class:`ModeBoxTooLarge` before a lattice row whose
+    updates would take the count past ``_ratlin.NORM_UPDATE_LIMIT``, which
+    is ``MODE_BOX_LIMIT`` updates for each of up to ten rows: a box the
+    listing accepts makes at most that many per row, so it is counted."""
+    kernel = rl.integer_kernel(model.v.constraint_rows(), n=model.n)
+    return [(round(norm_eigenvalue(norm), 12), count)
+            for norm, count in rl.lattice_box_norms(kernel, (0,) * model.n, cutoff)]

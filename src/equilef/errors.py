@@ -60,7 +60,9 @@ class TorsionTooLarge(EquilefError):
 
 
 class ModeBoxTooLarge(EquilefError):
-    """A mode cutoff would list more lattice modes than the toolkit allows."""
+    """A mode cutoff asks for more work than the toolkit allows: its lattice
+    box could hold more modes than may be listed, or counting the box's
+    modes per norm would make more updates than are allowed."""
 
 
 class GridTooCoarse(EquilefError):

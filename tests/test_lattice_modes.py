@@ -4,11 +4,13 @@ The oracle tests every mode of the ``(2c+1)^n`` box exactly; the library
 lists the points of the (affine) mode lattice from its HNF basis.  The two
 must agree as sorted tuples on random rational, irrational and mixed flows,
 on twists with and without integer solutions, and on the ``A^T``-fixed
-modes a heat trace sums over.
+modes a heat trace sums over.  The norm counter ``lattice_box_norms``, which
+lists nothing, must equal the norm ``Counter`` of that listing.
 """
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from equilef import _ratlin as rl
 from equilef import basic_complex as bc
 from equilef import endomorphism as em
 from equilef import geometry_models as gm
+from equilef import scenario_cli as cli
 from equilef import torus_group as tg
 from equilef.errors import GeneratorMismatch, ModeBoxTooLarge
 
@@ -166,6 +169,59 @@ class TestLatticeBoxPoints:
     def test_cutoff_zero(self):
         basis = rl.integer_kernel([[1, -1, 0]])
         assert rl.lattice_box_points(basis, (0, 0, 0), 0) == ((0, 0, 0),)
+
+
+@st.composite
+def affine_lattices(draw):
+    """``(kernel, offset)`` of ``integer_solutions(C, C x0)``: n = 1-6, one
+    to three rows with entries up to +-50 (sparse lattices whose constraint
+    sums spread widely) and a random ``x0``, the right-hand side nonzero."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-50, 50), min_size=n, max_size=n).filter(any)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    x0 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    rhs = [sum(a * x for a, x in zip(r, x0)) for r in rows]
+    assume(any(rhs))
+    offset, kernel = rl.integer_solutions(rows, rhs)
+    return kernel, offset
+
+
+class TestLatticeBoxNorms:
+    @SETTINGS
+    @given(affine_lattices(), st.integers(0, 4))
+    def test_counts_the_norms_of_the_listing(self, lattice, cutoff):
+        kernel, offset = lattice
+        listed = rl.lattice_box_points(kernel, offset, cutoff)
+        counts = Counter(sum(a * a for a in x) for x in listed)
+        assert rl.lattice_box_norms(kernel, offset, cutoff) == sorted(counts.items())
+
+    @SETTINGS
+    @given(affine_lattices(), st.integers(0, 4))
+    def test_a_listable_box_is_counted(self, lattice, cutoff):
+        # each level updates at most as often as the listing has child
+        # nodes there, at most the box bound L, so n levels stay within n L
+        kernel, offset = lattice
+        bound = math.prod(2 * cutoff // next(a for a in row if a) + 1
+                          for row in kernel)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rl, "NORM_UPDATE_LIMIT", len(offset) * bound)
+            rl.lattice_box_norms(kernel, offset, cutoff)
+
+    def test_every_cutoff_the_listing_allows_is_counted(self):
+        assert rl.NORM_UPDATE_LIMIT == cli.MAX_DIM * bc.MODE_BOX_LIMIT
+
+    def test_refused_before_the_level_that_passes_the_limit(self):
+        # 6001 updates for the first row, then 3001 norms times 6001
+        # coefficients for the second
+        with pytest.raises(ModeBoxTooLarge, match="at least 18015002 "):
+            bc.basic_spectrum(_t3_vertical(), 3000)
+        assert bc.basic_spectrum(_t3_vertical(), 1) == [
+            (0.0, 1), (round(bc.norm_eigenvalue(1), 12), 4),
+            (round(bc.norm_eigenvalue(2), 12), 4)]
+
+    def test_rank_zero_is_the_offset_or_nothing(self):
+        assert rl.lattice_box_norms((), (1, -2), 2) == [(5, 1)]
+        assert rl.lattice_box_norms((), (1, -3), 2) == []
 
 
 def _t3_vertical():

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from equilef import _ratlin as rl
 from equilef import averaging as av
 from equilef import basic_complex as bc
 from equilef import mollifier_lab as ml
@@ -173,12 +174,48 @@ class TestOtherCommands:
                  "multiplicity": count * math.comb(model.n - 1, q)}
                 for lam, count in classes]
 
-    def test_spectrum_reads_the_mode_listing_once(self):
+    def test_spectrum_lists_no_mode(self, monkeypatch):
+        def listing(*args):
+            raise AssertionError("spectrum listed the mode lattice")
+
         bc.basic_modes.cache_clear()
+        monkeypatch.setattr(rl, "lattice_box_points", listing)
         code, _ = run("spectrum", "negation_t4", cutoff=3)
         assert code == cli.EXIT_PASS
         info = bc.basic_modes.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
+        assert (info.misses, info.hits) == (0, 0)
+
+    def test_spectrum_counts_a_box_too_large_to_list(self, tmp_path):
+        # T^9 with v = e_9: the basic modes are the 17^8 points of the box in
+        # the first eight coordinates, whose norms a power of the one-axis
+        # theta series counts
+        n, cutoff = 9, 8
+        doc = {"schema": 1, "name": "vertical_t9",
+               "model": {"type": "flat_torus", "n": n,
+                         "v": ["0"] * (n - 1) + ["1"]},
+               "map": {"matrix": [[int(i == j) for j in range(n)]
+                                  for i in range(n)],
+                       "translation": ["0"] * n}}
+        path = tmp_path / "vertical_t9.scenario"
+        path.write_text(json.dumps(doc))
+        json_path = tmp_path / "spectrum.json"
+        options = cli.argparse.Namespace(cutoff=cutoff, tolerance=None,
+                                         grid=None, json_path=str(json_path))
+        code = cli.run("spectrum", str(path), options, io.StringIO())
+        assert code == cli.EXIT_PASS
+        series = {0: 1}
+        for _ in range(n - 1):
+            power = {}
+            for norm, count in series.items():
+                for a in range(-cutoff, cutoff + 1):
+                    power[norm + a * a] = power.get(norm + a * a, 0) + count
+            series = power
+        table = json.loads(json_path.read_text())["spectrum"]["tables"]["degree_0"]
+        assert table == [
+            {"eigenvalue": cli._f(round(4.0 * math.pi**2 * norm, 12)),
+             "multiplicity": count}
+            for norm, count in sorted(series.items())]
+        assert sum(row["multiplicity"] for row in table) == 17**8 == 6975757441
 
     def test_avcheck(self):
         code, text = run("avcheck", "identity_irrational_t2")
@@ -430,8 +467,8 @@ class TestSizeBounds:
         code, text = run("spectrum", "classical_t3", cutoff=3000)
         assert time.perf_counter() - start < 5
         assert code == cli.EXIT_DISCREPANCY
-        assert text == ("error: cutoff 3000 allows up to 36012001 lattice modes, "
-                        "more than the 1000000 that can be listed\n")
+        assert text == ("error: cutoff 3000 needs at least 18015002 norm-count "
+                        "updates, more than the 10000000 allowed\n")
 
     def test_largest_dimensions_are_accepted(self, tmp_path):
         n = cli.MAX_DIM
