@@ -44,7 +44,8 @@ The workhorses are
 * ``lattice_box_norms`` -- the same descent with the branches that share
   their unsettled coordinates merged, counting those points per squared
   norm without listing one (a truncated theta series), which is how the
-  spectrum is tabled; its work is bounded before each level runs;
+  spectrum is tabled; it refuses past the work and table limits its
+  caller passes;
 * ``det_int`` and ``char_poly`` -- exact determinants (Bareiss) and
   characteristic polynomials (Faddeev-LeVerrier) of integer matrices.
 
@@ -240,12 +241,8 @@ def lattice_box_points(basis, offset, cutoff):
     return tuple(out)
 
 
-#: the most norm-count updates ``lattice_box_norms`` will make: as many as a
-#: listing of 10^6 points has nodes in each of up to ten levels
-NORM_UPDATE_LIMIT = 10**7
-
-
-def lattice_box_norms(basis, offset, cutoff):
+def lattice_box_norms(basis, offset, cutoff, max_updates=math.inf,
+                      max_norms=math.inf):
     """Sorted ``(|x|^2, count)`` pairs over the points ``x`` of
     ``offset + span_Z(basis)`` with sup-norm at most ``cutoff``: the
     ``Counter`` of squared norms of ``lattice_box_points``, without listing
@@ -257,8 +254,9 @@ def lattice_box_norms(basis, offset, cutoff):
     the rest of the descent reads only the tail.  A level makes one update
     per state, norm and coefficient, so it makes no more updates than the
     listing has child nodes there.  That number is known before the level
-    runs; when the running total would pass ``NORM_UPDATE_LIMIT`` the count
-    raises :class:`ModeBoxTooLarge` instead."""
+    runs; when the running total would pass ``max_updates``, or one state
+    (the last is the returned table) would hold more than ``max_norms``
+    norms, the count raises :class:`ModeBoxTooLarge` instead."""
     n = len(offset)
     pivots = [next(j for j, a in enumerate(row) if a) for row in basis]
     first = pivots[0] if pivots else n
@@ -271,10 +269,10 @@ def lattice_box_norms(basis, offset, cutoff):
         work += sum(len(norms) * ((cutoff - tail[0]) // piv
                                   + (cutoff + tail[0]) // piv + 1)
                     for tail, norms in states.items())
-        if work > NORM_UPDATE_LIMIT:
+        if work > max_updates:
             raise ModeBoxTooLarge(
                 f"cutoff {cutoff} needs at least {work} norm-count updates, "
-                f"more than the {NORM_UPDATE_LIMIT} allowed")
+                f"more than the {max_updates} allowed")
         merged = {}
         for tail, norms in states.items():
             for k in range(-((cutoff + tail[0]) // piv),
@@ -287,6 +285,10 @@ def lattice_box_norms(basis, offset, cutoff):
                 target = merged.setdefault(tuple(y[width:]), {})
                 for norm, count in norms.items():
                     target[norm + add] = target.get(norm + add, 0) + count
+                if len(target) > max_norms:
+                    raise ModeBoxTooLarge(
+                        f"cutoff {cutoff} gives more than {max_norms} "
+                        f"distinct mode norms, the most that may be counted")
         states = merged
     return sorted(states.get((), {}).items())
 

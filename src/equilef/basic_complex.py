@@ -45,6 +45,16 @@ from .geometry_models import FlatTorusModel
 PRUNE_TOL = 1e-14
 #: most lattice modes one cutoff may list
 MODE_BOX_LIMIT = 10**6
+#: most norm-count updates one spectrum may make: ``MODE_BOX_LIMIT`` for
+#: each of up to ten lattice rows, as many child nodes as a listable box
+#: has per row in the largest dimension (``scenario_cli.MAX_DIM``)
+NORM_UPDATE_LIMIT = 10 * MODE_BOX_LIMIT
+#: most distinct norms one state of a spectrum count may hold, the last
+#: state being the class table.  Negation pairs a listable box's at most
+#: ``MODE_BOX_LIMIT`` nodes of a row: a state with tail ``t != 0`` has half
+#: of them at most (its mirror ``-t`` as many), and the state with tail 0
+#: holds ``x`` and ``-x`` under one norm, so no state of it holds more
+NORM_CLASS_LIMIT = (MODE_BOX_LIMIT + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -319,9 +329,11 @@ def basic_spectrum(model: FlatTorusModel, cutoff: int):
     mode's eigenvalue.  In degree ``q`` every mode carries a fiber of rank
     ``C(n-1, q)``, so that degree's multiplicities are the counts times the
     binomial.  Raises :class:`ModeBoxTooLarge` before a lattice row whose
-    updates would take the count past ``_ratlin.NORM_UPDATE_LIMIT``, which
-    is ``MODE_BOX_LIMIT`` updates for each of up to ten rows: a box the
-    listing accepts makes at most that many per row, so it is counted."""
-    kernel = rl.integer_kernel(model.v.constraint_rows(), n=model.n)
+    updates would take the count past ``NORM_UPDATE_LIMIT``, and once one
+    state would hold more than ``NORM_CLASS_LIMIT`` norms; a box the
+    listing accepts stays within both, so it is counted, and the table is
+    never longer than one the listing could give."""
     return [(round(norm_eigenvalue(norm), 12), count)
-            for norm, count in rl.lattice_box_norms(kernel, (0,) * model.n, cutoff)]
+            for norm, count in rl.lattice_box_norms(
+                model.base_lattice, (0,) * model.n, cutoff,
+                NORM_UPDATE_LIMIT, NORM_CLASS_LIMIT)]

@@ -60,9 +60,10 @@ class TorsionTooLarge(EquilefError):
 
 
 class ModeBoxTooLarge(EquilefError):
-    """A mode cutoff asks for more work than the toolkit allows: its lattice
-    box could hold more modes than may be listed, or counting the box's
-    modes per norm would make more updates than are allowed."""
+    """A mode cutoff asks for more than the toolkit allows: its lattice box
+    could hold more modes than may be listed, or counting the box's modes
+    per norm would make more updates, or hold more distinct norms, than are
+    allowed."""
 
 
 class GridTooCoarse(EquilefError):

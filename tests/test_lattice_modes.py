@@ -199,16 +199,28 @@ class TestLatticeBoxNorms:
     @given(affine_lattices(), st.integers(0, 4))
     def test_a_listable_box_is_counted(self, lattice, cutoff):
         # each level updates at most as often as the listing has child
-        # nodes there, at most the box bound L, so n levels stay within n L
+        # nodes there, at most the box bound L, so n levels stay within n L;
+        # a state holds no more norms than nodes, and through the origin
+        # negation pairs the nodes, so no more than (L + 1) // 2
         kernel, offset = lattice
+        n = len(offset)
         bound = math.prod(2 * cutoff // next(a for a in row if a) + 1
                           for row in kernel)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rl, "NORM_UPDATE_LIMIT", len(offset) * bound)
-            rl.lattice_box_norms(kernel, offset, cutoff)
+        rl.lattice_box_norms(kernel, offset, cutoff, n * bound, bound)
+        rl.lattice_box_norms(kernel, (0,) * n, cutoff, n * bound,
+                             (bound + 1) // 2)
 
     def test_every_cutoff_the_listing_allows_is_counted(self):
-        assert rl.NORM_UPDATE_LIMIT == cli.MAX_DIM * bc.MODE_BOX_LIMIT
+        assert bc.NORM_UPDATE_LIMIT == cli.MAX_DIM * bc.MODE_BOX_LIMIT
+        assert bc.NORM_CLASS_LIMIT == (bc.MODE_BOX_LIMIT + 1) // 2
+
+    def test_refused_past_the_class_limit(self, monkeypatch):
+        # T^2 with v = e_2: cutoff c has the c + 1 norms a^2, 0 <= a <= c
+        model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 1)))
+        monkeypatch.setattr(bc, "NORM_CLASS_LIMIT", 100)
+        assert len(bc.basic_spectrum(model, 99)) == 100
+        with pytest.raises(ModeBoxTooLarge, match="more than 100 distinct"):
+            bc.basic_spectrum(model, 100)
 
     def test_refused_before_the_level_that_passes_the_limit(self):
         # 6001 updates for the first row, then 3001 norms times 6001

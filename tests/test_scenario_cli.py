@@ -470,6 +470,23 @@ class TestSizeBounds:
         assert text == ("error: cutoff 3000 needs at least 18015002 norm-count "
                         "updates, more than the 10000000 allowed\n")
 
+    def test_oversized_class_table_exits_1_promptly(self, tmp_path):
+        # few updates, but more norm classes than any listable box has:
+        # T^2 with v = e_2 takes 2c + 1 updates, c + 1 classes
+        t2 = {"schema": 1, "name": "t2_axis",
+              "model": {"type": "flat_torus", "n": 2, "v": ["0", "1"]},
+              "map": {"matrix": [[1, 0], [0, 1]], "translation": ["0", "0"]}}
+        start = time.perf_counter()
+        code, text = run_doc(tmp_path, "spectrum", t2, cutoff=4999999)
+        assert code == cli.EXIT_DISCREPANCY
+        assert text == ("error: cutoff 4999999 gives more than 500000 distinct "
+                        "mode norms, the most that may be counted\n")
+        code, text = run("spectrum", "classical_t3", cutoff=2000)
+        assert code == cli.EXIT_DISCREPANCY
+        assert text == ("error: cutoff 2000 gives more than 500000 distinct "
+                        "mode norms, the most that may be counted\n")
+        assert time.perf_counter() - start < 5
+
     def test_largest_dimensions_are_accepted(self, tmp_path):
         n = cli.MAX_DIM
         torus = {"schema": 1, "name": "t10",

@@ -14,7 +14,15 @@ The cases are
   mode cutoff 8;
 * ``classical_t3_c50``, ``_c200`` and ``_c499``: the committed
   ``classical_t3`` scenario (v = e_3) at those cutoffs;
-* ``c499_357``: the 3-torus with v = (3, 5, 7) at cutoff 499.
+* ``c499_357``: the 3-torus with v = (3, 5, 7) at cutoff 499;
+* the size limits of the norm count: ``classical_t3_c1303``, the largest
+  cutoff whose 499 596 norm classes stay within
+  ``basic_complex.NORM_CLASS_LIMIT``, and ``_c2000``, refused by it;
+  ``t2_axis_c499999``, the 2-torus with v = e_2 at the largest cutoff the
+  listing accepted (500 000 classes), and ``t2_axis_c4999999``, refused;
+  ``t3_line_c499999``, the 3-torus with v = (1, alpha, 0), whose basic
+  modes are the line through e_3, at the same cutoff: the longest table
+  the listing accepted in three dimensions.
 
 Every generated scenario has the identity map.  Each case runs in a fresh
 interpreter, which calls ``scenario_cli.run("spectrum", ...)`` with
@@ -47,7 +55,8 @@ CUTOFF = 8
 def _torus(name, v):
     n = len(v)
     return {"schema": 1, "name": name,
-            "model": {"type": "flat_torus", "n": n, "v": [str(a) for a in v]},
+            "model": {"type": "flat_torus", "n": n,
+                      "v": [a if isinstance(a, dict) else str(a) for a in v]},
             "map": {"matrix": [[int(i == j) for j in range(n)]
                                for i in range(n)],
                     "translation": ["0"] * n}}
@@ -60,9 +69,14 @@ def cases():
         out[f"t{n}_axis"] = (_torus(f"t{n}_axis", (0,) * (n - 1) + (1,)), CUTOFF)
         out[f"t{n}_ramp"] = (_torus(f"t{n}_ramp", range(1, n + 1)), CUTOFF)
     classical = json.loads((ROOT / "scenarios" / "classical_t3.scenario").read_text())
-    for cutoff in (50, 200, 499):
+    for cutoff in (50, 200, 499, 1303, 2000):
         out[f"classical_t3_c{cutoff}"] = (classical, cutoff)
     out["c499_357"] = (_torus("c499_357", (3, 5, 7)), 499)
+    for cutoff in (499999, 4999999):
+        out[f"t2_axis_c{cutoff}"] = (_torus("t2_axis", (0, 1)), cutoff)
+    line = _torus("t3_line", (1, {"alpha": "1"}, 0))
+    line["generators"] = [{"name": "alpha"}]
+    out["t3_line_c499999"] = (line, 499999)
     return out
 
 
@@ -105,7 +119,7 @@ def main(argv=None):
     if args.child is not None:
         print(json.dumps(measure(args.child, args.repeat)))
         return 0
-    print(f"{'case':>17} {'best s':>9} {'peak MB':>8} {'text bytes':>11} "
+    print(f"{'case':>18} {'best s':>9} {'peak MB':>8} {'text bytes':>11} "
           f"{'JSON bytes':>11} {'exit':>4}")
     for case in args.case:
         out = subprocess.run(
@@ -114,7 +128,7 @@ def main(argv=None):
             check=True, capture_output=True, text=True).stdout
         best, peak_mb, text_bytes, json_bytes, code = json.loads(
             out.splitlines()[-1])
-        print(f"{case:>17} {best:>9.4f} {peak_mb:>8.1f} {text_bytes:>11} "
+        print(f"{case:>18} {best:>9.4f} {peak_mb:>8.1f} {text_bytes:>11} "
               f"{json_bytes:>11} {code:>4}")
     return 0
 
