@@ -47,8 +47,12 @@ iso = pole.isotropy    # the closure elements whose third coordinate vanishes
 print(f"orbit through (0,0,z3): dimension {pole.dim}, "
       f"isotropy pins coordinates {iso.coords}: "
       f"{iso.component_count} components of dimension {iso.dim}")
-print("  component representatives:",
-      ", ".join("(" + ", ".join(str(x) for x in h) + ")" for h in iso.component_reps))
+# one representative per component: the torsion translates of the isotropy's
+# congruence solution, integer parameters over D, mapped into the group
+reps, D = iso.solution.torsion_numerators()
+print("  component representatives:", ", ".join(
+    "(" + ", ".join(str(Fraction(a, D)) for a in iso.group.element_numerators(t, D)) + ")"
+    for t in reps))
 print("sheets of the covering by the subgroup (0,1,2):",
       sheet_count_rows(((0, 1, 2),), iso))
 print("sheets of the covering by the subgroup (1,1,2):",

@@ -5,13 +5,14 @@ are returned as tuples of tuples.  Inputs may be ``int``s or
 ``fractions.Fraction``s, but the kernels compute in integers only: a
 rational vector is carried as integer numerators over one common
 denominator ``D`` (``numerators``), so eliminations, congruences and
-reductions modulo one are integer products and ``% D``.  A ``Fraction`` is
-built only at the edge, where a public field such as
-``CongruenceSolution.particular`` or a caller asks for one; a ``Fraction``
-operation costs tens of times an integer one, and the torus
-fixed-orbit and isotropy paths run these kernels once per orbit or
-isotropy component.  The ambient dimensions are tiny (at most eight or
-so), so the classical cubic algorithms are used throughout.
+reductions modulo one are integer products and ``% D``.  Every exact
+point a kernel computes is returned in that form, ``(numerators, D)``
+(``solve_rational``, which nothing in the package calls, is the one
+exception), and a caller that wants ``Fraction``s builds them; a
+``Fraction`` operation costs tens of times an integer one, and the torus
+fixed-orbit and isotropy paths run these kernels once per orbit or isotropy
+component.  The ambient dimensions are tiny (at most eight or so), so the
+classical cubic algorithms are used throughout.
 
 The workhorses are
 
@@ -95,16 +96,6 @@ def vec_mat(x, A):
     if not A:
         return ()
     return tuple(sum(x[i] * A[i][j] for i in range(len(A))) for j in range(len(A[0])))
-
-
-def frac_mod1(q):
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    return q - math.floor(q)
-
-
-def vec_mod1(x):
-    return tuple(frac_mod1(q) for q in x)
 
 
 def numerators(x):
@@ -400,10 +391,10 @@ TORSION_LIMIT = 10**6
 class CongruenceSolution:
     """Solution set of ``A t = b (mod 1)`` on the d-torus.
 
-    The set is ``{particular + r + u @ free : r in torsion_reps, u in T^f}``
-    where ``free`` has ``f`` integer rows spanning the tangent lattice of the
-    connected part.  ``torsion_reps`` always contains the zero vector, so the
-    solutions form ``torsion_count`` parallel translates of a
+    The set is ``{p + r + u @ free : r in R, u in T^f}`` for a particular
+    solution ``p`` and the torsion translates ``R``, where ``free`` has
+    ``f`` integer rows spanning the tangent lattice of the connected part.
+    ``R`` always contains the zero vector, so the solutions form ``torsion_count`` parallel translates of a
     ``f``-dimensional subtorus coset.  The count is the product of the
     nontrivial Smith diagonal entries and is known without listing anything.
 
@@ -411,9 +402,8 @@ class CongruenceSolution:
     (``E * lcm(Smith entries)``, ``E`` the denominator of ``b``), a multiple
     of every Smith entry, so the translates (a torsor over the Smith group)
     are integer steps reduced with ``% D``: ``particular_numerators``,
-    ``torsion_numerators`` and ``point_numerators`` read them, and
-    ``particular``, ``torsion_reps`` and ``points()`` are their ``Fraction``
-    views.  Listing refuses more than ``TORSION_LIMIT`` translates.
+    ``torsion_numerators`` and ``point_numerators`` read them, and nothing
+    else does.  Listing refuses more than ``TORSION_LIMIT`` translates.
     """
 
     def __init__(self, particular, D, torsion_axes, T, free):
@@ -440,10 +430,6 @@ class CongruenceSolution:
         return self._particular, self._D
 
     @cached_property
-    def particular(self):
-        return tuple(Fraction(a, self._D) for a in self._particular)
-
-    @cached_property
     def _torsion(self):
         return self._translates((0,) * len(self._particular))
 
@@ -452,22 +438,12 @@ class CongruenceSolution:
         the zero vector first and the last Smith axis varying fastest."""
         return self._torsion, self._D
 
-    @cached_property
-    def torsion_reps(self):
-        reps, D = self.torsion_numerators()
-        return [tuple(Fraction(a, D) for a in r) for r in reps]
-
     def point_numerators(self):
         """``(points, D)``: the solutions of a finite set as numerators over
         ``D``, sorted, so in the lexicographic order of the solutions."""
         if not self.is_finite:
             raise ValueError("solution set is infinite")
         return sorted(self._translates(self._particular)), self._D
-
-    def points(self):
-        """The solutions of a finite set, in lexicographic order."""
-        points, D = self.point_numerators()
-        return [tuple(Fraction(a, D) for a in p) for p in points]
 
     def _translates(self, shift):
         """``shift + T u (mod D)`` for every torsion vector ``u``, the last

@@ -17,9 +17,6 @@ is annihilated by the flow.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-from . import _ratlin as rl
 from . import basic_complex as bc
 from . import torus_group as tg
 
@@ -111,8 +108,8 @@ def averaging_report(model, cutoff, rng):
     over the sections of idempotence ``|P P u - P u|``, self-adjointness
     ``|<P u, w> - <u, P w>|`` and commuting with the translation by the group
     point ``g = haar_quadrature(group, 3)[1]`` are computed, not asserted;
-    the characters of ``g`` come from integer numerators over its common
-    denominator.  Every kept mode is also checked against the flow's own
+    the characters of ``g`` come from its integer numerators over 3.  Every
+    kept mode is also checked against the flow's own
     constraint rows, independently of the group; ``unannihilated`` counts
     the kept modes that fail.  ``pass`` holds when every residual is within
     ``REPORT_TOLERANCE`` and ``unannihilated`` is zero."""
@@ -137,11 +134,11 @@ def averaging_report(model, cutoff, rng):
     keep = averaging_mask(group, modes)
     pu, pw = keep * u, keep * w
 
-    t = [Fraction(0)] * group.dim
+    t = [0] * group.dim
     if t:
-        t[-1] = Fraction(1, 3)
-    g_num, D = rl.numerators(group.element(t))
-    turns = (_exact_products(modes, [g_num])[..., 0] % D).astype(float) / D
+        t[-1] = 1
+    g_num = group.element_numerators(t, 3)
+    turns = (_exact_products(modes, [g_num])[..., 0] % 3).astype(float) / 3
     chi = np.exp(-2j * math.pi * turns)
 
     flow_rows = [nums for nums, _ in model.v.column_numerators]

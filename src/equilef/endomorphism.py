@@ -51,7 +51,7 @@ class TorusMap:
         object.__setattr__(self, "matrix", rl.freeze(
             tuple(tuple(int(a) for a in row) for row in self.matrix)))
         object.__setattr__(self, "translation", tuple(
-            rl.frac_mod1(Fraction(x)) for x in self.translation))
+            Fraction(x) % 1 for x in self.translation))
 
     @cached_property
     def _hash(self):
@@ -86,7 +86,7 @@ class SpherePhaseMap:
 
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(
-            rl.frac_mod1(Fraction(x)) for x in self.phases))
+            Fraction(x) % 1 for x in self.phases))
 
     @property
     def k(self):
@@ -201,20 +201,13 @@ def exact_exterior_traces(matrix):
     return tuple((-1) ** q * h[q] for q in range(len(h)))
 
 
-@lru_cache(maxsize=None)
-def _basic_lattice(model: FlatTorusModel):
-    """HNF rows ``K`` of the lattice ``{m : m . v = 0}`` of flow-annihilated
-    modes, of rank ``n - d`` for the closure dimension ``d``; memoized per
-    model, so the twisted harmonic mode and the trace check share it."""
-    return rl.integer_kernel(model.v.constraint_rows(), n=model.n)
-
-
 def _check_exterior_traces(model: FlatTorusModel, f: TorusMap):
     """Certify ``f.exterior_traces`` in integers, or raise
     :class:`InternalCheckFailed`.
 
-    Since ``A v = v``, ``A^T`` maps the basic-mode lattice ``K`` into itself,
-    ``K A = M K``, and acts trivially on the ``d`` flow directions, so the
+    Since ``A v = v``, ``A^T`` maps the basic-mode lattice ``K`` (the
+    relation lattice ``model.base_lattice``) into itself, ``K A = M K``,
+    and acts trivially on the ``d`` flow directions, so the
     deflated characteristic polynomial ``h`` (``h_q = (-1)^q`` times the
     q-th trace) is ``chi_M(x) (x - 1)^(d - 1)``.  With ``G = K K^T``,
     ``chi_M(x) det G = det(x G - K A K^T)``, so M is never formed.  Both
@@ -222,7 +215,7 @@ def _check_exterior_traces(model: FlatTorusModel, f: TorusMap):
     ``n - 1``; agreeing at the ``n`` points ``x = 0, ..., n - 1`` they are
     equal."""
     n = model.n
-    K = _basic_lattice(model)
+    K = model.base_lattice
     G = [rl.mat_vec(K, k) for k in K]
     KAK = [rl.mat_vec(K, rl.vec_mat(k, f.matrix)) for k in K]
     det_G = rl.det_int(G)
@@ -255,7 +248,7 @@ def harmonic_mode(model: FlatTorusModel, twist: BundleTwist | None = None):
     sigma = twist.weight.coeffs[0]
     if not any(sigma):
         return zero
-    kernel = _basic_lattice(model)
+    kernel = model.base_lattice
     if len(kernel) != model.n - 1:
         return None
     solutions = rl.integer_solutions(model.v.constraint_rows() + kernel,
@@ -333,7 +326,7 @@ def cohomology_action(model: FlatTorusModel, f: TorusMap,
         )
     _check_exterior_traces(model, f)
     ext = f.exterior_traces
-    phase_turns = rl.frac_mod1(f.character(m0))
+    phase_turns = Fraction(f.character(m0)) % 1
     scalar = twist.phi_scalar if twist is not None else 1.0 + 0.0j
     factor = scalar * cmath.exp(2j * math.pi * float(phase_turns))
     alt = sum((-1) ** q * e for q, e in enumerate(ext))

@@ -56,27 +56,18 @@ from .geometry_models import (
 )
 
 
-def _g0_view(self):
-    """The group correction ``g0`` as ``Fraction``s, built when read."""
-    g, D = self.g0_numerators
-    return tuple(Fraction(a, D) for a in g)
-
-
 @dataclass(frozen=True)
 class TransversalityCertificate:
     """Nonvanishing of the conormal determinants, from the pass that builds
     the orbit's term: ``det(A_bar - I)`` on a torus, one closed-form value
     ``prod 4 sin^2(pi theta_l)`` per isotropy-preimage component on a sphere
-    (the value the term divides by).  ``dets_exact`` holds exact values where
-    available (always on tori; ``None`` entries on spheres carry only floats).
+    (the value the term divides by).  A torus certificate holds its one
+    exact integer determinant, a sphere certificate one float per component.
     ``g0_numerators`` is the group correction as ``(numerators, D)``."""
 
     orbit: ClosedOrbit
     g0_numerators: tuple
-    dets: tuple            # floats, one per preimage component on a sphere
-    dets_exact: tuple      # Fractions or None, parallel to dets
-
-    g0 = cached_property(_g0_view)
+    dets: tuple            # (int,) on a torus, floats on a sphere
 
 
 @dataclass(frozen=True)
@@ -97,8 +88,6 @@ class OrbitContribution:
     per_degree: tuple
     total: complex
     total_exact: Fraction | None
-
-    g0 = cached_property(_g0_view)
 
 
 @dataclass(frozen=True)
@@ -352,10 +341,8 @@ class _MapContext:
                               for i, row in enumerate(f.matrix)]
             c, self.c_den = rl.numerators(f.translation)
             self.minus_c = [-a for a in c]
-            # an untwisted torus orbit's one component, and the exact and
-            # float determinant every certificate records
+            # an untwisted torus orbit's one component
             self.torus_component = (0.0, float(det), det)
-            self.torus_dets = (float(det),), (Fraction(det),)
         else:
             self.phases = rl.numerators(f.phases)
         self._types = {}
@@ -549,10 +536,10 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         reps, T = pre.solution.torsion_numerators()
         comps = tuple(component(t, T) for t in reps)
     if torus:
-        cert = TransversalityCertificate(orbit, g0, *context.torus_dets)
+        cert = TransversalityCertificate(orbit, g0, (context.torus_det,))
     else:
         cert = TransversalityCertificate(
-            orbit, g0, tuple(d for _, d, _ in comps), (None,) * len(comps))
+            orbit, g0, tuple(d for _, d, _ in comps))
     per_degree, total, total_exact = context.assembled(typ, comps)
     if isotropy_resolution is not None:
         # independent route: Haar quadrature along each component, on the

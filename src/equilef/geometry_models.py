@@ -65,7 +65,7 @@ class SpherePoint:
 
     def __post_init__(self):
         ms = tuple(Fraction(x) for x in self.moduli_sq)
-        ph = tuple(rl.frac_mod1(Fraction(x)) for x in self.phases)
+        ph = tuple(Fraction(x) % 1 for x in self.phases)
         if len(ms) != len(ph):
             raise ValueError("moduli and phases must have equal length")
         if any(m < 0 for m in ms):
@@ -111,7 +111,7 @@ class WeightedSphereModel:
 class ClosedOrbit:
     """A group-orbit closure as exact data: dimension and isotropy
     descriptor here, and in each model's subclass a canonical base point
-    (``base_point``) and identifier (``key``).
+    and an identifier ``key``.
 
     ``key`` determines the orbit; two orbits of the same model are equal iff
     their keys are.  No frame is stored: on a torus the conormal covectors
@@ -138,19 +138,15 @@ class ClosedOrbit:
 class TorusOrbit(ClosedOrbit):
     """A torus orbit closure held in integers: the base point is ``point``
     over ``point_den`` (numerators in ``[0, point_den)``), and the base
-    coordinates ``L x (mod 1)`` are ``level`` over ``level_den``.
-    ``base_point`` and ``key`` are their ``Fraction`` views, built when
-    read; the key is canonical, so orbits built over different denominators
-    compare and hash equal."""
+    coordinates ``L x (mod 1)`` are ``level`` over ``level_den``.  ``key``
+    reads the level as ``Fraction``s, when first compared or hashed; it is
+    canonical, so orbits built over different denominators compare and
+    hash equal."""
 
     point: tuple
     point_den: int
     level: tuple
     level_den: int
-
-    @cached_property
-    def base_point(self):
-        return tuple(Fraction(a, self.point_den) for a in self.point)
 
     @cached_property
     def key(self):
@@ -245,9 +241,12 @@ def _sphere_orbit(model: WeightedSphereModel, p) -> ClosedOrbit:
     phase_coords = tuple(Fraction(a % E, E) for a in rl.mat_vec(LS, theta_S))
     theta_canon = list(_solve_from_level(LS, phase_coords, len(support)))
     # gauge: rotate the first supported phase to zero with a group shift
-    shift = GS.element_with([0], [-theta_canon[0]])
-    if shift is not None:
-        theta_canon = [rl.frac_mod1(th + g) for th, g in zip(theta_canon, shift)]
+    sol = GS.parameters_with([0], [-theta_canon[0]])
+    if sol is not None:
+        t, D = sol.particular_numerators()
+        shift = GS.element_numerators(t, D)
+        theta_canon = [(th + Fraction(g, D)) % 1
+                       for th, g in zip(theta_canon, shift)]
     phases = [Fraction(0)] * model.k
     for idx, j in enumerate(support):
         phases[j] = theta_canon[idx]

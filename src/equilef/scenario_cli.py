@@ -860,27 +860,34 @@ def _emit(report, options, stream):
     stream.write(_render_text(report))
 
 
+def options(**overrides):
+    """The options of a run with no command-line flag given, as ``main``
+    parses them, with ``overrides`` (of ``cutoff``, ``tolerance``, ``grid``
+    and ``json_path``) set."""
+    defaults = dict(cutoff=None, tolerance=None, grid=None, json_path=None)
+    return argparse.Namespace(**{**defaults, **overrides})
+
+
 def run(command: str, scenario_file: str, argv_options=None,
         stream=None) -> int:
     """Programmatic entry: run one command on one scenario file."""
     stream = stream or sys.stdout
-    options = argv_options or argparse.Namespace(
-        cutoff=None, tolerance=None, grid=None, json_path=None)
+    opts = argv_options or options()
     if command not in COMMANDS:
         stream.write(f"error: unknown command {command!r}\n")
         return EXIT_USAGE
     try:
-        if options.cutoff is not None and options.cutoff < 0:
+        if opts.cutoff is not None and opts.cutoff < 0:
             raise _UsageError("--cutoff must be a non-negative integer")
         # the overrides follow the schema of the fields they replace
-        tolerance = options.tolerance
+        tolerance = opts.tolerance
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
             raise _UsageError("--tolerance must be a finite non-negative number")
-        if options.grid is not None and not 1 <= options.grid <= ml.MAX_GRID:
+        if opts.grid is not None and not 1 <= opts.grid <= ml.MAX_GRID:
             raise _UsageError(f"--grid must be an integer in [1, {ml.MAX_GRID}]")
         scenario = load_scenario(scenario_file)
-        report, code = COMMANDS[command](scenario, options)
-        _emit(report, options, stream)
+        report, code = COMMANDS[command](scenario, opts)
+        _emit(report, opts, stream)
         return code
     except _UsageError as exc:
         stream.write(f"usage error: {exc}\n")

@@ -92,11 +92,6 @@ class SymbolicFrequency:
         # hashed once
         return self._hash
 
-    @classmethod
-    def rational(cls, entries):
-        """A purely rational vector (no irrational generators)."""
-        return cls(tuple((Fraction(e),) for e in entries))
-
     @property
     def ambient_dim(self):
         return len(self.coeffs)
@@ -213,25 +208,6 @@ class SubtorusGroup:
         return tuple(sum(x * row[j] for x, row in zip(t, C)) % D
                      for j in range(self.ambient_dim))
 
-    def element(self, t):
-        """The group element ``t @ complement_basis() (mod 1)`` with
-        rational parameters ``t``."""
-        t, D = rl.numerators(t)
-        return tuple(Fraction(a, D) for a in self.element_numerators(t, D))
-
-    def element_with(self, coords, values):
-        """An element of the group whose coordinates ``coords`` equal
-        ``values`` modulo one, or ``None`` when the group has none."""
-        sol = self.parameters_with(coords, values)
-        if sol is None:
-            return None
-        t, D = sol.particular_numerators()
-        return tuple(Fraction(a, D) for a in self.element_numerators(t, D))
-
-    def contains(self, point):
-        """Whether the rational ``point`` satisfies ``L x = 0 (mod 1)``."""
-        return self.contains_numerators(*rl.numerators(point))
-
     def contains_numerators(self, x, D):
         """Whether the point ``x / D`` lies in the group, tested as
         ``L x = 0 (mod D)`` on its integer numerators ``x``."""
@@ -250,11 +226,13 @@ class IsotropyDescriptor:
     coordinates ``coords`` vanish modulo one.
 
     The congruence system on the group's parametrizing torus is solved once,
-    on first use.  Representatives, one per connected component with the
-    identity first, and the tangent rows of the identity component are
-    listed on demand, in parameter coordinates (``param_reps``,
-    ``param_tangent_rows``) and in ambient coordinates (``component_reps``,
-    ``tangent_rows``)."""
+    on first use, as ``solution``.  Its torsion translates are the
+    components' representatives in parameter coordinates, as integer
+    numerators with the identity first (``solution.torsion_numerators()``;
+    the system is homogeneous, so its particular solution is zero).  The
+    tangent rows of the identity component are listed in parameter
+    coordinates (``param_tangent_rows``) and in ambient coordinates
+    (``tangent_rows``)."""
 
     group: SubtorusGroup
     coords: tuple
@@ -273,16 +251,6 @@ class IsotropyDescriptor:
     @property
     def dim(self):
         return len(self.solution.free)
-
-    @property
-    def param_reps(self):
-        # the system is homogeneous, so its particular solution is zero and
-        # the torsion translates, zero first, are the components
-        return self.solution.torsion_reps
-
-    @cached_property
-    def component_reps(self):
-        return tuple(self.group.element(t) for t in self.param_reps)
 
     @property
     def param_tangent_rows(self):
@@ -355,8 +323,8 @@ def haar_quadrature(group: SubtorusGroup, resolution: int):
     weight = Fraction(1, resolution**d)
     points = []
     for combo in itertools.product(range(resolution), repeat=d):
-        t = tuple(Fraction(c, resolution) for c in combo)
-        points.append((group.element(t), weight))
+        g = group.element_numerators(combo, resolution)
+        points.append((tuple(Fraction(a, resolution) for a in g), weight))
     return points
 
 

@@ -28,6 +28,7 @@ from equilef.endomorphism import (
     harmonic_dimensions,
 )
 from equilef.errors import InfiniteFixedSet, NonTransverse
+from exact_points import components, g0_point
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -109,8 +110,8 @@ def test_criterion_2_classical_reduction():
             for i, j in itertools.product(range(denom), repeat=2):
                 x = (Fraction(i, denom), Fraction(j, denom))
                 fx = (
-                    rl.frac_mod1(block[0][0] * x[0] + block[0][1] * x[1]),
-                    rl.frac_mod1(block[1][0] * x[0] + block[1][1] * x[1]),
+                    (block[0][0] * x[0] + block[0][1] * x[1]) % 1,
+                    (block[1][0] * x[0] + block[1][1] * x[1]) % 1,
                 )
                 if fx == x:
                     count += 1
@@ -222,8 +223,7 @@ def test_criterion_7_transversality_gating():
         # and the command-line gate reports exit status 2
         import io
 
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=None, json_path=None)
+        options = cli.options()
         code = cli.run("verify", str(SCENARIOS / "translation_only_t3.scenario"),
                        options, io.StringIO())
         assert code == cli.EXIT_GATE
@@ -256,8 +256,8 @@ def test_criterion_9_choice_invariance():
                 alt = fpf.orbit_contribution(orbit, s3.map, fibers="scalar",
                                              subgroup_rows=rows)
                 assert abs(alt.total - base.total) <= 1e-10
-            for h in orbit.isotropy.component_reps:
-                g0_alt = tuple(rl.frac_mod1(a + b) for a, b in zip(base.g0, h))
+            for h in components(orbit.isotropy):
+                g0_alt = tuple((a + b) % 1 for a, b in zip(g0_point(base), h))
                 alt = fpf.orbit_contribution(orbit, s3.map, fibers="scalar",
                                              g0=g0_alt)
                 assert abs(alt.total - base.total) <= 1e-10

@@ -1,6 +1,5 @@
 """Equivariant maps: validation, harmonic action, heat traces."""
 
-import argparse
 import io
 import itertools
 import json
@@ -482,8 +481,7 @@ def run_json(command, doc, directory):
     path.write_text(json.dumps(doc))
     json_path = pathlib.Path(directory) / "report.json"
     json_path.unlink(missing_ok=True)
-    options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                 json_path=str(json_path))
+    options = cli.options(json_path=str(json_path))
     code = cli.run(command, str(path), options, io.StringIO())
     report = json.loads(json_path.read_text()) if json_path.exists() else None
     return code, report

@@ -154,9 +154,10 @@ def test_a_perturbed_char_poly_coefficient_is_caught(monkeypatch, i, j):
 
 @pytest.mark.parametrize("dropped", [0, 1])
 def test_a_dropped_kernel_row_is_caught(monkeypatch, dropped):
-    original = em._basic_lattice
-    monkeypatch.setattr(em, "_basic_lattice", lambda model: tuple(
-        row for r, row in enumerate(original(model)) if r != dropped))
+    original = gm.FlatTorusModel.base_lattice
+    monkeypatch.setattr(gm.FlatTorusModel, "base_lattice", property(
+        lambda model: tuple(row for r, row in enumerate(original.fget(model))
+                            if r != dropped)))
     with pytest.raises(InternalCheckFailed, match="basic-mode lattice"):
         em.cohomology_action(T3_PROD, CLASSICAL)
 

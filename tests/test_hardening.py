@@ -177,7 +177,7 @@ class TestRationalWeightedFiveSphere:
             hits = {
                 Fraction(k, 60)
                 for k in range(60)
-                if rl.frac_mod1(Fraction(k * weight, 60)) == 0
+                if Fraction(k * weight, 60) % 1 == 0
             }
             assert len(hits) == expected
 
@@ -225,8 +225,7 @@ class TestGeneratorNames:
         path = tmp_path / "case.scenario"
         path.write_text(json.dumps(doc))
         stream = io.StringIO()
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                         json_path=None)
+        options = cli.options()
         return cli.run(command, str(path), options, stream), stream.getvalue()
 
     def test_a_proper_name_reads_as_an_irrational_generator(self):

@@ -216,7 +216,7 @@ class TestLatticeBoxNorms:
 
     def test_refused_past_the_class_limit(self, monkeypatch):
         # T^2 with v = e_2: cutoff c has the c + 1 norms a^2, 0 <= a <= c
-        model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 1)))
+        model = gm.FlatTorusModel(tg.SymbolicFrequency(((0,), (1,))))
         monkeypatch.setattr(bc, "NORM_CLASS_LIMIT", 100)
         assert len(bc.basic_spectrum(model, 99)) == 100
         with pytest.raises(ModeBoxTooLarge, match="more than 100 distinct"):
@@ -237,7 +237,7 @@ class TestLatticeBoxNorms:
 
 
 def _t3_vertical():
-    return gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 1)))
+    return gm.FlatTorusModel(tg.SymbolicFrequency(((0,), (0,), (1,))))
 
 
 class TestModeBoxLimit:
@@ -256,7 +256,7 @@ class TestModeBoxLimit:
 
     def test_refused_in_the_heat_and_twisted_routes(self):
         model = _t3_vertical()
-        twist = em.BundleTwist(tg.SymbolicFrequency.rational((1,)))
+        twist = em.BundleTwist(tg.SymbolicFrequency(((1,),)))
         with pytest.raises(ModeBoxTooLarge):
             em.twisted_invariant_modes(model, 3000, twist)
         f = em.TorusMap(rl.identity_rows(3), (0, 0, 0))
@@ -309,6 +309,6 @@ class TestGeneratorMismatch:
     def test_twist_with_fewer_generators_raises(self):
         model = gm.FlatTorusModel(tg.SymbolicFrequency(
             ((0, 0), (1, 0), (0, 1)), ("alpha",)))
-        twist = em.BundleTwist(tg.SymbolicFrequency.rational((1,)))
+        twist = em.BundleTwist(tg.SymbolicFrequency(((1,),)))
         with pytest.raises(GeneratorMismatch):
             em.twisted_invariant_modes(model, 2, twist)

@@ -9,7 +9,6 @@ maps, count the map-level calls, and check that every batched contribution
 equals ``orbit_contribution`` called on its own.
 """
 
-import argparse
 import hashlib
 import io
 import json
@@ -29,7 +28,11 @@ from equilef.endomorphism import (BundleTwist, SpherePhaseMap, TorusMap,
                                   exact_exterior_traces)
 from equilef.errors import InfiniteFixedSet, NonTransverse
 
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+sys.path.insert(0, str(ROOT / "tools"))
+
+from side_routes import clear_caches  # noqa: E402
 
 
 def torus_doc(name, matrix, translation, twist_weight=None):
@@ -86,9 +89,8 @@ def report_digests(command, doc, tmp_path):
     scenario.write_text(json.dumps(doc, indent=2))
     json_path = tmp_path / f"{command}.json"
     stream = io.StringIO()
-    options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                 json_path=str(json_path))
-    code = cli.run(command, str(scenario), options, stream)
+    code = cli.run(command, str(scenario), cli.options(json_path=str(json_path)),
+                   stream)
     return (code, hashlib.sha256(stream.getvalue().encode()).hexdigest(),
             hashlib.sha256(json_path.read_bytes()).hexdigest())
 
@@ -139,25 +141,13 @@ def test_sphere_congruence_solves_do_not_grow_with_isotropy_components(
 
     def solves(w):
         calls.clear()
-        model = gm.WeightedSphereModel(tg.SymbolicFrequency.rational((1, w)))
+        model = gm.WeightedSphereModel(tg.SymbolicFrequency(((1,), (w,))))
         rhs = fpf.lefschetz_rhs(model, SpherePhaseMap((Fraction(1, 4), 0)),
                                 fibers="scalar")
         assert abs(rhs.value - (w + 1) / 2) < 1e-6
         return len(calls)
 
     assert solves(401) == solves(7)
-
-
-def clear_equilef_caches():
-    """Empty every functools cache bound in an ``equilef`` module, so a
-    counted call starts cold whatever ran before it (as each benchmark op
-    does)."""
-    for name, module in list(sys.modules.items()):
-        if module is None or not (name == "equilef" or name.startswith("equilef.")):
-            continue
-        for value in vars(module).values():
-            if hasattr(value, "cache_info") and callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -176,7 +166,7 @@ def test_a_twisted_map_runs_one_smith_form_whatever_its_orbit_count(
         calls.append(M)
         return original(M)
     monkeypatch.setattr(fpf.rl, "snf_with_transforms", counting)
-    clear_equilef_caches()
+    clear_caches()
     rhs = fpf.lefschetz_rhs(scenario.model, f, twist=scenario.twist)
     assert len(rhs.contributions) == (k - 1) ** 2
     assert len(calls) == 4
@@ -195,7 +185,7 @@ def test_an_untwisted_map_solves_each_isotropy_system_once(monkeypatch):
     monkeypatch.setattr(tg.SubtorusGroup, "parameters_with", counting)
     for name in ("classical_t3", "diag23_t3", "negation_t4"):
         seen.clear()
-        clear_equilef_caches()
+        clear_caches()
         scenario = cli.load_scenario(SCENARIOS / f"{name}.scenario")
         rhs, _ = cli._rhs_sections(scenario)
         orbit = rhs.contributions[0].orbit
@@ -224,11 +214,11 @@ def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):
     counting(tg.SubtorusGroup, "element_numerators")
 
     def rhs(k):
-        model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 1)))
+        model = gm.FlatTorusModel(tg.SymbolicFrequency(((0,), (0,), (1,))))
         f = TorusMap(((k, 0, 0), (0, k, 0), (0, 0, 1)), (0, 0, 0))
         for name in calls:
             calls[name] = 0
-        clear_equilef_caches()
+        clear_caches()
         result = fpf.lefschetz_rhs(model, f)
         assert result.value_exact == (k - 1) ** 2
         return len(result.contributions), dict(calls)
@@ -239,6 +229,43 @@ def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):
     assert sixteen_calls["echelon_solve"] == one_calls["echelon_solve"]
     assert sixteen_calls["PerDegreeData"] == 3       # once per degree of T^3
     assert sixteen_calls["element_numerators"] == 0
+
+
+@pytest.mark.parametrize("case", ["untwisted", "translated", "twisted"])
+def test_the_fraction_count_does_not_grow_with_the_orbit_count(monkeypatch, case):
+    # T^3 maps diag(k, k, 1) with (k - 1)^2 fixed orbits: every orbit's base
+    # point, g0 and report strings are carried in integer numerators, so
+    # the localized side and the report's orbit classes build as many
+    # Fractions at 1 orbit as at 100 (32 untwisted and 13 twisted when this
+    # was written, all of them map-level)
+    twisted = cli.load_scenario(SCENARIOS / "twisted_unit_t3.scenario")
+    model, twist = gm.FlatTorusModel(tg.SymbolicFrequency(((0,), (0,), (1,)))), None
+    translation = (0, 0, 0)
+    if case == "translated":
+        translation = (0, Fraction(1, 2), Fraction(1, 3))
+    elif case == "twisted":
+        model, twist, translation = (twisted.model, twisted.twist,
+                                     twisted.map.translation)
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return original(cls, *args, **kwargs)
+
+    def fractions_built(k):
+        f = TorusMap(((k, 0, 0), (0, k, 0), (0, 0, 1)), translation)
+        clear_caches()
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        rhs = fpf.lefschetz_rhs(model, f, twist=twist)
+        cli._orbit_classes(rhs.contributions)
+        monkeypatch.undo()
+        assert len(rhs.contributions) == (k - 1) ** 2
+        return len(built)
+
+    counts = [fractions_built(k) for k in (2, 3, 5, 11)]
+    assert counts[0] > 0 and counts == [counts[0]] * 4
 
 
 @settings(max_examples=60, deadline=None,
@@ -252,10 +279,10 @@ def test_batched_sphere_contributions_equal_lone_ones(data):
     phases = data.draw(st.lists(st.builds(Fraction, st.integers(0, 10), st.just(11)),
                                 min_size=k, max_size=k))
     twist_weight = data.draw(st.sampled_from([None, 1, 2, 3]))
-    model = gm.WeightedSphereModel(tg.SymbolicFrequency.rational(weights))
+    model = gm.WeightedSphereModel(tg.SymbolicFrequency(tuple((w,) for w in weights)))
     f = SpherePhaseMap(phases)
     twist = (None if twist_weight is None
-             else BundleTwist(tg.SymbolicFrequency.rational((twist_weight,))))
+             else BundleTwist(tg.SymbolicFrequency(((twist_weight,),))))
     try:
         rhs = fpf.lefschetz_rhs(model, f, fibers="scalar", twist=twist)
     except (InfiniteFixedSet, NonTransverse):
@@ -360,16 +387,16 @@ def counted(monkeypatch, owner, name):
 
 
 def sphere(weights):
-    return gm.WeightedSphereModel(tg.SymbolicFrequency.rational(weights))
+    return gm.WeightedSphereModel(tg.SymbolicFrequency(tuple((w,) for w in weights)))
 
 
-HALF_TWIST = BundleTwist(tg.SymbolicFrequency.rational((Fraction(1, 2),)))
+HALF_TWIST = BundleTwist(tg.SymbolicFrequency(((Fraction(1, 2),),)))
 
 
 def test_a_twisted_sphere_lifts_its_closure_once(monkeypatch):
     # two isotropy types (the two poles) read the one lifted closure
     calls = counted(monkeypatch, tg, "_check_projection_onto")
-    clear_equilef_caches()
+    clear_caches()
     rhs = fpf.lefschetz_rhs(sphere((1, 2)), SpherePhaseMap((Fraction(1, 4), 0)),
                             fibers="scalar", twist=HALF_TWIST)
     assert len({c.orbit.isotropy for c in rhs.contributions}) == 2
@@ -383,7 +410,7 @@ def test_sphere_turns_are_evaluated_once_per_preimage_component(monkeypatch, twi
                                                                 total):
     calls = counted(monkeypatch, fpf, "_sphere_rotation_turns")
     model = sphere((1, 7))
-    clear_equilef_caches()
+    clear_caches()
     rhs = fpf.lefschetz_rhs(model, SpherePhaseMap((Fraction(1, 4), 0)),
                             fibers="scalar", twist=twist)
     hat = tg.closure_group(model.weights, *(() if twist is None else (twist.weight,)))
@@ -400,9 +427,9 @@ def test_the_base_map_is_solved_once_per_rhs(monkeypatch):
     # share that one base map
     solves = counted(monkeypatch, fpf.rl, "echelon_solve")
     reads = counted(monkeypatch, fpf.rl, "lattice_coordinates")
-    model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 1)))
+    model = gm.FlatTorusModel(tg.SymbolicFrequency(((0,), (0,), (1,))))
     f = TorusMap(((3, 1, 0), (1, 2, 0), (0, 0, 1)), (0, Fraction(1, 2), 0))
-    clear_equilef_caches()
+    clear_caches()
     rhs = fpf.lefschetz_rhs(model, f)
     assert rhs.value_exact is not None
     c = len(model.base_lattice)
@@ -414,10 +441,10 @@ def test_the_base_map_is_solved_once_per_rhs(monkeypatch):
 def test_the_base_map_takes_one_hermite_form_per_miss(monkeypatch):
     # the rows of L A on the three-dimensional base of T^4 are all read off
     # one Hermite form of L; a cache hit takes none
-    model = gm.FlatTorusModel(tg.SymbolicFrequency.rational((0, 0, 0, 1)))
+    model = gm.FlatTorusModel(tg.SymbolicFrequency(((0,), (0,), (0,), (1,))))
     f = TorusMap(((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)),
                  (0, 0, 0, 0))
-    clear_equilef_caches()
+    clear_caches()
     assert len(model.base_lattice) == 3
     forms = counted(monkeypatch, fpf.rl, "hnf_with_transform")
     first = gm.induced_base_map(model, f)
@@ -466,7 +493,7 @@ def test_twisted_sphere_certificate_lists_every_preimage_component():
         pre = tg.isotropy_preimage(hat, contrib.orbit.isotropy)
         counts.append(len(contrib.certificate.dets))
         assert len(contrib.certificate.dets) == pre.component_count
-        assert contrib.certificate.dets_exact == (None,) * pre.component_count
+        assert all(type(d) is float for d in contrib.certificate.dets)
         # twice the base isotropy's components: the half-weight doubles them
         assert pre.component_count == 2 * contrib.orbit.isotropy.component_count
         assert fpf.orbit_contribution(contrib.orbit, f, fibers="scalar",

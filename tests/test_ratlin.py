@@ -11,10 +11,31 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equilef import _ratlin as rl
+from exact_points import fractions, mod1
 
 
 def random_int_matrix(rng, m, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def points(sol):
+    """The solutions of a finite set, as ``Fraction`` points."""
+    nums, D = sol.point_numerators()
+    return [fractions(p, D) for p in nums]
+
+
+def torsion(sol):
+    """The torsion translates, zero first, as ``Fraction`` points."""
+    reps, D = sol.torsion_numerators()
+    return [fractions(r, D) for r in reps]
+
+
+def translates(sol):
+    """The particular solution plus each torsion translate, reduced modulo
+    one, as ``Fraction`` points."""
+    p, D = sol.particular_numerators()
+    reps, _ = sol.torsion_numerators()
+    return [fractions([(a + r) % D for a, r in zip(p, rep)], D) for rep in reps]
 
 
 def test_hnf_literal():
@@ -149,13 +170,13 @@ def test_solve_congruences_scalar_doubling():
     # 2t = 0 (mod 1) on the circle: exactly {0, 1/2}
     sol = rl.solve_congruences([[2]], [Fraction(0)])
     assert sol.is_finite and sol.count == 2
-    assert sorted(sol.points()) == [(Fraction(0),), (Fraction(1, 2),)]
+    assert points(sol) == [(Fraction(0),), (Fraction(1, 2),)]
 
 
 def test_solve_congruences_inhomogeneous():
     # 3t = 1/2 (mod 1): t in {1/6, 1/2, 5/6}
     sol = rl.solve_congruences([[3]], [Fraction(1, 2)])
-    assert sorted(sol.points()) == [
+    assert points(sol) == [
         (Fraction(1, 6),),
         (Fraction(1, 2),),
         (Fraction(5, 6),),
@@ -177,13 +198,12 @@ def test_solve_congruences_free_directions():
 
 def test_solve_congruences_empty_system_is_the_whole_torus():
     sol = rl.solve_congruences([], [], 3)
-    zero = (Fraction(0),) * 3
-    assert sol.particular == zero
-    assert sol.torsion_reps == [zero]
+    assert sol.particular_numerators() == ((0, 0, 0), 1)
+    assert sol.torsion_numerators() == ([(0, 0, 0)], 1)
     assert sol.free == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert sol.count == math.inf
     # an empty system on the point torus has the single solution ()
-    assert rl.solve_congruences([], [], 0).points() == [()]
+    assert rl.solve_congruences([], [], 0).point_numerators() == ([()], 1)
 
 
 def test_solve_congruences_empty_system_needs_dimension():
@@ -192,7 +212,7 @@ def test_solve_congruences_empty_system_needs_dimension():
 
 
 def _solves(A, b, t):
-    return all(rl.frac_mod1(sum(a * x for a, x in zip(row, t)) - bi) == 0
+    return all((sum(a * x for a, x in zip(row, t)) - bi) % 1 == 0
                for row, bi in zip(A, b))
 
 
@@ -243,9 +263,9 @@ def test_solve_congruences_brute_force_oracle():
             minors = (abs(sympy.Matrix([A[i] for i in rows]).det())
                       for rows in itertools.combinations(range(k), d))
             N = denom * int(min(m for m in minors if m))
-            points = sol.points()
-            assert set(points) == _grid_solutions(A, b, N, d), (A, b)
-            assert len(points) == sol.count
+            listed = points(sol)
+            assert set(listed) == _grid_solutions(A, b, N, d), (A, b)
+            assert len(listed) == sol.count
             seen["finite"] += 1
             continue
         brute = _grid_solutions(A, b, denom, d)
@@ -255,8 +275,7 @@ def test_solve_congruences_brute_force_oracle():
             continue
         # infinite: each listed translate solves the system, and every grid
         # solution lies on one of the translates' subtorus cosets
-        bases = [rl.vec_mod1(tuple(p + r for p, r in zip(sol.particular, rep)))
-                 for rep in sol.torsion_reps]
+        bases = translates(sol)
         assert all(_solves(A, b, base) for base in bases)
         for t in brute:
             assert any(_on_coset(t, base, sol.free) for base in bases), (A, b, t)
@@ -281,7 +300,7 @@ def fraction_torsion_reps(A, d):
         u = [Fraction(0)] * d
         for (i, di), j in zip(axes, combo):
             u[i] = Fraction(j, di)
-        reps.append(rl.vec_mod1(rl.mat_vec(T, u)))
+        reps.append(mod1(rl.mat_vec(T, u)))
     return reps
 
 
@@ -297,19 +316,15 @@ def test_congruence_listing_matches_fraction_oracle(data):
          for _ in range(k)]
     sol = rl.solve_congruences(A, b, d)
     assume(sol is not None and sol.torsion_count <= 300)
-    reps = fraction_torsion_reps(A, d)
-    assert sol.torsion_reps == reps
+    assert torsion(sol) == fraction_torsion_reps(A, d)
     if not sol.is_finite:
         with pytest.raises(ValueError):
-            sol.points()
+            sol.point_numerators()
         return
-    points = sol.points()
-    assert points == sorted(
-        rl.vec_mod1(tuple(p + r for p, r in zip(sol.particular, rep))) for rep in reps)
-    assert len(set(points)) == sol.count
-    for t in points:
-        assert all(rl.frac_mod1(sum(a * x for a, x in zip(row, t)) - bi) == 0
-                   for row, bi in zip(A, b))
+    listed = points(sol)
+    assert listed == sorted(translates(sol))
+    assert len(set(listed)) == sol.count
+    assert all(_solves(A, b, t) for t in listed)
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,7 +471,7 @@ def test_numerators_take_ints_as_they_are(x):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_point_numerators_are_the_points(data):
+def test_point_numerators_are_the_sorted_solutions(data):
     k = data.draw(st.integers(1, 3), label="k")
     d = data.draw(st.integers(1, 3), label="d")
     A = [[data.draw(st.integers(-4, 4)) for _ in range(d)] for _ in range(k)]
@@ -464,12 +479,14 @@ def test_point_numerators_are_the_points(data):
          for _ in range(k)]
     sol = rl.solve_congruences(A, b, d)
     assume(sol is not None and sol.is_finite and sol.count <= 300)
-    points, D = sol.point_numerators()
-    assert points == sorted(points)
-    assert all(0 <= a < D for p in points for a in p)
-    assert [tuple(Fraction(a, D) for a in p) for p in points] == sol.points()
+    nums, D = sol.point_numerators()
+    assert nums == sorted(nums)
+    assert all(0 <= a < D for p in nums for a in p)
+    assert len(set(nums)) == sol.count
+    assert all(_solves(A, b, fractions(p, D)) for p in nums)
     particular, E = sol.particular_numerators()
-    assert tuple(Fraction(a, E) for a in particular) == sol.particular
+    assert E == D and all(0 <= a < E for a in particular)
+    assert _solves(A, b, fractions(particular, E))
 
 
 def _smith_integer_solution(C, b):
@@ -555,8 +572,9 @@ def test_numerator_solve_equals_the_fraction_solve(data):
     by_fractions = rl.solve_congruences(A, [Fraction(a, E) for a in b], d)
     assert (by_numerators is None) == (by_fractions is None)
     if by_fractions is not None:
-        assert by_numerators.particular == by_fractions.particular
+        assert (fractions(*by_numerators.particular_numerators())
+                == fractions(*by_fractions.particular_numerators()))
         assert by_numerators.free == by_fractions.free
-        assert by_numerators.torsion_reps == by_fractions.torsion_reps
+        assert torsion(by_numerators) == torsion(by_fractions)
         if by_fractions.is_finite:
-            assert by_numerators.points() == by_fractions.points()
+            assert points(by_numerators) == points(by_fractions)

@@ -16,7 +16,6 @@ unreached.  So a new function that no command runs fails this test, and so
 does deleting an allowlisted one without taking it off the list.
 """
 
-import argparse
 import ast
 import io
 import json
@@ -47,7 +46,9 @@ UNREACHED = {
         "geometry_models._torus_orbit", "geometry_models._exact_vector"),
     "the references of acceptance criteria 3, 5 and 9 and demos 02, 03 and "
     "05: the basic-form operator algebra, the Haar-quadrature average, a "
-    "subgroup's parameter rows and the harmonic dimensions": (
+    "subgroup's parameter rows and the harmonic dimensions; and the grid of "
+    "the isotropy quadrature (lefschetz_rhs's isotropy_resolution), which "
+    "reads the isotropy's dimension": (
         "basic_complex.BasicForm.__init__", "basic_complex.BasicForm.__repr__",
         "basic_complex.BasicForm.plus", "basic_complex.BasicForm.norm",
         "basic_complex.BasicForm.value_components",
@@ -58,23 +59,14 @@ UNREACHED = {
         "basic_complex.apply_P_composed", "basic_complex.inner_product",
         "averaging.average_quadrature",
         "torus_group.subgroup_in_param_coords",
-        "endomorphism.harmonic_dimensions"),
-    "Fraction views that tests read as oracles; the reports print torus "
-    "base points and every g0 from their integer numerators": (
-        "geometry_models.TorusOrbit.base_point",
-        "geometry_models.TorusOrbit.key", "fixed_point_formula._g0_view",
-        "torus_group.SymbolicFrequency.rational",
-        "_ratlin.CongruenceSolution.particular",
-        "_ratlin.CongruenceSolution.points",
-        "_ratlin.CongruenceSolution.torsion_reps",
-        "torus_group.SubtorusGroup.contains", "_ratlin.vec_mod1",
-        "torus_group.IsotropyDescriptor.dim",
-        "torus_group.IsotropyDescriptor.param_reps",
-        "torus_group.IsotropyDescriptor.component_reps"),
-    "an orbit's value semantics (equal when model and key are): tests "
-    "compare contributions, which hold their orbit": (
+        "endomorphism.harmonic_dimensions",
+        "torus_group.IsotropyDescriptor.dim"),
+    "an orbit's value semantics (equal when model and key are, the key "
+    "reading a torus orbit's level as Fractions): tests compare "
+    "contributions, which hold their orbit": (
         "geometry_models.ClosedOrbit.__eq__",
-        "geometry_models.ClosedOrbit.__hash__"),
+        "geometry_models.ClosedOrbit.__hash__",
+        "geometry_models.TorusOrbit.key"),
 }
 
 TRUNCATED = '{"schema": 1, "name": "trunc'
@@ -107,8 +99,7 @@ def defined_functions():
 def run(command, path, json_path):
     """Exit code and text report of one command, caches emptied first."""
     side_routes.clear_caches()
-    options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                 json_path=str(json_path))
+    options = cli.options(json_path=str(json_path))
     stream = io.StringIO()
     return cli.run(command, str(path), options, stream), stream.getvalue()
 

@@ -153,8 +153,7 @@ def test_command_reports_equal_the_reference_writers(name, tmp_path):
     report, _ = cli.cmd_rhs(cli.load_scenario(path), None)
     assert cli._render_text(report) == reference_text(report)
     json_path = tmp_path / "r.json"
-    options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                     json_path=str(json_path))
+    options = cli.options(json_path=str(json_path))
     stream = io.StringIO()
     assert cli.run("rhs", path, options, stream) == cli.EXIT_PASS
     assert json_path.read_text() == json.dumps(report) + "\n"
@@ -172,8 +171,7 @@ def test_every_command_writes_json_dumps_of_its_report(command, name,
                                                         tmp_path):
     path = str(SCENARIOS / f"{name}.scenario")
     json_path = tmp_path / "r.json"
-    options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                     json_path=str(json_path))
+    options = cli.options(json_path=str(json_path))
     report, code = cli.COMMANDS[command](cli.load_scenario(path), options)
     stream = io.StringIO()
     assert cli.run(command, path, options, stream) == code

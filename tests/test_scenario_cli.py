@@ -21,13 +21,8 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 def run(command, name, **opts):
     stream = io.StringIO()
-    options = cli.argparse.Namespace(
-        cutoff=opts.get("cutoff"),
-        tolerance=opts.get("tolerance"),
-        grid=opts.get("grid"),
-        json_path=opts.get("json_path"),
-    )
-    code = cli.run(command, str(SCENARIOS / f"{name}.scenario"), options, stream)
+    code = cli.run(command, str(SCENARIOS / f"{name}.scenario"),
+                   cli.options(**opts), stream)
     return code, stream.getvalue()
 
 
@@ -79,8 +74,7 @@ class TestValidate:
 
     def test_missing_file(self):
         stream = io.StringIO()
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=None, json_path=None)
+        options = cli.options()
         code = cli.run("verify", "/nonexistent/xyz.scenario", options, stream)
         assert code == cli.EXIT_USAGE
 
@@ -88,8 +82,7 @@ class TestValidate:
         bad = tmp_path / "broken.scenario"
         bad.write_text('{"schema": 1,,}')
         stream = io.StringIO()
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=None, json_path=None)
+        options = cli.options()
         code = cli.run("verify", str(bad), options, stream)
         assert code == cli.EXIT_USAGE
         assert "line" in stream.getvalue()
@@ -199,8 +192,7 @@ class TestOtherCommands:
         path = tmp_path / "vertical_t9.scenario"
         path.write_text(json.dumps(doc))
         json_path = tmp_path / "spectrum.json"
-        options = cli.argparse.Namespace(cutoff=cutoff, tolerance=None,
-                                         grid=None, json_path=str(json_path))
+        options = cli.options(cutoff=cutoff, json_path=str(json_path))
         code = cli.run("spectrum", str(path), options, io.StringIO())
         assert code == cli.EXIT_PASS
         series = {0: 1}
@@ -244,8 +236,7 @@ class TestOtherCommands:
         small = tmp_path / "coarse.scenario"
         small.write_text(json.dumps(src))
         stream = io.StringIO()
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=64, json_path=None)
+        options = cli.options(grid=64)
         code = cli.run("mollifier", str(small), options, stream)
         assert code == cli.EXIT_DISCREPANCY
         assert "GridTooCoarse" in stream.getvalue() or "bump" in stream.getvalue()
@@ -260,8 +251,7 @@ class TestOtherCommands:
         small = tmp_path / "moll.scenario"
         small.write_text(json.dumps(src))
         stream = io.StringIO()
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=grid, json_path=None)
+        options = cli.options(grid=grid)
         code = cli.run("mollifier", str(small), options, stream)
         assert code == cli.EXIT_PASS, stream.getvalue()
 
@@ -272,8 +262,7 @@ class TestOtherCommands:
         small = tmp_path / "moll.scenario"
         small.write_text(json.dumps(src))
         stream = io.StringIO()
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=None, json_path=None)
+        options = cli.options()
         code = cli.run("mollifier", str(small), options, stream)
         assert code == cli.EXIT_PASS
         assert "converged" in stream.getvalue()
@@ -326,8 +315,7 @@ class TestReports:
         path.write_bytes(b"\xff\xfe" + (SCENARIOS / "classical_t3.scenario")
                          .read_text().encode("utf-16-le"))
         stream = io.StringIO()
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=None, json_path=None)
+        options = cli.options()
         code = cli.run("verify", str(path), options, stream)
         assert code == cli.EXIT_USAGE
         assert stream.getvalue().startswith(
@@ -368,8 +356,7 @@ def run_doc(tmp_path, command, doc, **opts):
     path = tmp_path / "case.scenario"
     path.write_text(json.dumps(doc))
     stream = io.StringIO()
-    options = cli.argparse.Namespace(cutoff=opts.get("cutoff"), tolerance=None,
-                                     grid=None, json_path=None)
+    options = cli.options(cutoff=opts.get("cutoff"))
     code = cli.run(command, str(path), options, stream)
     return code, stream.getvalue()
 
@@ -416,8 +403,7 @@ class TestCutoffAndHeatSchema:
         # json.dumps cannot write these literals, json.loads accepts them
         path.write_text(json.dumps(doc).replace('"SLOT"', literal))
         stream = io.StringIO()
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=None, json_path=None)
+        options = cli.options()
         code = cli.run("verify", str(path), options, stream)
         assert code == cli.EXIT_USAGE
         assert "schema error at $.heat_s[1]" in stream.getvalue()
@@ -591,8 +577,7 @@ class TestSchemaHardening:
         path = tmp_path / "fine.scenario"
         path.write_text(json.dumps(doc))
         stream = io.StringIO()
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None,
-                                         grid=ml.MAX_GRID, json_path=None)
+        options = cli.options(grid=ml.MAX_GRID)
         code = cli.run("mollifier", str(path), options, stream)
         assert code == cli.EXIT_DISCREPANCY
         assert "quadrature cells" in stream.getvalue()
@@ -625,8 +610,7 @@ class TestMalformedDocuments:
         # a strict UTF-8 stream, as stdout is
         raw = io.BytesIO()
         stream = io.TextIOWrapper(raw, encoding="utf-8")
-        options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                         json_path=json_path)
+        options = cli.options(json_path=json_path)
         code = cli.run(command, str(path), options, stream)
         stream.flush()
         return code, raw.getvalue().decode("utf-8")

@@ -113,6 +113,5 @@ def test_mutated_scenario_exits_cleanly(tmp_path_factory, doc, command):
     path = tmp_path_factory.mktemp("fuzz") / "case.scenario"
     path.write_text(json.dumps(doc))
     stream = io.StringIO()
-    options = cli.argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                     json_path=None)
+    options = cli.options()
     assert cli.run(command, str(path), options, stream) in EXIT_CODES

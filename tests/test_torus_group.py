@@ -17,6 +17,23 @@ from equilef import torus_group as tg
 from equilef.endomorphism import BundleTwist, SpherePhaseMap
 from equilef.errors import (GeneratorMismatch, InfiniteFixedSet, NonTransverse,
                             NotTransversal)
+from exact_points import components, fractions, mod1
+
+
+def contains(group, point):
+    """Whether the rational ``point`` lies in ``group``, tested on its
+    numerators."""
+    return group.contains_numerators(*rl.numerators(point))
+
+
+def element_with(group, coords, values):
+    """The element of ``group`` that ``parameters_with`` picks, as
+    ``(numerators, D)``, or ``None`` when no element has the values."""
+    sol = group.parameters_with(coords, values)
+    if sol is None:
+        return None
+    t, D = sol.particular_numerators()
+    return group.element_numerators(t, D), D
 
 
 def sym(entries, labels=()):
@@ -128,23 +145,23 @@ def test_closure_group_rational_weight():
     assert Ghat.relation_lattice == ((1, 0, 0), (0, 1, -1))
 
 
-def test_element_with_found():
+def test_parameters_with_found():
     # the closure of t -> (t, 2t): the second coordinate 1/2 is reached
     G = tg.SubtorusGroup(2, ((2, -1),))
-    g = G.element_with([1], [Fraction(1, 2)])
-    assert g is not None and g[1] == Fraction(1, 2)
-    assert G.contains(g)
+    g, D = element_with(G, [1], [Fraction(1, 2)])
+    assert fractions(g, D)[1] == Fraction(1, 2)
+    assert G.contains_numerators(g, D)
     # no conditions: the identity
-    assert G.element_with([], []) == (Fraction(0), Fraction(0))
+    assert fractions(*element_with(G, [], [])) == (0, 0)
 
 
-def test_element_with_none():
+def test_parameters_with_none():
     # first coordinate 0 forces the second to 0 on t -> (t, 2t)
     G = tg.SubtorusGroup(2, ((2, -1),))
-    assert G.element_with([0, 1], [Fraction(0), Fraction(1, 2)]) is None
+    assert element_with(G, [0, 1], [Fraction(0), Fraction(1, 2)]) is None
 
 
-def test_element_with_against_solve_congruences():
+def test_parameters_with_against_solve_congruences():
     # the weight-(tau, 1, 2) closure on the 3-torus, every pair of
     # coordinates and values on a sixths grid
     G = tg.closure_group(sym([(0, 1), (1, 0), (2, 0)], ("tau",)))
@@ -154,11 +171,13 @@ def test_element_with_against_solve_congruences():
         for values in itertools.product(grid, repeat=2):
             A = [[row[j] for row in C] for j in coords]
             sol = rl.solve_congruences(A, values)
-            g = G.element_with(coords, values)
-            assert (g is None) == (sol is None), (coords, values)
-            if g is not None:
-                assert g == rl.vec_mod1(rl.vec_mat(sol.particular, C))
-                assert G.contains(g)
+            found = element_with(G, coords, values)
+            assert (found is None) == (sol is None), (coords, values)
+            if found is not None:
+                g = fractions(*found)
+                particular = fractions(*sol.particular_numerators())
+                assert g == mod1(rl.vec_mat(particular, C))
+                assert G.contains_numerators(*found)
                 assert [g[j] for j in coords] == list(values)
 
 
@@ -176,7 +195,7 @@ def test_closure_projection_lands_in_base():
     Ghat = tg.closure_group(v, w)
     G = tg.closure_group(v)
     for point, _ in tg.haar_quadrature(Ghat, 3):
-        assert G.contains(point[:3])
+        assert contains(G, point[:3])
 
 
 @st.composite
@@ -199,7 +218,7 @@ def test_lift_projects_onto_its_base(case):
     base = tg.closure_group(v)
     lift = tg.closure_group(v, w)
     for point, _ in tg.haar_quadrature(lift, 3):
-        assert base.contains(point[:n])
+        assert contains(base, point[:n])
     if base.rank:
         # the whole torus is a wrong base whenever the closure is proper
         with pytest.raises(AssertionError):
@@ -258,17 +277,17 @@ def test_isotropy_descriptor_components():
     iso = _s5_isotropy_at_pole()
     assert iso.component_count == 2 and iso.dim == 1
     zero, half = Fraction(0), Fraction(1, 2)
-    assert iso.component_reps[0] == (zero, zero, zero)
-    assert set(iso.component_reps) == {(zero, zero, zero), (zero, half, zero)}
+    reps = components(iso)
+    assert reps[0] == (zero, zero, zero)
+    assert set(reps) == {(zero, zero, zero), (zero, half, zero)}
     assert set(iso.tangent_rows) <= {(1, 0, 0), (-1, 0, 0)}
-    for t, h in zip(iso.param_reps, iso.component_reps):
-        assert iso.group.element(t) == h
 
 
 def test_trivial_isotropy():
     iso = tg.IsotropyDescriptor(tg.SubtorusGroup(3), range(3))
     assert iso.component_count == 1 and iso.dim == 0
-    assert iso.component_reps == ((0, 0, 0),)
+    assert iso.solution.torsion_numerators() == ([(0, 0, 0)], 1)
+    assert components(iso) == [(0, 0, 0)]
 
 
 def test_isotropy_preimage_components():
@@ -278,8 +297,8 @@ def test_isotropy_preimage_components():
     assert pre == tg.IsotropyDescriptor(Ghat, (2,))
     assert pre.component_count == 2
     assert pre.dim == 1
-    for pt in pre.component_reps:
-        assert Ghat.contains(pt)
+    for pt in components(pre):
+        assert contains(Ghat, pt)
 
 
 def test_sheet_count_s5_transversal_circle():
@@ -343,32 +362,34 @@ def test_complementary_subgroup_is_valid():
 def fraction_contains(group, point):
     """Membership by ``Fraction`` arithmetic: every relation row's pairing
     with the point vanishes modulo one."""
-    return all(rl.frac_mod1(sum(m * Fraction(x) for m, x in zip(row, point))) == 0
+    return all(sum(m * Fraction(x) for m, x in zip(row, point)) % 1 == 0
                for row in group.relation_lattice)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_contains_matches_fraction_oracle_on_members_and_non_members(data):
+def test_contains_numerators_matches_fraction_oracle(data):
     n = data.draw(st.integers(1, 4))
     rows = data.draw(st.lists(
         st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=n - 1))
     G = tg.SubtorusGroup(n, rows)
     frac = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
     # a member, moved off [0, 1) by integer shifts
-    t = data.draw(st.lists(frac, min_size=G.dim, max_size=G.dim))
-    member = tuple(x + data.draw(st.integers(-2, 2)) for x in G.element(t))
-    assert G.contains(member) and fraction_contains(G, member)
+    D = data.draw(st.integers(1, 12))
+    t = data.draw(st.lists(st.integers(-12, 12), min_size=G.dim, max_size=G.dim))
+    member = tuple(x + data.draw(st.integers(-2, 2))
+                   for x in fractions(G.element_numerators(t, D), D))
+    assert contains(G, member) and fraction_contains(G, member)
     # a random point, a member or not
     point = tuple(data.draw(st.lists(frac, min_size=n, max_size=n)))
-    assert G.contains(point) == fraction_contains(G, point)
+    assert contains(G, point) == fraction_contains(G, point)
     if G.relation_lattice:
         # moving coordinate j by 1/q with |m_j| < q breaks the first relation m
         m = G.relation_lattice[0]
         j = next(i for i, a in enumerate(m) if a)
         off = list(member)
         off[j] += Fraction(1, abs(m[j]) + data.draw(st.integers(1, 3)))
-        assert not G.contains(off) and not fraction_contains(G, off)
+        assert not contains(G, off) and not fraction_contains(G, off)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +449,11 @@ def test_isotropy_descriptor_matches_grid_count(case):
             for desc in (iso, pre):
                 assert (desc.component_count, desc.dim) == \
                     brute_force_components(desc.group, support, N)
-                assert len(desc.component_reps) == desc.component_count
-                assert not any(desc.component_reps[0])
-                for h in desc.component_reps:
-                    assert desc.group.contains(h)
+                reps = components(desc)
+                assert len(reps) == desc.component_count
+                assert not any(reps[0])
+                for h in reps:
+                    assert contains(desc.group, h)
                     assert all(h[j] == 0 for j in support)
 
 

@@ -69,8 +69,7 @@ def measure(orbits, repeat):
         path = pathlib.Path(workdir) / "scaling.scenario"
         path.write_text(json.dumps(scenario(orbits)))
         report = pathlib.Path(workdir) / "r.json"
-        options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                     json_path=str(report))
+        options = cli.options(json_path=str(report))
         best = math.inf
         for _ in range(repeat):
             for cache in caches:

@@ -33,8 +33,7 @@ def main(argv=None):
             json_path = stem.with_suffix(".json")
             json_path.unlink(missing_ok=True)
             stream = io.StringIO()
-            options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                         json_path=str(json_path))
+            options = cli.options(json_path=str(json_path))
             code = cli.run(command, str(path), options, stream)
             stem.with_suffix(".txt").write_text(f"exit {code}\n{stream.getvalue()}")
     return 0

@@ -46,8 +46,7 @@ def snapshot(name, seed, workdir):
     for command, scenario in workload.ops:
         json_path.unlink(missing_ok=True)
         stream = io.StringIO()
-        options = argparse.Namespace(cutoff=None, tolerance=None, grid=None,
-                                     json_path=str(json_path))
+        options = cli.options(json_path=str(json_path))
         try:
             code = cli.run(command, paths[scenario], options, stream)
         except Exception as exc:  # an escaped exception is an outcome too

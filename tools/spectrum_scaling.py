@@ -92,8 +92,7 @@ def measure(case, repeat):
         path = pathlib.Path(workdir) / f"{case}.scenario"
         path.write_text(json.dumps(doc))
         report = pathlib.Path(workdir) / "r.json"
-        options = argparse.Namespace(cutoff=cutoff, tolerance=None, grid=None,
-                                     json_path=str(report))
+        options = cli.options(cutoff=cutoff, json_path=str(report))
         best = math.inf
         for _ in range(repeat):
             for cache in caches:
