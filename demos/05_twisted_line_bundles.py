@@ -38,7 +38,7 @@ print(f"   harmonic side {act.lefschetz:+.3f},  localized side "
 contrib = rhs.contributions[0]
 print(f"   isotropy preimage components: "
       f"{contrib.orbit.isotropy.component_count} downstairs, "
-      f"phases averaged upstairs over {contrib.per_degree[0].sheets} sheets")
+      f"phases averaged upstairs over {contrib.term.sheets} sheets")
 
 # --- integer rate plus a translation: a root of unity on both sides ---------
 model3 = FlatTorusModel(SymbolicFrequency(

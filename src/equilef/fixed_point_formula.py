@@ -57,37 +57,36 @@ from .geometry_models import (
 
 
 @dataclass(frozen=True)
-class TransversalityCertificate:
-    """Nonvanishing of the conormal determinants, from the pass that builds
-    the orbit's term: ``det(A_bar - I)`` on a torus, one closed-form value
-    ``prod 4 sin^2(pi theta_l)`` per isotropy-preimage component on a sphere
-    (the value the term divides by).  A torus certificate holds its one
-    exact integer determinant, a sphere certificate one float per component.
-    ``g0_numerators`` is the group correction as ``(numerators, D)``."""
-
-    orbit: ClosedOrbit
-    g0_numerators: tuple
-    dets: tuple            # (int,) on a torus, floats on a sphere
-
-
-@dataclass(frozen=True)
 class PerDegreeData:
     degree: int
     trace_value: complex
+    isotropy_integral: complex
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitTerm:
+    """An orbit's term, built once per distinct (isotropy type, component
+    data) and shared by every orbit with that pair.  ``det_value`` is the
+    first isotropy component's conormal determinant."""
+
+    per_degree: tuple
     det_value: float
     haar_factor: Fraction
     sheets: int
-    isotropy_integral: complex
+    total: complex
+    total_exact: Fraction | None
 
 
 @dataclass(frozen=True)
 class OrbitContribution:
+    """One fixed orbit's contribution.  ``dets`` certify transversality:
+    ``det(A_bar - I)`` on a torus, and per isotropy-preimage component on a
+    sphere the value ``prod 4 sin^2(pi theta_l)`` the term divides by."""
+
     orbit: ClosedOrbit
-    g0_numerators: tuple   # (numerators, D), as on the certificate
-    certificate: TransversalityCertificate
-    per_degree: tuple
-    total: complex
-    total_exact: Fraction | None
+    g0_numerators: tuple   # (numerators, D)
+    dets: tuple            # (int,) on a torus, floats on a sphere
+    term: OrbitTerm
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ def _sphere_component_det(orbit: ClosedOrbit, normal, turns, D):
     determinant on the normal coordinate planes, which
     :func:`_sphere_normal_coords` certified to be the conormal space and to
     turn on every component, and the value both the term and the
-    certificate read.
+    contribution's ``dets`` read.
     Raises :class:`DeterminantUnderflow` when the determinant is too small
     for its reciprocal to be a float."""
     # turns lie in [0, D); a half turn stays +1/2, as round() takes it to 0
@@ -249,17 +248,18 @@ def _sphere_component_det(orbit: ClosedOrbit, normal, turns, D):
     return det_val
 
 
-def check_transversality(orbit: ClosedOrbit, f) -> TransversalityCertificate:
+def check_transversality(orbit: ClosedOrbit, f) -> OrbitContribution:
     """Certify that the correction-composed map minus the identity is
     invertible on the conormal space, for every admissible correction.
 
     The correction is only determined modulo the isotropy group, so the
     determinant must be nonzero along every isotropy component: on a torus
     every component has ``det(A_bar - I)``, and on a sphere one exact
-    pair-stratum test covers them all (:func:`_sphere_normal_coords`).  It
-    is the certificate the orbit's untwisted scalar term is built with,
-    from the same per-component pass."""
-    return orbit_contribution(orbit, f, fibers="scalar").certificate
+    pair-stratum test covers them all (:func:`_sphere_normal_coords`).
+    Returns the orbit's untwisted scalar contribution, whose ``orbit``,
+    ``g0_numerators`` and ``dets`` are the certificate, from the same
+    per-component pass that builds its term."""
+    return orbit_contribution(orbit, f, fibers="scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +297,22 @@ class _IsotropyType:
     """The part of an orbit's term fixed by its isotropy type: the isotropy
     preimage in the lifted closure, the Haar mass and sheet count of the
     complementary subgroup, and whether the twist character integrates to
-    zero along the preimage's identity component.  On an untwisted torus
-    every component of every orbit reads the same ``(phase, det, exact
-    det)``, so that tuple is built here once."""
+    zero along the preimage's identity component."""
 
     pre: tg.IsotropyDescriptor
     mass: Fraction
     sheets: int
     char_zero: bool
-    comps: tuple | None    # the component data, when no orbit changes it
 
 
 class _MapContext:
     """The one owner of the map-level objects, each built once: the fiber
     traces, the lifted closure (and, twisted, the Smith form of the lift of
     ``g0`` into it), on a torus ``I - A`` and ``det(A_bar - I)``,
-    one :class:`_IsotropyType` per isotropy type met, and the per-degree
-    assembly of each distinct (isotropy type, component data) pair.  Lives
-    for one ``lefschetz_rhs`` or lone ``orbit_contribution`` call; nothing in
-    it reaches the harmonic side.  ``pairs_passed`` records that every
+    one :class:`_IsotropyType` per isotropy type met, and the
+    :class:`OrbitTerm` of each distinct (isotropy type, component data)
+    pair.  Lives for one ``lefschetz_rhs`` or lone ``orbit_contribution``
+    call; nothing in it reaches the harmonic side.  ``pairs_passed`` records that every
     coordinate pair of a sphere has passed the pair-stratum test, as
     :func:`find_fixed_orbits` certifies before ``lefschetz_rhs`` builds the
     context, so no orbit tests its pairs again."""
@@ -336,13 +333,11 @@ class _MapContext:
         self.hat = (tg.closure_group(direction) if twist is None
                     else tg.closure_group(direction, twist.weight))
         if self.torus:
-            det = self.torus_det = rl.det_int(_base_minus_identity(model, f)[0])
+            self.torus_det = rl.det_int(_base_minus_identity(model, f)[0])
             self.I_minus_A = [[(i == j) - a for j, a in enumerate(row)]
                               for i, row in enumerate(f.matrix)]
             c, self.c_den = rl.numerators(f.translation)
             self.minus_c = [-a for a in c]
-            # an untwisted torus orbit's one component
-            self.torus_component = (0.0, float(det), det)
         else:
             self.phases = rl.numerators(f.phases)
         self._types = {}
@@ -394,12 +389,12 @@ class _MapContext:
         return (self.scalar * cmath.exp(2j * math.pi * phase)
                 * self.traces[q] / abs(det_val))
 
-    def assembled(self, typ: _IsotropyType, comps):
-        """``(per_degree, total, total_exact)`` of an orbit's term: a pure
-        function of the isotropy type and the per-component ``(phase,
-        det, exact det)`` data, so assembled once per distinct pair (once
-        per untwisted torus map, once per phase when twisted, once per
-        stratum on a sphere)."""
+    def assembled(self, typ: _IsotropyType, comps) -> OrbitTerm:
+        """The :class:`OrbitTerm` of an orbit with isotropy type ``typ``
+        and per-component ``(phase, det, exact det)`` data, built once per
+        distinct pair (once per untwisted torus map, once per phase when
+        twisted, once per stratum on a sphere) and shared by every orbit
+        with that pair."""
         key = (typ, comps)
         found = self._terms.get(key)
         if found is None:
@@ -431,12 +426,10 @@ class _MapContext:
             per_degree.append(PerDegreeData(
                 degree=q,
                 trace_value=self.scalar * traces[q],
-                det_value=comps[0][1],
-                haar_factor=typ.mass,
-                sheets=typ.sheets,
                 isotropy_integral=integral,
             ))
-        return tuple(per_degree), total, total_exact if exact_ok else None
+        return OrbitTerm(tuple(per_degree), comps[0][1], typ.mass, typ.sheets,
+                         total, total_exact if exact_ok else None)
 
     def _build_type(self, isotropy) -> _IsotropyType:
         hat = self.hat
@@ -457,9 +450,7 @@ class _MapContext:
             any(row[j] != 0 for j in range(n, hat.ambient_dim))
             for row in pre.tangent_rows
         )
-        comps = ((self.torus_component,) * pre.component_count
-                 if self.torus and self.twist is None else None)
-        return _IsotropyType(pre, mass, sheets, char_zero, comps)
+        return _IsotropyType(pre, mass, sheets, char_zero)
 
 
 def orbit_contribution(orbit: ClosedOrbit, f, fibers="de_rham",
@@ -482,8 +473,9 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
                   context: _MapContext) -> OrbitContribution:
     """One orbit's term against the map-level data in ``context``: after the
     checks every isotropy component shares, one pass over the preimage
-    components builds both the certificate and the per-component data of
-    the assembly; the optional quadrature cross-check runs last."""
+    components builds both the determinants that certify transversality
+    and the per-component data the shared term is looked up by; the
+    optional quadrature cross-check runs last."""
     f, twist, hat, n = context.f, context.twist, context.hat, context.n
     torus = context.torus
     if g0 is None:
@@ -497,50 +489,43 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
         normal = _sphere_normal_coords(orbit, f.phases, context.pairs_passed)
     typ = context.isotropy_type(orbit.isotropy)
     pre = typ.pre
-    comps = typ.comps
-    if comps is None or isotropy_resolution is not None:
-        g, Dg = g0
+    g, Dg = g0
+    if twist is not None:
         fiber_idx = range(n, hat.ambient_dim)
+        lift = context.lift_system.solve(g, Dg)
+        if lift is None:
+            raise InternalCheckFailed("group correction fails to lift")
+        t0, G = lift.particular_numerators()
+        ghat0 = hat.element_numerators(t0, G)
+        g_fiber = sum(ghat0[j] for j in fiber_idx)
+    if not torus:
+        # the numerators of f.phases + g0, which every component's turns
+        # shift
+        phi, P = context.phases
+        S = math.lcm(P, Dg)
+        shift = tuple(a * (S // P) + b * (S // Dg) for a, b in zip(phi, g))
+
+    def component(t, T):
+        """``(phase, det, exact det)`` at the preimage element with
+        parameters ``t / T`` (integer numerators ``t``); an untwisted
+        torus orbit reads nothing at ``t``.  The twist phase is a float
+        in turns, the only form the term reads."""
+        if torus and twist is None:
+            return 0.0, float(det), det
+        h = hat.element_numerators(t, T)
+        phase = 0.0
         if twist is not None:
-            lift = context.lift_system.solve(g, Dg)
-            if lift is None:
-                raise InternalCheckFailed("group correction fails to lift")
-            t0, G = lift.particular_numerators()
-            ghat0 = hat.element_numerators(t0, G)
-            g_fiber = sum(ghat0[j] for j in fiber_idx)
-        if not torus:
-            # the numerators of f.phases + g0, which every component's turns
-            # shift
-            phi, P = context.phases
-            S = math.lcm(P, Dg)
-            shift = tuple(a * (S // P) + b * (S // Dg) for a, b in zip(phi, g))
+            L = math.lcm(T, G)
+            phase = (sum(h[j] for j in fiber_idx) * (L // T)
+                     - g_fiber * (L // G)) % L / L
+        if torus:
+            return phase, float(det), det
+        turns, D = _sphere_rotation_turns(shift, S, h[:n], T)
+        return phase, _sphere_component_det(orbit, normal, turns, D), None
 
-        def component(t, T):
-            """``(phase, det, exact det)`` at the preimage element with
-            parameters ``t / T`` (integer numerators ``t``); an untwisted
-            torus orbit reads nothing at ``t``.  The twist phase is a float
-            in turns, the only form the term reads."""
-            if torus and twist is None:
-                return context.torus_component
-            h = hat.element_numerators(t, T)
-            phase = 0.0
-            if twist is not None:
-                L = math.lcm(T, G)
-                phase = (sum(h[j] for j in fiber_idx) * (L // T)
-                         - g_fiber * (L // G)) % L / L
-            if torus:
-                return phase, float(det), det
-            turns, D = _sphere_rotation_turns(shift, S, h[:n], T)
-            return phase, _sphere_component_det(orbit, normal, turns, D), None
-
-        reps, T = pre.solution.torsion_numerators()
-        comps = tuple(component(t, T) for t in reps)
-    if torus:
-        cert = TransversalityCertificate(orbit, g0, (context.torus_det,))
-    else:
-        cert = TransversalityCertificate(
-            orbit, g0, tuple(d for _, d, _ in comps))
-    per_degree, total, total_exact = context.assembled(typ, comps)
+    reps, T = pre.solution.torsion_numerators()
+    comps = tuple(component(t, T) for t in reps)
+    term = context.assembled(typ, comps)
     if isotropy_resolution is not None:
         # independent route: Haar quadrature along each component, on the
         # grid of parameters over Q = lcm(T, resolution)
@@ -560,30 +545,24 @@ def _contribution(orbit: ClosedOrbit, g0, isotropy_resolution,
                 phase, det_val, _ = component(t, Q)
                 for q in range(len(context.traces)):
                     quad += (-1) ** q * weight * context.term(phase, det_val, q) / count
-        if abs(quad - total) > 1e-6 * max(1.0, abs(total)):
+        if abs(quad - term.total) > 1e-6 * max(1.0, abs(term.total)):
             raise InternalCheckFailed(
-                f"isotropy quadrature disagrees with the exact sum: {quad} vs {total}"
+                f"isotropy quadrature disagrees with the exact sum: {quad} vs {term.total}"
             )
-    return OrbitContribution(
-        orbit=orbit,
-        g0_numerators=g0,
-        certificate=cert,
-        per_degree=per_degree,
-        total=total,
-        total_exact=total_exact,
-    )
+    dets = (det,) if torus else tuple(d for _, d, _ in comps)
+    return OrbitContribution(orbit, g0, dets, term)
 
 
 def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
                   isotropy_resolution=None) -> RhsResult:
-    """Sum of per-orbit contributions over the fixed set, with certificates.
+    """Sum of per-orbit contributions over the fixed set.
 
     The map-level data (fiber traces, lifted closure, conormal determinant,
     and per isotropy type the preimage, mass and sheet count) is computed
     once and shared; each orbit adds only its group correction (in integers
     over one common denominator) and one pass over its preimage components,
-    which yields its certificate and its per-component data, and the
-    per-degree assembly is built once per distinct component data.
+    which yields its determinants and the per-component data its shared
+    :class:`OrbitTerm` is looked up by.
     ``isotropy_resolution`` cross-checks each orbit's exact isotropy average
     against Haar quadrature along the components on a grid of that
     resolution.  Raises :class:`InfiniteFixedSet` or
@@ -594,10 +573,10 @@ def lefschetz_rhs(model, f, fibers="de_rham", twist: BundleTwist | None = None,
     context = _MapContext(model, f, fibers, twist, None, pairs_passed=True)
     contributions = [_contribution(orbit, None, isotropy_resolution, context)
                      for orbit in orbits]
-    total = sum(c.total for c in contributions)
+    total = sum(c.term.total for c in contributions)
     exact = None
-    if all(c.total_exact is not None for c in contributions):
-        nums, D = rl.numerators([c.total_exact for c in contributions])
+    if all(c.term.total_exact is not None for c in contributions):
+        nums, D = rl.numerators([c.term.total_exact for c in contributions])
         exact = Fraction(sum(nums), D)
     return RhsResult(
         value=complex(total),

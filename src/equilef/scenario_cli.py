@@ -488,24 +488,23 @@ def _frac_str(q):
     return None if q is None else _ratio_strs((q.numerator,), q.denominator)[0]
 
 
-def _term_json(contrib):
-    """An orbit class's term entries: those of its first orbit."""
-    per_degree = contrib.per_degree
+def _term_json(term):
+    """An orbit class's term entries, from its one shared ``OrbitTerm``."""
     return {
-        "sheets": per_degree[0].sheets,
-        "haar_factor": _frac_str(per_degree[0].haar_factor),
+        "sheets": term.sheets,
+        "haar_factor": _frac_str(term.haar_factor),
         "per_degree": [
             {
                 "q": pd.degree,
                 "trace": _complex(pd.trace_value),
-                "det": _f(pd.det_value),
-                "abs_det": _f(abs(pd.det_value)),
+                "det": _f(term.det_value),
+                "abs_det": _f(abs(term.det_value)),
                 "isotropy_integral": _complex(pd.isotropy_integral),
             }
-            for pd in per_degree
+            for pd in term.per_degree
         ],
-        "contribution": _complex(contrib.total),
-        "contribution_exact": _frac_str(contrib.total_exact),
+        "contribution": _complex(term.total),
+        "contribution_exact": _frac_str(term.total_exact),
     }
 
 
@@ -528,25 +527,23 @@ def _member_strings(contrib):
 
 def _orbit_classes(contributions):
     """The fixed orbits as orbit classes, in the order of their first
-    orbits.  Orbits are of one class when they share ``dim``,
-    ``isotropy_components`` and their term: one ``contrib.per_degree``
-    object (see ``fixed_point_formula._MapContext.assembled``), alive while
-    ``contributions`` is.  A class holds those fields once, its ``count``,
-    and ``members``: per field of :func:`_member_strings`, one string per
-    orbit, in enumeration order."""
+    orbits.  Orbits are of one class when they share their term: one
+    ``OrbitTerm`` object, which ``fixed_point_formula`` builds once per
+    isotropy type and component data, so one ``dim`` and
+    ``isotropy_components`` too.  A class holds those fields once, its
+    ``count``, and ``members``: per field of :func:`_member_strings`, one
+    string per orbit, in enumeration order."""
     classes = {}
     for contrib in contributions:
-        orbit = contrib.orbit
-        components = orbit.isotropy.component_count
-        key = orbit.dim, components, id(contrib.per_degree)
         strings = _member_strings(contrib)
-        entry = classes.get(key)
+        entry = classes.get(contrib.term)
         if entry is None:
-            entry = classes[key] = {
+            orbit = contrib.orbit
+            entry = classes[contrib.term] = {
                 "count": 0,
                 "dim": orbit.dim,
-                "isotropy_components": components,
-                **_term_json(contrib),
+                "isotropy_components": orbit.isotropy.component_count,
+                **_term_json(contrib.term),
                 "transversality": "certified",
                 "members": {field: [] for field in strings},
             }

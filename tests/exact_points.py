@@ -21,7 +21,7 @@ def base_point(orbit):
 
 
 def g0_point(held):
-    """The group correction an orbit contribution or certificate holds."""
+    """The group correction an orbit contribution holds."""
     return fractions(*held.g0_numerators)
 
 

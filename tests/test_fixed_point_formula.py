@@ -171,10 +171,10 @@ class TestTorusContributions:
         res = fpf.lefschetz_rhs(T3_PROD, CLASSICAL)
         assert res.value_exact == Fraction(-1)
         contrib = res.contributions[0]
-        assert contrib.per_degree[0].sheets == 1
-        assert contrib.per_degree[0].haar_factor == 1
+        assert contrib.term.sheets == 1
+        assert contrib.term.haar_factor == 1
         # sum over q of (-1)^q tr / |det| = det(I - A)/|det(A - I)| = -1
-        assert abs(contrib.total - (-1)) < 1e-12
+        assert abs(contrib.term.total - (-1)) < 1e-12
 
     def test_identity_irrational(self):
         res = fpf.lefschetz_rhs(T2_IRR, IDENTITY_T2)
@@ -183,7 +183,7 @@ class TestTorusContributions:
     def test_doubling_alternating_zero(self):
         res = fpf.lefschetz_rhs(T3_MIX, DOUBLING_T3)
         assert res.value_exact == 0
-        per_q = [pd.trace_value for pd in res.contributions[0].per_degree]
+        per_q = [pd.trace_value for pd in res.contributions[0].term.per_degree]
         assert per_q == [1, 3, 2]
 
     def test_rhs_equals_lhs_exactly_on_suite(self):
@@ -287,7 +287,7 @@ class TestSphereContributions:
     def test_scalar_values_hand_computed(self):
         res = fpf.lefschetz_rhs(S3_RAT, self.F, fibers="scalar")
         by_support = {
-            c.orbit.base_point.support: c.total for c in res.contributions
+            c.orbit.base_point.support: c.term.total for c in res.contributions
         }
         assert abs(by_support[(0,)] - 0.25) < 1e-12
         assert abs(by_support[(1,)] - 0.5) < 1e-12
@@ -295,7 +295,7 @@ class TestSphereContributions:
 
     def test_sheets_and_mass(self):
         res = fpf.lefschetz_rhs(S3_RAT, self.F, fibers="scalar")
-        data = {c.orbit.base_point.support: c.per_degree[0] for c in res.contributions}
+        data = {c.orbit.base_point.support: c.term for c in res.contributions}
         assert data[(0,)].sheets == 1 and data[(0,)].haar_factor == 1
         assert data[(1,)].sheets == 2 and data[(1,)].haar_factor == 2
 
@@ -306,7 +306,7 @@ class TestSphereContributions:
         for rows in (((1, 2),), ((2, 4),), ((3, 6),)):
             alt = fpf.orbit_contribution(
                 orbit, self.F, fibers="scalar", subgroup_rows=rows)
-            assert abs(alt.total - base.total) < 1e-10
+            assert abs(alt.term.total - base.term.total) < 1e-10
 
     def test_g0_ambiguity_invariance(self):
         orbit = [o for o in fpf.find_fixed_orbits(S3_RAT, self.F)
@@ -318,7 +318,7 @@ class TestSphereContributions:
             for a, b in zip(g0_point(base), (Fraction(1, 2), Fraction(0)))
         )
         alt = fpf.orbit_contribution(orbit, self.F, fibers="scalar", g0=g0_alt)
-        assert abs(alt.total - base.total) < 1e-10
+        assert abs(alt.term.total - base.term.total) < 1e-10
 
     def test_isotropy_quadrature_agrees(self):
         res = fpf.lefschetz_rhs(S3_RAT, self.F, fibers="scalar",
@@ -380,7 +380,7 @@ class TestSphereSmallTurns:
         monkeypatch.setattr(np.linalg, "det", lambda *a: dets.append(a) or det(*a))
         res = fpf.lefschetz_rhs(sphere_model([(1,), (1001,)]),
                                 SpherePhaseMap((Fraction(1, 3), 0)), fibers="scalar")
-        assert sum(len(c.certificate.dets) for c in res.contributions) == 1002
+        assert sum(len(c.dets) for c in res.contributions) == 1002
         assert len(builds) == len(res.contributions) == 2
         assert dets == []
 
@@ -549,7 +549,7 @@ def test_sphere_pole_gate_is_the_pair_stratum_gate(case, data):
         else:
             contrib = fpf.orbit_contribution(orbit, f, fibers="scalar",
                                              twist=twist)
-            assert all(d > 0 for d in contrib.certificate.dets)
+            assert all(d > 0 for d in contrib.dets)
 
 
 class TestEqualityIsNotVacuous:
@@ -566,25 +566,26 @@ class TestEqualityIsNotVacuous:
 class TestContributionBookkeeping:
     def test_total_matches_per_degree_fields(self):
         # total = sum over q of (-1)^q (haar/sheets) * isotropy integral,
-        # reassembled from the stored per-degree records
+        # reassembled from the term's mass, sheets and per-degree records
         cases = [
             fpf.lefschetz_rhs(T3_PROD, CLASSICAL).contributions[0],
             fpf.lefschetz_rhs(S3_RAT, SpherePhaseMap((Fraction(1, 4), 0)),
                               fibers="scalar").contributions[0],
         ]
         for contrib in cases:
+            term = contrib.term
             total = sum(
-                (-1) ** pd.degree * float(pd.haar_factor / pd.sheets)
+                (-1) ** pd.degree * float(term.haar_factor / term.sheets)
                 * pd.isotropy_integral
-                for pd in contrib.per_degree
+                for pd in term.per_degree
             )
-            assert abs(total - contrib.total) < 1e-12
+            assert abs(total - term.total) < 1e-12
 
     def test_raw_and_absolute_determinants(self):
         # the classical block has det(A_bar - I) = -1: raw value is signed
         contrib = fpf.lefschetz_rhs(T3_PROD, CLASSICAL).contributions[0]
-        assert contrib.per_degree[0].det_value == -1.0
-        assert contrib.certificate.dets == (-1,)
+        assert contrib.term.det_value == -1.0
+        assert contrib.dets == (-1,)
 
 
 class TestSphereTwists:
@@ -596,7 +597,7 @@ class TestSphereTwists:
         # fiber phase e^{-3 pi i/2} = i against |det| = 4
         twist = BundleTwist(tg.SymbolicFrequency(((1,),)))
         res = fpf.lefschetz_rhs(S3_RAT, self.F, fibers="scalar", twist=twist)
-        by = {c.orbit.base_point.support: c.total for c in res.contributions}
+        by = {c.orbit.base_point.support: c.term.total for c in res.contributions}
         assert abs(by[(1,)]) < 1e-12
         assert abs(by[(0,)] - 0.25j) < 1e-12
         assert abs(res.value - 0.25j) < 1e-12
@@ -606,7 +607,7 @@ class TestSphereTwists:
         # flips the sign of the other circle's correction phase
         twist = BundleTwist(tg.SymbolicFrequency(((2,),)))
         res = fpf.lefschetz_rhs(S3_RAT, self.F, fibers="scalar", twist=twist)
-        by = {c.orbit.base_point.support: c.total for c in res.contributions}
+        by = {c.orbit.base_point.support: c.term.total for c in res.contributions}
         assert abs(by[(1,)] - 0.5) < 1e-12
         assert abs(by[(0,)] - (-0.25)) < 1e-12
         assert abs(res.value - 0.25) < 1e-12
@@ -631,7 +632,7 @@ class TestScalarOracle:
         res = fpf.lefschetz_rhs(T2_PROD, f, fibers="scalar")
         assert len(res.contributions) == 2
         for c in res.contributions:
-            assert abs(c.total - 0.5) < 1e-12
+            assert abs(c.term.total - 0.5) < 1e-12
         assert abs(fpf.theorem_c_scalar_value(T2_PROD, f) - 1.0) < 1e-12
 
     def test_translation_irrational_t2(self):

@@ -1,7 +1,5 @@
 """Orbit closures, isotropy and base maps on the model manifolds."""
 
-import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -270,7 +268,7 @@ def test_integer_orbit_path_matches_fraction_arithmetic(case):
         orbit = contrib.orbit
         assert orbit.key == ("torus", level)
         assert base_point(orbit) == p0
-        assert g0_point(contrib) == g0_point(contrib.certificate) == g0
+        assert g0_point(contrib) == g0_point(fpf.check_transversality(orbit, f)) == g0
         assert model.group.contains_numerators(*rl.numerators(g0))
         # the same orbit through its base point, over other denominators
         again = gm.orbit_through(model, p0)

@@ -250,12 +250,12 @@ def test_orbit_classes_list_the_orbits_of_the_localized_side(tmp_path):
                      and c["isotropy_components"]
                      == orbit.isotropy.component_count
                      and c["contribution_exact"] == (
-                         None if contrib.total_exact is None
-                         else str(contrib.total_exact))
+                         None if contrib.term.total_exact is None
+                         else str(contrib.term.total_exact))
                      and complex(c["contribution"]["re"],
                                  c["contribution"]["im"])
-                     == complex(float(f"{contrib.total.real:.12g}"),
-                                float(f"{contrib.total.imag:.12g}")))
+                     == complex(float(f"{contrib.term.total.real:.12g}"),
+                                float(f"{contrib.term.total.imag:.12g}")))
             if torus:
                 expected = {"base_point": base_point(orbit)}
             else:

@@ -5,7 +5,6 @@ import ast
 import io
 import itertools
 import json
-import math
 import os
 import pathlib
 import subprocess
@@ -192,18 +191,18 @@ class TestRationalWeightedFiveSphere:
                 alt = fpf.orbit_contribution(contrib.orbit, self.F,
                                              fibers="scalar",
                                              subgroup_rows=rows)
-                assert abs(alt.total - contrib.total) <= 1e-10
+                assert abs(alt.term.total - contrib.term.total) <= 1e-10
 
     def test_mass_and_sheets_scale_together(self):
         orbit = [o for o in fpf.find_fixed_orbits(S5_123, self.F)
                  if o.base_point.support == (2,)][0]
         base = fpf.orbit_contribution(orbit, self.F, fibers="scalar")
-        assert base.per_degree[0].haar_factor == 3
-        assert base.per_degree[0].sheets == 3
+        assert base.term.haar_factor == 3
+        assert base.term.sheets == 3
         doubled = fpf.orbit_contribution(orbit, self.F, fibers="scalar",
                                          subgroup_rows=((2, 4, 6),))
-        assert doubled.per_degree[0].haar_factor == 6
-        assert doubled.per_degree[0].sheets == 6
+        assert doubled.term.haar_factor == 6
+        assert doubled.term.sheets == 6
 
 
 class TestGeneratorNames:

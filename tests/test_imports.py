@@ -1,10 +1,12 @@
-"""No module of ``src/equilef`` keeps a top-level import that it never reads.
+"""No module of ``src/equilef``, ``tests``, ``tools`` or ``demos`` keeps a
+top-level import that it never reads.
 
 No linter is part of the toolchain, so the check is a walk of each module's
 syntax tree: every name a top-level ``import`` binds must be read somewhere
 in the module as a name (an attribute access ``rl.hnf`` reads ``rl``).
-``__init__`` imports to re-export and is exempt, and so is ``from
-__future__``, which binds nothing that code reads.
+``equilef/__init__`` imports to re-export and is exempt, and so is ``from
+__future__``, which binds nothing that code reads.  ``perfbench`` is not
+walked: it is the benchmark harness, kept apart from the package's checks.
 """
 
 import ast
@@ -12,8 +14,12 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "equilef"
-MODULES = sorted(path for path in SRC.glob("*.py") if path.stem != "__init__")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "equilef"
+MODULES = sorted(
+    [path for path in SRC.glob("*.py") if path.stem != "__init__"]
+    + [path for folder in ("tests", "tools", "demos")
+       for path in (ROOT / folder).glob("*.py")])
 
 
 def unused_imports(source):

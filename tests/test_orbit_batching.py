@@ -5,8 +5,9 @@ traces, the conormal determinant, the lifted closure, the isotropy preimage,
 its complement, the Haar mass and the sheet count) depends only on the map
 and the isotropy type, so ``lefschetz_rhs`` computes it once and evaluates
 each orbit against it.  These tests pin the reports of three multi-orbit
-maps, count the map-level calls, and check that every batched contribution
-equals ``orbit_contribution`` called on its own.
+maps, count the map-level calls, check that the orbits of one class share
+one term object, and check that every batched contribution equals
+``orbit_contribution`` called on its own.
 """
 
 import hashlib
@@ -194,6 +195,52 @@ def test_an_untwisted_map_solves_each_isotropy_system_once(monkeypatch):
         assert len(seen) == len(set(seen)) == 1, name
 
 
+def same_contribution(lone, batched):
+    """A lone call's contribution equals a batched one field by field.  Each
+    call owns its own context, so the two terms are distinct objects and are
+    compared by value."""
+    return ((lone.orbit, lone.g0_numerators, lone.dets)
+            == (batched.orbit, batched.g0_numerators, batched.dets)
+            and vars(lone.term) == vars(batched.term))
+
+
+T3_E3 = gm.FlatTorusModel(tg.SymbolicFrequency(((0,), (0,), (1,))))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 11])
+def test_an_untwisted_torus_map_gives_every_orbit_one_term(k):
+    # diag(k, k, 1) on T^3 has (k - 1)^2 fixed orbits, 1, 4, 16 or 100, all
+    # with one isotropy type and one component datum: one OrbitTerm object,
+    # and the report's one orbit class counts them all
+    f = TorusMap(((k, 0, 0), (0, k, 0), (0, 0, 1)), (0, 0, 0))
+    rhs = fpf.lefschetz_rhs(T3_E3, f)
+    term = rhs.contributions[0].term
+    assert isinstance(term, fpf.OrbitTerm)
+    assert len(rhs.contributions) == (k - 1) ** 2
+    assert all(contrib.term is term for contrib in rhs.contributions)
+    classes = cli._orbit_classes(rhs.contributions)
+    assert [entry["count"] for entry in classes] == [(k - 1) ** 2]
+
+
+@pytest.mark.parametrize("matrix,translation,counts", [
+    # the shear's last row is the identity: one twist phase for all six
+    (((3, 1, 0), (0, 4, 0), (0, 0, 1)), (Fraction(1, 3), 0, Fraction(1, 5)),
+     [6]),
+    (((3, 1, 0), (0, 4, 0), (0, 1, 1)), (0, 0, 0), [2, 2, 2]),
+    (((5, 0, 0), (0, 5, 0), (2, 0, 1)), (0, 0, Fraction(1, 5)), [8, 8]),
+])
+def test_a_twisted_map_has_one_term_per_orbit_class(matrix, translation, counts):
+    # the twist phase tells the classes apart; each class's orbits hold its
+    # one term, and no two classes hold the same one
+    scenario = cli.load_scenario(SCENARIOS / "twisted_unit_t3.scenario")
+    rhs = fpf.lefschetz_rhs(scenario.model, TorusMap(matrix, translation),
+                            twist=scenario.twist)
+    classes = cli._orbit_classes(rhs.contributions)
+    assert [entry["count"] for entry in classes] == counts
+    # an OrbitTerm hashes by identity
+    assert len({contrib.term for contrib in rhs.contributions}) == len(classes)
+
+
 def test_per_orbit_cost_does_not_scale_with_the_orbit_count(monkeypatch):
     # the base points come from one solve operator per map, the term is
     # assembled once per distinct component data, and an untwisted torus
@@ -288,8 +335,8 @@ def test_batched_sphere_contributions_equal_lone_ones(data):
     except (InfiniteFixedSet, NonTransverse):
         assume(False)
     for contrib in rhs.contributions:
-        assert fpf.orbit_contribution(contrib.orbit, f, fibers="scalar",
-                                      twist=twist) == contrib
+        assert same_contribution(fpf.orbit_contribution(
+            contrib.orbit, f, fibers="scalar", twist=twist), contrib)
 
 
 def unimodular(draw, n):
@@ -352,8 +399,9 @@ def test_batched_contributions_equal_lone_ones(data, weight):
         twist = BundleTwist(tg.SymbolicFrequency((row,), labels))
     rhs = fpf.lefschetz_rhs(model, f, twist=twist)
     for contrib in rhs.contributions:
-        # field by field: g0, certificate, per_degree, total and total_exact
-        assert fpf.orbit_contribution(contrib.orbit, f, twist=twist) == contrib
+        # field by field: orbit, g0, dets and the term's fields
+        assert same_contribution(
+            fpf.orbit_contribution(contrib.orbit, f, twist=twist), contrib)
 
 
 @settings(max_examples=200, deadline=None)
@@ -457,17 +505,19 @@ def test_the_base_map_takes_one_hermite_form_per_miss(monkeypatch):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(data=equivariant_maps())
-def test_torus_certificate_is_the_contribution_certificate(data):
+def test_torus_check_transversality_is_the_batched_scalar_contribution(data):
+    # the lone check's g0 and determinants are those of the batched pass
     model, f = data
-    rhs = fpf.lefschetz_rhs(model, f)
+    rhs = fpf.lefschetz_rhs(model, f, fibers="scalar")
     for contrib in rhs.contributions:
-        assert fpf.check_transversality(contrib.orbit, f) == contrib.certificate
+        assert same_contribution(fpf.check_transversality(contrib.orbit, f),
+                                 contrib)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(st.data())
-def test_sphere_certificate_is_the_contribution_certificate(data):
+def test_sphere_check_transversality_is_the_batched_scalar_contribution(data):
     k = data.draw(st.integers(2, 3))
     weights = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
     phases = data.draw(st.lists(st.builds(Fraction, st.integers(0, 10), st.just(11)),
@@ -479,11 +529,11 @@ def test_sphere_certificate_is_the_contribution_certificate(data):
         assume(False)
     for contrib in rhs.contributions:
         cert = fpf.check_transversality(contrib.orbit, f)
-        assert cert == contrib.certificate
+        assert same_contribution(cert, contrib)
         assert len(cert.dets) == contrib.orbit.isotropy.component_count
 
 
-def test_twisted_sphere_certificate_lists_every_preimage_component():
+def test_twisted_sphere_dets_list_every_preimage_component():
     model = sphere((1, 2))
     f = SpherePhaseMap((Fraction(1, 4), 0))
     rhs = fpf.lefschetz_rhs(model, f, fibers="scalar", twist=HALF_TWIST)
@@ -491,11 +541,11 @@ def test_twisted_sphere_certificate_lists_every_preimage_component():
     counts = []
     for contrib in rhs.contributions:
         pre = tg.isotropy_preimage(hat, contrib.orbit.isotropy)
-        counts.append(len(contrib.certificate.dets))
-        assert len(contrib.certificate.dets) == pre.component_count
-        assert all(type(d) is float for d in contrib.certificate.dets)
+        counts.append(len(contrib.dets))
+        assert len(contrib.dets) == pre.component_count
+        assert all(type(d) is float for d in contrib.dets)
         # twice the base isotropy's components: the half-weight doubles them
         assert pre.component_count == 2 * contrib.orbit.isotropy.component_count
-        assert fpf.orbit_contribution(contrib.orbit, f, fibers="scalar",
-                                      twist=HALF_TWIST) == contrib
+        assert same_contribution(fpf.orbit_contribution(
+            contrib.orbit, f, fibers="scalar", twist=HALF_TWIST), contrib)
     assert sorted(counts) == [2, 4]
